@@ -34,6 +34,14 @@ def _emit(obj, fmt):
         print("  ".join(parts))
 
 
+def _prec(value) -> int:
+    """A truncation order in whole q-powers: an integer >= 1."""
+    prec = int(value)
+    if prec < 1:
+        raise argparse.ArgumentTypeError(f"precision must be >= 1, got {prec}")
+    return prec
+
+
 def _identity_params(args):
     params = {}
     for key in ("k", "r", "j", "a", "variant"):
@@ -71,21 +79,45 @@ def _cmd_sweep(args) -> int:
     return rc
 
 
-def _cmd_bailey(args) -> int:
-    text = (sys.stdin.read() if args.input == "-"
-            else open(args.input, encoding="utf-8").read())
-    recipe = json.loads(text)
+def _read_recipe(path):
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidParameters(f"cannot read recipe {path!r}: "
+                                f"{exc.strerror or exc}") from exc
+
+
+def _parse_recipe(recipe, default_prec):
+    """(seed pair, transform steps, t-order) of a recipe object."""
+    if not isinstance(recipe, dict) or not isinstance(recipe.get("seed"), dict):
+        raise InvalidParameters('a recipe is a JSON object with a "seed" object')
+    raw_steps = recipe.get("steps", [])
+    if not (isinstance(raw_steps, list)
+            and all(isinstance(s, dict) for s in raw_steps)):
+        raise InvalidParameters('recipe "steps" must be a list of objects')
     seed_spec = recipe["seed"]
-    a = _parse_monomial(seed_spec.get("a", "q"))
-    qprec = int(recipe.get("prec", args.prec))
-    tp = 2 * qprec + 1
-    n_max = int(recipe.get("n_max", 10))
-    seed = B.SEEDS[seed_spec.get("kind", "unit")](a, n_max, tp)
-    steps = []
-    for s in recipe.get("steps", []):
-        rho = _parse_monomial(s["rho"]) if "rho" in s else None
-        bb = _parse_monomial(s["b"]) if "b" in s else None
-        steps.append(B.TransformStep(s["tag"], rho=rho, b=bb))
+    try:
+        a = _parse_monomial(seed_spec.get("a", "q"))
+        tp = 2 * _prec(recipe.get("prec", default_prec)) + 1
+        n_max = int(recipe.get("n_max", 10))
+        make_seed = B.SEEDS[seed_spec.get("kind", "unit")]
+        steps = [B.TransformStep(s["tag"],
+                                 rho=_parse_monomial(s["rho"]) if "rho" in s
+                                 else None,
+                                 b=_parse_monomial(s["b"]) if "b" in s
+                                 else None)
+                 for s in raw_steps]
+    except TypeError as exc:    # a field of the wrong JSON type
+        raise InvalidParameters(f"malformed recipe: {exc}") from exc
+    return make_seed(a, n_max, tp), steps, tp
+
+
+def _cmd_bailey(args) -> int:
+    recipe = json.loads(_read_recipe(args.input))
+    seed, steps, tp = _parse_recipe(recipe, args.prec)
     pair, log = B.run_chain(seed, steps, tp)
     for tag, a_text, res in log:
         _emit({"step": tag, "a": a_text, "verified": res.ok,
@@ -106,7 +138,12 @@ def _cmd_trace_lambda(args) -> int:
 
 
 def _cmd_trace_gamma(args) -> int:
-    f = tuple(json.loads(args.input))
+    f = json.loads(args.input)
+    if not isinstance(f, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in f):
+        raise InvalidParameters("a frequency sequence is a JSON list of "
+                                "integers")
+    f = tuple(f)
     mp, trace = M.gamma_map(f, k=args.k, trace=True)
     if args.format == "json":
         print(json.dumps({"result": M.mp_to_json(mp), "trace": trace.to_json()}))
@@ -157,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, prec_default=40):
-        p.add_argument("--prec", type=int, default=prec_default,
+        p.add_argument("--prec", type=_prec, default=prec_default,
                        help="truncation order in whole q-powers")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -229,7 +266,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InvalidParameters, QidentError, ValueError, KeyError) as exc:
+    except (InvalidParameters, QidentError, ValueError, KeyError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -559,27 +559,37 @@ class Report:
                 "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
-def lhs_series(name: str, params: dict, qprec: int) -> QSeries:
-    spec = CATALOG[name]
-    spec.validate(params)
-    return eval_sum(spec.lhs(params), qprec)
-
-
-def rhs_series(name: str, params: dict, qprec: int) -> QSeries:
-    spec = CATALOG[name]
-    spec.validate(params)
-    return eval_product(spec.rhs(params), qprec)
-
-
-def verify_identity(name: str, params: dict, qprec: int) -> Report:
+def _spec(name: str, params: dict) -> IdentitySpec:
+    """The catalog row, after checking that params are valid for it."""
     if name not in CATALOG:
         raise InvalidParameters(f"unknown identity {name!r}")
     spec = CATALOG[name]
+    extra = sorted(set(params) - set(spec.param_names))
+    if extra:
+        raise InvalidParameters(
+            f"{name} takes parameters {list(spec.param_names)}, not {extra}")
     spec.validate(params)
+    return spec
+
+
+def lhs_series(name: str, params: dict, qprec: int) -> QSeries:
+    return eval_sum(_spec(name, params).lhs(params), qprec)
+
+
+def rhs_series(name: str, params: dict, qprec: int) -> QSeries:
+    return eval_product(_spec(name, params).rhs(params), qprec)
+
+
+def verify_identity(name: str, params: dict, qprec: int) -> Report:
+    """Compare both sides through q^qprec; the report's prec is that order.
+
+    PrecisionExceeded when either side comes back shorter than that, so a
+    report never claims more than was compared."""
+    spec = _spec(name, params)
     t0 = time.perf_counter()
     lhs = eval_sum(spec.lhs(params), qprec)
     rhs = eval_product(spec.rhs(params), qprec)
-    eq, e = lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tgrid(qprec)))
+    eq, e = lhs.equal_up_to(rhs, tgrid(qprec))
     ms = (time.perf_counter() - t0) * 1000
     return Report(name, dict(params), qprec, eq, e, ms)
 

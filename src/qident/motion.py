@@ -52,6 +52,10 @@ def in_A(f, k: int) -> bool:
 def check_multipartition(parts) -> tuple:
     out = []
     for lam in parts:
+        if not isinstance(lam, (list, tuple)) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in lam):
+            raise PreconditionViolated("each partition must be a list of "
+                                       "integers")
         lam = list(lam)
         if any(x < 0 for x in lam):
             raise PreconditionViolated("parts must be non-negative")

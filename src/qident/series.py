@@ -23,8 +23,6 @@ INF = math.inf
 # Kronecker-substitution multiply kicks in for operand pairs at least this
 # dense; below it the plain dict convolution wins.
 _PACK_MIN_OPS = 1500
-# Coefficients above this bound force the dict path (limb-overflow safety).
-_PACK_MAX_COEFF = 1 << 256
 
 
 def _as_prec(p):
@@ -268,11 +266,60 @@ def _mul_dict(da: dict, db: dict, cap) -> dict:
     return out
 
 
-def _mul_packed(da: dict, db: dict, cap):
-    """Kronecker-substitution product: pack each sign part into one big int.
+def kron_pack(rows, ndigits: int, nbytes: int) -> int:
+    """Kronecker substitution: the integer sum of c * X^(offset + e) over the
+    rows (offset, coeffs, limit) and the terms c*t^e of each coeffs dict with
+    e < limit, where X = 2^(8*nbytes).  Digit indices must be distinct and
+    lie in [0, ndigits).
 
-    Returns None when the coefficients are too large for a safe limb width,
-    in which case the caller falls back to the dict convolution.
+    Coefficients may be negative.  Each is stored with a bias of half a
+    digit, and the bias pattern is subtracted at the end, so every |c| must
+    be below 2^(8*nbytes - 1).  For products of packed integers the same
+    must hold for every digit of the result: ``bound.bit_length() // 8 + 1``
+    bytes are enough when ``bound`` bounds every |digit|.
+    """
+    lift = 1 << (8 * nbytes - 1)
+    bias = lift.to_bytes(nbytes, "little") * ndigits
+    buf = bytearray(bias)
+    for offset, coeffs, limit in rows:
+        for e, c in coeffs.items():
+            if e < limit:
+                k = (offset + e) * nbytes
+                buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(bias, "little")
+
+
+def kron_unpack(n: int, nbytes: int, spans) -> list:
+    """Signed digits of n in base 2^(8*nbytes), the inverse of kron_pack.
+
+    ``spans`` lists (start, stop, base) digit ranges; the result holds one
+    dict per span mapping base + (i - start) to each nonzero digit i in
+    [start, stop).  Digits at or above the largest stop are never read, so
+    they may be arbitrary.
+    """
+    ndigits = max((stop for _, stop, _ in spans), default=0)
+    lift = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(lift.to_bytes(nbytes, "little") * ndigits, "little")
+    nbits = 8 * nbytes * ndigits
+    # Adding the bias turns every digit below ndigits into c + lift, which
+    # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
+    buf = ((n + bias) & ((1 << nbits) - 1)).to_bytes(nbits // 8, "little")
+    from_bytes = int.from_bytes
+    out = []
+    for start, stop, base in spans:
+        vals = [from_bytes(buf[k:k + nbytes], "little")
+                for k in range(start * nbytes, stop * nbytes, nbytes)]
+        out.append({base + j: c - lift for j, c in enumerate(vals)
+                    if c != lift})
+    return out
+
+
+def _mul_packed(da: dict, db: dict, cap):
+    """Kronecker-substitution product: one signed big-int multiply.
+
+    Returns None when the exponent span is too wide, in which case the
+    caller falls back to the dict convolution.  The digit width comes from
+    a bound on every product coefficient, so no coefficient size overflows.
     """
     ma = min(da)
     mb = min(db)
@@ -281,41 +328,12 @@ def _mul_packed(da: dict, db: dict, cap):
         return None
     amax = max(map(abs, da.values()))
     bmax = max(map(abs, db.values()))
-    if amax > _PACK_MAX_COEFF or bmax > _PACK_MAX_COEFF:
-        return None
-    need = (amax * bmax * min(len(da), len(db))).bit_length() + 2
-    limb = (need + 7) // 8 * 8
-    ap = an = bp = bn = 0
-    for e, c in da.items():
-        k = (e - ma) * limb
-        if k >= limb * width:
-            continue
-        if c > 0:
-            ap |= c << k
-        else:
-            an |= (-c) << k
-    for e, c in db.items():
-        k = (e - mb) * limb
-        if k >= limb * width:
-            continue
-        if c > 0:
-            bp |= c << k
-        else:
-            bn |= (-c) << k
-    pos = ap * bp + an * bn
-    neg = ap * bn + an * bp
-    nbytes = limb // 8
-    total = width * nbytes
-    pb = pos.to_bytes(max(total, (pos.bit_length() + 7) // 8), "little")[:total]
-    nb = neg.to_bytes(max(total, (neg.bit_length() + 7) // 8), "little")[:total]
-    out = {}
-    base = ma + mb
-    for i in range(width):
-        c = (int.from_bytes(pb[i * nbytes:(i + 1) * nbytes], "little")
-             - int.from_bytes(nb[i * nbytes:(i + 1) * nbytes], "little"))
-        if c:
-            out[base + i] = c
-    return out
+    nbytes = (amax * bmax * min(len(da), len(db))).bit_length() // 8 + 1
+    a = kron_pack([(-ma, da, ma + width)], min(width, max(da) - ma + 1),
+                  nbytes)
+    b = kron_pack([(-mb, db, mb + width)], min(width, max(db) - mb + 1),
+                  nbytes)
+    return kron_unpack(a * b, nbytes, [(0, width, ma + mb)])[0]
 
 
 def _mul_any(da: dict, db: dict, cap) -> dict:

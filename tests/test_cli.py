@@ -110,3 +110,47 @@ def test_interpret(capsys):
 
 def test_usage_error(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def test_bailey_missing_input_file(capsys, tmp_path):
+    rc, _, err = run(capsys, "bailey", "--input", str(tmp_path / "none.json"))
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_bailey_steps_must_be_a_list(capsys, tmp_path):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"seed": {"kind": "unit"}, "steps": "BL_INF"}))
+    rc, _, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2
+    assert err.startswith("error:") and "steps" in err
+
+
+def test_bailey_field_of_the_wrong_type(capsys, tmp_path):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"seed": {"kind": "unit"}, "prec": [3]}))
+    rc, _, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2
+    assert err.startswith("error: malformed recipe")
+
+
+def test_trace_non_integer_input(capsys):
+    for cmd, text in (("trace-lambda", "[[1.5]]"), ("trace-gamma", "[1.5]")):
+        rc, _, err = run(capsys, cmd, "--input", text)
+        assert rc == 2
+        assert err.startswith("error:") and "integers" in err
+
+
+def test_prec_must_be_positive(capsys):
+    for prec in ("0", "-5"):
+        rc, out, err = run(capsys, "verify", "andrews_gordon", "--k", "2",
+                           "--r", "1", "--prec", prec)
+        assert rc == 2 and out == ""
+        assert "error:" in err and ">= 1" in err
+
+
+def test_verify_rejects_parameters_the_row_does_not_take(capsys):
+    rc, out, err = run(capsys, "verify", "andrews_gordon", "--k", "2",
+                       "--r", "1", "--j", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "'j'" in err

@@ -3,7 +3,8 @@
 import pytest
 
 from qident import identities as I
-from qident.errors import CatalogRangeError, InvalidParameters
+from qident.errors import (CatalogRangeError, InvalidParameters,
+                           PrecisionExceeded)
 from qident.qfunctions import Q, SignedMonomial as SM, qbinom
 from qident.series import QSeries, monomial, zero
 
@@ -66,6 +67,16 @@ def test_validation_errors():
         I.verify_identity("rogers_ramanujan", {"a": 2}, 10)
     with pytest.raises(InvalidParameters):
         I.verify_identity("stanton_31", {"k": 3, "r": 1, "j": 1, "T": (3,)}, 10)
+    with pytest.raises(InvalidParameters, match="'j'"):
+        I.verify_identity("andrews_gordon", {"k": 2, "r": 1, "j": 5}, 10)
+
+
+def test_verify_refuses_a_side_shorter_than_the_requested_order(monkeypatch):
+    full = I.eval_sum
+    monkeypatch.setattr(I, "eval_sum", lambda side, qprec:
+                        full(side, qprec).truncate(I.tgrid(qprec) - 2))
+    with pytest.raises(PrecisionExceeded, match="compare order 41 exceeds"):
+        I.verify_identity("andrews_gordon", {"k": 2, "r": 1}, 20)
 
 
 def test_subset_variants():

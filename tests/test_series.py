@@ -115,9 +115,9 @@ def test_mul_precision_guards_unknown_terms():
 
 def test_packed_mul_matches_dict_mul():
     rng = random.Random(5)
-    for _ in range(12):
-        da = {rng.randint(-10, 120): rng.randint(-10**9, 10**9) for _ in range(80)}
-        db = {rng.randint(-10, 120): rng.randint(-10**9, 10**9) for _ in range(70)}
+    for cmax in [10**9] * 12 + [2**300] * 3:    # the second: beyond 64 bits
+        da = {rng.randint(-10, 120): rng.randint(-cmax, cmax) for _ in range(80)}
+        db = {rng.randint(-10, 120): rng.randint(-cmax, cmax) for _ in range(70)}
         da = {e: c for e, c in da.items() if c}
         db = {e: c for e, c in db.items() if c}
         cap = 160
