@@ -7,12 +7,16 @@ sequences (alpha_n, beta_n) tied together by
 
 The engine carries finite prefixes of both sequences, applies the
 specialized lemmas (Bailey lemma with one or both upper parameters sent to
-infinity, the lattice step that trades a for a/q, the two key lemmas, the
-a -> aq lemma and its b = 0 case, and the combined "star" steps), and checks
-the defining relation numerically after every move rather than trusting any
-closed form.  It also evaluates the three multisum consequences of the
-lattice two-sidedly (the classical single-lattice one and the two
-double-lattice variants, with or without boundary parameters).
+infinity, the two key lemmas, the a -> aq lemma and its b = 0 case, and the
+combined "star" step), and checks the defining relation numerically after
+every move rather than trusting any closed form.  Two steps are
+compositions: the lattice step a -> a/q is key lemma 1 followed by the
+Bailey lemma at a/q, and STAR1 is the star step at a = 1.  Every Bailey
+lemma shares one beta-side sum (``_beta_sum``).  The three multisum
+consequences of the lattice (the classical single-lattice one and the two
+double-lattice variants, with or without boundary parameters) and the
+star-chain limit identity are evaluated two-sidedly by one skeleton
+(``_two_sided``).
 
 Precision arguments here are t-exponent truncation orders (t = q^(1/2)).
 """
@@ -26,7 +30,7 @@ from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
-from .series import INF, ONE, QSeries, monomial, one, zero
+from .series import INF, QSeries, monomial, one, zero
 from .sumeval import multisum, var_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
@@ -85,7 +89,7 @@ class TransformStep:
     b: Optional[SM] = None
 
     def __post_init__(self):
-        if self.tag not in _TRANSFORM_TAGS:
+        if self.tag not in _TRANSFORMS:
             raise ValueError(f"unknown transform tag {self.tag!r}")
         if self.tag == "BL_RHO" and self.rho is None:
             raise ValueError("BL_RHO needs rho")
@@ -181,34 +185,43 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
 # -- single transforms ----------------------------------------------------------
 
 
-def _bl(p: BaileyPair) -> BaileyPair:
-    a, tp = p.a, p.prec
-    alpha = tuple((_a_pow(a, n) * p.alpha[n]).shift(2 * n * n).truncate(tp)
-                  for n in range(p.n_max + 1))
+def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
+    """beta'_n = sum_{l<=n} lift(l) beta_l (q^n + q^-l) / (q)_{n-l} for every
+    n <= n_max, the bracket only when ``star``; lift(l) is an exact series."""
+    tp = p.prec
+    lifted = [lift(l) * p.beta[l] for l in range(p.n_max + 1)]
     beta = []
     for n in range(p.n_max + 1):
         acc = zero(tp)
         for l in range(n + 1):
-            t = (_a_pow(a, l) * p.beta[l]).shift(2 * l * l)
+            t = lifted[l]
+            if star:
+                t = t * QSeries([(2 * n, 1), (-2 * l, 1)])
             acc = acc + t * inv_poch_finite(Q, 2, n - l, tp)
         beta.append(acc.truncate(tp))
+    return beta
+
+
+def _bl(p: BaileyPair) -> BaileyPair:
+    a, tp = p.a, p.prec
+    alpha = tuple((_a_pow(a, n) * p.alpha[n]).shift(2 * n * n).truncate(tp)
+                  for n in range(p.n_max + 1))
+    beta = _beta_sum(p, lambda l: _a_pow(a, l).shift(2 * l * l))
     return BaileyPair(a, p.n_max, alpha, tuple(beta), tp)
 
 
 def _bl_rho(p: BaileyPair, rho: SM) -> BaileyPair:
     a, tp = p.a, p.prec
     w = SM(a.sign * rho.sign, a.e + 2 - rho.e)  # aq/rho
+
+    def lift(n):        # (-1)^n q^C(n,2) (rho)_n (aq/rho)^n
+        return (monomial((-1) ** n, n * (n - 1))
+                * poch_finite(rho, 2, n) * (w ** n).as_series())
+
     alpha, beta = [], []
-    for n in range(p.n_max + 1):
+    for n, acc in enumerate(_beta_sum(p, lift)):
         inv_wn = _unit_check(poch_finite(w, 2, n), "(aq/rho)_n").invert(tp)
-        num = (monomial((-1) ** n, n * (n - 1))
-               * poch_finite(rho, 2, n) * (w ** n).as_series())
-        alpha.append((num * inv_wn * p.alpha[n]).truncate(tp))
-        acc = zero(tp)
-        for l in range(n + 1):
-            t = (monomial((-1) ** l, l * (l - 1))
-                 * poch_finite(rho, 2, l) * (w ** l).as_series())
-            acc = acc + t * p.beta[l] * inv_poch_finite(Q, 2, n - l, tp)
+        alpha.append((lift(n) * inv_wn * p.alpha[n]).truncate(tp))
         beta.append((acc * inv_wn).truncate(tp))
     return BaileyPair(a, p.n_max, tuple(alpha), tuple(beta), tp)
 
@@ -239,28 +252,11 @@ def _key_shared(p: BaileyPair, key2: bool) -> BaileyPair:
 
 
 def _lattice(p: BaileyPair) -> BaileyPair:
-    """Lattice step with both upper parameters at infinity: a -> a/q."""
-    a, tp = p.a, p.prec
-    if a == ONE_M:
+    """Lattice step with both upper parameters at infinity, a -> a/q: key
+    lemma 1, then the Bailey lemma at a/q."""
+    if p.a == ONE_M:
         raise DegenerateDivision("lattice step needs a != 1")
-    one_minus_a = _one_minus(a)
-    alpha = [p.alpha[0]]
-    for n in range(1, p.n_max + 1):
-        d1 = _unit_check(_one_minus(a.times_qpow(2 * n)), "1-aq^2n").invert(tp)
-        d2 = _unit_check(_one_minus(a.times_qpow(2 * n - 2)),
-                         "1-aq^(2n-2)").invert(tp)
-        t = (p.alpha[n] * d1
-             - p.alpha[n - 1] * a.as_series().shift(4 * n - 4) * d2)
-        alpha.append((_a_pow(a, n).shift(2 * n * n - 2 * n) * one_minus_a * t)
-                     .truncate(tp))
-    beta = []
-    for n in range(p.n_max + 1):
-        acc = zero(tp)
-        for l in range(n + 1):
-            t = (_a_pow(a, l) * p.beta[l]).shift(2 * l * l - 2 * l)
-            acc = acc + t * inv_poch_finite(Q, 2, n - l, tp)
-        beta.append(acc.truncate(tp))
-    return BaileyPair(SM(a.sign, a.e - 2), p.n_max, tuple(alpha), tuple(beta), tp)
+    return _bl(_key_shared(p, key2=False))
 
 
 def _lovejoy_b0(p: BaileyPair) -> BaileyPair:
@@ -317,60 +313,36 @@ def _star(p: BaileyPair) -> BaileyPair:
             s = s + _one_minus(a.times_qpow(2 * n)) * one_minus_ainv * partial
         alpha.append((_a_pow(a, n) * s).shift(2 * n * n - 2 * n).truncate(tp))
         partial = partial + p.alpha[n]
-    beta = []
-    for n in range(p.n_max + 1):
-        acc = zero(tp)
-        for l in range(n + 1):
-            t = (_a_pow(a, l) * p.beta[l]).shift(2 * l * l)
-            t = t * QSeries([(2 * n, 1), (-2 * l, 1)])
-            acc = acc + t * inv_poch_finite(Q, 2, n - l, tp)
-        beta.append(acc.truncate(tp))
+    beta = _beta_sum(p, lambda l: _a_pow(a, l).shift(2 * l * l), star=True)
     return BaileyPair(a, p.n_max, tuple(alpha), tuple(beta), tp)
 
 
 def _star1(p: BaileyPair) -> BaileyPair:
-    """The a = 1 simplification of the star step."""
+    """The star step at a = 1, where the factor (1 - 1/a) of the partial-sum
+    tail is the exact zero series."""
     if p.a != ONE_M:
         raise DegenerateDivision("STAR1 requires a pair relative to 1")
-    tp = p.prec
-    alpha = tuple((QSeries([(0, 1), (4 * n, 1)]) * p.alpha[n])
-                  .shift(2 * n * n - 2 * n).truncate(tp)
-                  for n in range(p.n_max + 1))
-    beta = []
-    for n in range(p.n_max + 1):
-        acc = zero(tp)
-        for l in range(n + 1):
-            t = p.beta[l].shift(2 * l * l) * QSeries([(2 * n, 1), (-2 * l, 1)])
-            acc = acc + t * inv_poch_finite(Q, 2, n - l, tp)
-        beta.append(acc.truncate(tp))
-    return BaileyPair(p.a, p.n_max, alpha, tuple(beta), tp)
+    return _star(p)
 
 
-_TRANSFORM_TAGS = ("BL_INF", "BL_RHO", "LATTICE_INF", "KEY1", "KEY2",
-                   "LOVEJOY_B0", "LOVEJOY", "STAR", "STAR1")
+_TRANSFORMS = {
+    "BL_INF": lambda p, step: _bl(p),
+    "BL_RHO": lambda p, step: _bl_rho(p, step.rho),
+    "LATTICE_INF": lambda p, step: _lattice(p),
+    "KEY1": lambda p, step: _key_shared(p, key2=False),
+    "KEY2": lambda p, step: _key_shared(p, key2=True),
+    "LOVEJOY_B0": lambda p, step: _lovejoy_b0(p),
+    "LOVEJOY": lambda p, step: _lovejoy(p, step.b),
+    "STAR": lambda p, step: _star(p),
+    "STAR1": lambda p, step: _star1(p),
+}
 
 
 def apply(step, p: BaileyPair) -> BaileyPair:
     """Apply one named transform; callers re-verify if they care."""
     if isinstance(step, str):
         step = TransformStep(step)
-    if step.tag == "BL_INF":
-        return _bl(p)
-    if step.tag == "BL_RHO":
-        return _bl_rho(p, step.rho)
-    if step.tag == "LATTICE_INF":
-        return _lattice(p)
-    if step.tag == "KEY1":
-        return _key_shared(p, key2=False)
-    if step.tag == "KEY2":
-        return _key_shared(p, key2=True)
-    if step.tag == "LOVEJOY_B0":
-        return _lovejoy_b0(p)
-    if step.tag == "LOVEJOY":
-        return _lovejoy(p, step.b)
-    if step.tag == "STAR":
-        return _star(p)
-    return _star1(p)
+    return _TRANSFORMS[step.tag](p, step)
 
 
 def run_chain(seed: BaileyPair, steps, prec: Optional[int] = None):
@@ -448,14 +420,29 @@ def _beta_extra(p: BaileyPair):
     return extra
 
 
-def _tail_guard(terms, tp, n_max):
-    """The last two assembled alpha-sum terms must vanish below tp."""
-    if n_max < 2:
+def _two_sided(p: BaileyPair, pervar, gaps, bdata, term, tp: int):
+    """The body shared by the lattice checks: the multisum side (pervar and
+    gaps as in ``multisum``, summed up to var_bound of bdata) against
+    1/(aq)_inf times the sum over l <= n_max of term(l), the l-th alpha-side
+    term.  Raises InsufficientDepth when the multisum needs beta values past
+    n_max, or when the last two alpha-side terms do not vanish below tp.
+    Returns (equal, first_mismatch_exponent)."""
+    bound = var_bound(bdata, tp)
+    if bound > p.n_max:
+        raise InsufficientDepth(
+            f"multisum needs s values up to {bound} but n_max = {p.n_max}")
+    lhs = multisum(pervar, gaps, tp, vmax=bound)
+    terms = [term(l).truncate(tp) for l in range(p.n_max + 1)]
+    if p.n_max < 2:
         raise InsufficientDepth("n_max too small for the alpha-side sum")
-    for t in terms[-2:]:
-        if not t.truncate(tp).is_zero():
-            raise InsufficientDepth(
-                "alpha sum not converged within n_max at this precision")
+    if any(not t.is_zero() for t in terms[-2:]):
+        raise InsufficientDepth(
+            "alpha sum not converged within n_max at this precision")
+    rhs = zero(tp)
+    for t in terms:
+        rhs = rhs + t
+    rhs = rhs * poch_infinite(p.a.times_qpow(1), 2, tp).invert(tp)
+    return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
 
 
 def check_corolattice(p: BaileyPair, k: int, r: int,
@@ -479,24 +466,13 @@ def check_corolattice(p: BaileyPair, k: int, r: int,
     pervar = [(2, a.e - (2 if i <= k - r else 0),
                _beta_extra(p) if i == K else None)
               for i in range(1, K + 1)]
-    gaps = [(2, None)] * k
-    bound = var_bound([(q2, l) for q2, l, _ in pervar], tp)
-    if bound > p.n_max:
-        raise InsufficientDepth(
-            f"multisum needs s values up to {bound} but n_max = {p.n_max}")
-    lhs = multisum(pervar, gaps, tp, vmax=bound)
 
-    terms = []
-    for l in range(p.n_max + 1):
+    def term(l):
         t = _a_pow(a, (k + 1) * l).shift(2 * (k + 1) * l * l - 2 * (k - r) * l)
         t = t * _geom(SM(a.sign, a.e + 4 * l), k - r + 1)
-        terms.append((t * p.alpha[l]).truncate(tp))
-    _tail_guard(terms, tp, p.n_max)
-    rhs = zero(tp)
-    for t in terms:
-        rhs = rhs + t
-    rhs = rhs * poch_infinite(a.times_qpow(1), 2, tp).invert(tp)
-    return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+        return t * p.alpha[l]
+    return _two_sided(p, pervar, [(2, None)] * k,
+                      [(q2, l) for q2, l, _ in pervar], term, tp)
 
 
 def check_coro2(p: BaileyPair, k: int, r: int, j: int,
@@ -520,15 +496,8 @@ def check_coro2(p: BaileyPair, k: int, r: int, j: int,
     pervar = [(2, a.e - (4 if i <= j else 0) - (2 if j < i <= k - r else 0),
                _beta_extra(p) if i == K else None)
               for i in range(1, K + 1)]
-    gaps = [(2, None)] * k
-    bound = var_bound([(q2, l) for q2, l, _ in pervar], tp)
-    if bound > p.n_max:
-        raise InsufficientDepth(
-            f"multisum needs s values up to {bound} but n_max = {p.n_max}")
-    lhs = multisum(pervar, gaps, tp, vmax=bound)
 
-    terms = []
-    for l in range(p.n_max + 1):
+    def term(l):
         x = SM(a.sign, a.e + 4 * l - 2)
         y = SM(a.sign, a.e + 4 * l + 2)
         shift = (a ** (k + 1 - r)).as_series().shift(
@@ -538,13 +507,9 @@ def check_coro2(p: BaileyPair, k: int, r: int, j: int,
             2 * (k + 1) * l * l + 2 * (r - j - k) * l)
         t = t * _unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
                             "1-aq^2l").invert(tp)
-        terms.append((t * bracket * p.alpha[l]).truncate(tp))
-    _tail_guard(terms, tp, p.n_max)
-    rhs = zero(tp)
-    for t in terms:
-        rhs = rhs + t
-    rhs = rhs * poch_infinite(a.times_qpow(1), 2, tp).invert(tp)
-    return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+        return t * bracket * p.alpha[l]
+    return _two_sided(p, pervar, [(2, None)] * k,
+                      [(q2, l) for q2, l, _ in pervar], term, tp)
 
 
 def _bfactor_divide(num: QSeries, d: QSeries, tp: int) -> QSeries:
@@ -632,7 +597,6 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             quad = 2
             extra = inv_aqc if (i == k and not c_inf) else None
         pervar.append((quad, lin, extra))
-    gaps = [(2, None)] * k
     bdata = []
     for idx, (quad, lin, _) in enumerate(pervar):
         i = idx + 1
@@ -647,15 +611,9 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             else:
                 lin = lin - c.e
         bdata.append((quad, lin))
-    bound = var_bound(bdata, tp)
-    if bound > p.n_max:
-        raise InsufficientDepth(
-            f"multisum needs s values up to {bound} but n_max = {p.n_max}")
-    lhs = multisum(pervar, gaps, tp, vmax=bound)
 
     # ---- right side ----
-    terms = []
-    for l in range(p.n_max + 1):
+    def term(l):
         x = SM(a.sign, a.e + 4 * l - 2)    # a q^(2l-1)
         y = SM(a.sign, a.e + 4 * l + 2)    # a q^(2l+1)
         divisors = []
@@ -691,16 +649,11 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
         t = _a_pow(a, (k + 1) * l).shift(2 * k * l * l + 2 * (r + 1 - j - k) * l)
         t = t * _unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
                             "1-aq^2l").invert(tp)
-        term = t * bpart * cpart * bracket * p.alpha[l]
+        out = t * bpart * cpart * bracket * p.alpha[l]
         for d in divisors:
-            term = _bfactor_divide(term, d, tp)
-        terms.append(term.truncate(tp))
-    _tail_guard(terms, tp, p.n_max)
-    rhs = zero(tp)
-    for t in terms:
-        rhs = rhs + t
-    rhs = rhs * poch_infinite(a.times_qpow(1), 2, tp).invert(tp)
-    return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+            out = _bfactor_divide(out, d, tp)
+        return out
+    return _two_sided(p, pervar, [(2, None)] * k, bdata, term, tp)
 
 
 def check_common2(p: BaileyPair, k: int, r: int, j: int,
@@ -711,7 +664,7 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
         q^(sum s^2 + s_{k-r+1} + ... + s_{k+1}) q^(-s_1)
         * prod_{i in subset, i>=2} (q^(s_{i-1}) + q^(-s_i))
         / ((q)_{s_1-s_2} ... (q)_{s_k-s_{k+1}}) * beta_{s_{k+1}},
-    RHS: 1/(q)_inf * sum_l q^((k+1)l^2+(r-j+1)l) (1-q)/(1-q^(2l+1))
+    RHS: 1/(q^2;q)_inf * sum_l q^((k+1)l^2+(r-j+1)l) / (1-q^(2l+1))
         * ((1+q^(2l))^j - (1+q^(2l+2))^j q^((k-r+1)(2l+1)-j)) * alpha_l.
 
     ``subset`` picks which j factors appear (default {1, ..., j}); element 1
@@ -736,28 +689,16 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
     gaps = [(2, 2 if (g + 1) in T else None) for g in range(1, K)]
     bdata = [(q2, l - (2 if (idx + 1) in T and idx >= 1 else 0))
              for idx, (q2, l, _) in enumerate(pervar)]
-    bound = var_bound(bdata, tp)
-    if bound > p.n_max:
-        raise InsufficientDepth(
-            f"multisum needs s values up to {bound} but n_max = {p.n_max}")
-    lhs = multisum(pervar, gaps, tp, vmax=bound)
 
-    terms = []
-    one_minus_q = _one_minus(Q)
-    for l in range(p.n_max + 1):
+    def term(l):
         big = (QSeries([(0, 1), (4 * l, 1)]) ** j
                - (QSeries([(0, 1), (4 * l + 4, 1)]) ** j)
                .shift(2 * ((k - r + 1) * (2 * l + 1) - j)))
         t = monomial(1, 2 * (k + 1) * l * l + 2 * (r - j + 1) * l)
-        t = t * one_minus_q * _unit_check(_one_minus(SM(1, 4 * l + 2)),
-                                          "1-q^(2l+1)").invert(tp)
-        terms.append((t * big * p.alpha[l]).truncate(tp))
-    _tail_guard(terms, tp, p.n_max)
-    rhs = zero(tp)
-    for t in terms:
-        rhs = rhs + t
-    rhs = rhs * poch_infinite(Q, 2, tp).invert(tp)
-    return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+        t = t * _unit_check(_one_minus(SM(1, 4 * l + 2)),
+                            "1-q^(2l+1)").invert(tp)
+        return t * big * p.alpha[l]
+    return _two_sided(p, pervar, gaps, bdata, term, tp)
 
 
 def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,

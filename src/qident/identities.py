@@ -15,6 +15,7 @@ and raises CatalogRangeError.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -325,25 +326,24 @@ def _catalog() -> dict:
                             yield {"k": k, "r": r, "j": j, "T": T}
         return gen()
 
-    def binom_pervar(base, k, T, step):
+    def binom_pervar(base, T, step):
         out = list(base)
         if 1 in T:
             quad, lin = out[0]
             out[0] = (quad, lin - step)
         return tuple(out)
 
-    def odd_terms(M, A_of_s, j, binom):
+    def odd_terms(A_of_s, j, binom):
         return tuple((comb(j, s) if binom else 1, 0, A_of_s(s))
                      for s in range(j + 1))
 
     add("stanton_31", ("k", "r", "j", "T"), krjT_validate,
         lambda p: SumSide(p["k"],
                           binom_pervar(_lin_std(p["k"], 1, r_add=p["r"]),
-                                       p["k"], frozenset(p["T"]), 2),
+                                       frozenset(p["T"]), 2),
                           2, 2, subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
-                              odd_terms(2 * (2 * p["k"] + 3),
-                                        lambda s: 2 * (p["k"] + 1 - p["r"]
+                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], True),
                               den_inf=INV_Q_INF),
@@ -354,8 +354,7 @@ def _catalog() -> dict:
                           _lin_std(p["k"], 1, j_sub=p["j"], r_add=p["r"]),
                           2, 2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
-                              odd_terms(2 * (2 * p["k"] + 3),
-                                        lambda s: 2 * (p["k"] + 1 - p["r"]
+                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], False),
                               den_inf=INV_Q_INF),
@@ -364,11 +363,10 @@ def _catalog() -> dict:
     add("stanton_41", ("k", "r", "j", "T"), krjT_validate,
         lambda p: SumSide(p["k"],
                           binom_pervar(_lin_std(p["k"], 1, r_add=p["r"]),
-                                       p["k"], frozenset(p["T"]), 2),
+                                       frozenset(p["T"]), 2),
                           2, 4, subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              odd_terms(2 * (2 * p["k"] + 2),
-                                        lambda s: 2 * (p["k"] + 1 - p["r"]
+                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], True),
                               den_inf=INV_Q_INF),
@@ -379,8 +377,7 @@ def _catalog() -> dict:
                           _lin_std(p["k"], 1, j_sub=p["j"], r_add=p["r"]),
                           2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              odd_terms(2 * (2 * p["k"] + 2),
-                                        lambda s: 2 * (p["k"] + 1 - p["r"]
+                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], False),
                               den_inf=INV_Q_INF),
@@ -397,7 +394,7 @@ def _catalog() -> dict:
     add("binom_kursungoz", ("k", "r", "j", "T"), krjT_validate,
         lambda p: SumSide(p["k"],
                           binom_pervar(_kur_lin(p["k"], p["r"]),
-                                       p["k"], frozenset(p["T"]), 2),
+                                       frozenset(p["T"]), 2),
                           2, 4, subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               kur_terms(p["k"], p["r"], p["j"], True),
@@ -449,7 +446,7 @@ def _catalog() -> dict:
     add("binom_bgg", ("k", "r", "j", "T"), krjT_validate,
         lambda p: SumSide(p["k"],
                           binom_pervar(_lin_std(p["k"], 2, r_add=p["r"]),
-                                       p["k"], frozenset(p["T"]), 4),
+                                       frozenset(p["T"]), 4),
                           4, 4, subset=frozenset(p["T"]), binom_step=4,
                           tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
@@ -620,10 +617,12 @@ def _sweep_row(args):
 
 
 def sweep(max_k: int, qprec: int, jobs: int = 1):
-    """verify_identity over the whole catalog; deterministic report order."""
+    """verify_identity over the whole catalog; deterministic report order.
+    Runs on min(jobs, CPU count) worker processes, in-process when that is 1."""
     rows = [(name, params, qprec) for name, params in catalog_rows(max_k)]
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_sweep_row, rows, chunksize=4))
     return [_sweep_row(row) for row in rows]

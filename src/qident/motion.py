@@ -6,8 +6,10 @@ A multipartition is a tuple of weakly decreasing lists of non-negative
 integers.  The insertion map ``lambda_map`` turns a k-multipartition (with
 its frame sequence) into a frequency sequence whose adjacent sums are at
 most k, by running particle motions; ``gamma_map`` inverts it with reverse
-motions.  Both closed-form and stepwise engines are provided and are checked
-against each other in the tests.
+motions.  Both maps use the closed forms ``pm_explicit`` and
+``rpm_explicit``; the step-by-step simulations ``pm_stepwise`` and
+``rpm_stepwise`` are the reference the tests replay every traced motion
+against.
 """
 
 from __future__ import annotations
@@ -81,11 +83,14 @@ def mp_lengths_to_s(parts) -> list:
 def frame_of(parts) -> tuple:
     """Frame sequence: s_k pairs (k,0), then s_{k-1}-s_k pairs (k-1,0), ...
     down to s_1-s_2 pairs (1,0)."""
-    parts = check_multipartition(parts)
-    k = len(parts)
+    return _frame(check_multipartition(parts))
+
+
+def _frame(parts) -> tuple:
+    """frame_of for parts that check_multipartition has already accepted."""
     s = mp_lengths_to_s(parts) + [0]
     out = []
-    for h in range(k, 0, -1):
+    for h in range(len(parts), 0, -1):
         out.extend([h, 0] * (s[h - 1] - s[h]))
     return canonical(out)
 
@@ -264,7 +269,7 @@ def rpm_stepwise(f, u: int, trace=None):
 @dataclass
 class MotionTrace:
     """States and annotations collected while applying the insertion map or
-    its inverse; states[i] is the sequence after i recorded operations."""
+    its inverse: the start sequence, then the state after each operation."""
 
     start: tuple
     ops: list = field(default_factory=list)   # (op, position, amount, state)
@@ -285,60 +290,33 @@ class MotionTrace:
                         for op, pos, amount, state in self.ops]}
 
 
-def lambda_map(parts, engine: str = "explicit", trace: bool = False):
+def lambda_map(parts, trace: bool = False):
     """Insertion: multipartition -> frequency sequence with bounded adjacent
     sums.  Starts from the frame sequence and applies the part sizes as
-    particle-motion step counts from the innermost frame pair outwards."""
+    particle-motion step counts from the innermost frame pair outwards.
+    With ``trace``, returns (sequence, MotionTrace)."""
     parts = check_multipartition(parts)
     k = len(parts)
-    s = mp_lengths_to_s(parts) + [0] if k else [0]
-    fs = []
-    for h in range(k, 0, -1):
-        fs.extend([h, 0] * (s[h - 1] - s[h]))
-    cur = canonical(fs)
+    cur = _frame(parts)
     seq = flatten_parts(parts)
     tr = MotionTrace(cur) if trace else None
-    s1 = s[0] if k else 0
-    for i in range(s1 - 1, -1, -1):
-        m = seq[i]
-        if engine == "explicit":
-            nxt, _ = pm_explicit(cur, 2 * i, m)
-        else:
-            nxt, _ = pm_stepwise(cur, 2 * i, m)
+    for i in range(len(seq) - 1, -1, -1):
+        cur, _ = pm_explicit(cur, 2 * i, seq[i])
         if tr is not None:
-            tr.ops.append(("pm", 2 * i, m, nxt))
-        cur = nxt
+            tr.ops.append(("pm", 2 * i, seq[i], cur))
     if k and not in_A(cur, k):
         raise PreconditionViolated("insertion left the bounded family")
     return (cur, tr) if trace else cur
 
 
-def lambda_states(parts, engine: str = "explicit"):
-    """All intermediate states theta^(s_1), ..., theta^(0) of the insertion."""
-    parts = check_multipartition(parts)
-    k = len(parts)
-    s = mp_lengths_to_s(parts) + [0] if k else [0]
-    fs = []
-    for h in range(k, 0, -1):
-        fs.extend([h, 0] * (s[h - 1] - s[h]))
-    states = [canonical(fs)]
-    seq = flatten_parts(parts)
-    s1 = s[0] if k else 0
-    for i in range(s1 - 1, -1, -1):
-        fn = pm_explicit if engine == "explicit" else pm_stepwise
-        nxt, _ = fn(states[-1], 2 * i, seq[i])
-        states.append(nxt)
-    return states
-
-
-def gamma_map(f, k: Optional[int] = None, engine: str = "explicit",
-              trace: bool = False):
+def gamma_map(f, k: Optional[int] = None, trace: bool = False):
     """Inverse insertion: frequency sequence -> multipartition.
 
     k defaults to the maximum adjacent sum of the input; an explicit k is
     validated against membership.  Repeatedly reverse-moves the leftmost
     maximal pair back onto the frame positions 0, 2, 4, ... and records the
-    step counts, which become the parts.
+    step counts, which become the parts.  With ``trace``, returns
+    (multipartition, MotionTrace).
     """
     f = canonical(f)
     inferred = max_adjacent_sum(f)
@@ -352,12 +330,10 @@ def gamma_map(f, k: Optional[int] = None, engine: str = "explicit",
     tr = MotionTrace(cur) if trace else None
     i = 0
     while any(x != 0 for x in cur[2 * i:]):
-        fn = rpm_explicit if engine == "explicit" else rpm_stepwise
-        nxt, steps = fn(cur, 2 * i)
+        cur, steps = rpm_explicit(cur, 2 * i)
         mus.append(steps)
         if tr is not None:
-            tr.ops.append(("rpm", 2 * i, steps, nxt))
-        cur = nxt
+            tr.ops.append(("rpm", 2 * i, steps, cur))
         i += 1
     # cur is now a frame sequence; group the recorded steps by frame value
     frame = cur
@@ -377,19 +353,6 @@ def gamma_map(f, k: Optional[int] = None, engine: str = "explicit",
     if trace:
         return result, tr
     return result
-
-
-def gamma_states(f, engine: str = "explicit"):
-    """All intermediate states eta^(0), ..., eta^(s) of the inverse insertion."""
-    f = canonical(f)
-    states = [f]
-    i = 0
-    while any(x != 0 for x in states[-1][2 * i:]):
-        fn = rpm_explicit if engine == "explicit" else rpm_stepwise
-        nxt, _ = fn(states[-1], 2 * i)
-        states.append(nxt)
-        i += 1
-    return states
 
 
 # -- JSON helpers ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateTheta, Divergent, NegativeIndex, OutOfRange
-from .series import INF, ONE, QSeries, monomial, one
+from .series import INF, QSeries, monomial, one
 
 _MONO_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?:(?P<one>1)|q(?:\^(?:\(\s*(?P<num>\d+)\s*/\s*2\s*\)"

@@ -126,15 +126,7 @@ class QSeries:
         va = min(self.coeffs) if self.coeffs else self.prec
         vb = min(other.coeffs) if other.coeffs else other.prec
         p = min(self.prec + vb, other.prec + va)
-        if not self.coeffs or not other.coeffs:
-            return QSeries({}, p)
-        cap = p  # may be INF
-        if (len(self.coeffs) * len(other.coeffs) >= _PACK_MIN_OPS
-                and cap is not INF):
-            out = _mul_packed(self.coeffs, other.coeffs, cap)
-            if out is not None:
-                return QSeries(out, p)
-        return QSeries(_mul_dict(self.coeffs, other.coeffs, cap), p)
+        return QSeries(_mul_any(self.coeffs, other.coeffs, p), p)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, int):
@@ -317,9 +309,10 @@ def kron_unpack(n: int, nbytes: int, spans) -> list:
 def _mul_packed(da: dict, db: dict, cap):
     """Kronecker-substitution product: one signed big-int multiply.
 
-    Returns None when the exponent span is too wide, in which case the
-    caller falls back to the dict convolution.  The digit width comes from
-    a bound on every product coefficient, so no coefficient size overflows.
+    Returns None when the exponent span is too wide or unbounded (cap is
+    INF), in which case the caller falls back to the dict convolution.  The
+    digit width comes from a bound on every product coefficient, so no
+    coefficient size overflows.
     """
     ma = min(da)
     mb = min(db)
@@ -362,11 +355,3 @@ def one(prec=INF) -> QSeries:
 
 
 ONE = one()
-
-
-def prod(factors, prec=None) -> QSeries:
-    """Product of an iterable of series, optionally truncated along the way."""
-    out = ONE if prec is None else one(prec)
-    for f in factors:
-        out = out * (f if prec is None else f.truncate(prec))
-    return out

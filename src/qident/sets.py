@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import InvalidParameters, KindMismatch, NotAMember
 from .identities import lhs_series
 from .motion import canonical, in_A, weight
-from .series import QSeries, zero
+from .series import QSeries
 
 
 # -- enumeration of bounded frequency sequences -----------------------------------

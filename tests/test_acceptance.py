@@ -18,6 +18,8 @@ from qident.errors import DegenerateDivision
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM
 from qident.qfunctions import theta_sum, triple_product
 
+from motion_replay import replays
+
 
 def _announce(tag, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] {tag}"
@@ -237,7 +239,7 @@ def test_criterion_6_bijection_round_trip():
     checked = 0
     for k in (1, 2, 3):
         for mp2 in S.enum_mp_family(k, k, 0, 18):   # all of P_k, size <= 18
-            f = M.lambda_map(mp2)
+            f, tr = M.lambda_map(mp2, trace=True)
             checked += 1
             if not M.in_A(f, k):
                 bad.append(("image", k, mp2)); break
@@ -245,15 +247,15 @@ def test_criterion_6_bijection_round_trip():
                 bad.append(("size", k, mp2)); break
             if M.gamma_map(f, k) != mp2:
                 bad.append(("round", k, mp2)); break
-            if M.lambda_states(mp2, "explicit") != M.lambda_states(mp2, "stepwise"):
-                bad.append(("engines", k, mp2)); break
+            if not replays(tr):
+                bad.append(("stepwise replay", k, mp2)); break
         for f in S.enum_freq(k, 18):                # all of A_k, weight <= 18
-            mp3 = M.gamma_map(f, k)
+            mp3, tr = M.gamma_map(f, k, trace=True)
             checked += 1
             if M.lambda_map(mp3) != f:
                 bad.append(("inverse round", k, f)); break
-            if M.gamma_states(f, "explicit") != M.gamma_states(f, "stepwise"):
-                bad.append(("inverse engines", k, f)); break
+            if not replays(tr):
+                bad.append(("inverse stepwise replay", k, f)); break
     _announce(f"insertion bijection round-trips both ways, k <= 3, size <= 18 "
               f"({checked} objects, {time.time()-t0:.1f}s)", not bad,
               str(bad[:2]))

@@ -1,5 +1,8 @@
 """Catalog rows, evaluators, parameter validation, and reduction relations."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from qident import identities as I
@@ -176,6 +179,32 @@ def test_sweep_parallel_matches_serial():
     parallel = I.sweep(1, 15, jobs=2)
     assert [(r.name, r.params, r.equal) for r in serial] == \
         [(r.name, r.params, r.equal) for r in parallel]
+
+
+def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
+    asked = []
+
+    class InProcessPool(concurrent.futures.Executor):
+        def __init__(self, max_workers):    # records the size, starts nothing
+            asked.append(max_workers)
+
+        def map(self, fn, rows, chunksize=1):
+            return map(fn, rows)
+
+    def plain(reports):
+        return [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"}
+                for r in reports]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = plain(I.sweep(1, 10, jobs=1))
+    assert plain(I.sweep(1, 10, jobs=64)) == serial
+    assert asked == [2]
+    # an unknown CPU count means one worker: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert plain(I.sweep(1, 10, jobs=8)) == serial
+    assert asked == [2]
 
 
 def test_integrality_everywhere():

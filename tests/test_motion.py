@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qident import motion as M
+from qident import sets as S
 from qident.errors import PreconditionViolated
+
+from motion_replay import replays, states
 
 EXAMPLE_MP = ((3, 1), (), (6, 6, 5, 3), (19, 0))
 EXAMPLE_OUT = (4, 0, 0, 3, 0, 1, 2, 1, 1, 2, 1, 2, 0, 3, 1, 0, 0, 1)
@@ -121,17 +125,15 @@ def test_rpm_engines_agree_randomized():
 
 
 def test_lambda_worked_example():
-    out = M.lambda_map(EXAMPLE_MP)
+    out, tr = M.lambda_map(EXAMPLE_MP, trace=True)
     assert out == EXAMPLE_OUT
     assert M.weight(out) == 118 + 43 == 161
-    assert M.lambda_map(EXAMPLE_MP, engine="stepwise") == out
-    assert M.gamma_map(out, 4) == EXAMPLE_MP
-    # intermediate states agree between engines and with the reverse pass
-    se = M.lambda_states(EXAMPLE_MP, "explicit")
-    assert se == M.lambda_states(EXAMPLE_MP, "stepwise")
-    ge = M.gamma_states(out, "explicit")
-    assert ge == M.gamma_states(out, "stepwise")
-    assert se[::-1] == ge
+    mp, tr2 = M.gamma_map(out, 4, trace=True)
+    assert mp == EXAMPLE_MP
+    # every traced motion agrees with the stepwise simulation, and the
+    # reverse pass visits the insertion's states backwards
+    assert replays(tr) and replays(tr2)
+    assert states(tr)[::-1] == states(tr2)
 
 
 def test_lambda_empty_and_zero_parts():
@@ -155,13 +157,13 @@ def test_landing_pair_is_leftmost_maximum():
     # the maximal adjacent sum of the suffix
     mps = [EXAMPLE_MP, ((2, 1), (3, 0)), ((5,), (4, 1), (2, 2))]
     for mp in mps:
-        states = M.lambda_states(mp)
+        thetas = states(M.lambda_map(mp, trace=True)[1])
         seq = M.flatten_parts(mp)
         s1 = len(seq)
         for idx in range(s1):
             i = s1 - 1 - idx           # motion index for this step
-            before = states[idx]
-            after = states[idx + 1]
+            before = thetas[idx]
+            after = thetas[idx + 1]
             g = list(before) + [0, 0]
             h = g[2 * i]
             assert g[2 * i + 1] == 0 and h >= 1
@@ -199,3 +201,42 @@ def test_json_round_trip():
     blob = M.mp_to_json(EXAMPLE_MP)
     assert blob == {"parts": [[3, 1], [], [6, 6, 5, 3], [19, 0]]}
     assert M.mp_from_json(blob) == EXAMPLE_MP
+
+
+multipartitions = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 20), max_size=2).map(
+        lambda lam: tuple(sorted(lam, reverse=True))),
+    min_size=k, max_size=k).map(tuple))
+
+
+@settings(max_examples=80, deadline=None)
+@given(multipartitions)
+def test_insertion_round_trip_beyond_the_exhaustive_bound(mp):
+    # the acceptance test covers every multipartition up to size 18
+    assume(S.mp_total_size(mp) <= 60)
+    k = len(mp)
+    f, tr = M.lambda_map(mp, trace=True)
+    assert M.in_A(f, k) and M.weight(f) == S.mp_total_size(mp)
+    back, tr2 = M.gamma_map(f, k, trace=True)
+    assert back == mp
+    assert replays(tr) and replays(tr2)
+
+
+def _bounded(k, xs):
+    """The entries xs clipped so that every adjacent sum is at most k."""
+    f, prev = [], 0
+    for x in xs:
+        prev = min(x, k - prev)
+        f.append(prev)
+    return M.canonical(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 4), min_size=6,
+                                  max_size=16))
+def test_inverse_round_trip_on_random_bounded_sequences(k, xs):
+    f = _bounded(k, xs)
+    mp, tr = M.gamma_map(f, k, trace=True)
+    out, tr2 = M.lambda_map(mp, trace=True)
+    assert out == f
+    assert replays(tr) and replays(tr2)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.series import INF, QSeries, monomial, one, zero
@@ -101,6 +102,50 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert a + b == b + a
+
+
+def _series_st(small: bool, unit: bool = False):
+    """Laurent series of up to 8 terms, or of 40-60 terms (two of those make
+    a product past the packed-multiply threshold of 1500 term pairs), with
+    a finite precision above the top term or exact."""
+    size = (1, 8) if small else (40, 60)
+    coeff = st.integers(-2**70, 2**70).filter(bool)
+
+    def build(lo, coeffs, lead, slack):
+        if unit:
+            coeffs = {e: c for e, c in coeffs.items() if e > 0}
+            coeffs[0] = lead
+        coeffs = {e + lo: c for e, c in coeffs.items()}
+        top = max(coeffs, default=lo)
+        return QSeries(coeffs, INF if slack is None else top + 1 + slack)
+
+    return st.builds(build, st.integers(-6, 6),
+                     st.dictionaries(st.integers(0, 90), coeff,
+                                     min_size=size[0], max_size=size[1]),
+                     st.sampled_from([1, -1]),
+                     st.none() | st.integers(0, 30))
+
+
+any_series = _series_st(True) | _series_st(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_series, any_series, any_series)
+def test_ring_laws_hold_on_both_multiply_paths(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    # a cancellation in b + c can raise its valuation, and so the precision
+    # of a * (b + c): compare below the lower of the two
+    left, right = a * (b + c), a * b + a * c
+    assert left.equal_up_to(right, min(left.prec, right.prec)) == (True, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series_st(True, unit=True) | _series_st(False, unit=True),
+       st.integers(1, 120))
+def test_series_times_its_inverse_is_one(s, prec):
+    p = s * s.invert(prec)
+    assert p.equal_up_to(one(), p.prec) == (True, None)
 
 
 def test_mul_precision_guards_unknown_terms():

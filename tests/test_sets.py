@@ -8,6 +8,8 @@ from qident import sets as S
 from qident.errors import InvalidParameters, KindMismatch, NotAMember
 from qident.qfunctions import Q, SignedMonomial as SM, poch_infinite, triple_product
 
+from motion_replay import states
+
 
 def test_enum_freq_small():
     members = sorted(S.enum_freq(1, 2))
@@ -218,11 +220,11 @@ def test_lambda_transport_full_sweep():
         for r in range(0, k + 1):
             for j in range(0, k - r + 1):
                 for mp in S.enum_mp_family(k, j, r, 12):
-                    f = M.lambda_map(mp)
+                    f, tr = M.lambda_map(mp, trace=True)
                     assert S.in_Z(f, j, r, k), (k, r, j, mp)
-                    states = M.lambda_states(mp)
-                    for idx, th in enumerate(states):
-                        i = len(states) - 1 - idx
+                    thetas = states(tr)
+                    for idx, th in enumerate(thetas):
+                        i = len(thetas) - 1 - idx
                         g = list(th) + [0] * (2 * i + 4 - len(th))
                         head, nxt = g[2 * i], g[2 * i + 1]
                         assert head <= j - max(head + nxt - (k - r), 0), \

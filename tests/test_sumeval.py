@@ -1,5 +1,6 @@
 """The multisum engine against a brute-force nested loop, and var_bound."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident.qfunctions import NEG_ONE, SM, inv_poch_finite, poch_finite
@@ -126,3 +127,12 @@ def test_var_bound_sees_minima_beyond_64():
     # 8v^2 - 1100v is smallest at v = 69 (-37812); a search over v < 64
     # stops at -37548 and returns 194.
     assert var_bound([(8, -1100), (1, 0)], 10) == 195
+
+
+def test_default_vmax_refuses_an_extra_of_negative_valuation():
+    # var_bound sees only (quad, lin) = (1, 0) and sums v <= 5, which misses
+    # t^(v^2 - 3v) = t^18 at v = 6
+    pervar = [(1, 0, lambda v: monomial(1, -3 * v))]
+    with pytest.raises(ValueError, match="s_1"):
+        multisum(pervar, [], 20)
+    assert multisum(pervar, [], 20, vmax=12).coeff(18) == 1
