@@ -81,7 +81,9 @@ ONE_M = SM(1, 0)
 NEG_ONE = SM(-1, 0)
 
 
-@lru_cache(maxsize=None)
+# The caches below are keyed on prec, so they are bounded: a long session
+# that sweeps many orders would otherwise keep every product it ever built.
+@lru_cache(maxsize=1024)
 def poch_finite(x: SM, base: int, n: int, prec=INF) -> QSeries:
     """(x; q^(base/2))_n = prod_{i<n} (1 - sign * t^(e + i*base)), truncated."""
     if n < 0:
@@ -92,7 +94,7 @@ def poch_finite(x: SM, base: int, n: int, prec=INF) -> QSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def poch_infinite(x: SM, base: int, prec) -> QSeries:
     """(x; q^(base/2))_inf truncated at prec; factors beyond prec are 1."""
     if base <= 0:
@@ -112,13 +114,13 @@ def poch_infinite(x: SM, base: int, prec) -> QSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
     """1 / (x; q^(base/2))_n truncated at prec (the product must be a unit)."""
     return poch_finite(x, base, n).invert(prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def qbinom(n: int, m: int, base: int = 2, prec=INF) -> QSeries:
     """Gaussian binomial [n choose m] in the variable q^(base/2)."""
     if not 0 <= m <= n:

@@ -43,6 +43,7 @@ def enum_freq(k: int, max_weight: int):
             acc.pop()
 
     rec(0, 0, max_weight, [])
+    del rec     # rec refers to itself through its cell; break that cycle
     return out
 
 

@@ -27,6 +27,10 @@ L_u * t^(-b*u) against the plain Pochhammers, and L_u * t^(b*u) against
 is T_v, with the precision that the per-pair series products and sums would
 have given it.  The outer variable's own factor is then applied to T_v: as
 an exact shift when it is a bare monomial, as a series product otherwise.
+That layer is ``convolve_layer``.  Its second user is the Bailey engine:
+the beta-side sum of the Bailey lemmas (``bailey._beta_sum``) is one layer
+with L_l = lift(l) * beta_l, d = 2, binomial step 2 for the star step, and
+an own factor of 1.
 
 Working precision.  Every layer is truncated at the working order wp, and
 so are the Pochhammer factors.  What is lost there is regained only if the
@@ -144,7 +148,7 @@ def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
             _keep(layer, v, monomial(1, o, wp) if isinstance(o, int)
                   else o.truncate(wp), wp)
     for i in range(K - 2, -1, -1):
-        layer = _layer(layer, own[i], gaps[i], wp) if layer else {}
+        layer = convolve_layer(layer, own[i], gaps[i], wp) if layer else {}
 
     out = zero(wp)
     for s in layer.values():
@@ -167,9 +171,19 @@ def _keep(layer, v, s, wp):
         layer[v] = s
 
 
-def _layer(layer, own_row, gap, wp):
-    """The next layer outwards: own_row[v] * T_v for every v (module
-    docstring), each truncated at wp."""
+def convolve_layer(layer, own_row, gap, wp):
+    """One layer of the pass (module docstring): own_row[v] * T_v, truncated
+    at wp, for every v from min(layer) to len(own_row) - 1.
+
+    layer: {u: L_u}, a nonempty dict of series; a zero series still bounds
+        the precision of every T_v with v >= u.
+    own_row: per v the exponent of a bare monomial (an exact shift), a
+        series, or None (an exact zero).
+    gap: (den_step, binom_step) as in ``multisum``.
+    Returns {v: series}, without the entries that are zero at precision wp.
+    ``multisum`` calls this once per variable; the Bailey engine's beta-side
+    sum is one call with own_row all 0.
+    """
     den_step, b = gap
     b = b or 0
     us = [u for u in sorted(layer) if layer[u].coeffs]   # packed slots

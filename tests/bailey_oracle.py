@@ -1,0 +1,44 @@
+"""Naive references for the Bailey engine: one series product and one sum
+per (n, l), the double loops that the packed beta-side sum and the cached
+verify kernel replace; and a pair broken on purpose."""
+
+from qident.qfunctions import Q, inv_poch_finite
+from qident.series import QSeries, monomial, zero
+
+
+def beta_sum(p, lift, star=False):
+    """beta'_n = sum_{l<=n} lift(l) beta_l (q^n + q^-l) / (q)_{n-l} for every
+    n <= n_max, the bracket only when ``star``."""
+    tp = p.prec
+    lifted = [lift(l) * p.beta[l] for l in range(p.n_max + 1)]
+    beta = []
+    for n in range(p.n_max + 1):
+        acc = zero(tp)
+        for l in range(n + 1):
+            t = lifted[l]
+            if star:
+                t = t * QSeries([(2 * n, 1), (-2 * l, 1)])
+            acc = acc + t * inv_poch_finite(Q, 2, n - l, tp)
+        beta.append(acc.truncate(tp))
+    return beta
+
+
+def first_bad_n(p, prec=None):
+    """The first n whose defining relation fails, with two products per term
+    (None when every n <= n_max holds)."""
+    tp = p.prec if prec is None else min(prec, p.prec)
+    aq = p.a.times_qpow(1)
+    for n in range(p.n_max + 1):
+        acc = zero(tp)
+        for l in range(n + 1):
+            acc = acc + (p.alpha[l] * inv_poch_finite(Q, 2, n - l, tp)
+                         * inv_poch_finite(aq, 2, n + l, tp))
+        same, _ = acc.equal_up_to(p.beta[n], min(acc.prec, p.beta[n].prec, tp))
+        if not same:
+            return n
+    return None
+
+
+def with_beta1_perturbed(p):
+    """p with q^1 added to beta_1: the defining relation then fails at n = 1."""
+    return p.with_beta(p.beta[:1] + (p.beta[1] + monomial(1, 2),) + p.beta[2:])

@@ -1,13 +1,16 @@
 """Seeds, transforms, chains, and the lattice-consequence checks."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qident import bailey as B
 from qident.errors import (DegenerateDivision, InsufficientDepth,
                            NotStabilized, ParameterOutOfRange,
                            PoleAtParameter, UnsupportedBoundary)
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM, inv_poch_finite, poch_infinite
-from qident.series import monomial, zero
+from qident.series import QSeries, monomial, one, zero
+
+import bailey_oracle as naive
 
 TP = 81  # q-order 40 for the unit-level tests
 
@@ -299,3 +302,60 @@ def test_star_chain_beta_limit_matches_catalog_sum():
         cmp_at = min(got.prec, lhs.prec, tp)
         assert got.equal_up_to(lhs.truncate(cmp_at), cmp_at) == (True, None), \
             (k, r, j)
+
+
+# -- the packed beta-side sum and the verify kernel against the double loops --
+
+_coeffs = st.dictionaries(
+    st.integers(-6, 24), st.one_of(st.integers(-3, 3),
+                                   st.integers(-2 ** 70, 2 ** 70)),
+    max_size=5)
+
+
+@st.composite
+def _beta_sum_cases(draw):
+    """Random beta values (zero ones included) known below, at or above tp,
+    exact lifts with Laurent shifts, with and without the star bracket."""
+    n_max = draw(st.integers(0, 6))
+    tp = draw(st.integers(1, 16))
+    beta = tuple(QSeries(draw(st.one_of(st.just({}), _coeffs)),
+                         tp + draw(st.sampled_from([-3, -1, 0, 1, 4])))
+                 for _ in range(n_max + 1))
+    lifts = [QSeries(draw(_coeffs)).shift(draw(st.integers(-6, 6)))
+             for _ in range(n_max + 1)]
+    return n_max, tp, beta, lifts, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_beta_sum_cases())
+# the unit pair at a = q^(-1/2) under STAR: a zero beta_1 known to tp, lifted
+# by t^1 and lowered by the bracket's t^-2, leaves beta'_n known to tp - 1
+@example((1, 5, (one(5), zero(5)), [one(), monomial(1, 1)], True))
+def test_beta_sum_matches_the_double_loop(case):
+    n_max, tp, beta, lifts, star = case
+    p = B.BaileyPair(Q, n_max, (zero(tp),) * (n_max + 1), beta, tp)
+    got = B._beta_sum(p, lifts.__getitem__, star)
+    want = naive.beta_sum(p, lifts.__getitem__, star)
+    assert [(s.coeffs, s.prec) for s in got] == \
+        [(s.coeffs, s.prec) for s in want]
+
+
+def test_verify_matches_the_two_product_form_on_a_corrupted_pair():
+    p, _ = B.run_chain(B.pair_dprime4(Q, 6, 41), ["BL_INF", "KEY1", "STAR1"])
+    bad_beta = naive.with_beta1_perturbed(p)
+    bad_alpha = B.BaileyPair(p.a, p.n_max, p.alpha[:3] + (
+        p.alpha[3] + monomial(-2, 30),) + p.alpha[4:], p.beta, p.prec)
+    assert not B.verify(bad_beta).ok and not B.verify(bad_alpha).ok
+    for pair in (p, bad_beta, bad_alpha):
+        for prec in (None, 2, 25, 31):
+            want = naive.first_bad_n(pair, prec)
+            assert B.verify(pair, prec) == B.VerifyResult(want is None, want)
+
+
+def test_run_chain_stops_at_the_first_failing_step(monkeypatch, unit_q):
+    monkeypatch.setitem(B._TRANSFORMS, "KEY2", lambda p, step:
+                        naive.with_beta1_perturbed(B._key_shared(p, True)))
+    final, log = B.run_chain(unit_q, ["BL_INF", "KEY2", "BL_INF"])
+    assert [(tag, res) for tag, _, res in log] == [
+        ("BL_INF", B.VerifyResult(True)), ("KEY2", B.VerifyResult(False, 1))]
+    assert final.a == ONE_M and not B.verify(final).ok

@@ -2,7 +2,10 @@
 
 import json
 
+from qident import bailey as B
 from qident.cli import main
+
+import bailey_oracle as naive
 
 
 def run(capsys, *argv):
@@ -74,6 +77,22 @@ def test_bailey_recipe(capsys, tmp_path):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["step"] for r in rows] == ["BL_INF", "BL_RHO"]
     assert all(r["verified"] for r in rows)
+
+
+def test_bailey_failing_step_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setitem(B._TRANSFORMS, "KEY2", lambda p, step:
+                        naive.with_beta1_perturbed(B._key_shared(p, True)))
+    recipe = {"seed": {"kind": "dprime4", "a": "q"},
+              "steps": [{"tag": "BL_INF"}, {"tag": "KEY2"}, {"tag": "BL_INF"}],
+              "prec": 25, "n_max": 6}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "bailey", "--input", str(path), "--format",
+                       "json")
+    assert rc == 1 and err == ""
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["step"], r["verified"], r["first_bad_n"]) for r in rows] == [
+        ("BL_INF", True, None), ("KEY2", False, 1)]
 
 
 def test_trace_lambda(capsys):

@@ -2,11 +2,13 @@
 
 import pytest
 
+from qident.bailey import _relation_kernel
 from qident.errors import (DegenerateTheta, Divergent, NegativeIndex,
                            OutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
-                               euler_inverse, poch_finite, poch_infinite,
-                               qbinom, theta_sum, triple_product)
+                               euler_inverse, inv_poch_finite, poch_finite,
+                               poch_infinite, qbinom, theta_sum,
+                               triple_product)
 from qident.series import QSeries
 
 
@@ -154,3 +156,10 @@ def test_theta_sum_direct_coefficients():
     expect = {e: c for e, c in expect.items() if c}
     assert got.coeffs == expect
     assert got.equal_up_to(triple_product(6, 2, 201), 201) == (True, None)
+
+
+def test_caches_are_bounded():
+    # the keys include prec, so an unbounded cache grows with every order
+    for f in (poch_finite, poch_infinite, inv_poch_finite, qbinom,
+              _relation_kernel):
+        assert isinstance(f.cache_info().maxsize, int), f.__name__

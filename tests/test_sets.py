@@ -1,5 +1,8 @@
 """Families, enumerators, head-rewriting bijections, and oracles."""
 
+import gc
+import sys
+
 import pytest
 
 from qident import identities as I
@@ -20,6 +23,15 @@ def test_enum_freq_small():
     big = S.enum_freq(3, 10)
     assert len(big) == len(set(big))
     assert all(f == M.canonical(f) and M.in_A(f, 3) for f in big)
+
+
+def test_enum_freq_result_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        # one reference from the call's argument, one from getrefcount
+        assert sys.getrefcount(S.enum_freq(2, 8)) == 2
+    finally:
+        gc.enable()
 
 
 def test_enum_freq_counts_match_insertion_transport():
