@@ -98,10 +98,11 @@ class TransformStep:
     def __post_init__(self):
         if self.tag not in _TRANSFORMS:
             raise ValueError(f"unknown transform tag {self.tag!r}")
-        if self.tag == "BL_RHO" and self.rho is None:
-            raise ValueError("BL_RHO needs rho")
-        if self.tag == "LOVEJOY" and self.b is None:
-            raise ValueError("LOVEJOY needs b")
+        for field, owner in (("rho", "BL_RHO"), ("b", "LOVEJOY")):
+            given = getattr(self, field) is not None
+            if given != (self.tag == owner):
+                raise ValueError(f"{self.tag} takes no {field}" if given
+                                 else f"{owner} needs {field}")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,7 @@ from . import identities as I
 from . import motion as M
 from . import sets as S
 from .errors import InvalidParameters, QidentError
-from .qfunctions import SignedMonomial
-
-
-def _parse_monomial(text):
-    if text in ("inf", "infinity"):
-        return B.INFINITY
-    return SignedMonomial.parse(text)
+from .qfunctions import SM
 
 
 def _emit(obj, fmt):
@@ -54,17 +48,7 @@ def _identity_params(args):
 
 
 def _cmd_verify(args) -> int:
-    params = _identity_params(args)
-    spec = I.CATALOG.get(args.name)
-    if spec is None:
-        print(f"unknown identity {args.name!r}; known: "
-              + ", ".join(I.CATALOG_ORDER), file=sys.stderr)
-        return 2
-    missing = [p for p in spec.param_names if p not in params]
-    if missing:
-        print(f"{args.name} needs parameters {missing}", file=sys.stderr)
-        return 2
-    rep = I.verify_identity(args.name, params, args.prec)
+    rep = I.verify_identity(args.name, _identity_params(args), args.prec)
     _emit(rep.to_json(), args.format)
     return 0 if rep.equal else 1
 
@@ -100,15 +84,13 @@ def _parse_recipe(recipe, default_prec):
         raise InvalidParameters('recipe "steps" must be a list of objects')
     seed_spec = recipe["seed"]
     try:
-        a = _parse_monomial(seed_spec.get("a", "q"))
+        a = SM.parse(seed_spec.get("a", "q"))
         tp = 2 * _prec(recipe.get("prec", default_prec)) + 1
         n_max = int(recipe.get("n_max", 10))
         make_seed = B.SEEDS[seed_spec.get("kind", "unit")]
         steps = [B.TransformStep(s["tag"],
-                                 rho=_parse_monomial(s["rho"]) if "rho" in s
-                                 else None,
-                                 b=_parse_monomial(s["b"]) if "b" in s
-                                 else None)
+                                 rho=SM.parse(s["rho"]) if "rho" in s else None,
+                                 b=SM.parse(s["b"]) if "b" in s else None)
                  for s in raw_steps]
     except TypeError as exc:    # a field of the wrong JSON type
         raise InvalidParameters(f"malformed recipe: {exc}") from exc

@@ -138,33 +138,36 @@ INV_Q_INF = ((Q, 2),)
 ONE_PLUS_Q = (((0, 1), (2, 1)),)
 
 
-def _params_ok_krj(k, r, j):
-    if k < 1 or r < 0 or j < 0 or r + j > k:
-        raise InvalidParameters(f"need k >= 1, r, j >= 0, r + j <= k; "
-                                f"got k={k}, r={r}, j={j}")
+def _kr(k):
+    return ({"k": k, "r": r} for r in range(k + 1) if k >= 1)
 
 
-def _subset_universe(k, r):
-    return tuple(sorted({1} | set(range(2, k - r + 1))))
+def _kj(k):
+    return ({"k": k, "j": j} for j in range(k + 1) if k >= 1)
 
 
-def _subset_ok(k, r, j, T):
-    T = frozenset(T)
-    if len(T) != j or not T <= set(_subset_universe(k, r)):
-        raise InvalidParameters(
-            f"subset {sorted(T)} is not a {j}-element subset of "
-            f"{_subset_universe(k, r)}")
-    return T
+def _krj(k, r_min=0):
+    """Every (k, r, j) with r >= r_min, j >= 0 and r + j <= k."""
+    return ({"k": k, "r": r, "j": j} for r in range(r_min, k + 1) if k >= 1
+            for j in range(k - r + 1))
+
+
+def _krjT(k):
+    """_krj with every j-element subset T of {1} | {2, ..., k - r}."""
+    return (dict(p, T=T) for p in _krj(k)
+            for T in combinations((1, *range(2, k - p["r"] + 1)), p["j"]))
 
 
 @dataclass(frozen=True)
 class IdentitySpec:
     name: str
-    param_names: tuple
-    validate: Callable
+    grid: Callable                     # k -> the valid param dicts for that k
     lhs: Callable
     rhs: Callable
-    iter_params: Callable              # max_k -> iterator of param dicts
+
+    @property
+    def param_names(self) -> tuple:
+        return tuple(next(iter(self.grid(1))))
 
 
 def _lin_std(k, scale, j_sub=0, r_add=0, last_extra=0):
@@ -219,77 +222,50 @@ def _kur_lin(k, r, j_sub=0):
 def _catalog() -> dict:
     specs = {}
 
-    def add(name, param_names, validate, lhs, rhs, iter_params):
-        specs[name] = IdentitySpec(name, param_names, validate, lhs, rhs,
-                                   iter_params)
+    def add(name, grid, lhs, rhs):
+        specs[name] = IdentitySpec(name, grid, lhs, rhs)
 
     # rogers_ramanujan(a): sum q^(n^2+(1-a)n)/(q)_n = 1/(q^(2-a), q^(3+a); q^5)
-    def rr_validate(p):
-        if p["a"] not in (0, 1):
-            raise InvalidParameters("a must be 0 or 1")
-
-    add("rogers_ramanujan", ("a",), rr_validate,
+    add("rogers_ramanujan", lambda k: ({"a": a} for a in (0, 1)),
         lambda p: SumSide(1, ((2, 2 * (1 - p["a"])),), 2, 2),
         lambda p: ProductSide(den_inf=((SM(1, 2 * (2 - p["a"])), 10),
-                                       (SM(1, 2 * (3 + p["a"])), 10))),
-        lambda max_k: ({"a": a} for a in (0, 1)))
+                                       (SM(1, 2 * (3 + p["a"])), 10))))
 
-    def kr_validate(p):
-        if p["k"] < 1 or not 0 <= p["r"] <= p["k"]:
-            raise InvalidParameters(f"need 1 <= k and 0 <= r <= k, got {p}")
-
-    def kj_validate(p):
-        if p["k"] < 1 or not 0 <= p["j"] <= p["k"]:
-            raise InvalidParameters(f"need 1 <= k and 0 <= j <= k, got {p}")
-
-    def iter_kr(max_k):
-        return ({"k": k, "r": r} for k in range(1, max_k + 1)
-                for r in range(0, k + 1))
-
-    def iter_kj(max_k):
-        return ({"k": k, "j": j} for k in range(1, max_k + 1)
-                for j in range(0, k + 1))
-
-    add("andrews_gordon", ("k", "r"), kr_validate,
+    add("andrews_gordon", _kr,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 1, r_add=p["r"]), 2, 2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
                               ((1, 0, 2 * (p["k"] + 1 - p["r"])),),
-                              den_inf=INV_Q_INF),
-        iter_kr)
+                              den_inf=INV_Q_INF))
 
-    add("bressoud_33", ("k", "j"), kj_validate,
+    add("bressoud_33", _kj,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 1, j_sub=p["j"]), 2, 2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
                               tuple((1, 0, 2 * (p["k"] + 2 - p["j"] + 2 * s))
                                     for s in range(p["j"] + 1)),
-                              den_inf=INV_Q_INF),
-        iter_kj)
+                              den_inf=INV_Q_INF))
 
-    add("bressoud_even", ("k", "r"), kr_validate,
+    add("bressoud_even", _kr,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 1, r_add=p["r"]), 2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               ((1, 0, 2 * (p["k"] + 1 - p["r"])),),
-                              den_inf=INV_Q_INF),
-        iter_kr)
+                              den_inf=INV_Q_INF))
 
-    add("bressoud_35", ("k", "j"), kj_validate,
+    add("bressoud_35", _kj,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 1, j_sub=p["j"]), 2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               tuple((1, 0, 2 * (p["k"] + 1 + p["j"] - 2 * s))
                                     for s in range(p["j"] + 1)),
-                              den_inf=INV_Q_INF),
-        iter_kj)
+                              den_inf=INV_Q_INF))
 
-    add("kursungoz_0", ("k", "r"), kr_validate,
+    add("kursungoz_0", _kr,
         lambda p: SumSide(p["k"], _kur_lin(p["k"], p["r"]), 2, 4,
                           prefactor="one_plus_q"),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               ((1, 0, 2 * (p["k"] + p["r"])),
                                (1, 2, 2 * (p["k"] + 2 + p["r"]))),
-                              den_inf=INV_Q_INF),
-        iter_kr)
+                              den_inf=INV_Q_INF))
 
-    add("kursungoz_j", ("k", "j"), kj_validate,
+    add("kursungoz_j", _kj,
         lambda p: SumSide(p["k"],
                           tuple((2, (-2 if i <= p["j"] else 0)
                                  + (2 if i == p["k"] else 0))
@@ -298,33 +274,9 @@ def _catalog() -> dict:
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               tuple((1, 0, 2 * (p["k"] - p["j"] + 2 * s))
                                     for s in range(p["j"] + 1)),
-                              den_inf=INV_Q_INF),
-        iter_kj)
+                              den_inf=INV_Q_INF))
 
     # -- Stanton-type rows ----------------------------------------------------
-
-    def krj_validate(p):
-        _params_ok_krj(p["k"], p["r"], p["j"])
-
-    def krjT_validate(p):
-        _params_ok_krj(p["k"], p["r"], p["j"])
-        _subset_ok(p["k"], p["r"], p["j"], p["T"])
-
-    def iter_krj(max_k):
-        return ({"k": k, "r": r, "j": j}
-                for k in range(1, max_k + 1)
-                for r in range(0, k + 1)
-                for j in range(0, k - r + 1))
-
-    def iter_krjT(max_k):
-        def gen():
-            for k in range(1, max_k + 1):
-                for r in range(0, k + 1):
-                    universe = _subset_universe(k, r)
-                    for j in range(0, k - r + 1):
-                        for T in combinations(universe, j):
-                            yield {"k": k, "r": r, "j": j, "T": T}
-        return gen()
 
     def binom_pervar(base, T, step):
         out = list(base)
@@ -337,7 +289,7 @@ def _catalog() -> dict:
         return tuple((comb(j, s) if binom else 1, 0, A_of_s(s))
                      for s in range(j + 1))
 
-    add("stanton_31", ("k", "r", "j", "T"), krjT_validate,
+    add("stanton_31", _krjT,
         lambda p: SumSide(p["k"],
                           binom_pervar(_lin_std(p["k"], 1, r_add=p["r"]),
                                        frozenset(p["T"]), 2),
@@ -346,10 +298,9 @@ def _catalog() -> dict:
                               odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], True),
-                              den_inf=INV_Q_INF),
-        iter_krjT)
+                              den_inf=INV_Q_INF))
 
-    add("stanton_32", ("k", "r", "j"), krj_validate,
+    add("stanton_32", _krj,
         lambda p: SumSide(p["k"],
                           _lin_std(p["k"], 1, j_sub=p["j"], r_add=p["r"]),
                           2, 2),
@@ -357,10 +308,9 @@ def _catalog() -> dict:
                               odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], False),
-                              den_inf=INV_Q_INF),
-        iter_krj)
+                              den_inf=INV_Q_INF))
 
-    add("stanton_41", ("k", "r", "j", "T"), krjT_validate,
+    add("stanton_41", _krjT,
         lambda p: SumSide(p["k"],
                           binom_pervar(_lin_std(p["k"], 1, r_add=p["r"]),
                                        frozenset(p["T"]), 2),
@@ -369,10 +319,9 @@ def _catalog() -> dict:
                               odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], True),
-                              den_inf=INV_Q_INF),
-        iter_krjT)
+                              den_inf=INV_Q_INF))
 
-    add("stanton_42", ("k", "r", "j"), krj_validate,
+    add("stanton_42", _krj,
         lambda p: SumSide(p["k"],
                           _lin_std(p["k"], 1, j_sub=p["j"], r_add=p["r"]),
                           2, 4),
@@ -380,8 +329,7 @@ def _catalog() -> dict:
                               odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
                                                        + p["j"] - 2 * s),
                                         p["j"], False),
-                              den_inf=INV_Q_INF),
-        iter_krj)
+                              den_inf=INV_Q_INF))
 
     def kur_terms(k, r, j, binom):
         out = []
@@ -391,40 +339,33 @@ def _catalog() -> dict:
             out.append((w, 2, 2 * (k - r + j - 2 * s)))
         return tuple(out)
 
-    add("binom_kursungoz", ("k", "r", "j", "T"), krjT_validate,
+    add("binom_kursungoz", _krjT,
         lambda p: SumSide(p["k"],
                           binom_pervar(_kur_lin(p["k"], p["r"]),
                                        frozenset(p["T"]), 2),
                           2, 4, subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               kur_terms(p["k"], p["r"], p["j"], True),
-                              den_inf=INV_Q_INF, den_units=ONE_PLUS_Q),
-        iter_krjT)
+                              den_inf=INV_Q_INF, den_units=ONE_PLUS_Q))
 
-    add("nonbinom_kursungoz", ("k", "r", "j"), krj_validate,
+    add("nonbinom_kursungoz", _krj,
         lambda p: SumSide(p["k"], _kur_lin(p["k"], p["r"], j_sub=p["j"]),
                           2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               kur_terms(p["k"], p["r"], p["j"], False),
-                              den_inf=INV_Q_INF, den_units=ONE_PLUS_Q),
-        iter_krj)
+                              den_inf=INV_Q_INF, den_units=ONE_PLUS_Q))
 
     # -- Gollnitz-Gordon family -------------------------------------------------
 
-    def gg_validate(p):
-        if p["variant"] not in (1, 2):
-            raise InvalidParameters("variant must be 1 or 2")
-
-    add("gollnitz_gordon", ("variant",), gg_validate,
+    add("gollnitz_gordon", lambda k: ({"variant": v} for v in (1, 2)),
         lambda p: SumSide(1, ((2, 0 if p["variant"] == 1 else 4),), 4, 4,
                           head="odd_gg"),
         lambda p: ProductSide(
             den_inf=((SM(1, 2 if p["variant"] == 1 else 6), 16),
                      (SM(1, 8), 16),
-                     (SM(1, 14 if p["variant"] == 1 else 10), 16))),
-        lambda max_k: ({"variant": v} for v in (1, 2)))
+                     (SM(1, 14 if p["variant"] == 1 else 10), 16))))
 
-    add("bressoud_gg", ("k", "j"), kj_validate,
+    add("bressoud_gg", _kj,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 2, j_sub=p["j"]), 4, 4,
                           tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
@@ -432,8 +373,7 @@ def _catalog() -> dict:
                                                 + 2 * s))
                                     for s in range(p["j"] + 1)),
                               num_inf=((SM(-1, 2), 4),),
-                              den_inf=((SM(1, 4), 4),)),
-        iter_kj)
+                              den_inf=((SM(1, 4), 4),)))
 
     def bgg_terms(k, r, j, binom):
         out = []
@@ -443,7 +383,7 @@ def _catalog() -> dict:
             out.append((w, 2, 2 * (2 * k + 1 - 2 * r + 2 * j - 4 * s)))
         return tuple(out)
 
-    add("binom_bgg", ("k", "r", "j", "T"), krjT_validate,
+    add("binom_bgg", _krjT,
         lambda p: SumSide(p["k"],
                           binom_pervar(_lin_std(p["k"], 2, r_add=p["r"]),
                                        frozenset(p["T"]), 4),
@@ -452,28 +392,25 @@ def _catalog() -> dict:
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
                               bgg_terms(p["k"], p["r"], p["j"], True),
                               num_inf=((SM(-1, 6), 4),),
-                              den_inf=((SM(1, 4), 4),)),
-        iter_krjT)
+                              den_inf=((SM(1, 4), 4),)))
 
-    add("nonbinom_bgg", ("k", "r", "j"), krj_validate,
+    add("nonbinom_bgg", _krj,
         lambda p: SumSide(p["k"],
                           _lin_std(p["k"], 2, j_sub=p["j"], r_add=p["r"]),
                           4, 4, tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
                               bgg_terms(p["k"], p["r"], p["j"], False),
                               num_inf=((SM(-1, 6), 4),),
-                              den_inf=((SM(1, 4), 4),)),
-        iter_krj)
+                              den_inf=((SM(1, 4), 4),)))
 
-    add("bgg_j0", ("k", "r"), kr_validate,
+    add("bgg_j0", _kr,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 2, r_add=p["r"]), 4, 4,
                           tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
                               ((1, 0, 2 * (2 * p["k"] + 3 - 2 * p["r"])),
                                (1, 2, 2 * (2 * p["k"] + 1 - 2 * p["r"]))),
                               num_inf=((SM(-1, 6), 4),),
-                              den_inf=((SM(1, 4), 4),)),
-        iter_kr)
+                              den_inf=((SM(1, 4), 4),)))
 
     # -- Slater-type rows --------------------------------------------------------
 
@@ -481,14 +418,13 @@ def _catalog() -> dict:
         return tuple(((-1) ** t, 0, 2 * (k + 1 - r - j + s + t))
                      for s in range(2 * j + 1) for t in range(2 * r + 1))
 
-    add("new_slater", ("k", "r", "j"), krj_validate,
+    add("new_slater", _krj,
         lambda p: SumSide(p["k"], _slater_pervar(p["k"], p["r"], p["j"]),
                           2, 2, head="neg_one"),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               slater_terms(p["k"], p["r"], p["j"]),
                               num_inf=((SM(-1, 2), 2),),
-                              den_inf=INV_Q_INF),
-        iter_krj)
+                              den_inf=INV_Q_INF))
 
     def slater2_terms(k, r, j):
         out = []
@@ -502,24 +438,15 @@ def _catalog() -> dict:
                             + 2 * (s + t)))
         return tuple(out)
 
-    def slater2_validate(p):
-        _params_ok_krj(p["k"], p["r"], p["j"])
-        if p["r"] < 1:
-            raise InvalidParameters(
-                "r >= 1 required (the r = 0 branch relies on an external result)")
-
-    add("new_slater2", ("k", "r", "j"), slater2_validate,
+    # r >= 1: the r = 0 branch relies on an external result
+    add("new_slater2", lambda k: _krj(k, r_min=1),
         lambda p: SumSide(p["k"], _slater_pervar(p["k"], p["r"], p["j"]),
                           2, 2, head="neg_one", tail="slater2",
                           prefactor="one_plus_sqrt_q"),
         lambda p: ProductSide(2 * (2 * p["k"] + 1),
                               slater2_terms(p["k"], p["r"], p["j"]),
                               num_inf=((SM(-1, 2), 2),),
-                              den_inf=INV_Q_INF),
-        lambda max_k: ({"k": k, "r": r, "j": j}
-                       for k in range(1, max_k + 1)
-                       for r in range(1, k + 1)
-                       for j in range(0, k - r + 1)))
+                              den_inf=INV_Q_INF))
 
     return specs
 
@@ -557,15 +484,24 @@ class Report:
 
 
 def _spec(name: str, params: dict) -> IdentitySpec:
-    """The catalog row, after checking that params are valid for it."""
+    """The catalog row, after checking that params are a point of its grid
+    (T in any order)."""
     if name not in CATALOG:
-        raise InvalidParameters(f"unknown identity {name!r}")
+        raise InvalidParameters(f"unknown identity {name!r}; known: "
+                                + ", ".join(CATALOG_ORDER))
     spec = CATALOG[name]
-    extra = sorted(set(params) - set(spec.param_names))
-    if extra:
-        raise InvalidParameters(
-            f"{name} takes parameters {list(spec.param_names)}, not {extra}")
-    spec.validate(params)
+    if set(params) != set(spec.param_names):
+        raise InvalidParameters(f"{name} takes parameters "
+                                f"{list(spec.param_names)}, got {list(params)}")
+    point = dict(params)
+    try:
+        if "T" in point:
+            point["T"] = tuple(sorted(point["T"]))
+        ok = point in spec.grid(params.get("k"))
+    except TypeError:           # a value of the wrong type
+        ok = False
+    if not ok:
+        raise InvalidParameters(f"{name} is not defined at {params}")
     return spec
 
 
@@ -594,21 +530,23 @@ def verify_identity(name: str, params: dict, qprec: int) -> Report:
 def verify_subset_variants(name: str, k: int, r: int, j: int,
                            qprec: int):
     """Run every admissible subset T for one of the binomial rows."""
-    if name not in ("stanton_31", "stanton_41", "binom_kursungoz", "binom_bgg"):
+    spec = CATALOG.get(name)
+    if spec is None or "T" not in spec.param_names:
         raise InvalidParameters(f"{name} has no subset variants")
-    _params_ok_krj(k, r, j)
-    out = []
-    for T in combinations(_subset_universe(k, r), j):
-        out.append(verify_identity(name,
-                                   {"k": k, "r": r, "j": j, "T": T}, qprec))
-    return out
+    rows = [p for p in spec.grid(k) if (p["r"], p["j"]) == (r, j)]
+    if not rows:
+        raise InvalidParameters(f"{name} is not defined at k={k}, r={r}, j={j}")
+    return [verify_identity(name, p, qprec) for p in rows]
 
 
 def catalog_rows(max_k: int):
     """Every (name, params) pair with k <= max_k, in canonical order."""
     for name in CATALOG_ORDER:
-        for params in CATALOG[name].iter_params(max_k):
-            yield name, params
+        spec = CATALOG[name]
+        # a row without k ignores the grid's argument: list it once
+        for k in range(1, max_k + 1) if "k" in spec.param_names else (None,):
+            for params in spec.grid(k):
+                yield name, params
 
 
 def _sweep_row(args):

@@ -52,6 +52,8 @@ def in_A(f, k: int) -> bool:
 
 
 def check_multipartition(parts) -> tuple:
+    if not isinstance(parts, (list, tuple)):
+        raise PreconditionViolated("a multipartition is a list of partitions")
     out = []
     for lam in parts:
         if not isinstance(lam, (list, tuple)) or not all(

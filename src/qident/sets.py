@@ -24,11 +24,17 @@ from .series import QSeries
 # -- enumeration of bounded frequency sequences -----------------------------------
 
 
+def _check_bounds(k: int, max_weight: int):
+    if k < 1:
+        raise InvalidParameters("k must be at least 1")
+    if max_weight < 0:
+        raise InvalidParameters("the weight bound must be at least 0")
+
+
 def enum_freq(k: int, max_weight: int):
     """All frequency sequences with adjacent sums <= k and weight <= max_weight,
     in canonical (trailing-zero-trimmed) form, each exactly once."""
-    if k < 1:
-        raise InvalidParameters("k must be at least 1")
+    _check_bounds(k, max_weight)
     out = []
 
     def rec(i, prev, wleft, acc):
@@ -195,6 +201,7 @@ def enum_mp_family(k: int, j: int, r: int, max_size: int,
                    parity: Optional[int] = None):
     """Members (multipartitions) of the part-bounded family with
     |parts| + |frame| <= max_size; parity constrains the last partition."""
+    _check_bounds(k, max_size)
     out = []
     smax = 1
     while smax * smax - smax <= max_size:
@@ -350,11 +357,10 @@ def check_interpretation(theorem: str, k: int, r: int, j: int,
     corresponding catalog sum side, to q-order max_weight."""
     if theorem not in _INTERP:
         raise InvalidParameters(f"unknown interpretation {theorem!r}")
-    if k < 1 or r < 0 or j < 0 or r + j > k:
-        raise InvalidParameters(f"need k>=1, r,j>=0, r+j<=k; got {k=} {r=} {j=}")
     tag, row = _INTERP[theorem]
-    gf = gf_family(SetPredicate(tag, k=k, r=r, j=j), max_weight)
+    # the sum side validates (k, r, j), so a bad input fails before enumerating
     ref = lhs_series(row, {"k": k, "r": r, "j": j}, max_weight)
+    gf = gf_family(SetPredicate(tag, k=k, r=r, j=j), max_weight)
     eq, e = gf.equal_up_to(ref, min(gf.prec, ref.prec))
     return SetReport(eq, e, f"{tag} vs {row}")
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qident import bailey as B
 from qident.cli import main
 
@@ -22,15 +24,18 @@ def test_verify_ok(capsys):
 
 
 def test_verify_domain_guard(capsys):
-    rc, _, err = run(capsys, "verify", "stanton_32", "--k", "1", "--r", "1",
-                     "--j", "1")
-    assert rc == 2
-    assert "r + j <= k" in err or "error" in err
+    for argv in (("stanton_32", "--k", "1", "--r", "1", "--j", "1"),
+                 ("stanton_31", "--k", "2", "--r", "0", "--j", "1",
+                  "--subset", "1,1")):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_unknown_name(capsys):
     rc, _, err = run(capsys, "verify", "whatever", "--k", "1")
     assert rc == 2
+    assert err.startswith("error:") and "known: rogers_ramanujan" in err
 
 
 def test_verify_missing_params(capsys):
@@ -151,6 +156,45 @@ def test_bailey_field_of_the_wrong_type(capsys, tmp_path):
     rc, _, err = run(capsys, "bailey", "--input", str(path))
     assert rc == 2
     assert err.startswith("error: malformed recipe")
+
+
+@pytest.mark.parametrize("recipe", [
+    {"seed": {"a": "inf"}},
+    {"seed": {}, "steps": [{"tag": "BL_RHO", "rho": "inf"}]},
+    {"seed": {}, "steps": [{"tag": "LOVEJOY", "b": "infinity"}]},
+], ids=["a", "rho", "b"])
+def test_bailey_monomial_at_infinity_is_a_usage_error(capsys, tmp_path,
+                                                      recipe):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bailey_step_rejects_a_parameter_it_does_not_take(capsys, tmp_path):
+    for step in ({"tag": "STAR", "b": "q"}, {"tag": "BL_INF", "rho": "-q"},
+                 {"tag": "LOVEJOY", "b": "-1", "rho": "-q"}):
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps({"seed": {}, "steps": [step]}))
+        rc, out, err = run(capsys, "bailey", "--input", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "takes no" in err
+
+
+def test_trace_lambda_parts_must_be_a_list(capsys):
+    for text in ("5", '{"parts": 5}'):
+        rc, out, err = run(capsys, "trace-lambda", "--input", text)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_enumerate_rejects_k_below_one(capsys):
+    for family in ("X", "A"):
+        rc, out, err = run(capsys, "enumerate", "--family", family,
+                           "--k", "0")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "k must be" in err
 
 
 def test_trace_non_integer_input(capsys):

@@ -60,18 +60,31 @@ def test_ag_k1_is_rogers_ramanujan():
 
 
 def test_validation_errors():
-    with pytest.raises(InvalidParameters):
-        I.verify_identity("stanton_32", {"k": 1, "r": 1, "j": 1}, 10)
-    with pytest.raises(InvalidParameters):
-        I.verify_identity("new_slater2", {"k": 2, "r": 0, "j": 1}, 10)
-    with pytest.raises(InvalidParameters):
-        I.verify_identity("nope", {}, 10)
-    with pytest.raises(InvalidParameters):
-        I.verify_identity("rogers_ramanujan", {"a": 2}, 10)
-    with pytest.raises(InvalidParameters):
-        I.verify_identity("stanton_31", {"k": 3, "r": 1, "j": 1, "T": (3,)}, 10)
+    for name, params in I.catalog_rows(4):
+        I._spec(name, params)
+    I._spec("stanton_31", {"k": 3, "r": 1, "j": 2, "T": (2, 1)})  # any order
+    rejected = [
+        ("andrews_gordon", {"k": 0, "r": 0}),                     # k = 0
+        ("bressoud_33", {"k": 0, "j": 0}),
+        ("stanton_32", {"k": 0, "r": 0, "j": 0}),
+        ("andrews_gordon", {"k": 2, "r": 3}),                     # r = k + 1
+        ("stanton_32", {"k": 1, "r": 1, "j": 1}),                 # r + j > k
+        ("new_slater2", {"k": 2, "r": 0, "j": 1}),                # r = 0
+        ("stanton_31", {"k": 2, "r": 0, "j": 1, "T": (1, 1)}),    # repeat
+        ("stanton_31", {"k": 3, "r": 1, "j": 1, "T": (3,)}),      # outside
+        ("binom_bgg", {"k": 3, "r": 0, "j": 2, "T": (0, 1)}),     # outside
+        ("stanton_41", {"k": 3, "r": 1, "j": 2, "T": (1,)}),      # size
+        ("rogers_ramanujan", {"a": 2}),
+        ("gollnitz_gordon", {"variant": 3}),
+        ("nope", {}),
+    ]
+    for name, params in rejected:
+        with pytest.raises(InvalidParameters, match=name):
+            I.verify_identity(name, params, 10)
     with pytest.raises(InvalidParameters, match="'j'"):
         I.verify_identity("andrews_gordon", {"k": 2, "r": 1, "j": 5}, 10)
+    with pytest.raises(InvalidParameters, match="andrews_gordon takes"):
+        I.verify_identity("andrews_gordon", {"k": 2}, 10)     # not KeyError
 
 
 def test_verify_refuses_a_side_shorter_than_the_requested_order(monkeypatch):

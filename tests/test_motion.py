@@ -184,6 +184,9 @@ def test_multipartition_validation():
         M.check_multipartition(((1, 2),))
     with pytest.raises(PreconditionViolated):
         M.check_multipartition(((-1,),))
+    for parts in (5, "12", None):
+        with pytest.raises(PreconditionViolated):
+            M.check_multipartition(parts)
 
 
 def test_trace_rendering():

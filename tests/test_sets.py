@@ -25,6 +25,16 @@ def test_enum_freq_small():
     assert all(f == M.canonical(f) and M.in_A(f, 3) for f in big)
 
 
+def test_enumerators_reject_bad_k_and_weight_bounds():
+    for call in (lambda: S.enum_mp_family(0, 0, 0, 12),
+                 lambda: S.enum_mp_family(2, 0, 0, -1),
+                 lambda: S.gf_mp_family(0, 0, 0, 5),
+                 lambda: S.enum_freq(0, 5),
+                 lambda: S.enum_freq(2, -3)):
+        with pytest.raises(InvalidParameters):
+            call()
+
+
 def test_enum_freq_result_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
