@@ -238,9 +238,9 @@ def _bl_rho(p: BaileyPair, rho: SM) -> BaileyPair:
 
     alpha, beta = [], []
     for n, acc in enumerate(_beta_sum(p, lift)):
-        inv_wn = _unit_check(poch_finite(w, 2, n), "(aq/rho)_n").invert(tp)
-        alpha.append((lift(n) * inv_wn * p.alpha[n]).truncate(tp))
-        beta.append((acc * inv_wn).truncate(tp))
+        wn = _unit_check(poch_finite(w, 2, n), "(aq/rho)_n")
+        alpha.append((lift(n).divide(wn, tp) * p.alpha[n]).truncate(tp))
+        beta.append(acc.divide(wn, tp).truncate(tp))
     return BaileyPair(a, p.n_max, tuple(alpha), tuple(beta), tp)
 
 
@@ -252,14 +252,14 @@ def _key_shared(p: BaileyPair, key2: bool) -> BaileyPair:
     one_minus_a = _one_minus(a)
     alpha = [p.alpha[0]]
     for n in range(1, p.n_max + 1):
-        d1 = _unit_check(_one_minus(a.times_qpow(2 * n)), "1-aq^2n").invert(tp)
-        d2 = _unit_check(_one_minus(a.times_qpow(2 * n - 2)),
-                         "1-aq^(2n-2)").invert(tp)
+        d1 = _unit_check(_one_minus(a.times_qpow(2 * n)), "1-aq^2n")
+        d2 = _unit_check(_one_minus(a.times_qpow(2 * n - 2)), "1-aq^(2n-2)")
+        cur, prev = p.alpha[n], p.alpha[n - 1]
         if key2:
-            t = p.alpha[n].shift(2 * n) * d1 - p.alpha[n - 1].shift(2 * n - 2) * d2
+            cur, prev = cur.shift(2 * n), prev.shift(2 * n - 2)
         else:
-            t = (p.alpha[n] * d1
-                 - p.alpha[n - 1] * a.as_series().shift(4 * n - 4) * d2)
+            prev = prev * a.as_series().shift(4 * n - 4)
+        t = cur.divide(d1, tp) - prev.divide(d2, tp)
         alpha.append((one_minus_a * t).truncate(tp))
     if key2:
         beta = tuple(p.beta[n].shift(2 * n).truncate(tp)
@@ -280,14 +280,14 @@ def _lattice(p: BaileyPair) -> BaileyPair:
 def _lovejoy_b0(p: BaileyPair) -> BaileyPair:
     """Lovejoy's lemma with b = 0: a -> aq, beta unchanged."""
     a, tp = p.a, p.prec
-    inv_1maq = _unit_check(_one_minus(a.times_qpow(1)), "1-aq").invert(tp)
+    one_minus_aq = _unit_check(_one_minus(a.times_qpow(1)), "1-aq")
     ainv = a.inverse()
     alpha = []
     partial = zero(INF)  # sum_{l<=n} a^-l q^-l^2 alpha_l
     for n in range(p.n_max + 1):
         partial = partial + (_a_pow(ainv, n) * p.alpha[n]).shift(-2 * n * n)
         s = _one_minus(a.times_qpow(2 * n + 1)) * _a_pow(a, n).shift(2 * n * n)
-        alpha.append((s * inv_1maq * partial).truncate(tp))
+        alpha.append((s.divide(one_minus_aq, tp) * partial).truncate(tp))
     return BaileyPair(SM(a.sign, a.e + 2), p.n_max, tuple(alpha), p.beta, tp)
 
 
@@ -296,26 +296,26 @@ def _lovejoy(p: BaileyPair, b: SM) -> BaileyPair:
     a, tp = p.a, p.prec
     w = SM(a.sign * b.sign, a.e + 2 - b.e)  # aq/b
     neg_b = b.negate()
-    inv_1maq = _unit_check(_one_minus(a.times_qpow(1)), "1-aq").invert(tp)
+    one_minus_aq = _unit_check(_one_minus(a.times_qpow(1)), "1-aq")
     one_minus_b = _one_minus(b)
     alpha, beta = [], []
     partial = zero(INF)
     for n in range(p.n_max + 1):
-        t = (poch_finite(b, 2, n)
-             * _unit_check(poch_finite(w, 2, n), "(aq/b)_l").invert(tp)
+        t = (poch_finite(b, 2, n).divide(
+                 _unit_check(poch_finite(w, 2, n), "(aq/b)_l"), tp)
              * ((neg_b.inverse()) ** n).as_series()).shift(-n * (n - 1))
         partial = partial + t * p.alpha[n]
         s = (_one_minus(a.times_qpow(2 * n + 1))
              * poch_finite(w, 2, n)
              * (neg_b ** n).as_series()).shift(n * (n - 1))
-        s = s * _unit_check(poch_finite(b.times_qpow(1), 2, n),
-                            "(bq)_n").invert(tp)
-        alpha.append((s * inv_1maq * partial).truncate(tp))
+        s = s.divide(_unit_check(poch_finite(b.times_qpow(1), 2, n), "(bq)_n"),
+                     tp)
+        alpha.append((s.divide(one_minus_aq, tp) * partial).truncate(tp))
         if n == 0:
             beta.append(p.beta[0])
         else:
-            d = _unit_check(_one_minus(b.times_qpow(n)), "1-bq^n").invert(tp)
-            beta.append((one_minus_b * d * p.beta[n]).truncate(tp))
+            d = _unit_check(_one_minus(b.times_qpow(n)), "1-bq^n")
+            beta.append((one_minus_b.divide(d, tp) * p.beta[n]).truncate(tp))
     return BaileyPair(SM(a.sign, a.e + 2), p.n_max, tuple(alpha), tuple(beta), tp)
 
 
@@ -420,7 +420,7 @@ def beta_limit(p: BaileyPair, prec: Optional[int] = None) -> QSeries:
     for l in range(p.n_max + 1):
         total = total + p.alpha[l]
     den = poch_infinite(Q, 2, tp) * poch_infinite(p.a.times_qpow(1), 2, tp)
-    direct = total * _unit_check(den, "(q)_inf (aq)_inf").invert(tp)
+    direct = total.divide(_unit_check(den, "(q)_inf (aq)_inf"), tp)
     stabilized = last.truncate(tp)
     same, e = direct.equal_up_to(stabilized,
                                  min(direct.prec, stabilized.prec, tp))
@@ -459,7 +459,7 @@ def _two_sided(p: BaileyPair, pervar, gaps, bdata, term, tp: int):
     rhs = zero(tp)
     for t in terms:
         rhs = rhs + t
-    rhs = rhs * poch_infinite(p.a.times_qpow(1), 2, tp).invert(tp)
+    rhs = rhs.divide(poch_infinite(p.a.times_qpow(1), 2, tp), tp)
     return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
 
 
@@ -523,25 +523,11 @@ def check_coro2(p: BaileyPair, k: int, r: int, j: int,
         bracket = _geom(x, j + 1) - shift * _geom(y, j + 1)
         t = _a_pow(a, (k + 1) * l).shift(
             2 * (k + 1) * l * l + 2 * (r - j - k) * l)
-        t = t * _unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
-                            "1-aq^2l").invert(tp)
+        t = t.divide(_unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
+                                 "1-aq^2l"), tp)
         return t * bracket * p.alpha[l]
     return _two_sided(p, pervar, [(2, None)] * k,
                       [(q2, l) for q2, l, _ in pervar], term, tp)
-
-
-def _bfactor_divide(num: QSeries, d: QSeries, tp: int) -> QSeries:
-    """Divide by a (b - aq^l)-style factor: a unit, or +-2 times a monomial
-    when the two monomials collide (the collision term always carries a
-    compensating even factor from (a/bq; q)_inf)."""
-    if len(d.coeffs) == 2:
-        return num * _unit_check(d, "b - aq^l").invert(tp)
-    if len(d.coeffs) == 1:
-        e, c = next(iter(d.coeffs.items()))
-        if c in (1, -1):
-            return num.shift(-e) * c
-        return num.shift(-e).divexact_scalar(c)
-    raise DegenerateDivision("b - aq^l vanished identically")
 
 
 def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
@@ -643,7 +629,7 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
         else:
             # (a/bq; q)_inf / (a/bq)_l folded into the term: ((a/bq) q^l)_inf.
             # Its even leading factor is what makes the l with b = -q^l
-            # (scalar divisor -2) come out integral, so the division by
+            # (where b - aq^l is -2 t^e) come out integral, so the division by
             # d1, d2 must happen after the full product is assembled.
             bpart = (poch_infinite(SM(w.sign, w.e + 2 * l), 2, tp)
                      * poch_finite(b, 2, l) * monomial(b.sign ** l, -b.e * l))
@@ -665,11 +651,11 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             cpart = (poch_finite(c, 2, l) * monomial(c.sign ** l, -c.e * l)
                      * inv_poch_finite(aq_over_c, 2, l, tp))
         t = _a_pow(a, (k + 1) * l).shift(2 * k * l * l + 2 * (r + 1 - j - k) * l)
-        t = t * _unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
-                            "1-aq^2l").invert(tp)
+        t = t.divide(_unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
+                                 "1-aq^2l"), tp)
         out = t * bpart * cpart * bracket * p.alpha[l]
         for d in divisors:
-            out = _bfactor_divide(out, d, tp)
+            out = out.divide(d, tp)
         return out
     return _two_sided(p, pervar, [(2, None)] * k, bdata, term, tp)
 
@@ -713,8 +699,8 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
                - (QSeries([(0, 1), (4 * l + 4, 1)]) ** j)
                .shift(2 * ((k - r + 1) * (2 * l + 1) - j)))
         t = monomial(1, 2 * (k + 1) * l * l + 2 * (r - j + 1) * l)
-        t = t * _unit_check(_one_minus(SM(1, 4 * l + 2)),
-                            "1-q^(2l+1)").invert(tp)
+        t = t.divide(_unit_check(_one_minus(SM(1, 4 * l + 2)), "1-q^(2l+1)"),
+                     tp)
         return t * big * p.alpha[l]
     return _two_sided(p, pervar, gaps, bdata, term, tp)
 
@@ -727,10 +713,10 @@ def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
     if seed.a != Q:
         raise ParameterOutOfRange("closed form is for seeds relative to q")
     tp = seed.prec if prec is None else min(prec, seed.prec)
-    t = seed.alpha[n] * _one_minus(SM(1, 4 * n + 2)).invert(tp)
+    t = seed.alpha[n].divide(_one_minus(SM(1, 4 * n + 2)), tp)
     if n >= 1:
         t = t - (seed.alpha[n - 1].shift(-4 * r * n - 2)
-                 * _one_minus(SM(1, 4 * n - 2)).invert(tp))
+                 .divide(_one_minus(SM(1, 4 * n - 2)), tp))
     out = _one_minus(Q) * (QSeries([(0, 1), (4 * n, 1)]) ** j) * t
     return out.shift(2 * (k + 1) * n * n + 2 * (r + 1 - j) * n).truncate(tp)
 

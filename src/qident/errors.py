@@ -8,11 +8,11 @@ class QidentError(Exception):
 # -- series ----------------------------------------------------------------
 
 class EmptySeries(QidentError):
-    """Attempted to invert (or take the valuation of) the zero series."""
+    """Attempted to divide by (or take the valuation of) the zero series."""
 
 
 class NotAUnit(QidentError):
-    """Series is not invertible over the integers (lowest coefficient not +-1)."""
+    """A divisor's lowest coefficient does not divide a quotient step."""
 
 
 class PrecisionExceeded(QidentError):

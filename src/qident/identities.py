@@ -26,7 +26,7 @@ from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite, triple_product)
 from .series import ONE, QSeries, one, zero
-from .sumeval import multisum
+from .sumeval import multisum, summation_bound
 
 
 def tgrid(qprec: int) -> int:
@@ -78,7 +78,7 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
         if side.tail == "bgg":
             out = out * poch_infinite(SM(-1, 2 + 4 * v), 4, tp)
         elif side.tail == "slater2":
-            out = out * poch_finite(SM(-1, 1), 2, v).invert(tp)
+            out = out.divide(poch_finite(SM(-1, 1), 2, v), tp)
         return out
 
     pervar = []
@@ -100,7 +100,8 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
     gaps = [(side.den_step,
              side.binom_step if (g + 1) in side.subset else None)
             for g in range(1, side.k)]
-    out = multisum(pervar, gaps, tp)
+    # the extras are Pochhammer quotients of valuation >= 0
+    out = multisum(pervar, gaps, tp, vmax=summation_bound(pervar, gaps, tp))
     if side.prefactor == "one_plus_q":
         out = out * QSeries([(0, 1), (2, 1)])
     elif side.prefactor == "one_plus_sqrt_q":
@@ -126,9 +127,9 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     for sm, base in side.num_inf:
         acc = acc * poch_infinite(sm, base, tp)
     for sm, base in side.den_inf:
-        acc = acc * poch_infinite(sm, base, tp).invert(tp)
+        acc = acc.divide(poch_infinite(sm, base, tp), tp)
     for poly in side.den_units:
-        acc = acc * QSeries(list(poly)).invert(tp)
+        acc = acc.divide(QSeries(list(poly)), tp)
     return acc.truncate(tp)
 
 
@@ -152,10 +153,13 @@ def _krj(k, r_min=0):
             for j in range(k - r + 1))
 
 
+def _subset_universe(k, r):
+    return (1, *range(2, k - r + 1))
+
+
 def _krjT(k):
-    """_krj with every j-element subset T of {1} | {2, ..., k - r}."""
     return (dict(p, T=T) for p in _krj(k)
-            for T in combinations((1, *range(2, k - p["r"] + 1)), p["j"]))
+            for T in combinations(_subset_universe(k, p["r"]), p["j"]))
 
 
 @dataclass(frozen=True)
@@ -484,8 +488,8 @@ class Report:
 
 
 def _spec(name: str, params: dict) -> IdentitySpec:
-    """The catalog row, after checking that params are a point of its grid
-    (T in any order)."""
+    """The catalog row, after checking that params are a point of its grid;
+    T, in any order, is tested apart, as a subset grid has ~2^(k+1) points."""
     if name not in CATALOG:
         raise InvalidParameters(f"unknown identity {name!r}; known: "
                                 + ", ".join(CATALOG_ORDER))
@@ -496,8 +500,12 @@ def _spec(name: str, params: dict) -> IdentitySpec:
     point = dict(params)
     try:
         if "T" in point:
-            point["T"] = tuple(sorted(point["T"]))
-        ok = point in spec.grid(params.get("k"))
+            T = tuple(point.pop("T"))
+            ok = (point in _krj(point["k"]) and len(set(T)) == len(T)
+                  == point["j"] and set(T) <= set(_subset_universe(
+                      int(point["k"]), int(point["r"]))))
+        else:
+            ok = point in spec.grid(params.get("k"))
     except TypeError:           # a value of the wrong type
         ok = False
     if not ok:

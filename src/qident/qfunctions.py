@@ -3,7 +3,7 @@
 Everything is exact over the integers on the t = q^(1/2) exponent grid from
 :mod:`qident.series`.  Pochhammer arguments are signed monomials +-q^(e/2):
 that is the only argument form any specialization in scope requires, and it
-keeps all divisions inside the unit group of the series ring.
+makes every divisor a product of binomials 1 -+ t^e for ``QSeries.divide``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateTheta, Divergent, NegativeIndex, OutOfRange
-from .series import INF, QSeries, monomial, one
+from .series import INF, ONE, QSeries, monomial, one
 
 _MONO_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?:(?P<one>1)|q(?:\^(?:\(\s*(?P<num>\d+)\s*/\s*2\s*\)"
@@ -116,8 +116,15 @@ def poch_infinite(x: SM, base: int, prec) -> QSeries:
 
 @lru_cache(maxsize=1024)
 def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
-    """1 / (x; q^(base/2))_n truncated at prec (the product must be a unit)."""
-    return poch_finite(x, base, n).invert(prec)
+    """1 / (x; q^(base/2))_n truncated at prec (a unit product): the cached
+    n - 1 value divided by the last factor, kept at prec if that rises."""
+    if n <= 0:
+        return poch_finite(x, base, n).truncate(prec)   # 1, or NegativeIndex
+    if n > 256:   # cache n - 256 first, so the recursion below stays shallow
+        inv_poch_finite(x, base, n - 256, prec)
+    last = QSeries([(0, 1), (x.e + (n - 1) * base, -x.sign)], INF)
+    return inv_poch_finite(x, base, n - 1, prec).divide(last, prec).truncate(
+        prec)
 
 
 @lru_cache(maxsize=1024)
@@ -181,4 +188,4 @@ def theta_sum(M: int, A: int, prec) -> QSeries:
 
 def euler_inverse(prec) -> QSeries:
     """1 / (q; q)_inf: the partition generating function, truncated."""
-    return poch_infinite(Q, 2, prec).invert(prec)
+    return ONE.divide(poch_infinite(Q, 2, prec), prec)

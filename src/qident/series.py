@@ -10,6 +10,10 @@ exact (polynomial) values such as monomials and finite products.
 All values are immutable; every operation returns a new series whose ``prec``
 is chosen so that no reported coefficient could be altered by the unknown
 (>= prec) terms of the operands.
+
+Division is long division (``divide``); every divisor in scope is a product
+of binomials whose lowest coefficient is +-1, or +-2 where the two terms of
+a b - aq^l factor coincide.  ``invert`` divides one.
 """
 
 from __future__ import annotations
@@ -164,50 +168,41 @@ class QSeries:
         p = self.prec if self.prec is INF else self.prec * s
         return QSeries({e * s: c for e, c in self.coeffs.items()}, p)
 
-    def invert(self, prec=None) -> "QSeries":
-        """Multiplicative inverse.
-
-        The lowest stored coefficient must be +-1 (a unit over the integers).
-        For a series of valuation m and precision P the inverse is exact below
-        P - 2m; pass ``prec`` to cap the target order (required when the input
-        is an exact polynomial with prec = INF).
-        """
-        if not self.coeffs:
-            raise EmptySeries("cannot invert the zero series")
-        m = self.min_exp()
-        lead = self.coeffs[m]
-        if lead not in (1, -1):
-            raise NotAUnit(f"lowest coefficient {lead} is not a unit over Z")
-        target = self.prec if self.prec is INF else self.prec - 2 * m
-        if prec is not None:
-            target = min(target, _as_prec(prec))
-        if target is INF:
-            raise ValueError("invert of an exact series needs an explicit prec")
-        # Work on the unit part u = lead * t^-m * self (valuation 0, lead 1),
-        # then Newton-iterate.  The inverse has valuation -m, so relative
-        # exponents below target + m are needed.
-        u = {e - m: lead * c for e, c in self.coeffs.items()}
-        cap = max(target + m, 0)
-        inv = {0: 1}
-        cur = 1
-        while cur < cap:
-            cur = min(2 * cur, cap)
-            uy = _mul_any({e: c for e, c in u.items() if e < cur}, inv, cur)
-            corr = {e: -c for e, c in uy.items()}
-            corr[0] = corr.get(0, 0) + 2
-            inv = _mul_any(inv, corr, cur)
-        out = {e - m: lead * c for e, c in inv.items() if e < cap}
-        return QSeries(out, target)
-
-    def divexact_scalar(self, d: int) -> "QSeries":
-        """Divide every coefficient by the integer d, which must divide exactly."""
-        out = {}
-        for e, c in self.coeffs.items():
-            q, r = divmod(c, d)
+    def divide(self, d: "QSeries", prec=None) -> "QSeries":
+        """self / d by long division: with m = val(d), q_i = (x_(i+m) -
+        sum_(j>0) d_(m+j) q_(i-j)) / d_m, NotAUnit if d_m does not divide a
+        step, EmptySeries if d is zero.  Exact below min(prec(self) - m,
+        min(prec(d) - 2m, prec) + val(self)), as self times 1/d known below
+        min(prec(d) - 2m, prec) would be; ``prec`` is needed if d is exact."""
+        if not d.coeffs:
+            raise EmptySeries("cannot divide by the zero series")
+        m = min(d.coeffs)
+        d0 = d.coeffs[m]
+        cap = min(d.prec - 2 * m, INF if prec is None else _as_prec(prec))
+        if cap == INF:
+            raise ValueError("dividing by an exact series needs a prec")
+        x = self.coeffs
+        vx = min(x) if x else self.prec
+        p = min(self.prec - m, cap + vx)
+        n = p - vx + m if x else 0      # quotient terms, from t^(vx - m) on
+        tail = sorted((e - m, c) for e, c in d.coeffs.items() if 0 < e - m < n)
+        quo = []
+        for i in range(n):
+            s = x.get(vx + i, 0)
+            for j, c in tail:
+                if j > i:
+                    break
+                s -= c * quo[i - j]
+            q, r = divmod(s, d0)
             if r:
-                raise NotAUnit(f"coefficient {c} at t^{e} not divisible by {d}")
-            out[e] = q
-        return QSeries(out, self.prec)
+                raise NotAUnit(f"lowest coefficient {d0} is not a unit over Z")
+            quo.append(q)
+        return QSeries({vx - m + i: c for i, c in enumerate(quo)}, p)
+
+    def invert(self, prec=None) -> "QSeries":
+        """ONE.divide(self, prec), exact below min(P - 2m, prec) for a series
+        of valuation m and precision P."""
+        return ONE.divide(self, prec)
 
     # -- rendering ------------------------------------------------------------
 

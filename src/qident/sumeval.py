@@ -91,6 +91,14 @@ def var_bound(pervar, tprec, hard_cap=None) -> int:
     return v
 
 
+def summation_bound(pervar, gaps, tprec) -> int:
+    """var_bound of multisum's (quad, lin) pairs, each lin less the binomial
+    step of the gap outside it; blind to extras, so only for valuation >= 0."""
+    drops = [0] + [b or 0 for _, b in gaps]
+    return var_bound([(quad, lin - drop) for (quad, lin, _), drop
+                      in zip(pervar, drops)], tprec)
+
+
 def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
     """Evaluate the nested sum described in the module docstring.
 
@@ -100,26 +108,26 @@ def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
     gaps: per adjacent pair a tuple (den_step, binom_step) where den_step is
         the t-step of the difference Pochhammer 1/(.)_{s_i - s_{i+1}}, and
         binom_step is None or the b of a factor (t^(b*s_i) + t^(-b*s_{i+1})).
-    vmax: the largest value summed; by default var_bound of the (quad, lin)
-        pairs, which does not see the valuations of the extras, so an extra
-        of negative valuation then raises ValueError.
+    vmax: the largest value summed; ValueError when it is left out and a
+        variable has an extra, which the default summation_bound cannot see.
     Raises PrecisionExceeded when an extra is not known far enough for the
     result to reach tprec.
     """
     K = len(pervar)
     assert len(gaps) == K - 1
     steps = [b or 0 for _, b in gaps]
-    default_vmax = vmax is None
-    if default_vmax:
-        # the binomial factor lowers the inner variable's linear exponent
-        vmax = var_bound([(quad, lin - drop) for (quad, lin, _), drop
-                          in zip(pervar, [0] + steps)], tprec)
+    if vmax is None:
+        extras = [i for i, (_, _, f) in enumerate(pervar, 1) if f is not None]
+        if extras:
+            raise ValueError(f"s_{extras[0]} has an extra, which the default "
+                             f"vmax does not see; pass vmax")
+        vmax = summation_bound(pervar, gaps, tprec)
 
     # own[i][v]: the exponent of a bare monomial, a series, or None (an
     # exact zero); variable i is paired with the binomial step inside it
     own = []
     R = 0
-    for i, ((quad, lin, extra), b) in enumerate(zip(pervar, steps + [0])):
+    for (quad, lin, extra), b in zip(pervar, steps + [0]):
         if extra is None:
             row = [quad * v * v + lin * v for v in range(vmax + 1)]
             low = quad_min(quad, lin - b)
@@ -127,11 +135,6 @@ def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
             row, low = [], 0
             for v in range(vmax + 1):
                 f = extra(v)
-                if default_vmax and f is not None and _val(f) < 0:
-                    raise ValueError(
-                        f"the extra of s_{i + 1} has valuation {_val(f)} at "
-                        f"v = {v}, which the default vmax does not see; "
-                        f"pass vmax")
                 s = None if f is None else f.shift(quad * v * v + lin * v)
                 if s is not None and (s.coeffs or s.prec is not INF):
                     low = min(low, _val(s) - b * v)

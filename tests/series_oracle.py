@@ -1,0 +1,45 @@
+"""Newton-iteration inverse: the oracle for ``QSeries.divide``.
+
+This is the inverse the series ring used before long division replaced it.
+It doubles the known order each round through the ring's multiply, so it
+shares no step with the long-division recurrence it checks.
+"""
+
+from qident.errors import EmptySeries, NotAUnit
+from qident.series import INF, QSeries, _as_prec, _mul_any
+
+
+def newton_invert(self, prec=None) -> QSeries:
+    """Multiplicative inverse.
+
+    The lowest stored coefficient must be +-1 (a unit over the integers).
+    For a series of valuation m and precision P the inverse is exact below
+    P - 2m; pass ``prec`` to cap the target order (required when the input
+    is an exact polynomial with prec = INF).
+    """
+    if not self.coeffs:
+        raise EmptySeries("cannot invert the zero series")
+    m = self.min_exp()
+    lead = self.coeffs[m]
+    if lead not in (1, -1):
+        raise NotAUnit(f"lowest coefficient {lead} is not a unit over Z")
+    target = self.prec if self.prec is INF else self.prec - 2 * m
+    if prec is not None:
+        target = min(target, _as_prec(prec))
+    if target is INF:
+        raise ValueError("invert of an exact series needs an explicit prec")
+    # Work on the unit part u = lead * t^-m * self (valuation 0, lead 1),
+    # then Newton-iterate.  The inverse has valuation -m, so relative
+    # exponents below target + m are needed.
+    u = {e - m: lead * c for e, c in self.coeffs.items()}
+    cap = max(target + m, 0)
+    inv = {0: 1}
+    cur = 1
+    while cur < cap:
+        cur = min(2 * cur, cap)
+        uy = _mul_any({e: c for e, c in u.items() if e < cur}, inv, cur)
+        corr = {e: -c for e, c in uy.items()}
+        corr[0] = corr.get(0, 0) + 2
+        inv = _mul_any(inv, corr, cur)
+    out = {e - m: lead * c for e, c in inv.items() if e < cap}
+    return QSeries(out, target)

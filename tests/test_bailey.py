@@ -11,6 +11,7 @@ from qident.qfunctions import ONE_M, Q, SignedMonomial as SM, inv_poch_finite, p
 from qident.series import QSeries, monomial, one, zero
 
 import bailey_oracle as naive
+from series_oracle import newton_invert
 
 TP = 81  # q-order 40 for the unit-level tests
 
@@ -155,7 +156,7 @@ def test_beta_limit_routes():
     acc = zero(tp)
     for n in range(8):
         acc = acc + monomial(1, 2 * n * n) * inv_poch_finite(Q, 2, n, tp)
-    want = acc * poch_infinite(Q, 2, tp).invert(tp)
+    want = acc * newton_invert(poch_infinite(Q, 2, tp), tp)
     assert got.equal_up_to(want, min(got.prec, want.prec, tp)) == (True, None)
     # the a = q seed gives the n^2 + n exponents instead
     p = B.unit_pair(Q, 40, tp)
@@ -164,7 +165,7 @@ def test_beta_limit_routes():
     acc = zero(tp)
     for n in range(8):
         acc = acc + monomial(1, 2 * n * n + 2 * n) * inv_poch_finite(Q, 2, n, tp)
-    want = acc * poch_infinite(Q, 2, tp).invert(tp)
+    want = acc * newton_invert(poch_infinite(Q, 2, tp), tp)
     assert got.equal_up_to(want, min(got.prec, want.prec, tp)) == (True, None)
 
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import signal
 
 import pytest
 
@@ -85,6 +86,28 @@ def test_validation_errors():
         I.verify_identity("andrews_gordon", {"k": 2, "r": 1, "j": 5}, 10)
     with pytest.raises(InvalidParameters, match="andrews_gordon takes"):
         I.verify_identity("andrews_gordon", {"k": 2}, 10)     # not KeyError
+
+
+def test_subset_rows_validate_without_scanning_the_grid():
+    # the grid of a subset row has about 2^(k+1) points at k = 40; a scan
+    # of it would not finish, so the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("subset validation scanned the grid")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for name in ("stanton_31", "stanton_41", "binom_kursungoz",
+                     "binom_bgg"):
+            I._spec(name, {"k": 40, "r": 3, "j": 3, "T": (37, 1, 20)})
+            for T in ((1, 20, 38), (1, 1, 2), (1, 2), (0, 1, 2)):
+                with pytest.raises(InvalidParameters, match=name):
+                    I._spec(name, {"k": 40, "r": 3, "j": 3, "T": T})
+            with pytest.raises(InvalidParameters, match=name):
+                I._spec(name, {"k": 40, "r": 38, "j": 3, "T": (1, 2, 3)})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_verify_refuses_a_side_shorter_than_the_requested_order(monkeypatch):

@@ -243,3 +243,33 @@ def test_inverse_round_trip_on_random_bounded_sequences(k, xs):
     out, tr2 = M.lambda_map(mp, trace=True)
     assert out == f
     assert replays(tr) and replays(tr2)
+
+
+@st.composite
+def frame_form_motions(draw):
+    """(f, u, m) in the form lambda_map hands pm_explicit: frame pairs (g, 0)
+    with g >= h left of u, the pair (h, 0) at u, and right of it an inner
+    frame pair (h2, 0), h2 <= h, over a tail of adjacent sums below h2,
+    already moved m2 steps; m2 >= m when h2 = h, as the parts of one
+    partition grow inwards."""
+    h = draw(st.integers(1, 4))
+    prefix = draw(st.lists(st.integers(h, 5), max_size=3))
+    h2 = draw(st.integers(1, h))
+    inner = _bounded(h2 - 1, draw(st.lists(st.integers(0, 3), max_size=6)))
+    m = draw(st.integers(0, 25))
+    m2 = draw(st.integers(m, 30) if h2 == h else st.integers(0, 30))
+    tail = M.pm_explicit((h2, 0) + inner, 0, m2)[0]
+    f = M.canonical([x for g in prefix for x in (g, 0)] + [h, 0] + list(tail))
+    return f, 2 * len(prefix), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_form_motions())
+def test_single_motion_and_reverse_motion_are_inverse(case):
+    f, u, m = case
+    g, v = M.pm_explicit(f, u, m)
+    assert (g, v) == M.pm_stepwise(f, u, m)
+    assert M.weight(g) == M.weight(f) + m
+    back = M.rpm_explicit(g, u)
+    assert back == M.rpm_stepwise(g, u)
+    assert back == (f, m)

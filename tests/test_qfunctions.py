@@ -3,13 +3,15 @@
 import pytest
 
 from qident.bailey import _relation_kernel
-from qident.errors import (DegenerateTheta, Divergent, NegativeIndex,
-                           OutOfRange)
+from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
+                           NegativeIndex, NotAUnit, OutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                euler_inverse, inv_poch_finite, poch_finite,
                                poch_infinite, qbinom, theta_sum,
                                triple_product)
 from qident.series import QSeries
+
+from series_oracle import newton_invert
 
 
 def brute_partitions(n, max_part=None):
@@ -54,6 +56,22 @@ def test_poch_infinite_euler():
     for n in range(20):
         assert inv.qcoeff(n) == brute_partitions(n), n
     assert inv.qcoeff(5) == 7
+
+
+def test_inv_poch_finite_against_the_newton_inverse():
+    # factor by factor, factors of negative valuation and zero factors
+    # included, and at a depth the cache builds without deep recursion
+    for x in (Q, SM(1, -7), SM(-1, -8), SM(-1, 3)):
+        for n in range(8):
+            assert inv_poch_finite(x, 3, n, 25) == newton_invert(
+                poch_finite(x, 3, n), 25), (x, n)
+    with pytest.raises(NotAUnit):
+        inv_poch_finite(SM(-1, -6), 3, 4, 25)         # the factor 1 + 1
+    with pytest.raises(EmptySeries):
+        inv_poch_finite(SM(1, -6), 3, 4, 25)          # the factor 1 - 1
+    inv_poch_finite.cache_clear()
+    assert inv_poch_finite(Q, 2, 3000, 31) == newton_invert(
+        poch_infinite(Q, 2, 31), 31)
 
 
 def test_poch_infinite_edge_cases():
@@ -113,8 +131,8 @@ def test_triple_product_symmetry_and_errors():
 def test_triple_product_partition_oracle():
     # 1/(q^2, q^3; q^5) counts partitions into parts = +-2 mod 5
     tp = 81
-    inv = (poch_infinite(SM(1, 4), 10, tp)
-           * poch_infinite(SM(1, 6), 10, tp)).invert(tp)
+    inv = newton_invert(poch_infinite(SM(1, 4), 10, tp)
+                        * poch_infinite(SM(1, 6), 10, tp), tp)
     counts = [0] * 41
     counts[0] = 1
     for part in range(1, 41):

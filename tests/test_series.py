@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
+from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import _mul_dict, _mul_packed
+
+from series_oracle import newton_invert
 
 
 def rand_series(rng, prec=40, laurent=False, terms=12, cmax=9):
@@ -146,6 +149,81 @@ def test_ring_laws_hold_on_both_multiply_paths(a, b, c):
 def test_series_times_its_inverse_is_one(s, prec):
     p = s * s.invert(prec)
     assert p.equal_up_to(one(), p.prec) == (True, None)
+
+
+def _binomial_product(factors, shift, sign):
+    """sign * t^shift * prod (1 - s*t^e) over the (s, e) factors, exact."""
+    out = monomial(sign, shift)
+    for s, e in factors:
+        out = out * QSeries([(0, 1), (e, -s)])
+    return out
+
+
+binomial_divisors = st.builds(
+    _binomial_product,
+    st.lists(st.tuples(st.sampled_from([1, -1]),
+                       st.integers(-8, 12).filter(bool)), max_size=6),
+    st.integers(-4, 4), st.sampled_from([1, -1]))
+
+
+@st.composite
+def unit_divisors(draw):
+    """Products of binomials with exponents of both signs, exact or
+    truncated, and truncated infinite products."""
+    if draw(st.booleans()):
+        d = draw(binomial_divisors)
+        if draw(st.booleans()):
+            d = d.truncate(min(d.coeffs) + draw(st.integers(1, 60)))
+        return d
+    return poch_infinite(SM(draw(st.sampled_from([1, -1])),
+                            draw(st.integers(1, 6))),
+                         draw(st.integers(1, 6)), draw(st.integers(1, 80)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_series, unit_divisors(), st.none() | st.integers(1, 120))
+def test_divide_matches_the_newton_inverse(x, d, prec):
+    if d.prec is INF and prec is None:
+        with pytest.raises(ValueError):
+            x.divide(d, prec)
+        return
+    got = x.divide(d, prec)
+    want = x * newton_invert(d, prec)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_series, st.sampled_from([2, -2]), st.integers(-5, 5),
+       st.booleans(), st.integers(1, 120))
+def test_divide_by_two_times_a_monomial(x, c, e, even, prec):
+    # the collision case of b - aq^l: exact only where 2 divides every
+    # coefficient the quotient reads
+    if even:
+        x = 2 * x
+    unit = x * newton_invert(monomial(c // 2, e), prec)
+    if all(v % 2 == 0 for v in unit.coeffs.values()):
+        got = x.divide(monomial(c, e), prec)
+        assert got.coeffs == {k: v // 2 for k, v in unit.coeffs.items()}
+        assert got.prec == unit.prec
+    else:
+        with pytest.raises(NotAUnit):
+            x.divide(monomial(c, e), prec)
+
+
+def test_divide_edge_cases():
+    x = QSeries({-2: 3, 0: 1, 5: -4}, 30)
+    for z in (zero(10), zero()):
+        with pytest.raises(EmptySeries):
+            x.divide(z, 20)
+    with pytest.raises(NotAUnit):
+        one().divide(QSeries({0: 2, 2: 1}), 10)
+    # 2 divides the whole quotient of 2 + 2q by 2 - 2q, not of 1 by it
+    two = QSeries({0: 2, 2: -2})
+    assert QSeries({0: 2, 2: 2}).divide(two, 9).coeffs == {
+        0: 1, 2: 2, 4: 2, 6: 2, 8: 2}
+    # an exact zero stays exact; a truncated one keeps its order honest
+    assert zero().divide(two, 9) == zero()
+    assert zero(6).divide(QSeries({-2: 1, 0: 1}), 20).prec == 8
 
 
 def test_mul_precision_guards_unknown_terms():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident.qfunctions import NEG_ONE, SM, inv_poch_finite, poch_finite
 from qident.series import QSeries, monomial, zero
-from qident.sumeval import multisum, quad_min, var_bound
+from qident.sumeval import multisum, quad_min, summation_bound, var_bound
 
 # The oracle multiplies every factor exactly, or to this many t-exponents
 # beyond the target order; no summand in the drawn shapes dips lower.
@@ -110,8 +110,12 @@ def test_multisum_matches_brute_force(shape):
             # var_bound sees no extras: callers with negative-valuation
             # extras pass their own bound, as the Bailey checks do
             vmax = oracle_top(bound_pervar, gaps, tprec)
-    got = multisum([(q, l, extras[i]) for i, (q, l) in enumerate(pervar)],
-                   gaps, tprec, vmax=vmax)
+    engine_pervar = [(q, l, extras[i]) for i, (q, l) in enumerate(pervar)]
+    if vmax is None and (head or tail_neg is not None):
+        # an extra needs an explicit vmax; these have valuation >= 0, so the
+        # bound multisum uses without extras is enough, as in eval_sum
+        vmax = summation_bound(engine_pervar, gaps, tprec)
+    got = multisum(engine_pervar, gaps, tprec, vmax=vmax)
     want = brute_multisum(pervar, gaps, tprec, extras, bound_pervar)
     assert got.prec == tprec
     assert got.coeffs == want.coeffs
@@ -136,3 +140,13 @@ def test_default_vmax_refuses_an_extra_of_negative_valuation():
     with pytest.raises(ValueError, match="s_1"):
         multisum(pervar, [], 20)
     assert multisum(pervar, [], 20, vmax=12).coeff(18) == 1
+    # an extra that turns negative only past that bound, which a check of
+    # the valuations up to the bound misses, and one of valuation >= 0: any
+    # extra needs vmax
+    late = [(1, 0, lambda v: monomial(1, 0 if v < 6 else -18))]
+    with pytest.raises(ValueError, match="s_1"):
+        multisum(late, [], 20)
+    assert multisum(late, [], 20, vmax=12).coeff(18) == 1
+    with pytest.raises(ValueError, match="s_2"):
+        multisum([(2, 0, None), (2, 0, lambda v: monomial(1, 0))], [(2, None)],
+                 20)
