@@ -74,6 +74,15 @@ def _read_recipe(path):
                                 f"{exc.strerror or exc}") from exc
 
 
+def _recipe_int(recipe, key, default, low):
+    """recipe[key], or default when absent: an integer >= low, not a bool."""
+    v = recipe.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        raise InvalidParameters(f'malformed recipe: "{key}" must be an '
+                                f'integer >= {low}, got {json.dumps(v)}')
+    return v
+
+
 def _parse_recipe(recipe, default_prec):
     """(seed pair, transform steps, t-order) of a recipe object."""
     if not isinstance(recipe, dict) or not isinstance(recipe.get("seed"), dict):
@@ -85,16 +94,19 @@ def _parse_recipe(recipe, default_prec):
     seed_spec = recipe["seed"]
     try:
         a = SM.parse(seed_spec.get("a", "q"))
-        tp = 2 * _prec(recipe.get("prec", default_prec)) + 1
-        n_max = int(recipe.get("n_max", 10))
-        make_seed = B.SEEDS[seed_spec.get("kind", "unit")]
+        tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1
+        n_max = _recipe_int(recipe, "n_max", 10, 0)
+        kind = seed_spec.get("kind", "unit")
+        if kind not in B.SEEDS:
+            raise InvalidParameters(f"unknown seed kind {kind!r}; known: "
+                                    + ", ".join(B.SEEDS))
         steps = [B.TransformStep(s["tag"],
                                  rho=SM.parse(s["rho"]) if "rho" in s else None,
                                  b=SM.parse(s["b"]) if "b" in s else None)
                  for s in raw_steps]
     except TypeError as exc:    # a field of the wrong JSON type
         raise InvalidParameters(f"malformed recipe: {exc}") from exc
-    return make_seed(a, n_max, tp), steps, tp
+    return B.SEEDS[kind](a, n_max, tp), steps, tp
 
 
 def _cmd_bailey(args) -> int:

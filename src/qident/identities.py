@@ -537,14 +537,19 @@ def verify_identity(name: str, params: dict, qprec: int) -> Report:
 
 def verify_subset_variants(name: str, k: int, r: int, j: int,
                            qprec: int):
-    """Run every admissible subset T for one of the binomial rows."""
+    """Run every admissible subset T for one of the binomial rows, in the
+    order of their grid (``_krjT``), without scanning its ~2^(k+1) points."""
     spec = CATALOG.get(name)
     if spec is None or "T" not in spec.param_names:
         raise InvalidParameters(f"{name} has no subset variants")
-    rows = [p for p in spec.grid(k) if (p["r"], p["j"]) == (r, j)]
-    if not rows:
+    try:
+        ok = {"k": k, "r": r, "j": j} in _krj(k)
+    except TypeError:           # a value of the wrong type
+        ok = False
+    if not ok:
         raise InvalidParameters(f"{name} is not defined at k={k}, r={r}, j={j}")
-    return [verify_identity(name, p, qprec) for p in rows]
+    return [verify_identity(name, {"k": k, "r": r, "j": j, "T": T}, qprec)
+            for T in combinations(_subset_universe(k, r), j)]
 
 
 def catalog_rows(max_k: int):

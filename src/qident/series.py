@@ -11,6 +11,14 @@ All values are immutable; every operation returns a new series whose ``prec``
 is chosen so that no reported coefficient could be altered by the unknown
 (>= prec) terms of the operands.
 
+Every series is stored in canonical form: ``coeffs`` maps int exponents below
+``prec`` to nonzero ints, and ``prec`` is an int or the ``INF`` object itself
+(code tests ``prec is INF``).  The public ``QSeries(coeffs, prec)`` cleans
+outside input into that form: pairs with a repeated exponent add up, and
+zeros and terms at or above ``prec`` drop out.  The ring operations build
+results that are canonical by construction and hand them to the private
+``QSeries._of``, which trusts them and copies nothing.
+
 Division is long division (``divide``); every divisor in scope is a product
 of binomials whose lowest coefficient is +-1, or +-2 where the two terms of
 a b - aq^l factor coincide.  ``invert`` divides one.
@@ -55,6 +63,15 @@ class QSeries:
                     clean.pop(e, None)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "prec", prec)
+
+    @staticmethod
+    def _of(coeffs: dict, prec) -> "QSeries":
+        """The trusted constructor: ``coeffs`` and ``prec`` must already be in
+        canonical form (module docstring); nothing is checked or copied."""
+        s = _new(QSeries)
+        _set_coeffs(s, coeffs)
+        _set_prec(s, prec)
+        return s
 
     def __setattr__(self, *_):
         raise AttributeError("QSeries is immutable")
@@ -107,17 +124,23 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         p = min(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        a, b = self.coeffs, other.coeffs
+        # the finer operand's terms at or above p are unknown in the sum
+        if self.prec > p:
+            a = {e: c for e, c in a.items() if e < p}
+        elif other.prec > p:
+            b = {e: c for e, c in b.items() if e < p}
+        out = dict(a)
+        for e, c in b.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return QSeries(out, p)
+                del out[e]
+        return QSeries._of(out, p)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.prec)
+        return QSeries._of({e: -c for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -130,12 +153,14 @@ class QSeries:
         va = min(self.coeffs) if self.coeffs else self.prec
         vb = min(other.coeffs) if other.coeffs else other.prec
         p = min(self.prec + vb, other.prec + va)
-        return QSeries(_mul_any(self.coeffs, other.coeffs, p), p)
+        if p == INF:            # INF + v is a new float, not INF itself
+            p = INF
+        return QSeries._of(_mul_any(self.coeffs, other.coeffs, p), p)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, int):
-            return QSeries({e: scalar * c for e, c in self.coeffs.items()},
-                           self.prec)
+            return QSeries._of({e: scalar * c for e, c in self.coeffs.items()}
+                               if scalar else {}, self.prec)
         return NotImplemented
 
     def __pow__(self, n: int) -> "QSeries":
@@ -153,20 +178,21 @@ class QSeries:
     def shift(self, delta: int) -> "QSeries":
         """Multiply by t^delta."""
         p = self.prec if self.prec is INF else self.prec + delta
-        return QSeries({e + delta: c for e, c in self.coeffs.items()}, p)
+        return QSeries._of({e + delta: c for e, c in self.coeffs.items()}, p)
 
     def truncate(self, prec) -> "QSeries":
         prec = _as_prec(prec)
         if prec >= self.prec:
             return self
-        return QSeries({e: c for e, c in self.coeffs.items() if e < prec}, prec)
+        return QSeries._of({e: c for e, c in self.coeffs.items() if e < prec},
+                           prec)
 
     def scale_exponents(self, s: int) -> "QSeries":
         """Substitute t -> t^s (s positive); prec scales with the exponents."""
         if s <= 0:
             raise ValueError("scale factor must be positive")
         p = self.prec if self.prec is INF else self.prec * s
-        return QSeries({e * s: c for e, c in self.coeffs.items()}, p)
+        return QSeries._of({e * s: c for e, c in self.coeffs.items()}, p)
 
     def divide(self, d: "QSeries", prec=None) -> "QSeries":
         """self / d by long division: with m = val(d), q_i = (x_(i+m) -
@@ -184,6 +210,8 @@ class QSeries:
         x = self.coeffs
         vx = min(x) if x else self.prec
         p = min(self.prec - m, cap + vx)
+        if p == INF:            # an exact zero numerator
+            p = INF
         n = p - vx + m if x else 0      # quotient terms, from t^(vx - m) on
         tail = sorted((e - m, c) for e, c in d.coeffs.items() if 0 < e - m < n)
         quo = []
@@ -197,7 +225,7 @@ class QSeries:
             if r:
                 raise NotAUnit(f"lowest coefficient {d0} is not a unit over Z")
             quo.append(q)
-        return QSeries({vx - m + i: c for i, c in enumerate(quo)}, p)
+        return QSeries._of({vx - m + i: c for i, c in enumerate(quo) if c}, p)
 
     def invert(self, prec=None) -> "QSeries":
         """ONE.divide(self, prec), exact below min(P - 2m, prec) for a series
@@ -231,6 +259,13 @@ class QSeries:
         if n > 4:
             head += ", ..."
         return f"QSeries({head or '0'}; prec={self.prec})"
+
+
+# QSeries._of sets the slots through their descriptors, which is quicker
+# than object.__setattr__ on this hot path
+_new = object.__new__
+_set_coeffs = QSeries.coeffs.__set__
+_set_prec = QSeries.prec.__set__
 
 
 # -- low-level dict arithmetic ----------------------------------------------

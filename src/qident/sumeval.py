@@ -219,11 +219,12 @@ def convolve_layer(layer, own_row, gap, wp):
         t = slots.get(v, {})
         o = own_row[v]
         if isinstance(o, int):
-            # an exact shift; the terms of T_v at or above stop shift to wp
-            # or beyond
-            s = QSeries({e + o: c for e, c in t.items()}, min(t_prec + o, wp))
+            # an exact shift; T_v holds only terms below stop, which shift
+            # below min(t_prec + o, wp)
+            s = QSeries._of({e + o: c for e, c in t.items()},
+                            min(t_prec + o, wp))
         else:
-            s = (o * QSeries(t, stop)).truncate(wp)
+            s = (o * QSeries._of(t, stop)).truncate(wp)
         _keep(nxt, v, s, wp)
     return nxt
 

@@ -158,6 +158,29 @@ def test_bailey_field_of_the_wrong_type(capsys, tmp_path):
     assert err.startswith("error: malformed recipe")
 
 
+@pytest.mark.parametrize("field, value, low", [
+    ("n_max", 2.5, 0), ("n_max", True, 0), ("n_max", -1, 0), ("n_max", "3", 0),
+    ("prec", 25.0, 1), ("prec", False, 1), ("prec", 0, 1), ("prec", "25", 1),
+])
+def test_bailey_recipe_numbers_must_be_integers(capsys, tmp_path, field,
+                                                value, low):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"seed": {"a": "q"}, field: value}))
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err == (f'error: malformed recipe: "{field}" must be an integer '
+                   f'>= {low}, got {json.dumps(value)}\n')
+
+
+def test_bailey_unknown_seed_kind_names_the_known_kinds(capsys, tmp_path):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"seed": {"kind": "nope"}}))
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err == ("error: unknown seed kind 'nope'; known: "
+                   + ", ".join(B.SEEDS) + "\n")
+
+
 @pytest.mark.parametrize("recipe", [
     {"seed": {"a": "inf"}},
     {"seed": {}, "steps": [{"tag": "BL_RHO", "rho": "inf"}]},

@@ -105,6 +105,10 @@ def test_subset_rows_validate_without_scanning_the_grid():
                     I._spec(name, {"k": 40, "r": 3, "j": 3, "T": T})
             with pytest.raises(InvalidParameters, match=name):
                 I._spec(name, {"k": 40, "r": 38, "j": 3, "T": (1, 2, 3)})
+        # (r, j) = (39, 1) has one row
+        reports = I.verify_subset_variants("stanton_31", 40, 39, 1, 5)
+        assert [(rep.params["T"], rep.equal) for rep in reports] == [
+            ((1,), True)]
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
@@ -124,6 +128,23 @@ def test_subset_variants():
     assert all(rep.equal for rep in reports)
     with pytest.raises(InvalidParameters):
         I.verify_subset_variants("andrews_gordon", 2, 1, 0, 10)
+
+
+def test_subset_variants_run_the_grid_rows_in_order(monkeypatch):
+    monkeypatch.setattr(I, "verify_identity", lambda name, p, qprec: p)
+    for name in ("stanton_31", "stanton_41", "binom_kursungoz", "binom_bgg"):
+        for k in range(1, 6):
+            grid = list(I.CATALOG[name].grid(k))
+            for r in range(-1, k + 2):
+                for j in range(-1, k + 2):
+                    want = [p for p in grid if (p["r"], p["j"]) == (r, j)]
+                    if want:
+                        got = I.verify_subset_variants(name, k, r, j, 10)
+                        assert got == want
+                    else:
+                        with pytest.raises(InvalidParameters,
+                                           match="not defined"):
+                            I.verify_subset_variants(name, k, r, j, 10)
 
 
 def test_kursungoz_rhs_divisible_by_one_plus_q():

@@ -3,12 +3,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import _mul_dict, _mul_packed
+from qident.sumeval import convolve_layer
 
 from series_oracle import newton_invert
 
@@ -42,6 +43,10 @@ def test_basic_ring_examples():
 def test_pair_list_constructor_accumulates():
     assert QSeries([(0, 1), (0, 1)]).coeffs == {0: 2}
     assert QSeries([(3, 1), (3, -1)]).is_zero()
+    # outside input is cleaned: zeros, terms at or above prec, a float prec
+    s = QSeries([(0, 1), (2, 0), (4, 3), (4, -3), (6, 5), (9, 1)], 8.0)
+    assert (s.coeffs, s.prec) == ({0: 1, 6: 5}, 8) and type(s.prec) is int
+    assert QSeries({0: 1}, float("inf")).prec is INF
 
 
 def test_invert_examples():
@@ -208,6 +213,56 @@ def test_divide_by_two_times_a_monomial(x, c, e, even, prec):
     else:
         with pytest.raises(NotAUnit):
             x.divide(monomial(c, e), prec)
+
+
+def assert_canonical(r):
+    """The stored form the ring operations promise (series module
+    docstring): cleaning it again changes nothing."""
+    assert r.prec is INF or type(r.prec) is int
+    assert all(type(e) is int and e < r.prec and type(c) is int and c
+               for e, c in r.coeffs.items())
+    clean = QSeries(r.coeffs, r.prec)
+    assert (clean.coeffs, clean.prec) == (r.coeffs, r.prec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_series, any_series, st.integers(-3, 3), st.integers(-9, 9),
+       st.integers(1, 3), st.integers(0, 3), st.integers(-10, 100))
+# a sum at unequal precisions: the finer operand's t^8 is unknown at prec 4
+@example(QSeries({0: 1, 8: 3}, 10), QSeries({0: 2}, 4), 0, 0, 1, 0, 0)
+# exact times exact: INF + 0 is a new float, the product's prec is INF
+@example(QSeries({0: 1}), QSeries({1: 1}), 0, 0, 1, 2, 0)
+def test_ring_results_are_canonical(a, b, scalar, delta, s, n, cut):
+    for r in (a + b, b + a, a - b, -a, a * b, b * a, a * a, scalar * a,
+              a * scalar, a.shift(delta), a.truncate(cut),
+              a.scale_exponents(s), a ** n):
+        assert_canonical(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_series, unit_divisors(), st.integers(1, 120))
+# (1 - q^2) / (1 - q) = 1 + q: every quotient term from t^3 on is zero
+@example(QSeries({0: 1, 4: -1}), QSeries({0: 1, 2: -1}), 20)
+@example(zero(), QSeries({0: 1, 2: -1}), 20)
+def test_quotients_are_canonical(x, d, prec):
+    assert_canonical(x.divide(d, prec))
+
+
+def _layer_series(wp):
+    return _series_st(True) | st.builds(zero, st.integers(1, wp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 60), st.sampled_from([1, 2]),
+       st.sampled_from([None, 1, 2]))
+def test_convolve_layer_results_are_canonical(data, wp, den_step, b):
+    n = data.draw(st.integers(1, 6))
+    layer = data.draw(st.dictionaries(st.integers(0, n - 1), _layer_series(wp),
+                                      min_size=1))
+    own_row = data.draw(st.lists(st.none() | st.integers(-6, 30)
+                                 | _series_st(True), min_size=n, max_size=n))
+    for s in convolve_layer(layer, own_row, (den_step, b), wp).values():
+        assert_canonical(s)
 
 
 def test_divide_edge_cases():
