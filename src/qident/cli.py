@@ -148,26 +148,13 @@ def _cmd_trace_gamma(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    pred = S.SetPredicate(args.family, k=args.k, r=args.r or 0,
-                          j=args.j or 0, s=args.s or 0)
-    if args.family in ("X", "Xp", "Xpt"):
-        par = None
-        if args.family == "Xp":
-            par = (args.k + (args.r or 0) - (args.j or 0)) % 2
-        elif args.family == "Xpt":
-            par = (args.k + (args.r or 0) - (args.j or 0) + 1) % 2
-        members = S.enum_mp_family(args.k, args.j or 0, args.r or 0,
-                                   args.max_weight, parity=par)
-        payload = [M.mp_to_json(mp) for mp in members]
-    else:
-        members = S.enum_family(pred, args.max_weight)
-        payload = [list(f) for f in members]
-    if args.format == "json":
-        for row in payload:
-            print(json.dumps(row))
-    else:
-        for row in payload:
-            print(row)
+    given = {key: getattr(args, key) for key in ("k", "r", "j", "s")
+             if getattr(args, key) is not None}
+    pred = S.predicate(args.family, **given)
+    as_row = M.mp_to_json if S.FAMILIES[pred.tag].kind == S._MP else list
+    for member in S.enum_family(pred, args.max_weight):
+        row = as_row(member)
+        print(json.dumps(row) if args.format == "json" else row)
     return 0
 
 
@@ -229,9 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace_gamma)
 
     p = sub.add_parser("enumerate", help="list members of a family by weight")
-    p.add_argument("--family", required=True,
-                   choices=("A", "gordon", "Y", "Z", "Yp", "Zp", "Ypt", "Zpt",
-                            "Y_s", "Yp_s", "Ypt_s", "X", "Xp", "Xpt"))
+    p.add_argument("--family", required=True, choices=tuple(S.FAMILIES))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--j", type=int)
@@ -242,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interpret",
                        help="frequency-family generating function vs sum side")
-    p.add_argument("--theorem", required=True, choices=("1.11", "1.12", "1.13"))
+    p.add_argument("--theorem", required=True, choices=tuple(S._INTERP))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--j", type=int, required=True)

@@ -2,10 +2,11 @@
 
 The families live on two kinds of objects: frequency sequences with bounded
 adjacent sums (the image side of the insertion map) and multipartitions with
-per-partition lower bounds on the parts (the source side).  Enumeration is
-exhaustive by weight, which is cheap at desk scale because frame weights grow
-quadratically.  Generating functions obtained by enumeration are compared
-against catalog sum sides and against independent product-side oracles.
+per-partition lower bounds on the parts (the source side), all in one
+table, ``FAMILIES``.  Enumeration is exhaustive by weight, which is cheap at
+desk scale because frame weights grow quadratically.  Generating functions
+obtained by enumeration are compared against catalog sum sides and against
+independent product-side oracles.
 
 Weight/precision arguments here are in whole q-powers.
 """
@@ -13,11 +14,11 @@ Weight/precision arguments here are in whole q-powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InvalidParameters, KindMismatch, NotAMember
-from .identities import lhs_series
-from .motion import canonical, in_A, weight
+from .identities import _kr, _krj, lhs_series
+from .motion import canonical, frame_of, in_A, mp_size, weight
 from .series import QSeries
 
 
@@ -53,7 +54,7 @@ def enum_freq(k: int, max_weight: int):
     return out
 
 
-# -- membership predicates ----------------------------------------------------------
+# -- the family table ---------------------------------------------------------------
 
 
 def _pad2(f):
@@ -68,30 +69,6 @@ def parity_condition(f, k: int, target: int) -> bool:
             if (u * g[u] + (u + 1) * g[u + 1]) % 2 != target % 2:
                 return False
     return True
-
-
-def y_head_values(j: int, r: int):
-    return sorted({l + max(l - (j - r), 0) for l in range(j + 1)})
-
-
-def in_gordon(f, k: int, r: int) -> bool:
-    g = _pad2(f)
-    return in_A(f, k) and g[0] == 0 and g[1] <= k - r
-
-
-def in_Y(f, j: int, r: int, k: int) -> bool:
-    g = _pad2(f)
-    return in_A(f, k) and g[0] in y_head_values(j, r)
-
-
-def in_Z(f, j: int, r: int, k: int) -> bool:
-    g = _pad2(f)
-    return in_A(f, k) and g[0] <= j - max(g[0] + g[1] - (k - r), 0)
-
-
-def in_Y_s(f, s: int, k: int) -> bool:
-    g = _pad2(f)
-    return in_A(f, k) and g[0] == s
 
 
 def x_min_part(m: int, j: int, r: int, k: int) -> int:
@@ -113,9 +90,54 @@ def in_X(mp, j: int, r: int, k: int, parity: Optional[int] = None) -> bool:
     return True
 
 
+def _ks(k):
+    return ({"k": k, "s": s} for s in range(k + 1) if k >= 1)
+
+
+def _y_head(p, f0, f1):
+    return f0 in {l + max(l - (p.j - p.r), 0) for l in range(p.j + 1)}
+
+
+def _z_head(p, f0, f1):
+    return f0 <= p.j - max(f0 + f1 - (p.k - p.r), 0)
+
+
+def _single_head(p, f0, f1):
+    return f0 == p.s
+
+
+@dataclass(frozen=True)
+class Family:
+    kind: str                        # _FREQ or _MP
+    domain: Callable                 # k -> the valid param dicts for that k
+    head: Optional[Callable] = None  # (pred, f_0, f_1) -> bool on A_k
+    parity: Optional[int] = None     # None, or the target's shift (tilde: 1)
+
+
+_FREQ, _MP = "frequency sequence", "multipartition"
+# the multipartition rows are part-bounded by x_min_part, not head-ruled
+FAMILIES = {
+    "A": Family(_FREQ, lambda k: ({"k": k},) if k >= 1 else ()),
+    "gordon": Family(_FREQ, _kr, lambda p, f0, f1: f0 == 0 and f1 <= p.k - p.r),
+    "Y": Family(_FREQ, _krj, _y_head),
+    "Z": Family(_FREQ, _krj, _z_head),
+    "Yp": Family(_FREQ, _krj, _y_head, parity=0),
+    "Zp": Family(_FREQ, _krj, _z_head, parity=0),
+    "Ypt": Family(_FREQ, _krj, _y_head, parity=1),
+    "Zpt": Family(_FREQ, _krj, _z_head, parity=1),
+    "Y_s": Family(_FREQ, _ks, _single_head),
+    "Yp_s": Family(_FREQ, _ks, _single_head, parity=0),
+    "Ypt_s": Family(_FREQ, _ks, _single_head, parity=1),
+    "X": Family(_MP, _krj),
+    "Xp": Family(_MP, _krj, parity=0),
+    "Xpt": Family(_MP, _krj, parity=1),
+}
+
+
 @dataclass(frozen=True)
 class SetPredicate:
-    """Tagged family; ``params`` meaning depends on the tag."""
+    """A row of ``FAMILIES`` at its parameters; those the family does not
+    take stay 0.  ``predicate`` builds one inside the family's domain."""
 
     tag: str
     k: int
@@ -123,54 +145,76 @@ class SetPredicate:
     j: int = 0
     s: int = 0
 
+    def __post_init__(self):
+        if self.tag not in FAMILIES:
+            raise InvalidParameters(f"unknown family tag {self.tag!r}")
+        taken = next(iter(FAMILIES[self.tag].domain(1)))
+        if any(getattr(self, n) for n in ("r", "j", "s") if n not in taken):
+            raise InvalidParameters(f"family {self.tag} takes parameters "
+                                    f"{list(taken)}; got {self}")
+
     def member(self, obj) -> bool:
         return membership(self, obj)
 
 
-_FREQ_TAGS = ("A", "gordon", "Y", "Z", "Yp", "Zp", "Ypt", "Zpt",
-              "Y_s", "Yp_s", "Ypt_s")
-_MP_TAGS = ("X", "Xp", "Xpt")
+def predicate(tag: str, **params) -> SetPredicate:
+    """The family at params, an omitted r, j or s being 0, after checking
+    that it takes each of them and that they are a point of its domain."""
+    row = FAMILIES[tag]
+    if params.get("k", 0) < 1:
+        raise InvalidParameters("k must be at least 1")
+    point = {name: params.get(name, 0) for name in next(iter(row.domain(1)))}
+    if set(params) - set(point) or point not in row.domain(point["k"]):
+        raise InvalidParameters(f"family {tag} takes parameters "
+                                f"{list(point)} in its domain; got {params}")
+    return SetPredicate(tag, **point)
+
+
+def _parity_target(pred: SetPredicate, row: Family) -> Optional[int]:
+    """k + r - j, plus 1 on the tilde rows.  The single-head rows take
+    r = j = 0 and the others s = 0, so this is also their k - s (+1)."""
+    if row.parity is None:
+        return None
+    return pred.k + pred.r - pred.j - pred.s + row.parity
+
+
+def _meets(pred: SetPredicate, row: Family, f) -> bool:
+    """The row's head rule and parity target, on a member f of A_k."""
+    g = _pad2(f)
+    target = _parity_target(pred, row)
+    return ((row.head is None or row.head(pred, g[0], g[1]))
+            and (target is None or parity_condition(f, pred.k, target)))
 
 
 def membership(pred: SetPredicate, obj) -> bool:
-    """Exact predicate evaluation; KindMismatch for the wrong object kind."""
-    tag, k, r, j, s = pred.tag, pred.k, pred.r, pred.j, pred.s
-    if tag in _MP_TAGS:
+    """Exact predicate evaluation; KindMismatch for the wrong object kind,
+    including a frequency sequence with a negative or boolean entry."""
+    row = FAMILIES[pred.tag]
+    if row.kind == _MP:
         if not (isinstance(obj, tuple) and all(isinstance(x, tuple) for x in obj)):
-            raise KindMismatch(f"{tag} needs a multipartition")
-        if tag == "X":
-            return in_X(obj, j, r, k)
-        par = k + r - j + (1 if tag == "Xpt" else 0)
-        return in_X(obj, j, r, k, parity=par)
-    if tag not in _FREQ_TAGS:
-        raise InvalidParameters(f"unknown family tag {pred.tag!r}")
-    if not all(isinstance(x, int) for x in obj):
-        raise KindMismatch(f"{tag} needs a frequency sequence")
-    f = obj
-    if tag == "A":
-        return in_A(f, k)
-    if tag == "gordon":
-        return in_gordon(f, k, r)
-    if tag == "Y":
-        return in_Y(f, j, r, k)
-    if tag == "Z":
-        return in_Z(f, j, r, k)
-    if tag == "Y_s":
-        return in_Y_s(f, s, k)
-    if tag == "Yp_s":
-        return in_Y_s(f, s, k) and parity_condition(f, k, k - s)
-    if tag == "Ypt_s":
-        return in_Y_s(f, s, k) and parity_condition(f, k, k - s + 1)
-    base = in_Y(f, j, r, k) if tag.startswith("Y") else in_Z(f, j, r, k)
-    par = k + r - j + (1 if tag.endswith("t") else 0)
-    return base and parity_condition(f, k, par)
+            raise KindMismatch(f"{pred.tag} needs a multipartition")
+        return in_X(obj, pred.j, pred.r, pred.k, _parity_target(pred, row))
+    if not all(type(x) is int and x >= 0 for x in obj):
+        raise KindMismatch(f"{pred.tag} needs a frequency sequence")
+    return in_A(obj, pred.k) and _meets(pred, row, obj)
+
+
+def in_Y(f, j: int, r: int, k: int) -> bool:
+    return membership(SetPredicate("Y", k=k, r=r, j=j), f)
+
+
+def in_Z(f, j: int, r: int, k: int) -> bool:
+    return membership(SetPredicate("Z", k=k, r=r, j=j), f)
 
 
 def enum_family(pred: SetPredicate, max_weight: int):
-    """All members of a frequency-sequence family up to the given weight."""
-    if pred.tag in _MP_TAGS:
-        raise KindMismatch("use enum_mp_family for multipartition families")
-    return [f for f in enum_freq(pred.k, max_weight) if membership(pred, f)]
+    """All members up to the given weight (``mp_total_size`` for an X row)."""
+    row = FAMILIES[pred.tag]
+    if row.kind == _MP:
+        return enum_mp_family(pred.k, pred.j, pred.r, max_weight,
+                              _parity_target(pred, row))
+    # enum_freq gives members of A_k only: the head and parity rules decide
+    return [f for f in enum_freq(pred.k, max_weight) if _meets(pred, row, f)]
 
 
 # -- multipartition enumeration ------------------------------------------------------
@@ -243,24 +287,12 @@ def enum_mp_family(k: int, j: int, r: int, max_size: int,
 
 
 def phi(j: int, r: int, k: int, f) -> tuple:
-    """Rewrite f_0 to carry a Y-family member onto the Z family."""
+    """Rewrite f_0 to carry a Y-family member onto the Z family: a head
+    2l - (j - r) above j - r, with l in the Z head range, becomes l."""
     if not in_Y(f, j, r, k):
         raise NotAMember("phi needs a member of the Y family")
-    g = _pad2(f)
-    f0 = g[0]
-    if j >= r:
-        if f0 <= j - r:
-            f0p = f0
-        else:
-            l = f0 - (j - r)
-            if l % 2 or not 1 <= l // 2 <= r:
-                raise NotAMember(f"head value {f0} outside the Y head set")
-            f0p = j - r + l // 2
-    else:
-        l = f0 - (r - j)
-        if l % 2 or not 0 <= l // 2 <= j:
-            raise NotAMember(f"head value {f0} outside the Y head set")
-        f0p = l // 2
+    f0 = _pad2(f)[0]
+    f0p = f0 if f0 <= j - r else (f0 + j - r) // 2
     return canonical([f0p] + list(f[1:]))
 
 
@@ -268,20 +300,8 @@ def pi(j: int, r: int, k: int, g) -> tuple:
     """Inverse of phi: Z family back to the Y family."""
     if not in_Z(g, j, r, k):
         raise NotAMember("pi needs a member of the Z family")
-    gg = _pad2(g)
-    g0 = gg[0]
-    if j >= r:
-        if g0 <= j - r:
-            g0p = g0
-        else:
-            l = g0 - (j - r)
-            if not 1 <= l <= r:
-                raise NotAMember(f"head value {g0} outside the Z head range")
-            g0p = j - r + 2 * l
-    else:
-        if not 0 <= g0 <= j:
-            raise NotAMember(f"head value {g0} outside the Z head range")
-        g0p = r - j + 2 * g0
+    g0 = _pad2(g)[0]
+    g0p = g0 if g0 <= j - r else 2 * g0 - (j - r)
     return canonical([g0p] + list(g[1:]))
 
 
@@ -299,17 +319,12 @@ def gf_members(members, max_weight: int, weight_fn=weight) -> QSeries:
 
 
 def gf_family(pred: SetPredicate, max_weight: int) -> QSeries:
-    return gf_members(enum_family(pred, max_weight), max_weight)
+    size = mp_total_size if FAMILIES[pred.tag].kind == _MP else weight
+    return gf_members(enum_family(pred, max_weight), max_weight, size)
 
 
 def mp_total_size(mp) -> int:
-    from .motion import frame_of, mp_size
     return mp_size(mp) + weight(frame_of(mp))
-
-
-def gf_mp_family(k, j, r, max_size, parity=None) -> QSeries:
-    return gf_members(enum_mp_family(k, j, r, max_size, parity), max_size,
-                      weight_fn=mp_total_size)
 
 
 def oracle_mod_partitions(modulus: int, excluded, max_weight: int) -> QSeries:
@@ -373,11 +388,10 @@ def check_ztilde_relation(k: int, r: int, j: int,
     difference sets.  Enumerative, weight-bounded, r >= 1 required."""
     if r < 1:
         raise InvalidParameters("r >= 1 required (r - 1 must stay defined)")
-    if k < 1 or j < 0 or r + j > k:
-        raise InvalidParameters(f"need k>=1, j>=0, r+j<=k; got {k=} {r=} {j=}")
     W = max_weight
-    zt = set(enum_family(SetPredicate("Zpt", k=k, r=r, j=j), W))
+    zt = set(enum_family(predicate("Zpt", k=k, r=r, j=j), W))
     zm = set(enum_family(SetPredicate("Zp", k=k, r=r - 1, j=j), W))
+    # at r + j = k this neighbour is outside the domain, and empty when j = 0
     zp = set(enum_family(SetPredicate("Zp", k=k, r=r + 1, j=j), W))
     if not zp <= zt or not zt <= zm:
         return SetReport(False, None, "inclusion chain fails")
@@ -388,10 +402,9 @@ def check_ztilde_relation(k: int, r: int, j: int,
         return SetReport(False, e, "three-term gf relation fails")
     # weight-(-1) shift bijection from Z'_{j,r-1,k} minus the tilde family
     # onto the tilde family minus Z'_{j,r+1,k}
-    src = [f for f in zm - zt]
-    dst = {f for f in zt - zp}
+    dst = zt - zp
     seen = set()
-    for f in src:
+    for f in zm - zt:
         g = _pad2(f)
         if g[1] < 1:
             return SetReport(False, None, f"shift map undefined on {f}")

@@ -286,16 +286,16 @@ def test_criterion_7b_multipartition_gf_and_head_bijections():
             for j in range(0, k - r + 1):
                 W = 18
                 ref = I.lhs_series("stanton_32", {"k": k, "r": r, "j": j}, W)
-                gfX = S.gf_mp_family(k, j, r, W)
+                gfX = S.gf_family(S.SetPredicate("X", k=k, r=r, j=j), W)
                 if gfX.equal_up_to(ref.truncate(2 * W + 1), 2 * W + 1) != (True, None):
                     bad.append(("X", k, r, j))
                 ref = I.lhs_series("stanton_42", {"k": k, "r": r, "j": j}, W)
-                gfXp = S.gf_mp_family(k, j, r, W, parity=(k + r - j) % 2)
+                gfXp = S.gf_family(S.SetPredicate("Xp", k=k, r=r, j=j), W)
                 if gfXp.equal_up_to(ref.truncate(2 * W + 1), 2 * W + 1) != (True, None):
                     bad.append(("Xp", k, r, j))
                 ref = I.lhs_series("nonbinom_kursungoz",
                                    {"k": k, "r": r, "j": j}, W)
-                gfXpt = S.gf_mp_family(k, j, r, W, parity=(k + r - j + 1) % 2)
+                gfXpt = S.gf_family(S.SetPredicate("Xpt", k=k, r=r, j=j), W)
                 if gfXpt.equal_up_to(ref.truncate(2 * W + 1), 2 * W + 1) != (True, None):
                     bad.append(("Xpt", k, r, j))
                 for f in S.enum_family(S.SetPredicate("Y", k=k, r=r, j=j), 20):

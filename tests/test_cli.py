@@ -220,6 +220,21 @@ def test_enumerate_rejects_k_below_one(capsys):
         assert err.startswith("error:") and "k must be" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("A", "--k", "2", "--r", "5", "--s", "9", "--max-weight", "2"),
+    ("Xp", "--k", "2", "--s", "4", "--max-weight", "2"),
+    ("Z", "--k", "2", "--r", "3", "--j", "2", "--max-weight", "3"),
+    ("Y_s", "--k", "2", "--s", "7"),
+    ("gordon", "--k", "2", "--r", "7", "--max-weight", "3"),
+    ("Y", "--k", "2", "--j", "-1", "--max-weight", "3"),
+])
+def test_enumerate_rejects_parameters_outside_the_family(capsys, argv):
+    rc, out, err = run(capsys, "enumerate", "--family", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: family {argv[0]} takes parameters [")
+    assert err.count("\n") == 1
+
+
 def test_trace_non_integer_input(capsys):
     for cmd, text in (("trace-lambda", "[[1.5]]"), ("trace-gamma", "[1.5]")):
         rc, _, err = run(capsys, cmd, "--input", text)

@@ -29,7 +29,7 @@ def test_enum_freq_small():
 def test_enumerators_reject_bad_k_and_weight_bounds():
     for call in (lambda: S.enum_mp_family(0, 0, 0, 12),
                  lambda: S.enum_mp_family(2, 0, 0, -1),
-                 lambda: S.gf_mp_family(0, 0, 0, 5),
+                 lambda: S.gf_family(S.SetPredicate("X", k=0), 5),
                  lambda: S.enum_freq(0, 5),
                  lambda: S.enum_freq(2, -3)):
         with pytest.raises(InvalidParameters):
@@ -73,6 +73,31 @@ def test_membership_examples():
         S.membership(S.SetPredicate("X", k=1), (1, 0))
     with pytest.raises(InvalidParameters):
         S.membership(S.SetPredicate("nope", k=1), (1,))
+    with pytest.raises(InvalidParameters):
+        S.SetPredicate("Yp", k=2, r=1, j=1, s=1)    # Yp does not take s
+    # a negative or boolean entry is not a frequency sequence
+    for pred, obj in ((S.SetPredicate("A", k=2), (-5, 2)),
+                      (S.SetPredicate("Z", k=2, r=1, j=1), (-5, 2)),
+                      (S.SetPredicate("Y_s", k=2, s=-5), (-5, 2)),
+                      (S.SetPredicate("A", k=2), (True, 1))):
+        with pytest.raises(KindMismatch):
+            S.membership(pred, obj)
+
+
+FREQ_TAGS = [tag for tag, row in S.FAMILIES.items()
+             if row.kind == "frequency sequence"]
+
+
+@pytest.mark.parametrize("tag", FREQ_TAGS)
+def test_enum_family_filters_like_membership(tag):
+    # the enumeration reads the head and parity rules without the kind and
+    # A_k checks, and must keep exactly the members, in enum_freq's order
+    for k in (1, 2, 3):
+        cands = S.enum_freq(k, 12)
+        for point in S.FAMILIES[tag].domain(k):
+            pred = S.SetPredicate(tag, **point)
+            assert S.enum_family(pred, 12) == [
+                f for f in cands if S.membership(pred, f)], point
 
 
 def test_parity_condition_includes_position_zero():
@@ -210,14 +235,15 @@ def test_interpretations_small():
 def test_ztilde_relation_small():
     rep = S.check_ztilde_relation(3, 1, 1, 14)
     assert rep.equal, rep
-    with pytest.raises(InvalidParameters):
-        S.check_ztilde_relation(3, 0, 1, 10)
+    for k, r, j in ((3, 0, 1), (0, 1, 0), (3, 1, -1), (3, 2, 2)):
+        with pytest.raises(InvalidParameters):
+            S.check_ztilde_relation(k, r, j, 10)
 
 
 def test_x_family_gf_matches_multisum():
     for (k, r, j) in ((2, 1, 1), (3, 1, 1), (2, 0, 2)):
         W = 14
-        gfX = S.gf_mp_family(k, j, r, W)
+        gfX = S.gf_family(S.SetPredicate("X", k=k, r=r, j=j), W)
         ref = I.lhs_series("stanton_32", {"k": k, "r": r, "j": j}, W)
         assert gfX.equal_up_to(ref.truncate(2 * W + 1), 2 * W + 1) == (True, None)
 
