@@ -493,6 +493,12 @@ def check_corolattice(p: BaileyPair, k: int, r: int,
                       [(q2, l) for q2, l, _ in pervar], term, tp)
 
 
+def _check_krj(k: int, r: int, j: int):
+    """The (k, r, j) domain of the star chains and their consequences."""
+    if k < 1 or r < 0 or j < 0 or r + j > k:
+        raise ParameterOutOfRange(f"need k>=1, r,j>=0, r+j<=k; got {k=} {r=} {j=}")
+
+
 def check_coro2(p: BaileyPair, k: int, r: int, j: int,
                 prec: Optional[int] = None):
     """Two-sided check of the double-lattice consequence (no boundary factors).
@@ -502,8 +508,7 @@ def check_coro2(p: BaileyPair, k: int, r: int, j: int,
     bracket sum_{i<=j}(aq^(2l-1))^i - a^(k+1-r) q^((2k+2-2r)l-j)
     sum_{i<=j}(aq^(2l+1))^i over 1 - a q^(2l).
     """
-    if k < 1 or r < 0 or j < 0 or r + j > k:
-        raise ParameterOutOfRange(f"need k>=1, r,j>=0, r+j<=k; got {k=} {r=} {j=}")
+    _check_krj(k, r, j)
     a = p.a
     if a.sign != 1 or a.e == 0:
         raise DegenerateDivision(
@@ -539,9 +544,7 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
     (x)_l / x^l -> (-1)^l q^(l(l-1)/2), (y/x)_m -> 1, and
     (1 - x q^l)/(x - a q^(l-1)) -> -q^l.
     """
-    if k < 1 or not (0 <= r <= k) or not (0 <= j <= k) or r + j > k:
-        raise ParameterOutOfRange(
-            f"need k>=1, 0<=r,j<=k, r+j<=k; got {k=} {r=} {j=}")
+    _check_krj(k, r, j)
     if b == INFINITY and c == INFINITY:
         raise UnsupportedBoundary("b and c cannot both be infinite")
     a = p.a
@@ -676,8 +679,7 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
     """
     if p.a != Q:
         raise ParameterOutOfRange("this identity is stated for pairs relative q")
-    if k < 1 or r < 0 or j < 0 or r + j > k:
-        raise ParameterOutOfRange(f"need k>=1, r,j>=0, r+j<=k; got {k=} {r=} {j=}")
+    _check_krj(k, r, j)
     T = frozenset(range(1, j + 1)) if subset is None else frozenset(subset)
     universe = {1} | set(range(2, k - r + 1))
     if len(T) != j or not T <= universe:
@@ -723,8 +725,7 @@ def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
 
 def star_chain(k: int, r: int, j: int):
     """Step list for the star route: BL x (r+1), KEY1, BL x (k-r-j), STAR1 x j."""
-    if k < 1 or r < 0 or j < 0 or r + j > k:
-        raise ParameterOutOfRange(f"invalid chain parameters {k=} {r=} {j=}")
+    _check_krj(k, r, j)
     return (["BL_INF"] * (r + 1) + ["KEY1"] + ["BL_INF"] * (k - r - j)
             + ["STAR1"] * j)
 

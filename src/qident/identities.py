@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite, triple_product)
-from .series import ONE, QSeries, one, zero
+from .series import QSeries, one, zero
 from .sumeval import multisum, summation_bound
 
 
@@ -44,11 +44,11 @@ class SumSide:
     pervar: tuple                      # (quad, lin) per variable
     den_step: int                      # t-step of (.)_{s_i - s_{i+1}}
     last_step: int                     # t-step of the final (.)_{s_k}
-    subset: frozenset = frozenset()    # binomial factor positions
-    binom_step: int = 0                # t-step inside those factors
-    head: Optional[str] = None         # "neg_one" | "odd_gg"
-    tail: Optional[str] = None         # "bgg" | "slater2"
-    prefactor: Optional[str] = None    # "one_plus_q" | "one_plus_sqrt_q"
+    subset: frozenset = frozenset()    # T: 1 is t^(-b s_1), g > 1 a binomial
+    binom_step: int = 0                # b, the t-step of those factors
+    head: Optional[tuple] = None       # (SM, base_t): (x; .)_{s_1} multiplied
+    tail: Optional[str] = None         # "bgg" | "slater2", factors on s_k
+    prefactor: tuple = ()              # exact poly as pair-tuple, () for 1
 
 
 @dataclass(frozen=True)
@@ -65,47 +65,33 @@ class ProductSide:
 def eval_sum(side: SumSide, qprec: int) -> QSeries:
     """Exact truncation of the sum side to q-order qprec."""
     tp = tgrid(qprec)
+    k, head, b = side.k, side.head, side.binom_step
 
-    def head_factory(v):
-        if side.head == "neg_one":
-            return poch_finite(NEG_ONE, 2, v)
-        if side.head == "odd_gg":
-            return poch_finite(SM(-1, 2), 4, v)
-        return ONE
-
-    def last_factory(v):
+    def last(v):
         out = inv_poch_finite(SM(1, side.last_step), side.last_step, v, tp)
         if side.tail == "bgg":
             out = out * poch_infinite(SM(-1, 2 + 4 * v), 4, tp)
         elif side.tail == "slater2":
             out = out.divide(poch_finite(SM(-1, 1), 2, v), tp)
-        return out
+        # at k = 1 the last variable is s_1, which carries the head too
+        return out if k > 1 or head is None else poch_finite(*head, v) * out
 
-    pervar = []
-    for i in range(1, side.k + 1):
-        quad, lin = side.pervar[i - 1]
-        factories = []
-        if i == 1 and side.head is not None:
-            factories.append(head_factory)
-        if i == side.k:
-            factories.append(last_factory)
-        if not factories:
-            extra = None
-        elif len(factories) == 1:
-            extra = factories[0]
-        else:
-            f1, f2 = factories
-            extra = lambda v: f1(v) * f2(v)
-        pervar.append((quad, lin, extra))
-    gaps = [(side.den_step,
-             side.binom_step if (g + 1) in side.subset else None)
-            for g in range(1, side.k)]
+    extras = [None] * k
+    if head is not None:
+        extras[0] = lambda v: poch_finite(*head, v)
+    extras[-1] = last
+    pervar = [(quad, lin, extra)
+              for (quad, lin), extra in zip(side.pervar, extras)]
+    if 1 in side.subset:        # element 1 of T: the plain factor t^(-b s_1)
+        quad, lin, extra = pervar[0]
+        pervar[0] = (quad, lin - b, extra)
+    # element g > 1 of T: the binomial factor of the gap s_(g-1), s_g
+    gaps = [(side.den_step, b if g in side.subset else None)
+            for g in range(2, k + 1)]
     # the extras are Pochhammer quotients of valuation >= 0
     out = multisum(pervar, gaps, tp, vmax=summation_bound(pervar, gaps, tp))
-    if side.prefactor == "one_plus_q":
-        out = out * QSeries([(0, 1), (2, 1)])
-    elif side.prefactor == "one_plus_sqrt_q":
-        out = out * QSeries([(0, 1), (1, 1)])
+    if side.prefactor:
+        out = out * QSeries(list(side.prefactor))
     return out.truncate(tp)
 
 
@@ -136,7 +122,7 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
 # -- catalog -------------------------------------------------------------------
 
 INV_Q_INF = ((Q, 2),)
-ONE_PLUS_Q = (((0, 1), (2, 1)),)
+ONE_PLUS_Q = ((0, 1), (2, 1))
 
 
 def _kr(k):
@@ -190,37 +176,17 @@ def _lin_std(k, scale, j_sub=0, r_add=0, last_extra=0):
     return tuple(out)
 
 
-def _slater_pervar(k, r, j):
-    """First variable carries s(s+1)/2 and the rest ordinary squares."""
-    out = []
-    for i in range(1, k + 1):
-        if i == 1:
-            quad, lin = 1, 1
-        else:
-            quad, lin = 2, 0
-        if i <= j:
-            lin -= 2
-        if i > k - r:
-            lin += 2
-        out.append((quad, lin))
-    return tuple(out)
+def _half_first(pervar):
+    """s_1^2 becomes s_1(s_1+1)/2: half of the first quad moves to its lin."""
+    (quad, lin), *rest = pervar
+    return ((quad // 2, lin + quad // 2), *rest)
 
 
-def _kur_lin(k, r, j_sub=0):
-    """Kursungoz shape: sum_{i=k-r+1}^{k} s_i plus one extra s_k (so the
-    final variable carries 2 s_k when r >= 1 and s_k when r = 0), minus the
-    first j_sub variables."""
-    out = []
-    for i in range(1, k + 1):
-        lin = 0
-        if i <= j_sub:
-            lin -= 2
-        if k - r + 1 <= i <= k:
-            lin += 2
-        if i == k:
-            lin += 2
-        out.append((2, lin))
-    return tuple(out)
+def _theta(j, binom, step, *heads):
+    """Theta terms (C(j, s) or 1, shift, A + step*s) for s = 0..j, with every
+    (shift, A) of heads for each s."""
+    return tuple((comb(j, s) if binom else 1, shift, A + step * s)
+                 for s in range(j + 1) for shift, A in heads)
 
 
 def _catalog() -> dict:
@@ -244,8 +210,8 @@ def _catalog() -> dict:
     add("bressoud_33", _kj,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 1, j_sub=p["j"]), 2, 2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
-                              tuple((1, 0, 2 * (p["k"] + 2 - p["j"] + 2 * s))
-                                    for s in range(p["j"] + 1)),
+                              _theta(p["j"], False, 4,
+                                     (0, 2 * (p["k"] + 2 - p["j"]))),
                               den_inf=INV_Q_INF))
 
     add("bressoud_even", _kr,
@@ -257,51 +223,35 @@ def _catalog() -> dict:
     add("bressoud_35", _kj,
         lambda p: SumSide(p["k"], _lin_std(p["k"], 1, j_sub=p["j"]), 2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              tuple((1, 0, 2 * (p["k"] + 1 + p["j"] - 2 * s))
-                                    for s in range(p["j"] + 1)),
+                              _theta(p["j"], False, -4,
+                                     (0, 2 * (p["k"] + 1 + p["j"]))),
                               den_inf=INV_Q_INF))
 
     add("kursungoz_0", _kr,
-        lambda p: SumSide(p["k"], _kur_lin(p["k"], p["r"]), 2, 4,
-                          prefactor="one_plus_q"),
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 1, r_add=p["r"],
+                                           last_extra=1), 2, 4,
+                          prefactor=ONE_PLUS_Q),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               ((1, 0, 2 * (p["k"] + p["r"])),
                                (1, 2, 2 * (p["k"] + 2 + p["r"]))),
                               den_inf=INV_Q_INF))
 
     add("kursungoz_j", _kj,
-        lambda p: SumSide(p["k"],
-                          tuple((2, (-2 if i <= p["j"] else 0)
-                                 + (2 if i == p["k"] else 0))
-                                for i in range(1, p["k"] + 1)),
-                          2, 4),
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 1, j_sub=p["j"],
+                                           last_extra=1), 2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              tuple((1, 0, 2 * (p["k"] - p["j"] + 2 * s))
-                                    for s in range(p["j"] + 1)),
+                              _theta(p["j"], False, 4,
+                                     (0, 2 * (p["k"] - p["j"]))),
                               den_inf=INV_Q_INF))
 
     # -- Stanton-type rows ----------------------------------------------------
 
-    def binom_pervar(base, T, step):
-        out = list(base)
-        if 1 in T:
-            quad, lin = out[0]
-            out[0] = (quad, lin - step)
-        return tuple(out)
-
-    def odd_terms(A_of_s, j, binom):
-        return tuple((comb(j, s) if binom else 1, 0, A_of_s(s))
-                     for s in range(j + 1))
-
     add("stanton_31", _krjT,
-        lambda p: SumSide(p["k"],
-                          binom_pervar(_lin_std(p["k"], 1, r_add=p["r"]),
-                                       frozenset(p["T"]), 2),
-                          2, 2, subset=frozenset(p["T"]), binom_step=2),
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 1, r_add=p["r"]), 2, 2,
+                          subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
-                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
-                                                       + p["j"] - 2 * s),
-                                        p["j"], True),
+                              _theta(p["j"], True, -4,
+                                     (0, 2 * (p["k"] + 1 - p["r"] + p["j"]))),
                               den_inf=INV_Q_INF))
 
     add("stanton_32", _krj,
@@ -309,20 +259,16 @@ def _catalog() -> dict:
                           _lin_std(p["k"], 1, j_sub=p["j"], r_add=p["r"]),
                           2, 2),
         lambda p: ProductSide(2 * (2 * p["k"] + 3),
-                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
-                                                       + p["j"] - 2 * s),
-                                        p["j"], False),
+                              _theta(p["j"], False, -4,
+                                     (0, 2 * (p["k"] + 1 - p["r"] + p["j"]))),
                               den_inf=INV_Q_INF))
 
     add("stanton_41", _krjT,
-        lambda p: SumSide(p["k"],
-                          binom_pervar(_lin_std(p["k"], 1, r_add=p["r"]),
-                                       frozenset(p["T"]), 2),
-                          2, 4, subset=frozenset(p["T"]), binom_step=2),
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 1, r_add=p["r"]), 2, 4,
+                          subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
-                                                       + p["j"] - 2 * s),
-                                        p["j"], True),
+                              _theta(p["j"], True, -4,
+                                     (0, 2 * (p["k"] + 1 - p["r"] + p["j"]))),
                               den_inf=INV_Q_INF))
 
     add("stanton_42", _krj,
@@ -330,40 +276,34 @@ def _catalog() -> dict:
                           _lin_std(p["k"], 1, j_sub=p["j"], r_add=p["r"]),
                           2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              odd_terms(lambda s: 2 * (p["k"] + 1 - p["r"]
-                                                       + p["j"] - 2 * s),
-                                        p["j"], False),
+                              _theta(p["j"], False, -4,
+                                     (0, 2 * (p["k"] + 1 - p["r"] + p["j"]))),
                               den_inf=INV_Q_INF))
 
-    def kur_terms(k, r, j, binom):
-        out = []
-        for s in range(j + 1):
-            w = comb(j, s) if binom else 1
-            out.append((w, 0, 2 * (k + 2 - r + j - 2 * s)))
-            out.append((w, 2, 2 * (k - r + j - 2 * s)))
-        return tuple(out)
-
     add("binom_kursungoz", _krjT,
-        lambda p: SumSide(p["k"],
-                          binom_pervar(_kur_lin(p["k"], p["r"]),
-                                       frozenset(p["T"]), 2),
-                          2, 4, subset=frozenset(p["T"]), binom_step=2),
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 1, r_add=p["r"],
+                                           last_extra=1), 2, 4,
+                          subset=frozenset(p["T"]), binom_step=2),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              kur_terms(p["k"], p["r"], p["j"], True),
-                              den_inf=INV_Q_INF, den_units=ONE_PLUS_Q))
+                              _theta(p["j"], True, -4,
+                                     (0, 2 * (p["k"] + 2 - p["r"] + p["j"])),
+                                     (2, 2 * (p["k"] - p["r"] + p["j"]))),
+                              den_inf=INV_Q_INF, den_units=(ONE_PLUS_Q,)))
 
     add("nonbinom_kursungoz", _krj,
-        lambda p: SumSide(p["k"], _kur_lin(p["k"], p["r"], j_sub=p["j"]),
-                          2, 4),
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 1, j_sub=p["j"],
+                                           r_add=p["r"], last_extra=1), 2, 4),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
-                              kur_terms(p["k"], p["r"], p["j"], False),
-                              den_inf=INV_Q_INF, den_units=ONE_PLUS_Q))
+                              _theta(p["j"], False, -4,
+                                     (0, 2 * (p["k"] + 2 - p["r"] + p["j"])),
+                                     (2, 2 * (p["k"] - p["r"] + p["j"]))),
+                              den_inf=INV_Q_INF, den_units=(ONE_PLUS_Q,)))
 
     # -- Gollnitz-Gordon family -------------------------------------------------
 
     add("gollnitz_gordon", lambda k: ({"variant": v} for v in (1, 2)),
         lambda p: SumSide(1, ((2, 0 if p["variant"] == 1 else 4),), 4, 4,
-                          head="odd_gg"),
+                          head=(SM(-1, 2), 4)),
         lambda p: ProductSide(
             den_inf=((SM(1, 2 if p["variant"] == 1 else 6), 16),
                      (SM(1, 8), 16),
@@ -373,28 +313,21 @@ def _catalog() -> dict:
         lambda p: SumSide(p["k"], _lin_std(p["k"], 2, j_sub=p["j"]), 4, 4,
                           tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
-                              tuple((1, 0, 2 * (2 * p["k"] + 1 - 2 * p["j"]
-                                                + 2 * s))
-                                    for s in range(p["j"] + 1)),
+                              _theta(p["j"], False, 4,
+                                     (0, 2 * (2 * p["k"] + 1 - 2 * p["j"]))),
                               num_inf=((SM(-1, 2), 4),),
                               den_inf=((SM(1, 4), 4),)))
 
-    def bgg_terms(k, r, j, binom):
-        out = []
-        for s in range(j + 1):
-            w = comb(j, s) if binom else 1
-            out.append((w, 0, 2 * (2 * k + 3 - 2 * r + 2 * j - 4 * s)))
-            out.append((w, 2, 2 * (2 * k + 1 - 2 * r + 2 * j - 4 * s)))
-        return tuple(out)
-
     add("binom_bgg", _krjT,
-        lambda p: SumSide(p["k"],
-                          binom_pervar(_lin_std(p["k"], 2, r_add=p["r"]),
-                                       frozenset(p["T"]), 4),
-                          4, 4, subset=frozenset(p["T"]), binom_step=4,
+        lambda p: SumSide(p["k"], _lin_std(p["k"], 2, r_add=p["r"]), 4, 4,
+                          subset=frozenset(p["T"]), binom_step=4,
                           tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
-                              bgg_terms(p["k"], p["r"], p["j"], True),
+                              _theta(p["j"], True, -8,
+                                     (0, 2 * (2 * p["k"] + 3 - 2 * p["r"]
+                                              + 2 * p["j"])),
+                                     (2, 2 * (2 * p["k"] + 1 - 2 * p["r"]
+                                              + 2 * p["j"]))),
                               num_inf=((SM(-1, 6), 4),),
                               den_inf=((SM(1, 4), 4),)))
 
@@ -403,7 +336,11 @@ def _catalog() -> dict:
                           _lin_std(p["k"], 2, j_sub=p["j"], r_add=p["r"]),
                           4, 4, tail="bgg"),
         lambda p: ProductSide(2 * (4 * p["k"] + 4),
-                              bgg_terms(p["k"], p["r"], p["j"], False),
+                              _theta(p["j"], False, -8,
+                                     (0, 2 * (2 * p["k"] + 3 - 2 * p["r"]
+                                              + 2 * p["j"])),
+                                     (2, 2 * (2 * p["k"] + 1 - 2 * p["r"]
+                                              + 2 * p["j"]))),
                               num_inf=((SM(-1, 6), 4),),
                               den_inf=((SM(1, 4), 4),)))
 
@@ -423,8 +360,9 @@ def _catalog() -> dict:
                      for s in range(2 * j + 1) for t in range(2 * r + 1))
 
     add("new_slater", _krj,
-        lambda p: SumSide(p["k"], _slater_pervar(p["k"], p["r"], p["j"]),
-                          2, 2, head="neg_one"),
+        lambda p: SumSide(p["k"], _half_first(_lin_std(
+                              p["k"], 1, j_sub=p["j"], r_add=p["r"])),
+                          2, 2, head=(NEG_ONE, 2)),
         lambda p: ProductSide(2 * (2 * p["k"] + 2),
                               slater_terms(p["k"], p["r"], p["j"]),
                               num_inf=((SM(-1, 2), 2),),
@@ -444,9 +382,10 @@ def _catalog() -> dict:
 
     # r >= 1: the r = 0 branch relies on an external result
     add("new_slater2", lambda k: _krj(k, r_min=1),
-        lambda p: SumSide(p["k"], _slater_pervar(p["k"], p["r"], p["j"]),
-                          2, 2, head="neg_one", tail="slater2",
-                          prefactor="one_plus_sqrt_q"),
+        lambda p: SumSide(p["k"], _half_first(_lin_std(
+                              p["k"], 1, j_sub=p["j"], r_add=p["r"])),
+                          2, 2, head=(NEG_ONE, 2), tail="slater2",
+                          prefactor=((0, 1), (1, 1))),
         lambda p: ProductSide(2 * (2 * p["k"] + 1),
                               slater2_terms(p["k"], p["r"], p["j"]),
                               num_inf=((SM(-1, 2), 2),),

@@ -34,10 +34,6 @@ def weight(f) -> int:
     return sum(i * x for i, x in enumerate(f))
 
 
-def length(f) -> int:
-    return sum(f)
-
-
 def max_adjacent_sum(f) -> int:
     f = list(f) + [0]
     return max((f[i] + f[i + 1] for i in range(len(f) - 1)), default=0)

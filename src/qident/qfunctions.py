@@ -81,14 +81,14 @@ ONE_M = SM(1, 0)
 NEG_ONE = SM(-1, 0)
 
 
-# The caches below are keyed on prec, so they are bounded: a long session
+# The caches below are bounded: most are keyed on prec, and a long session
 # that sweeps many orders would otherwise keep every product it ever built.
 @lru_cache(maxsize=1024)
-def poch_finite(x: SM, base: int, n: int, prec=INF) -> QSeries:
-    """(x; q^(base/2))_n = prod_{i<n} (1 - sign * t^(e + i*base)), truncated."""
+def poch_finite(x: SM, base: int, n: int) -> QSeries:
+    """(x; q^(base/2))_n = prod_{i<n} (1 - sign * t^(e + i*base)), exact."""
     if n < 0:
         raise NegativeIndex("negative Pochhammer index is out of scope")
-    out = one(prec)
+    out = ONE
     for i in range(n):
         out = out * QSeries([(0, 1), (x.e + i * base, -x.sign)], INF)
     return out

@@ -273,6 +273,7 @@ def enum_mp_family(k: int, j: int, r: int, max_size: int,
                     assemble(m + 1, left - sum(lam), acc)
                     acc.pop()
             assemble(0, budget, [])
+            del assemble    # each refers to itself through its cell
             return
         for v in range(prev, -1, -1):
             if v * v - v <= max_size:
@@ -280,6 +281,7 @@ def enum_mp_family(k: int, j: int, r: int, max_size: int,
 
     for s1 in range(smax + 1):
         rec_shapes(2, s1, [s1])
+    del rec_shapes      # the same cycle, one level out
     return out
 
 

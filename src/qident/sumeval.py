@@ -51,7 +51,7 @@ PrecisionExceeded.
 
 from __future__ import annotations
 
-from .errors import InsufficientDepth, PrecisionExceeded
+from .errors import PrecisionExceeded
 from .series import INF, QSeries, kron_pack, kron_unpack, monomial, zero
 from .qfunctions import SM, inv_poch_finite
 
@@ -71,7 +71,7 @@ def quad_min(quad: int, lin: int) -> int:
     return min(quad * v * v + lin * v, quad * (v + 1) ** 2 + lin * (v + 1))
 
 
-def var_bound(pervar, tprec, hard_cap=None) -> int:
+def var_bound(pervar, tprec) -> int:
     """Smallest V so that any tuple containing a value >= V only contributes
     at or above tprec.  pervar entries are (quad, lin_min) with lin_min the
     most negative linear coefficient the variable can see (binomial branches
@@ -79,15 +79,9 @@ def var_bound(pervar, tprec, hard_cap=None) -> int:
     minima = [quad_min(quad, lin) for quad, lin in pervar]
     relief = sum(minima)
     v = 0
-    while True:
-        ok = all(quad * v * v + lin * v + (relief - minima[i]) >= tprec
-                 for i, (quad, lin) in enumerate(pervar))
-        if ok:
-            break
+    while not all(quad * v * v + lin * v + (relief - minima[i]) >= tprec
+                  for i, (quad, lin) in enumerate(pervar)):
         v += 1
-        if hard_cap is not None and v > hard_cap:
-            raise InsufficientDepth(
-                f"need summation values up to {v} but only {hard_cap} available")
     return v
 
 

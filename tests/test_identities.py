@@ -1,6 +1,8 @@
 """Catalog rows, evaluators, parameter validation, and reduction relations."""
 
 import concurrent.futures
+import hashlib
+import json
 import os
 import signal
 
@@ -212,6 +214,18 @@ def test_report_json_shape():
     assert blob["equal"] is True and blob["first_mismatch"] is None
     assert set(blob) == {"name", "params", "prec", "equal", "first_mismatch",
                          "elapsed_ms"}
+
+
+def test_catalog_sides_are_pinned():
+    # both sides exactly, not only their agreement: a change that alters
+    # the two sides alike (a prefactor moved, say) still shows here
+    h = hashlib.sha256()
+    for name, params in I.catalog_rows(3):
+        sides = [I.lhs_series(name, params, 20).to_json(),
+                 I.rhs_series(name, params, 20).to_json()]
+        h.update(json.dumps([name, params, sides], sort_keys=True).encode())
+    assert h.hexdigest() == ("fe22e88be82d568586ad82dfd9a4d8a1"
+                             "ffc533b0b67c4a87831723f59eb7017a")
 
 
 def test_sweep_small_and_corruption_detection():

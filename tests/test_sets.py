@@ -41,6 +41,7 @@ def test_enum_freq_result_is_freed_without_the_cycle_collector():
     try:
         # one reference from the call's argument, one from getrefcount
         assert sys.getrefcount(S.enum_freq(2, 8)) == 2
+        assert sys.getrefcount(S.enum_mp_family(3, 3, 0, 14)) == 2
     finally:
         gc.enable()
 
