@@ -19,10 +19,11 @@ big-int product, two for the star step.  ``verify`` stays on plain ring
 products, one per term against a cached 1/((q)_{n-l} (aq)_{n+l}), so the
 check does not go through the kernel it checks.
 
-The three multisum consequences of the lattice (the classical
-single-lattice one and the two double-lattice variants, with or without
-boundary parameters) and the star-chain limit identity are evaluated
-two-sidedly by one skeleton (``_two_sided``).
+The two multisum consequences of the lattice (the classical
+single-lattice one and the double-lattice one, whose boundary parameters
+b and c may each be finite or sent to infinity) and the star-chain limit
+identity are evaluated two-sidedly by one skeleton (``_two_sided``), which
+bounds every multisum with ``sumeval.summation_bound``.
 
 Precision arguments here are t-exponent truncation orders (t = q^(1/2)).
 """
@@ -38,7 +39,7 @@ from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
 from .series import INF, QSeries, monomial, one, zero
-from .sumeval import convolve_layer, multisum, var_bound
+from .sumeval import convolve_layer, multisum, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
 INFINITY = "infinity"
@@ -438,14 +439,14 @@ def _beta_extra(p: BaileyPair):
     return extra
 
 
-def _two_sided(p: BaileyPair, pervar, gaps, bdata, term, tp: int):
+def _two_sided(p: BaileyPair, pervar, gaps, term, tp: int):
     """The body shared by the lattice checks: the multisum side (pervar and
-    gaps as in ``multisum``, summed up to var_bound of bdata) against
+    gaps as in ``multisum``, summed up to their ``summation_bound``) against
     1/(aq)_inf times the sum over l <= n_max of term(l), the l-th alpha-side
     term.  Raises InsufficientDepth when the multisum needs beta values past
     n_max, or when the last two alpha-side terms do not vanish below tp.
     Returns (equal, first_mismatch_exponent)."""
-    bound = var_bound(bdata, tp)
+    bound = summation_bound(pervar, gaps, tp)
     if bound > p.n_max:
         raise InsufficientDepth(
             f"multisum needs s values up to {bound} but n_max = {p.n_max}")
@@ -461,6 +462,17 @@ def _two_sided(p: BaileyPair, pervar, gaps, bdata, term, tp: int):
         rhs = rhs + t
     rhs = rhs.divide(poch_infinite(p.a.times_qpow(1), 2, tp), tp)
     return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+
+
+def _lattice_vars(p: BaileyPair, k: int, r: int, j: int) -> list:
+    """multisum pervar of the lattice sums over s_1 >= ... >= s_{k+1}: s_i
+    carries a^(s_i) q^(s_i^2 - 2 s_i) for i <= j, a^(s_i) q^(s_i^2 - s_i)
+    for j < i <= k - r and a^(s_i) q^(s_i^2) after that; beta_{s_{k+1}}
+    rides on the last variable."""
+    K = k + 1
+    return [(2, p.a.e - (4 if i <= j else 2 if i <= k - r else 0),
+             _beta_extra(p) if i == K else None)
+            for i in range(1, K + 1)]
 
 
 def check_corolattice(p: BaileyPair, k: int, r: int,
@@ -480,17 +492,12 @@ def check_corolattice(p: BaileyPair, k: int, r: int,
         raise ParameterOutOfRange("only positive q-power parameters are in scope")
     tp = p.prec if prec is None else min(prec, p.prec)
     a = p.a
-    K = k + 1
-    pervar = [(2, a.e - (2 if i <= k - r else 0),
-               _beta_extra(p) if i == K else None)
-              for i in range(1, K + 1)]
 
     def term(l):
         t = _a_pow(a, (k + 1) * l).shift(2 * (k + 1) * l * l - 2 * (k - r) * l)
         t = t * _geom(SM(a.sign, a.e + 4 * l), k - r + 1)
         return t * p.alpha[l]
-    return _two_sided(p, pervar, [(2, None)] * k,
-                      [(q2, l) for q2, l, _ in pervar], term, tp)
+    return _two_sided(p, _lattice_vars(p, k, r, 0), [(2, None)] * k, term, tp)
 
 
 def _check_krj(k: int, r: int, j: int):
@@ -499,54 +506,21 @@ def _check_krj(k: int, r: int, j: int):
         raise ParameterOutOfRange(f"need k>=1, r,j>=0, r+j<=k; got {k=} {r=} {j=}")
 
 
-def check_coro2(p: BaileyPair, k: int, r: int, j: int,
-                prec: Optional[int] = None):
-    """Two-sided check of the double-lattice consequence (no boundary factors).
-
-    LHS as check_corolattice but with exponent
-    -2 s_1 - ... - 2 s_j - s_{j+1} - ... - s_{k-r}; RHS carries the telescoped
-    bracket sum_{i<=j}(aq^(2l-1))^i - a^(k+1-r) q^((2k+2-2r)l-j)
-    sum_{i<=j}(aq^(2l+1))^i over 1 - a q^(2l).
-    """
-    _check_krj(k, r, j)
-    a = p.a
-    if a.sign != 1 or a.e == 0:
-        raise DegenerateDivision(
-            "the l = 0 term is 0/0 at a = 1; only positive powers of q are "
-            "supported (the identity is exercised at a = q)")
-    tp = p.prec if prec is None else min(prec, p.prec)
-    K = k + 1
-    pervar = [(2, a.e - (4 if i <= j else 0) - (2 if j < i <= k - r else 0),
-               _beta_extra(p) if i == K else None)
-              for i in range(1, K + 1)]
-
-    def term(l):
-        x = SM(a.sign, a.e + 4 * l - 2)
-        y = SM(a.sign, a.e + 4 * l + 2)
-        shift = (a ** (k + 1 - r)).as_series().shift(
-            2 * (2 * k + 2 - 2 * r) * l - 2 * j)
-        bracket = _geom(x, j + 1) - shift * _geom(y, j + 1)
-        t = _a_pow(a, (k + 1) * l).shift(
-            2 * (k + 1) * l * l + 2 * (r - j - k) * l)
-        t = t.divide(_unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
-                                 "1-aq^2l"), tp)
-        return t * bracket * p.alpha[l]
-    return _two_sided(p, pervar, [(2, None)] * k,
-                      [(q2, l) for q2, l, _ in pervar], term, tp)
-
-
 def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
                 prec: Optional[int] = None):
-    """Two-sided check of the boundary-parameter double-lattice consequence.
+    """Two-sided check of the double-lattice consequence with boundary
+    parameters b and c.
 
     b and c are SignedMonomial values or the module constant INFINITY.  An
     infinite parameter triggers the standard formal limits
     (x)_l / x^l -> (-1)^l q^(l(l-1)/2), (y/x)_m -> 1, and
-    (1 - x q^l)/(x - a q^(l-1)) -> -q^l.
+    (1 - x q^l)/(x - a q^(l-1)) -> -q^l.  At b = c = INFINITY the LHS is
+    check_corolattice's with exponent
+    -2 s_1 - ... - 2 s_j - s_{j+1} - ... - s_{k-r}, and the RHS carries the
+    telescoped bracket sum_{i<=j}(aq^(2l-1))^i - a^(k+1-r) q^((2k+2-2r)l-j)
+    sum_{i<=j}(aq^(2l+1))^i over 1 - a q^(2l).
     """
     _check_krj(k, r, j)
-    if b == INFINITY and c == INFINITY:
-        raise UnsupportedBoundary("b and c cannot both be infinite")
     a = p.a
     if a.sign != 1 or a.e <= 0:
         raise DegenerateDivision(
@@ -568,56 +542,27 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             raise UnsupportedBoundary(
                 f"(aq/c) must have positive exponent, got c = {c.text()}")
 
-    # ---- left side: s_1 carries the b-factors, s_k the 1/(aq/c) factor,
-    # s_{k+1} the c-factors and beta; first and last quadratics are halved.
-    K = k + 1
+    # ---- left side: an infinite end is a plain lattice variable.  A finite
+    # b puts (b)_v (-1/b)^v on s_1 and a finite c puts (c)_v (-1/c)^v on
+    # s_{k+1}, halving their quadratics, and 1/(aq/c)_v on s_k; the
+    # monomials go into the linear exponents.
+    pervar = _lattice_vars(p, k, r, j)
+    if not b_inf:
+        pervar[0] = (1, pervar[0][1] + 1 - b.e, lambda v: poch_finite(b, 2, v))
+    if not c_inf:
+        quad, lin, own = pervar[k - 1]
 
-    def head_b(v):
-        if b_inf:
-            return monomial(1, v * (v - 1))
-        return poch_finite(b, 2, v) * monomial((-b.sign) ** v, -b.e * v)
+        def with_inv_aqc(v):
+            s = inv_poch_finite(aq_over_c, 2, v, tp)
+            return s if own is None else own(v) * s
 
-    def inv_aqc(v):
-        return inv_poch_finite(aq_over_c, 2, v, tp)
-
-    def tail_c(v):
-        if v > p.n_max:
-            return None
-        s = p.beta[v]
-        if c_inf:
-            return monomial(1, v * (v - 1)) * s
-        return poch_finite(c, 2, v) * monomial((-c.sign) ** v, -c.e * v) * s
-
-    pervar = []
-    for i in range(1, K + 1):
-        lin = a.e - (4 if i <= j else 0) - (2 if j < i <= k - r else 0)
-        if i == 1:
-            quad, lin = 1, lin + 1
-            if k == 1 and not c_inf:
-                extra = (lambda v: head_b(v) * inv_aqc(v))
-            else:
-                extra = head_b
-        elif i == K:
-            quad, lin = 1, lin + 1
-            extra = tail_c
-        else:
-            quad = 2
-            extra = inv_aqc if (i == k and not c_inf) else None
-        pervar.append((quad, lin, extra))
-    bdata = []
-    for idx, (quad, lin, _) in enumerate(pervar):
-        i = idx + 1
-        if i == 1:
-            if b_inf:
-                quad, lin = quad + 1, lin - 1
-            else:
-                lin = lin - b.e
-        if i == K:
-            if c_inf:
-                quad, lin = quad + 1, lin - 1
-            else:
-                lin = lin - c.e
-        bdata.append((quad, lin))
+        def tail_c(v):
+            if v > p.n_max:
+                return None
+            return (poch_finite(c, 2, v) * monomial((-c.sign) ** v, 0)
+                    * p.beta[v])
+        pervar[k - 1] = (quad, lin, with_inv_aqc)
+        pervar[k] = (1, pervar[k][1] + 1 - c.e, tail_c)
 
     # ---- right side ----
     def term(l):
@@ -660,7 +605,7 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
         for d in divisors:
             out = out.divide(d, tp)
         return out
-    return _two_sided(p, pervar, [(2, None)] * k, bdata, term, tp)
+    return _two_sided(p, pervar, [(2, None)] * k, term, tp)
 
 
 def check_common2(p: BaileyPair, k: int, r: int, j: int,
@@ -693,8 +638,6 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
             lin -= 2
         pervar.append((2, lin, _beta_extra(p) if i == K else None))
     gaps = [(2, 2 if (g + 1) in T else None) for g in range(1, K)]
-    bdata = [(q2, l - (2 if (idx + 1) in T and idx >= 1 else 0))
-             for idx, (q2, l, _) in enumerate(pervar)]
 
     def term(l):
         big = (QSeries([(0, 1), (4 * l, 1)]) ** j
@@ -704,7 +647,7 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
         t = t.divide(_unit_check(_one_minus(SM(1, 4 * l + 2)), "1-q^(2l+1)"),
                      tp)
         return t * big * p.alpha[l]
-    return _two_sided(p, pervar, gaps, bdata, term, tp)
+    return _two_sided(p, pervar, gaps, term, tp)
 
 
 def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
@@ -714,6 +657,10 @@ def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
         (alpha_n/(1-q^(2n+1)) - q^(-2rn-1) alpha_{n-1}/(1-q^(2n-1)))."""
     if seed.a != Q:
         raise ParameterOutOfRange("closed form is for seeds relative to q")
+    _check_krj(k, r, j)
+    if not 0 <= n <= seed.n_max:
+        raise ParameterOutOfRange(
+            f"need 0 <= n <= n_max = {seed.n_max}, got {n=}")
     tp = seed.prec if prec is None else min(prec, seed.prec)
     t = seed.alpha[n].divide(_one_minus(SM(1, 4 * n + 2)), tp)
     if n >= 1:

@@ -28,12 +28,18 @@ def _emit(obj, fmt):
         print("  ".join(parts))
 
 
-def _prec(value) -> int:
-    """A truncation order in whole q-powers: an integer >= 1."""
-    prec = int(value)
-    if prec < 1:
-        raise argparse.ArgumentTypeError(f"precision must be >= 1, got {prec}")
-    return prec
+def _at_least_one(what):
+    """argparse type for an integer >= 1, named ``what`` in the error."""
+    def parse(value) -> int:
+        n = int(value)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 1, got {n}")
+        return n
+    parse.__name__ = "int"    # argparse's "invalid int value" on a non-integer
+    return parse
+
+
+_prec = _at_least_one("precision")  # a truncation order in whole q-powers
 
 
 def _identity_params(args):
@@ -83,6 +89,15 @@ def _recipe_int(recipe, key, default, low):
     return v
 
 
+def _check_keys(obj, known, what):
+    """Reject a key of ``obj`` outside ``known``, so a misspelling is not
+    silently replaced by the default."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InvalidParameters(f"unknown {what} key {unknown[0]!r}; known: "
+                                + ", ".join(known))
+
+
 def _parse_recipe(recipe, default_prec):
     """(seed pair, transform steps, t-order) of a recipe object."""
     if not isinstance(recipe, dict) or not isinstance(recipe.get("seed"), dict):
@@ -92,6 +107,10 @@ def _parse_recipe(recipe, default_prec):
             and all(isinstance(s, dict) for s in raw_steps)):
         raise InvalidParameters('recipe "steps" must be a list of objects')
     seed_spec = recipe["seed"]
+    _check_keys(recipe, ("seed", "steps", "prec", "n_max"), "recipe")
+    _check_keys(seed_spec, ("kind", "a"), "seed")
+    for s in raw_steps:
+        _check_keys(s, ("tag", "rho", "b"), "step")
     try:
         a = SM.parse(seed_spec.get("a", "q"))
         tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1
@@ -191,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="verify every catalog row up to max k")
-    p.add_argument("--max-k", type=int, default=3, dest="max_k")
+    p.add_argument("--max-k", type=_at_least_one("max k"), default=3,
+                   dest="max_k")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (scheduling only, never results)")
     common(p)

@@ -183,8 +183,9 @@ def test_criterion_4d_lattice_consequences():
             for r in range(0, k + 1):
                 for j in range(0, k - r + 1):
                     runs += 1
-                    if B.check_coro2(p, k, r, j, tp) != (True, None):
-                        bad.append(("coro2", k, r, j))
+                    if B.check_coro3(p, k, r, j, B.INFINITY, B.INFINITY,
+                                     tp) != (True, None):
+                        bad.append(("coro3-oo", k, r, j))
     combos = [(B.INFINITY, SM(-1, 2)), (B.INFINITY, SM(-1, 3)),
               (SM(-1, 0), B.INFINITY), (SM(-1, 0), SM(-1, 3))]
     for b, c in combos:

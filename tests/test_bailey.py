@@ -195,20 +195,24 @@ def test_corolattice_insufficient_depth():
 
 
 def test_coro2_small(unit_q, unit_1):
+    # the double-lattice consequence without boundary factors: b = c = oo
+    inf = B.INFINITY
     for k in (1, 2):
         for r in range(0, k + 1):
             for j in range(0, k - r + 1):
-                assert B.check_coro2(unit_q, k, r, j, TP) == (True, None)
+                assert B.check_coro3(unit_q, k, r, j, inf, inf,
+                                     TP) == (True, None)
     with pytest.raises(DegenerateDivision):
-        B.check_coro2(unit_1, 1, 0, 0, TP)
+        B.check_coro3(unit_1, 1, 0, 0, inf, inf, TP)
     with pytest.raises(ParameterOutOfRange):
-        B.check_coro2(unit_q, 2, 2, 1, TP)
+        B.check_coro3(unit_q, 2, 2, 1, inf, inf, TP)
 
 
 def test_coro2_at_q_squared():
     p = B.unit_pair(SM(1, 4), 8, TP)
     for (k, r, j) in ((1, 0, 1), (2, 1, 1), (2, 0, 2)):
-        assert B.check_coro2(p, k, r, j, TP) == (True, None)
+        assert B.check_coro3(p, k, r, j, B.INFINITY, B.INFINITY,
+                             TP) == (True, None)
 
 
 def test_coro3_boundaries(unit_q):
@@ -217,8 +221,8 @@ def test_coro3_boundaries(unit_q):
     for b, c in combos:
         for (k, r, j) in ((1, 1, 0), (2, 1, 1), (2, 0, 2)):
             assert B.check_coro3(unit_q, k, r, j, b, c, TP) == (True, None)
-    with pytest.raises(UnsupportedBoundary):
-        B.check_coro3(unit_q, 2, 1, 1, B.INFINITY, B.INFINITY, TP)
+    assert B.check_coro3(unit_q, 2, 1, 1, B.INFINITY, B.INFINITY,
+                         TP) == (True, None)
     with pytest.raises(UnsupportedBoundary):
         B.check_coro3(unit_q, 2, 1, 1, SM(1, 2), B.INFINITY, TP)
     with pytest.raises(ParameterOutOfRange):
@@ -230,6 +234,38 @@ def test_common2_default_and_subsets(unit_q):
     assert B.check_common2(unit_q, 3, 0, 2, TP, subset=(2, 3)) == (True, None)
     with pytest.raises(ParameterOutOfRange):
         B.check_common2(unit_q, 3, 1, 1, TP, subset=(3,))  # 3 > k - r
+
+
+def test_lattice_checks_reject_a_corrupted_pair():
+    # beta_1 + q^1 breaks the defining relation; every lattice check must
+    # see it, and the first mismatching t-exponent is pinned
+    p = naive.with_beta1_perturbed(B.unit_pair(Q, 12, 101))
+    lattice = {(1, -1): 6, (1, 0): 8, (1, 1): 10,
+               (2, -1): 8, (2, 0): 10, (2, 1): 12, (2, 2): 14}
+    for (k, r), e in lattice.items():
+        assert B.check_corolattice(p, k, r, 101) == (False, e), (k, r)
+    inf = B.INFINITY
+    boundary = {(inf, inf): (10, 10, 6),
+                (inf, SM(-1, 2)): (8, 8, 4), (inf, SM(-1, 3)): (7, 7, 3),
+                (SM(-1, 0), inf): (10, 10, 6),
+                (SM(-1, 0), SM(-1, 3)): (7, 7, 3)}
+    for (b, c), es in boundary.items():
+        for (k, r, j), e in zip(((1, 1, 0), (2, 1, 1), (2, 0, 2)), es):
+            assert B.check_coro3(p, k, r, j, b, c, 101) == (False, e), \
+                (b, c, k, r, j)
+    common = {(1, 0, 1): 6, (2, 1, 1): 10, (3, 0, 2): 8, (3, 1, 2): 10,
+              (3, 3, 0): 18}
+    for (k, r, j), e in common.items():
+        assert B.check_common2(p, k, r, j, 101) == (False, e), (k, r, j)
+
+
+def test_closed_alpha_domain():
+    seed = B.unit_pair(Q, 4, 41)
+    for k, r, j, n in ((1, 2, 3, 0), (2, 0, 0, -1), (2, 0, 0, 5)):
+        with pytest.raises(ParameterOutOfRange):
+            B.closed_alpha_star_chain(seed, k, r, j, n, 41)
+    for n in (0, 4):    # both ends of the prefix are in range
+        B.closed_alpha_star_chain(seed, 2, 0, 0, n, 41)
 
 
 def test_star_chain_closed_alpha():

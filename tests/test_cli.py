@@ -181,6 +181,22 @@ def test_bailey_unknown_seed_kind_names_the_known_kinds(capsys, tmp_path):
                    + ", ".join(B.SEEDS) + "\n")
 
 
+@pytest.mark.parametrize("recipe, err", [
+    ({"seed": {"a": "q", "kind": "dprime4"}, "precc": 5},
+     "unknown recipe key 'precc'; known: seed, steps, prec, n_max"),
+    ({"seed": {"a": "q", "knd": "dprime4"}},
+     "unknown seed key 'knd'; known: kind, a"),
+    ({"seed": {"a": "q"}, "steps": [{"tag": "BL_RHO", "rh": "q"}]},
+     "unknown step key 'rh'; known: tag, rho, b"),
+], ids=["recipe", "seed", "step"])
+def test_bailey_recipe_rejects_unknown_keys(capsys, tmp_path, recipe, err):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, got = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert got == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("recipe", [
     {"seed": {"a": "inf"}},
     {"seed": {}, "steps": [{"tag": "BL_RHO", "rho": "inf"}]},
@@ -248,6 +264,13 @@ def test_prec_must_be_positive(capsys):
                            "--r", "1", "--prec", prec)
         assert rc == 2 and out == ""
         assert "error:" in err and ">= 1" in err
+
+
+def test_sweep_max_k_must_be_positive(capsys):
+    for max_k in ("0", "-1"):
+        rc, out, err = run(capsys, "sweep", "--max-k", max_k, "--prec", "5")
+        assert rc == 2 and out == ""
+        assert "max k must be >= 1" in err and "Traceback" not in err
 
 
 def test_verify_rejects_parameters_the_row_does_not_take(capsys):
