@@ -111,6 +111,8 @@ def _parse_recipe(recipe, default_prec):
     _check_keys(seed_spec, ("kind", "a"), "seed")
     for s in raw_steps:
         _check_keys(s, ("tag", "rho", "b"), "step")
+        if "tag" not in s:
+            raise InvalidParameters('each recipe step needs a "tag"')
     try:
         a = SM.parse(seed_spec.get("a", "q"))
         tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1

@@ -5,7 +5,8 @@ adjacent sums (the image side of the insertion map) and multipartitions with
 per-partition lower bounds on the parts (the source side), all in one
 table, ``FAMILIES``.  Enumeration is exhaustive by weight, which is cheap at
 desk scale because frame weights grow quadratically.  Generating functions
-obtained by enumeration are compared against catalog sum sides and against
+(frequency rows counted by a transfer matrix over positions, multipartition
+rows by enumeration) are compared against catalog sum sides and against
 independent product-side oracles.
 
 Weight/precision arguments here are in whole q-powers.
@@ -14,6 +15,7 @@ Weight/precision arguments here are in whole q-powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Optional
 
 from .errors import InvalidParameters, KindMismatch, NotAMember
@@ -61,14 +63,17 @@ def _pad2(f):
     return list(f) + [0, 0]
 
 
+def _pair_meets_parity(u: int, a: int, b: int, k: int, target: int) -> bool:
+    """The parity rule at positions (u, u+1) holding a, b: a saturated pair
+    (a + b = k) needs u a + (u+1) b = target (mod 2)."""
+    return a + b != k or (u * a + (u + 1) * b) % 2 == target % 2
+
+
 def parity_condition(f, k: int, target: int) -> bool:
-    """Whenever f_u + f_{u+1} = k, require u f_u + (u+1) f_{u+1} = target (mod 2)."""
+    """The parity rule at every pair of positions of f, trailing zeros included."""
     g = _pad2(f)
-    for u in range(len(g) - 1):
-        if g[u] + g[u + 1] == k:
-            if (u * g[u] + (u + 1) * g[u + 1]) % 2 != target % 2:
-                return False
-    return True
+    return all(_pair_meets_parity(u, g[u], g[u + 1], k, target)
+               for u in range(len(g) - 1))
 
 
 def x_min_part(m: int, j: int, r: int, k: int) -> int:
@@ -146,9 +151,7 @@ class SetPredicate:
     s: int = 0
 
     def __post_init__(self):
-        if self.tag not in FAMILIES:
-            raise InvalidParameters(f"unknown family tag {self.tag!r}")
-        taken = next(iter(FAMILIES[self.tag].domain(1)))
+        taken = next(iter(_family(self.tag).domain(1)))
         if any(getattr(self, n) for n in ("r", "j", "s") if n not in taken):
             raise InvalidParameters(f"family {self.tag} takes parameters "
                                     f"{list(taken)}; got {self}")
@@ -157,10 +160,16 @@ class SetPredicate:
         return membership(self, obj)
 
 
+def _family(tag: str) -> Family:
+    if tag not in FAMILIES:
+        raise InvalidParameters(f"unknown family tag {tag!r}")
+    return FAMILIES[tag]
+
+
 def predicate(tag: str, **params) -> SetPredicate:
     """The family at params, an omitted r, j or s being 0, after checking
     that it takes each of them and that they are a point of its domain."""
-    row = FAMILIES[tag]
+    row = _family(tag)
     if params.get("k", 0) < 1:
         raise InvalidParameters("k must be at least 1")
     point = {name: params.get(name, 0) for name in next(iter(row.domain(1)))}
@@ -321,8 +330,41 @@ def gf_members(members, max_weight: int, weight_fn=weight) -> QSeries:
 
 
 def gf_family(pred: SetPredicate, max_weight: int) -> QSeries:
-    size = mp_total_size if FAMILIES[pred.tag].kind == _MP else weight
-    return gf_members(enum_family(pred, max_weight), max_weight, size)
+    """sum q^{|member|} over the family, exact to max_weight: a frequency row
+    by the transfer matrix, a multipartition row by enumeration."""
+    row = FAMILIES[pred.tag]
+    if row.kind == _MP:
+        return gf_members(enum_family(pred, max_weight), max_weight,
+                          mp_total_size)
+    return _gf_transfer(pred, row, max_weight)
+
+
+def _gf_transfer(pred: SetPredicate, row: Family, W: int) -> QSeries:
+    """Transfer-matrix count of a frequency row (Stanley, EC I, 4.7): after
+    position u, counts[b][w] is the number of prefixes f_0..f_u with f_u = b
+    and weight w that meet every rule so far.  Past u = W only f_u = 0 fits,
+    so counts[0] after the step to u = W + 1 is the generating function."""
+    _check_bounds(pred.k, W)
+    k, target = pred.k, _parity_target(pred, row)
+
+    def parity_ok(u, a, b):    # the loops keep a + b <= k themselves
+        return target is None or _pair_meets_parity(u, a, b, k, target)
+
+    counts = [[0] * (W + 1) for _ in range(k + 1)]
+    for f0 in range(k + 1):
+        for f1 in range(min(k - f0, W) + 1):
+            if parity_ok(0, f0, f1) and (row.head is None
+                                         or row.head(pred, f0, f1)):
+                counts[f1][f1] += 1
+    for u in range(1, W + 1):
+        nxt = [[0] * (W + 1) for _ in range(k + 1)]
+        for b in range(min(k, W // (u + 1)) + 1):
+            shift, dst = (u + 1) * b, nxt[b]
+            for a in range(k - b + 1):
+                if parity_ok(u, a, b):
+                    dst[shift:] = map(add, dst[shift:], counts[a])
+        counts = nxt
+    return QSeries({2 * w: c for w, c in enumerate(counts[0])}, 2 * W + 1)
 
 
 def mp_total_size(mp) -> int:

@@ -272,11 +272,11 @@ def test_criterion_7_interpretations():
         for r in range(0, k + 1):
             for j in range(0, k - r + 1):
                 for thm in ("1.11", "1.12", "1.13"):
-                    rep = S.check_interpretation(thm, k, r, j, 25)
+                    rep = S.check_interpretation(thm, k, r, j, 60)
                     if not rep.equal:
                         bad.append((thm, k, r, j))
     _announce(f"frequency-family interpretations match the sum sides to "
-              f"q-order 25 ({time.time()-t0:.1f}s)", not bad, str(bad[:3]))
+              f"q-order 60 ({time.time()-t0:.1f}s)", not bad, str(bad[:3]))
 
 
 def test_criterion_7b_multipartition_gf_and_head_bijections():

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from qident import bailey as B
-from qident.cli import main
+from qident.cli import _parse_recipe, main
+from qident.errors import InvalidParameters
 
 import bailey_oracle as naive
 
@@ -195,6 +196,18 @@ def test_bailey_recipe_rejects_unknown_keys(capsys, tmp_path, recipe, err):
     rc, out, got = run(capsys, "bailey", "--input", str(path))
     assert rc == 2 and out == ""
     assert got == f"error: {err}\n"
+
+
+def test_bailey_step_without_a_tag_says_so(capsys, tmp_path):
+    recipe = {"seed": {"a": "q"}, "steps": [{}]}
+    # the recipe parser itself rejects it, not the CLI's KeyError catch
+    with pytest.raises(InvalidParameters):
+        _parse_recipe(recipe, 10)
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err == 'error: each recipe step needs a "tag"\n'
 
 
 @pytest.mark.parametrize("recipe", [

@@ -101,6 +101,24 @@ def test_enum_family_filters_like_membership(tag):
                 f for f in cands if S.membership(pred, f)], point
 
 
+@pytest.mark.parametrize("tag", FREQ_TAGS)
+def test_transfer_matrix_gf_matches_enumeration(tag):
+    # the head rule is shared with the enumerator, so this checks the
+    # automaton: the adjacent-sum bound, the parity steps and the weights,
+    # down to the bounds where the last position is u = 0 or 1
+    for W in (0, 1, 14):
+        for k in (1, 2, 3):
+            for point in S.FAMILIES[tag].domain(k):
+                pred = S.SetPredicate(tag, **point)
+                want = S.gf_members(S.enum_family(pred, W), W)
+                assert S.gf_family(pred, W) == want, (W, point)
+
+
+def test_predicate_rejects_an_unknown_tag():
+    with pytest.raises(InvalidParameters, match="'W'"):
+        S.predicate("W", k=1)
+
+
 def test_parity_condition_includes_position_zero():
     # pair (f_0, f_1) counts: 0*f_0 + 1*f_1 must match the parity
     f = (1, 2)  # f_0 + f_1 = 3 = k; f_1 = 2 even
