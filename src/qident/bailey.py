@@ -30,9 +30,9 @@ Precision arguments here are t-exponent truncation orders (t = q^(1/2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
@@ -72,13 +72,18 @@ def _geom(m: SM, count: int) -> QSeries:
 
 @dataclass(frozen=True)
 class BaileyPair:
-    """Finite prefix (0..n_max) of a Bailey pair relative to ``a``."""
+    """Finite prefix (0..n_max) of a Bailey pair relative to ``a``.
+
+    ``seed`` is the seed function that made the pair, so that a check can
+    ask it for the same prefix to a higher order; None for a derived pair.
+    """
 
     a: SM
     n_max: int
     alpha: tuple
     beta: tuple
     prec: int
+    seed: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.alpha) != self.n_max + 1 or len(self.beta) != self.n_max + 1:
@@ -133,7 +138,7 @@ def unit_pair(a: SM, n_max: int, prec: int) -> BaileyPair:
         s = s * inv_poch_finite(Q, 2, n, prec)
         alpha.append(s.truncate(prec))
     beta = [one(prec)] + [zero(prec)] * n_max
-    return BaileyPair(a, n_max, tuple(alpha), tuple(beta), prec)
+    return BaileyPair(a, n_max, tuple(alpha), tuple(beta), prec, unit_pair)
 
 
 def pair_dprime4(a: SM, n_max: int, prec: int) -> BaileyPair:
@@ -149,7 +154,7 @@ def pair_dprime4(a: SM, n_max: int, prec: int) -> BaileyPair:
         s = s * inv_poch_finite(SM(1, 4), 4, n, prec)
         alpha.append(s.truncate(prec))
     beta = [inv_poch_finite(SM(1, 4), 4, n, prec) for n in range(n_max + 1)]
-    return BaileyPair(a, n_max, tuple(alpha), tuple(beta), prec)
+    return BaileyPair(a, n_max, tuple(alpha), tuple(beta), prec, pair_dprime4)
 
 
 def pair_dprime1(a: SM, n_max: int, prec: int) -> BaileyPair:
@@ -165,7 +170,7 @@ def pair_dprime1(a: SM, n_max: int, prec: int) -> BaileyPair:
         alpha.append(s.truncate(prec))
     beta = [inv_poch_finite(SM(1, 4), 4, n, prec).shift(2 * n)
             for n in range(n_max + 1)]
-    return BaileyPair(a, n_max, tuple(alpha), tuple(beta), prec)
+    return BaileyPair(a, n_max, tuple(alpha), tuple(beta), prec, pair_dprime1)
 
 
 SEEDS = {"unit": unit_pair, "dprime4": pair_dprime4, "dprime1": pair_dprime1}
@@ -460,8 +465,19 @@ def _two_sided(p: BaileyPair, pervar, gaps, term, tp: int):
     rhs = zero(tp)
     for t in terms:
         rhs = rhs + t
-    rhs = rhs.divide(poch_infinite(p.a.times_qpow(1), 2, tp), tp)
+    # a sum of valuation v < 0 needs 1/(aq)_inf to order tp - v
+    wp = tp - min(min(rhs.coeffs, default=0), 0)
+    rhs = rhs.divide(poch_infinite(p.a.times_qpow(1), 2, wp), wp)
     return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+
+
+def _order_lost(pervar) -> int:
+    """How far below t^0 the own monomials t^(quad v^2 + lin v) of the
+    multisum variables reach together: the order a beta multiplied by them
+    loses."""
+    return -sum(min(quad * v * v + lin * v
+                    for v in range(max(0, -lin // quad) + 1))
+                for quad, lin, _ in pervar)
 
 
 def _lattice_vars(p: BaileyPair, k: int, r: int, j: int) -> list:
@@ -563,6 +579,13 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
                     * p.beta[v])
         pervar[k - 1] = (quad, lin, with_inv_aqc)
         pervar[k] = (1, pervar[k][1] + 1 - c.e, tail_c)
+    # A negative linear exponent (a.e - 4 on s_1 .. s_j) costs order: one per
+    # s_i at a = q^(1/2), and as much on the right, where 1 + x + ... + x^j
+    # with x = a q^(-1) has that valuation.  Both sides work to that much
+    # more order, and a seed is asked for the prefix to it.
+    wp = tp + _order_lost(pervar)
+    if p.prec < wp and p.seed is not None:
+        return check_coro3(p.seed(p.a, p.n_max, wp), k, r, j, b, c, tp)
 
     # ---- right side ----
     def term(l):
@@ -579,7 +602,7 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             # Its even leading factor is what makes the l with b = -q^l
             # (where b - aq^l is -2 t^e) come out integral, so the division by
             # d1, d2 must happen after the full product is assembled.
-            bpart = (poch_infinite(SM(w.sign, w.e + 2 * l), 2, tp)
+            bpart = (poch_infinite(SM(w.sign, w.e + 2 * l), 2, wp)
                      * poch_finite(b, 2, l) * monomial(b.sign ** l, -b.e * l))
             aql_1 = SM(a.sign, a.e + 2 * l - 2)   # a q^(l-1)
             aql = SM(a.sign, a.e + 2 * l)         # a q^l
@@ -597,13 +620,13 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             cpart = monomial((-1) ** l, l * (l - 1))
         else:
             cpart = (poch_finite(c, 2, l) * monomial(c.sign ** l, -c.e * l)
-                     * inv_poch_finite(aq_over_c, 2, l, tp))
+                     * inv_poch_finite(aq_over_c, 2, l, wp))
         t = _a_pow(a, (k + 1) * l).shift(2 * k * l * l + 2 * (r + 1 - j - k) * l)
         t = t.divide(_unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
-                                 "1-aq^2l"), tp)
+                                 "1-aq^2l"), wp)
         out = t * bpart * cpart * bracket * p.alpha[l]
         for d in divisors:
-            out = out.divide(d, tp)
+            out = out.divide(d, wp)
         return out
     return _two_sided(p, pervar, [(2, None)] * k, term, tp)
 

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from qident import bailey as B
 from qident.errors import (DegenerateDivision, InsufficientDepth,
                            NotStabilized, ParameterOutOfRange,
-                           PoleAtParameter, UnsupportedBoundary)
+                           PoleAtParameter, PrecisionExceeded,
+                           UnsupportedBoundary)
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM, inv_poch_finite, poch_infinite
 from qident.series import QSeries, monomial, one, zero
 
@@ -213,6 +214,37 @@ def test_coro2_at_q_squared():
     for (k, r, j) in ((1, 0, 1), (2, 1, 1), (2, 0, 2)):
         assert B.check_coro3(p, k, r, j, B.INFINITY, B.INFINITY,
                              TP) == (True, None)
+
+
+def test_coro3_at_a_half_power_asks_the_seed_for_more_order(monkeypatch):
+    # at a = q^(1/2), s_1 .. s_j carry t^(2 s^2 - 3 s), which is t^(-1) at
+    # s = 1, so a pair known to t^101 gives a multisum known to t^(101 - j);
+    # the check asks the seed for j more orders and compares at 101
+    cases = [(k, r, j) for k in (1, 2, 3) for r in range(k + 1)
+             for j in range(1, k - r + 1)]
+    assert len(cases) == 10
+    orders = []
+    equal_up_to = QSeries.equal_up_to
+
+    def spy(lhs, rhs, p):
+        orders.append(p)
+        return equal_up_to(lhs, rhs, p)
+    monkeypatch.setattr(QSeries, "equal_up_to", spy)
+    inf = B.INFINITY
+    for kind, seed in B.SEEDS.items():
+        p = seed(SM(1, 1), 12, 101)
+        for (k, r, j) in cases:
+            del orders[:]
+            assert B.check_coro3(p, k, r, j, inf, inf, 101) == (True, None), \
+                (kind, k, r, j)
+            assert orders == [101], (kind, k, r, j)
+    # a broken pair is caught at that order too
+    bad = naive.with_beta1_perturbed(B.unit_pair(SM(1, 1), 12, 104))
+    assert B.check_coro3(bad, 3, 2, 1, inf, inf, 101) == (False, 10)
+    # a pair that no seed made cannot be asked, and says so
+    with pytest.raises(PrecisionExceeded):
+        B.check_coro3(naive.with_beta1_perturbed(B.unit_pair(SM(1, 1), 12, 101)),
+                      3, 2, 1, inf, inf, 101)
 
 
 def test_coro3_boundaries(unit_q):

@@ -241,6 +241,16 @@ def test_trace_lambda_parts_must_be_a_list(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_trace_lambda_object_needs_parts_and_nothing_else(capsys):
+    for text, msg in (
+            ("{}", 'a multipartition object needs a "parts" list'),
+            ('{"parts": [[1]], "k": 1}',
+             "unknown multipartition key 'k'; known: parts")):
+        rc, out, err = run(capsys, "trace-lambda", "--input", text)
+        assert rc == 2 and out == ""
+        assert err == f"error: {msg}\n"
+
+
 def test_enumerate_rejects_k_below_one(capsys):
     for family in ("X", "A"):
         rc, out, err = run(capsys, "enumerate", "--family", family,

@@ -1,6 +1,8 @@
 """Particle motion, reverse motion, and the insertion bijection."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +11,8 @@ from qident import motion as M
 from qident import sets as S
 from qident.errors import PreconditionViolated
 
-from motion_replay import replays, states
+from motion_replay import (frame_weight, pm_stepwise, replays, rpm_stepwise,
+                           states)
 
 EXAMPLE_MP = ((3, 1), (), (6, 6, 5, 3), (19, 0))
 EXAMPLE_OUT = (4, 0, 0, 3, 0, 1, 2, 1, 1, 2, 1, 2, 0, 3, 1, 0, 0, 1)
@@ -40,21 +43,46 @@ def test_frame_weight_formula():
             for i in range(k):
                 parts.append((0,) * (ss[i] - ss[i + 1]))
             fs = M.frame_of(tuple(parts))
-            assert M.weight(fs) == M.frame_weight(s), s
+            assert M.weight(fs) == frame_weight(s), s
+
+
+def test_oracles_live_with_the_tests():
+    # the stepwise simulations and the frame-weight formula check the
+    # package, so the package neither defines them nor imports the tests
+    src = Path(M.__file__).parent
+    test_modules = {p.stem for p in Path(__file__).parent.glob("*.py")}
+    oracles = {"pm_stepwise", "rpm_stepwise", "frame_weight"}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            for name in names:
+                top = name.split(".")[0]
+                assert top != "tests" and top not in test_modules, \
+                    (path.name, name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in oracles, (path.name, node.name)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in oracles, (path.name, node.id)
 
 
 def test_pm_examples():
     f = (4, 0, 2, 0, 3, 1)
-    g, v = M.pm_stepwise(f, 0, 9)
+    g, v = pm_stepwise(f, 0, 9)
     assert g == (2, 0, 3, 1, 0, 3, 1) and v == 5
     g2, v2 = M.pm_explicit(f, 0, 9)
     assert (g2, v2) == (g, v)
     # zero motions change nothing
-    assert M.pm_stepwise(f, 0, 0) == (M.canonical(f), 0)
+    assert pm_stepwise(f, 0, 0) == (M.canonical(f), 0)
     assert M.pm_explicit(f, 0, 0)[0] == M.canonical(f)
     # dominance violation: (1,0,2) has f_1 + f_2 = 2 > h = 1
     with pytest.raises(PreconditionViolated):
-        M.pm_stepwise((1, 0, 2), 0, 1)
+        pm_stepwise((1, 0, 2), 0, 1)
     with pytest.raises(PreconditionViolated):
         M.pm_explicit((1, 0, 2), 0, 1)
 
@@ -63,7 +91,7 @@ def test_pm_weight_bookkeeping():
     # every single motion raises the weight by exactly one
     trace = []
     f = (4, 0, 2, 0, 3, 1)
-    M.pm_stepwise(f, 0, 9, trace=trace)
+    pm_stepwise(f, 0, 9, trace=trace)
     w = M.weight(f)
     for state, op, _pos in trace:
         if op == "pm":
@@ -89,7 +117,7 @@ def test_pm_engines_agree_randomized():
         if u > 0:
             f[u - 1] = 0
         m = rng.randint(0, 12)
-        a = M.pm_stepwise(f, u, m)
+        a = pm_stepwise(f, u, m)
         b = M.pm_explicit(f, u, m)
         assert a == b, (f, u, m)
 
@@ -97,7 +125,7 @@ def test_pm_engines_agree_randomized():
 def test_rpm_examples():
     g, steps = M.rpm_explicit((2, 0, 3, 1, 0, 3, 1), 0)
     assert g == (4, 0, 2, 0, 0, 3, 1) and steps == 5
-    assert M.rpm_stepwise((2, 0, 3, 1, 0, 3, 1), 0) == (g, 5)
+    assert rpm_stepwise((2, 0, 3, 1, 0, 3, 1), 0) == (g, 5)
     # a frame pair at its own position is a fixed point with zero steps
     frame = (3, 0, 2, 0, 1)
     g2, steps2 = M.rpm_explicit(frame, 0)
@@ -118,7 +146,7 @@ def test_rpm_engines_agree_randomized():
             prev = v
         u = 0
         a = M.rpm_explicit(f, u)
-        b = M.rpm_stepwise(f, u)
+        b = rpm_stepwise(f, u)
         assert a == b, (f, a, b)
         # reverse motion lowers the weight by exactly the step count
         assert M.weight(a[0]) == M.weight(M.canonical(f)) - a[1]
@@ -268,8 +296,101 @@ def frame_form_motions(draw):
 def test_single_motion_and_reverse_motion_are_inverse(case):
     f, u, m = case
     g, v = M.pm_explicit(f, u, m)
-    assert (g, v) == M.pm_stepwise(f, u, m)
+    assert (g, v) == pm_stepwise(f, u, m)
     assert M.weight(g) == M.weight(f) + m
     back = M.rpm_explicit(g, u)
-    assert back == M.rpm_stepwise(g, u)
+    assert back == rpm_stepwise(g, u)
     assert back == (f, m)
+
+
+def _pm_refusal(f, u):
+    """The message pm_explicit refuses a start at u in f with, or None:
+    negative entries, then a pair other than (h, 0) with h >= 1 at u, then
+    the first adjacent sum above h at or right of u."""
+    if any(x < 0 for x in f):
+        return "frequency entries must be non-negative"
+    g = list(f) + [0] * (u + 2)
+    h = g[u]
+    if g[u + 1] != 0 or h < 1:
+        return "starting pair must be (h, 0) with h >= 1"
+    for i in range(u, len(g) - 1):
+        if g[i] + g[i + 1] > h:
+            return f"adjacent sum above {h} at position {i}"
+    return None
+
+
+def _rpm_refusal(f, u):
+    """The message rpm_explicit refuses an end at u in f with, or None."""
+    if any(x < 0 for x in f):
+        return "frequency entries must be non-negative"
+    if 0 < u <= len(f) and f[u - 1] != 0:
+        return f"entry before position {u} must be zero"
+    return None
+
+
+entries = st.lists(st.integers(-1, 4), max_size=8)
+
+
+@st.composite
+def motion_inputs(draw):
+    """(f, u, m) with f arbitrary, or with a pair (h, 0) at u between an
+    arbitrary prefix and an arbitrary tail."""
+    m = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        f = draw(entries)
+        return f, draw(st.integers(0, len(f) + 2)), m
+    prefix = draw(entries)
+    h = draw(st.integers(1, 4))
+    tail = draw(st.lists(st.integers(0, h), max_size=6))
+    return prefix + [h, 0] + tail, len(prefix), m
+
+
+@settings(max_examples=400, deadline=None)
+@given(motion_inputs())
+def test_closed_forms_refuse_or_match_the_simulations(case):
+    f, u, m = case
+    why = _pm_refusal(f, u)
+    if why is None:
+        assert M.pm_explicit(f, u, m) == pm_stepwise(f, u, m)
+    else:
+        with pytest.raises(PreconditionViolated) as exc:
+            M.pm_explicit(f, u, m)
+        assert str(exc.value) == why
+    why = _rpm_refusal(f, u)
+    if why is None:
+        assert M.rpm_explicit(f, u) == rpm_stepwise(f, u)
+    else:
+        with pytest.raises(PreconditionViolated) as exc:
+            M.rpm_explicit(f, u)
+        assert str(exc.value) == why
+
+
+@settings(max_examples=200, deadline=None)
+@given(motion_inputs(), multipartitions)
+def test_inputs_are_not_mutated(case, mp):
+    f, u, m = case
+    before = list(f)
+    for call in (lambda: M.pm_explicit(f, u, m), lambda: M.rpm_explicit(f, u),
+                 lambda: M.gamma_map(f)):
+        try:
+            call()
+        except PreconditionViolated:
+            pass
+        assert f == before
+    parts = [list(lam) for lam in mp]
+    M.lambda_map(parts)
+    assert parts == [list(lam) for lam in mp]
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries)
+def test_canonical_reads_any_iterable(xs):
+    if any(x < 0 for x in xs):
+        for form in (xs, tuple(xs), (x for x in xs)):
+            with pytest.raises(PreconditionViolated):
+                M.canonical(form)
+        return
+    got = M.canonical(xs)
+    assert type(got) is tuple and (not got or got[-1] != 0)
+    assert M.canonical(tuple(xs)) == got == M.canonical(x for x in xs)
+    assert list(got) + [0] * (len(xs) - len(got)) == xs
