@@ -471,13 +471,20 @@ def _two_sided(p: BaileyPair, pervar, gaps, term, tp: int):
     return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
 
 
-def _order_lost(pervar) -> int:
-    """How far below t^0 the own monomials t^(quad v^2 + lin v) of the
-    multisum variables reach together: the order a beta multiplied by them
-    loses."""
-    return -sum(min(quad * v * v + lin * v
-                    for v in range(max(0, -lin // quad) + 1))
-                for quad, lin, _ in pervar)
+def _order_lost(pervar, pochs) -> int:
+    """How far below t^0 the own factors of the multisum variables reach
+    together: the monomials t^(quad v^2 + lin v), times (x; q)_v on each
+    variable i that ``pochs`` maps to x.  That is the order a beta
+    multiplied by them loses."""
+    lost = 0
+    for i, (quad, lin, _) in enumerate(pervar):
+        x = pochs.get(i)
+        # (x)_v stops falling once x q^v has no negative exponent
+        top = max(0, -lin // quad, 0 if x is None else (1 - x.e) // 2)
+        lost -= min(quad * v * v + lin * v
+                    + (0 if x is None else min(poch_finite(x, 2, v).coeffs))
+                    for v in range(top + 1))
+    return lost
 
 
 def _lattice_vars(p: BaileyPair, k: int, r: int, j: int) -> list:
@@ -563,29 +570,33 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
     # s_{k+1}, halving their quadratics, and 1/(aq/c)_v on s_k; the
     # monomials go into the linear exponents.
     pervar = _lattice_vars(p, k, r, j)
+    pochs = {}
     if not b_inf:
         pervar[0] = (1, pervar[0][1] + 1 - b.e, lambda v: poch_finite(b, 2, v))
+        pochs[0] = b
     if not c_inf:
-        quad, lin, own = pervar[k - 1]
-
-        def with_inv_aqc(v):
-            s = inv_poch_finite(aq_over_c, 2, v, tp)
-            return s if own is None else own(v) * s
-
         def tail_c(v):
             if v > p.n_max:
                 return None
             return (poch_finite(c, 2, v) * monomial((-c.sign) ** v, 0)
                     * p.beta[v])
-        pervar[k - 1] = (quad, lin, with_inv_aqc)
         pervar[k] = (1, pervar[k][1] + 1 - c.e, tail_c)
+        pochs[k] = c
     # A negative linear exponent (a.e - 4 on s_1 .. s_j) costs order: one per
     # s_i at a = q^(1/2), and as much on the right, where 1 + x + ... + x^j
-    # with x = a q^(-1) has that valuation.  Both sides work to that much
-    # more order, and a seed is asked for the prefix to it.
-    wp = tp + _order_lost(pervar)
+    # with x = a q^(-1) has that valuation; a finite b or c of negative
+    # exponent costs the valuation of its Pochhammer.  Both sides work to
+    # that much more order, and a seed is asked for the prefix to it.
+    wp = tp + _order_lost(pervar, pochs)
     if p.prec < wp and p.seed is not None:
         return check_coro3(p.seed(p.a, p.n_max, wp), k, r, j, b, c, tp)
+    if not c_inf:
+        quad, lin, own = pervar[k - 1]     # own is b's extra when k = 1
+
+        def with_inv_aqc(v):
+            s = inv_poch_finite(aq_over_c, 2, v, wp)
+            return s if own is None else own(v) * s
+        pervar[k - 1] = (quad, lin, with_inv_aqc)
 
     # ---- right side ----
     def term(l):
@@ -625,8 +636,10 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
         t = t.divide(_unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
                                  "1-aq^2l"), wp)
         out = t * bpart * cpart * bracket * p.alpha[l]
+        # d1 and d2 are exact: 1/d known to wp - val(out) keeps every term
+        # of the quotient below wp that the product above knows
         for d in divisors:
-            out = out.divide(d, wp)
+            out = out.divide(d, wp - min(out.coeffs, default=0))
         return out
     return _two_sided(p, pervar, [(2, None)] * k, term, tp)
 

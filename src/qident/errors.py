@@ -30,7 +30,8 @@ class Divergent(QidentError):
 
 
 class OutOfRange(QidentError):
-    """Argument outside the documented domain (e.g. Gaussian binomial m > n)."""
+    """Argument outside the documented domain (e.g. a triple product residue
+    A outside 0 < A < M)."""
 
 
 class DegenerateTheta(QidentError):

@@ -1,4 +1,4 @@
-"""q-Pochhammer symbols, Gaussian binomials and the Jacobi triple product.
+"""q-Pochhammer symbols and the Jacobi triple product.
 
 Everything is exact over the integers on the t = q^(1/2) exponent grid from
 :mod:`qident.series`.  Pochhammer arguments are signed monomials +-q^(e/2):
@@ -127,18 +127,6 @@ def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
         prec)
 
 
-@lru_cache(maxsize=1024)
-def qbinom(n: int, m: int, base: int = 2, prec=INF) -> QSeries:
-    """Gaussian binomial [n choose m] in the variable q^(base/2)."""
-    if not 0 <= m <= n:
-        raise OutOfRange(f"qbinom needs 0 <= m <= n, got ({n}, {m})")
-    if m == 0 or m == n:
-        return one(prec)
-    # q-Pascal: [n,m] = [n-1,m-1] + Q^m [n-1,m]
-    out = qbinom(n - 1, m - 1, base) + qbinom(n - 1, m, base).shift(base * m)
-    return out.truncate(prec)
-
-
 def triple_product(M: int, A: int, prec) -> QSeries:
     """(q^(A/2), q^((M-A)/2), q^(M/2); q^(M/2))_inf, truncated at prec.
 
@@ -154,38 +142,3 @@ def triple_product(M: int, A: int, prec) -> QSeries:
     return (poch_infinite(SM(1, A), M, prec)
             * poch_infinite(SM(1, M - A), M, prec)
             * poch_infinite(SM(1, M), M, prec))
-
-
-def theta_sum(M: int, A: int, prec) -> QSeries:
-    """Bilateral theta sum: sum over all integers l of (-1)^l t^(M*l(l-1)/2 + A*l).
-
-    Equals triple_product(M, A, prec) by the Jacobi triple product identity
-    (tested, never assumed).  The summation range includes every l whose term
-    exponent is below prec, with a two-term safety margin on each side.
-    """
-    if M <= 0:
-        raise OutOfRange("modulus must be positive")
-    terms = {}
-
-    def expo(l):
-        return M * l * (l - 1) // 2 + A * l
-
-    for direction in (1, -1):
-        l = 0 if direction == 1 else -1
-        margin = 0
-        while True:
-            e = expo(l)
-            if e < prec:
-                margin = 0
-                terms[e] = terms.get(e, 0) + (1 if l % 2 == 0 else -1)
-            else:
-                margin += 1
-                if margin > 2 and abs(l) > (abs(A) + M) // M + 2:
-                    break
-            l += direction
-    return QSeries(terms, prec)
-
-
-def euler_inverse(prec) -> QSeries:
-    """1 / (q; q)_inf: the partition generating function, truncated."""
-    return ONE.divide(poch_infinite(Q, 2, prec), prec)

@@ -27,6 +27,8 @@ a b - aq^l factor coincide.  ``invert`` divides one.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 
 from .errors import EmptySeries, NotAUnit, PrecisionExceeded
 
@@ -35,6 +37,11 @@ INF = math.inf
 # Kronecker-substitution multiply kicks in for operand pairs at least this
 # dense; below it the plain dict convolution wins.
 _PACK_MIN_OPS = 1500
+
+# The memoryview format of each native unsigned word, by its width in bytes;
+# the packed digits are little-endian, so a big-endian host has none.
+_NATIVE = ({struct.calcsize(f): f for f in "BHILQ"}
+           if sys.byteorder == "little" else {})
 
 
 def _as_prec(p):
@@ -299,15 +306,27 @@ def kron_pack(rows, ndigits: int, nbytes: int) -> int:
     be below 2^(8*nbytes - 1).  For products of packed integers the same
     must hold for every digit of the result: ``bound.bit_length() // 8 + 1``
     bytes are enough when ``bound`` bounds every |digit|.
+
+    When a digit is a native unsigned machine word (1, 2, 4 or 8 bytes on a
+    little-endian host), the buffer is written through a ``memoryview`` cast
+    to that word, one item per digit; other widths write each digit's bytes.
     """
     lift = 1 << (8 * nbytes - 1)
     bias = lift.to_bytes(nbytes, "little") * ndigits
     buf = bytearray(bias)
-    for offset, coeffs, limit in rows:
-        for e, c in coeffs.items():
-            if e < limit:
-                k = (offset + e) * nbytes
-                buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
+    fmt = _NATIVE.get(nbytes)
+    if fmt is not None:
+        words = memoryview(buf).cast(fmt)
+        for offset, coeffs, limit in rows:
+            for e, c in coeffs.items():
+                if e < limit:
+                    words[offset + e] = c + lift
+    else:
+        for offset, coeffs, limit in rows:
+            for e, c in coeffs.items():
+                if e < limit:
+                    k = (offset + e) * nbytes
+                    buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
     return int.from_bytes(buf, "little") - int.from_bytes(bias, "little")
 
 
@@ -317,7 +336,8 @@ def kron_unpack(n: int, nbytes: int, spans) -> list:
     ``spans`` lists (start, stop, base) digit ranges; the result holds one
     dict per span mapping base + (i - start) to each nonzero digit i in
     [start, stop).  Digits at or above the largest stop are never read, so
-    they may be arbitrary.
+    they may be arbitrary.  Native-width digits are read a span at a time,
+    as in kron_pack.
     """
     ndigits = max((stop for _, stop, _ in spans), default=0)
     lift = 1 << (8 * nbytes - 1)
@@ -326,14 +346,17 @@ def kron_unpack(n: int, nbytes: int, spans) -> list:
     # Adding the bias turns every digit below ndigits into c + lift, which
     # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
     buf = ((n + bias) & ((1 << nbits) - 1)).to_bytes(nbits // 8, "little")
-    from_bytes = int.from_bytes
-    out = []
-    for start, stop, base in spans:
-        vals = [from_bytes(buf[k:k + nbytes], "little")
-                for k in range(start * nbytes, stop * nbytes, nbytes)]
-        out.append({base + j: c - lift for j, c in enumerate(vals)
-                    if c != lift})
-    return out
+    fmt = _NATIVE.get(nbytes)
+    if fmt is not None:
+        words = memoryview(buf).cast(fmt)
+        spans_vals = [words[start:stop].tolist() for start, stop, _ in spans]
+    else:
+        from_bytes = int.from_bytes
+        spans_vals = [[from_bytes(buf[k:k + nbytes], "little")
+                       for k in range(start * nbytes, stop * nbytes, nbytes)]
+                      for start, stop, _ in spans]
+    return [{base + j: c - lift for j, c in enumerate(vals) if c != lift}
+            for (_, _, base), vals in zip(spans, spans_vals)]
 
 
 def _mul_packed(da: dict, db: dict, cap):

@@ -371,28 +371,6 @@ def mp_total_size(mp) -> int:
     return mp_size(mp) + weight(frame_of(mp))
 
 
-def oracle_mod_partitions(modulus: int, excluded, max_weight: int) -> QSeries:
-    """Generating function of partitions avoiding the excluded residues mod
-    ``modulus``; direct dynamic programming over allowed part sizes, fully
-    independent of the Pochhammer machinery."""
-    excl = {x % modulus for x in excluded}
-    counts = [1] + [0] * max_weight
-    for part in range(1, max_weight + 1):
-        if part % modulus in excl:
-            continue
-        for w in range(part, max_weight + 1):
-            counts[w] += counts[w - part]
-    return QSeries({2 * w: c for w, c in enumerate(counts)},
-                   2 * max_weight + 1)
-
-
-def count_partitions(n: int, length: int, min_part: int,
-                     parity: Optional[int] = None) -> int:
-    """Brute count of partitions of n with the given length and lower bound."""
-    return sum(1 for lam in _enum_partitions(length, n, min_part, parity)
-               if sum(lam) == n)
-
-
 # -- theorem-level checks -------------------------------------------------------------------
 
 

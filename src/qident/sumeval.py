@@ -25,9 +25,12 @@ reaches the next one.  The binomial factor gives two branches:
 L_u * t^(-b*u) against the plain Pochhammers, and L_u * t^(b*u) against
 1/(t^d; t^d)_m * t^(b*m), which puts t^(b*v) on slot v.  Slot v of the sum
 is T_v, with the precision that the per-pair series products and sums would
-have given it.  The outer variable's own factor is then applied to T_v: as
-an exact shift when it is a bare monomial, as a series product otherwise.
-That layer is ``convolve_layer``.  Its second user is the Bailey engine:
+have given it.  The Pochhammer side depends only on (d, the highest slot
+read, wp, the slot width, the digit width, the branch), so each such table
+is packed once per key and cached; only the layer side is packed per call.
+The outer variable's own factor is then applied to T_v: as an exact shift
+when it is a bare monomial, as a series product otherwise.  That layer is
+``convolve_layer``.  Its second user is the Bailey engine:
 the beta-side sum of the Bailey lemmas (``bailey._beta_sum``) is one layer
 with L_l = lift(l) * beta_l, d = 2, binomial step 2 for the star step, and
 an own factor of 1.
@@ -50,6 +53,8 @@ PrecisionExceeded.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import PrecisionExceeded
 from .series import INF, QSeries, kron_pack, kron_unpack, monomial, zero
@@ -229,16 +234,13 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
     u0 = us[0]
     top = reads[-1][0] - u0     # highest slot read, relative to u0
     us = [u for u in us if u - u0 <= top]
-    ips = [inv_poch_finite(SM(1, den_step), den_step, m, wp)
-           for m in range(top + 1)]
 
     # A digit of slot v sums products of slot u and slot v - u for u <= v:
     # |digit| <= sum_u min(max|L_u| * sum|ip_{v-u}|, sum|L_u| * max|ip_{v-u}|),
     # twice that with the binomial branch.
     a_norms = [(u, max(map(abs, layer[u].coeffs.values())),
                 sum(map(abs, layer[u].coeffs.values()))) for u in us]
-    b_norms = [(max(map(abs, ip.coeffs.values())),
-                sum(map(abs, ip.coeffs.values()))) for ip in ips]
+    b_norms = _ip_norms(den_step, top, wp)
     bound = max(sum(min(amax * b_norms[v - u][1], asum * b_norms[v - u][0])
                     for u, amax, asum in a_norms if u <= v)
                 for v, _ in reads)
@@ -250,13 +252,34 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
                            wp - shift * u) for u in us],
                          (us[-1] - u0 + 1) * W, nbytes)
 
-    def pack_ips(shift):
-        return kron_pack([(m * W + shift * m, ip.coeffs, wp - shift * m)
-                          for m, ip in enumerate(ips)],
-                         (top + 1) * W, nbytes)
-
-    prod = pack_layer(-b) * pack_ips(0)
+    prod = pack_layer(-b) * _packed_ips(den_step, top, wp, W, nbytes, 0)
     if b:
-        prod += pack_layer(b) * pack_ips(b)
+        prod += pack_layer(b) * _packed_ips(den_step, top, wp, W, nbytes, b)
     return kron_unpack(prod, nbytes, [((v - u0) * W, (v - u0) * W + stop - lo,
                                        lo) for v, stop in reads])
+
+
+def _ips(den_step, top, wp):
+    return [inv_poch_finite(SM(1, den_step), den_step, m, wp)
+            for m in range(top + 1)]
+
+
+# The Pochhammer side of a layer product depends on the layer only through
+# its key, so each is packed once.  Both caches are bounded like the
+# Pochhammer caches they read: their keys include wp.
+@lru_cache(maxsize=128)
+def _ip_norms(den_step, top, wp):
+    """(max |c|, sum |c|) of 1/(t^d; t^d)_m at wp, d = den_step, for each
+    m <= top."""
+    return tuple((max(map(abs, ip.coeffs.values())),
+                  sum(map(abs, ip.coeffs.values())))
+                 for ip in _ips(den_step, top, wp))
+
+
+@lru_cache(maxsize=128)
+def _packed_ips(den_step, top, wp, W, nbytes, shift):
+    """1/(t^d; t^d)_m * t^(shift*m) packed into slot m of width W, for each
+    m <= top, read below wp."""
+    return kron_pack([(m * W + shift * m, ip.coeffs, wp - shift * m)
+                      for m, ip in enumerate(_ips(den_step, top, wp))],
+                     (top + 1) * W, nbytes)

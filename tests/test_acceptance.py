@@ -16,8 +16,9 @@ from qident import motion as M
 from qident import sets as S
 from qident.errors import DegenerateDivision
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM
-from qident.qfunctions import theta_sum, triple_product
+from qident.qfunctions import triple_product
 
+from gf_oracle import theta_sum
 from motion_replay import replays
 
 

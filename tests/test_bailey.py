@@ -247,6 +247,30 @@ def test_coro3_at_a_half_power_asks_the_seed_for_more_order(monkeypatch):
                       3, 2, 1, inf, inf, 101)
 
 
+def test_coro3_at_a_half_power_counts_finite_boundaries(monkeypatch):
+    # a finite b = -q^(-1/2) puts (b)_v, of valuation -1, on s_1, and a
+    # finite c puts 1/(aq/c)_v on s_k, which must be known as far as the
+    # beta values; both used to fall short of the order asked for
+    orders = []
+    equal_up_to = QSeries.equal_up_to
+
+    def spy(lhs, rhs, p):
+        orders.append(p)
+        return equal_up_to(lhs, rhs, p)
+    monkeypatch.setattr(QSeries, "equal_up_to", spy)
+    inf = B.INFINITY
+    p = B.unit_pair(SM(1, 1), 12, 101)
+    for b, c in ((SM(-1, -1), inf), (inf, SM(-1, 2)), (SM(-1, -1), SM(-1, 2))):
+        for (k, r, j) in ((2, 1, 1), (2, 0, 2), (3, 2, 1)):
+            del orders[:]
+            assert B.check_coro3(p, k, r, j, b, c, 101) == (True, None), \
+                (b, c, k, r, j)
+            assert orders == [101], (b, c, k, r, j)
+    # a broken pair is still caught with a finite boundary
+    bad = naive.with_beta1_perturbed(B.unit_pair(SM(1, 1), 12, 104))
+    assert B.check_coro3(bad, 3, 2, 1, SM(-1, -1), SM(-1, 2), 101) == (False, 8)
+
+
 def test_coro3_boundaries(unit_q):
     combos = [(B.INFINITY, SM(-1, 2)), (B.INFINITY, SM(-1, 3)),
               (SM(-1, 0), B.INFINITY), (SM(-1, 0), SM(-1, 3))]

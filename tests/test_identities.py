@@ -11,9 +11,10 @@ import pytest
 from qident import identities as I
 from qident.errors import (CatalogRangeError, InvalidParameters,
                            PrecisionExceeded)
-from qident.qfunctions import Q, SignedMonomial as SM, qbinom
+from qident.qfunctions import Q, SignedMonomial as SM
 from qident.series import QSeries, monomial, zero
 
+from gf_oracle import qbinom
 
 def gap_partition_count(n, k=1, max_ones=None):
     """Partitions of n with lambda_i - lambda_{i+k} >= 2 via frequency

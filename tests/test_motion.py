@@ -47,11 +47,14 @@ def test_frame_weight_formula():
 
 
 def test_oracles_live_with_the_tests():
-    # the stepwise simulations and the frame-weight formula check the
-    # package, so the package neither defines them nor imports the tests
+    # the stepwise simulations, the frame-weight formula and the
+    # generating-function oracles check the package, so the package neither
+    # defines them nor imports the tests
     src = Path(M.__file__).parent
     test_modules = {p.stem for p in Path(__file__).parent.glob("*.py")}
-    oracles = {"pm_stepwise", "rpm_stepwise", "frame_weight"}
+    oracles = {"pm_stepwise", "rpm_stepwise", "frame_weight", "theta_sum",
+               "qbinom", "euler_inverse", "count_partitions",
+               "oracle_mod_partitions"}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):

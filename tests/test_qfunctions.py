@@ -6,11 +6,12 @@ from qident.bailey import _relation_kernel
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
-                               euler_inverse, inv_poch_finite, poch_finite,
-                               poch_infinite, qbinom, theta_sum,
+                               inv_poch_finite, poch_finite, poch_infinite,
                                triple_product)
 from qident.series import QSeries
+from qident.sumeval import _ip_norms, _packed_ips
 
+from gf_oracle import euler_inverse, qbinom, theta_sum
 from series_oracle import newton_invert
 
 
@@ -178,6 +179,6 @@ def test_theta_sum_direct_coefficients():
 
 def test_caches_are_bounded():
     # the keys include prec, so an unbounded cache grows with every order
-    for f in (poch_finite, poch_infinite, inv_poch_finite, qbinom,
-              _relation_kernel):
+    for f in (poch_finite, poch_infinite, inv_poch_finite, _relation_kernel,
+              _ip_norms, _packed_ips):
         assert isinstance(f.cache_info().maxsize, int), f.__name__

@@ -1,6 +1,7 @@
 """Ring arithmetic, truncation bookkeeping, and rendering of QSeries."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
-from qident.series import _mul_dict, _mul_packed
-from qident.sumeval import convolve_layer
+from qident.series import (_NATIVE, _mul_dict, _mul_packed, kron_pack,
+                           kron_unpack)
+from qident.sumeval import _ip_norms, _packed_ips, convolve_layer
 
 from series_oracle import newton_invert
 
@@ -263,6 +265,72 @@ def test_convolve_layer_results_are_canonical(data, wp, den_step, b):
                                  | _series_st(True), min_size=n, max_size=n))
     for s in convolve_layer(layer, own_row, (den_step, b), wp).values():
         assert_canonical(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 60), st.sampled_from([1, 2]),
+       st.sampled_from([None, 1, 2]))
+def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(data, wp,
+                                                              den_step, b):
+    # the packed Pochhammer tables are cached per key; a table packed for
+    # one layer must serve every other layer with that key unchanged
+    layers = [data.draw(st.dictionaries(st.integers(0, 5), _layer_series(wp),
+                                        min_size=1)) for _ in range(2)]
+    own_row = [0] * 6
+    cold = []
+    for layer in layers:
+        _ip_norms.cache_clear()
+        _packed_ips.cache_clear()
+        cold.append(convolve_layer(layer, own_row, (den_step, b), wp))
+    for order in (1, -1):       # the second pass finds every table cached
+        misses = _packed_ips.cache_info().misses
+        warm = [convolve_layer(layer, own_row, (den_step, b), wp)
+                for layer in layers[::order]][::order]
+        assert warm == cold
+    assert _packed_ips.cache_info().misses == misses
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="big-endian host")
+def test_kron_pack_takes_the_native_path_at_word_widths():
+    assert sorted(_NATIVE) == [1, 2, 4, 8]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 9))
+def test_kron_pack_and_unpack_match_int_arithmetic(data, nbytes):
+    # widths 1, 2, 4 and 8 read and write native words, the others one
+    # digit at a time; the extreme digits +-(2^(8n-1) - 1) are drawn often
+    top = (1 << (8 * nbytes - 1)) - 1
+    digit = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
+    digits = data.draw(st.lists(digit, min_size=1, max_size=40))
+    nd = len(digits)
+    X = 1 << (8 * nbytes)
+    want = sum(c * X ** i for i, c in enumerate(digits))
+
+    # rows at shifted exponents, each with a term at its limit that is left
+    # out
+    cuts = sorted(data.draw(st.lists(st.integers(0, nd), max_size=3)))
+    rows = []
+    for lo, hi in zip([0] + cuts, cuts + [nd]):
+        shift = data.draw(st.integers(-5, 5))
+        coeffs = {i - lo + shift: digits[i] for i in range(lo, hi)
+                  if digits[i]}
+        coeffs[hi - lo + shift] = 1
+        rows.append((lo - shift, coeffs, hi - lo + shift))
+    assert kron_pack(rows, nd, nbytes) == want
+
+    # spans may skip digits, overlap and come in any order; digits at or
+    # above the last one read are arbitrary
+    spans = [(start, start + data.draw(st.integers(0, nd - start)),
+              data.draw(st.integers(-9, 9)))
+             for start in data.draw(st.lists(st.integers(0, nd), max_size=4))]
+    stop = max((s for _, s, _ in spans), default=0)
+    junk = data.draw(st.integers(-X ** 3, X ** 3))
+    got = kron_unpack(want - sum(c * X ** i for i, c in enumerate(digits)
+                                 if i >= stop) + junk * X ** stop,
+                      nbytes, spans)
+    assert got == [{base + i - start: digits[i] for i in range(start, stop)
+                    if digits[i]} for start, stop, base in spans]
 
 
 def test_divide_edge_cases():

@@ -11,6 +11,7 @@ from qident import sets as S
 from qident.errors import InvalidParameters, KindMismatch, NotAMember
 from qident.qfunctions import Q, SignedMonomial as SM, poch_infinite, triple_product
 
+from gf_oracle import count_partitions, oracle_mod_partitions
 from motion_replay import states
 from series_oracle import newton_invert
 
@@ -160,10 +161,10 @@ def test_phi_preserves_parity_on_primed_families():
 
 
 def test_oracle_mod_partitions():
-    s = S.oracle_mod_partitions(5, {0, 1, 4}, 20)
+    s = oracle_mod_partitions(5, {0, 1, 4}, 20)
     assert s.qcoeff(4) == 1            # only 2 + 2
     assert s.qcoeff(0) == 1
-    all_excluded = S.oracle_mod_partitions(3, {0, 1, 2}, 15)
+    all_excluded = oracle_mod_partitions(3, {0, 1, 2}, 15)
     assert all_excluded.coeffs == {0: 1}
     # cross-check against the Pochhammer route
     tp = 41
@@ -180,12 +181,12 @@ def test_partition_length_min_count_gf():
             tp = 41
             gf = inv_poch_finite(Q, 2, length, tp).shift(2 * d * length)
             for n in range(18):
-                assert gf.qcoeff(n) == S.count_partitions(n, length, d), \
+                assert gf.qcoeff(n) == count_partitions(n, length, d), \
                     (length, d, n)
             gf2 = inv_poch_finite(SM(1, 4), 4, length, tp).shift(2 * d * length)
             for n in range(18):
-                assert gf2.qcoeff(n) == S.count_partitions(n, length, d,
-                                                           parity=d % 2), \
+                assert gf2.qcoeff(n) == count_partitions(n, length, d,
+                                                         parity=d % 2), \
                     (length, d, n)
 
 
@@ -193,7 +194,7 @@ def test_gordon_gf_vs_product_oracle():
     for k in (1, 2):
         for r in range(0, k + 1):
             gf = S.gf_family(S.SetPredicate("gordon", k=k, r=r), 20)
-            orc = S.oracle_mod_partitions(2 * k + 3,
+            orc = oracle_mod_partitions(2 * k + 3,
                                           {0, k - r + 1, -(k - r + 1)}, 20)
             assert gf.equal_up_to(orc, 41) == (True, None)
 
@@ -347,7 +348,7 @@ def test_classical_even_moduli_partition_models():
             if r >= 1:
                 # for r = 0 the two excluded residues coincide mod 2k+2 and
                 # the product is no longer a plain congruence-class count
-                orc = S.oracle_mod_partitions(2 * k + 2,
+                orc = oracle_mod_partitions(2 * k + 2,
                                               {0, k - r + 1, -(k - r + 1)}, W)
                 assert gf.equal_up_to(orc, tp) == (True, None), (k, r)
             gft = classical_even_model_gf(k, r, 1, W)
