@@ -19,11 +19,15 @@ big-int product, two for the star step.  ``verify`` stays on plain ring
 products, one per term against a cached 1/((q)_{n-l} (aq)_{n+l}), so the
 check does not go through the kernel it checks.
 
-The two multisum consequences of the lattice (the classical
-single-lattice one and the double-lattice one, whose boundary parameters
-b and c may each be finite or sent to infinity) and the star-chain limit
-identity are evaluated two-sidedly by one skeleton (``_two_sided``), which
-bounds every multisum with ``sumeval.summation_bound``.
+The multisum consequence of the double lattice (``check_coro3``, for
+a = q^(e/2), k >= 1, j >= 0 and r + j <= k, whose boundary parameters b
+and c may each be finite or sent to infinity, with r >= -1 when c is
+infinite and r >= 0 when it is finite) and the star-chain limit identity
+are evaluated two-sidedly by one skeleton (``_two_sided``), which bounds
+every multisum with ``sumeval.summation_bound``.  At j = 0 and
+b = c = infinity the double-lattice consequence is the classical
+single-lattice one; at b = infinity its bracket over 1 - a q^(2l) is a
+polynomial, built as such, so nothing is divided by 1 - a.
 
 Precision arguments here are t-exponent truncation orders (t = q^(1/2)).
 """
@@ -275,14 +279,6 @@ def _key_shared(p: BaileyPair, key2: bool) -> BaileyPair:
     return BaileyPair(SM(a.sign, a.e - 2), p.n_max, tuple(alpha), beta, tp)
 
 
-def _lattice(p: BaileyPair) -> BaileyPair:
-    """Lattice step with both upper parameters at infinity, a -> a/q: key
-    lemma 1, then the Bailey lemma at a/q."""
-    if p.a == ONE_M:
-        raise DegenerateDivision("lattice step needs a != 1")
-    return _bl(_key_shared(p, key2=False))
-
-
 def _lovejoy_b0(p: BaileyPair) -> BaileyPair:
     """Lovejoy's lemma with b = 0: a -> aq, beta unchanged."""
     a, tp = p.a, p.prec
@@ -352,7 +348,7 @@ def _star1(p: BaileyPair) -> BaileyPair:
 _TRANSFORMS = {
     "BL_INF": lambda p, step: _bl(p),
     "BL_RHO": lambda p, step: _bl_rho(p, step.rho),
-    "LATTICE_INF": lambda p, step: _lattice(p),
+    "LATTICE_INF": lambda p, step: _bl(_key_shared(p, key2=False)),
     "KEY1": lambda p, step: _key_shared(p, key2=False),
     "KEY2": lambda p, step: _key_shared(p, key2=True),
     "LOVEJOY_B0": lambda p, step: _lovejoy_b0(p),
@@ -498,31 +494,6 @@ def _lattice_vars(p: BaileyPair, k: int, r: int, j: int) -> list:
             for i in range(1, K + 1)]
 
 
-def check_corolattice(p: BaileyPair, k: int, r: int,
-                      prec: Optional[int] = None):
-    """Two-sided check of the classical single-lattice consequence.
-
-    LHS: sum over s_1 >= ... >= s_{k+1} >= 0 of
-         a^(s_1+...+s_{k+1}) q^(s_1^2+...+s_{k+1}^2 - s_1 - ... - s_{k-r})
-         / prod (q)_{s_i - s_{i+1}} * beta_{s_{k+1}},
-    RHS: 1/(aq)_inf * sum_l a^((k+1)l) q^((k+1)l^2 - (k-r)l)
-         * (sum_{i<=k-r} (a q^(2l))^i) * alpha_l.
-    Returns (equal, first_mismatch_exponent).
-    """
-    if k < 1 or not -1 <= r <= k:
-        raise ParameterOutOfRange(f"need k >= 1 and -1 <= r <= k, got {k=} {r=}")
-    if p.a.sign != 1:
-        raise ParameterOutOfRange("only positive q-power parameters are in scope")
-    tp = p.prec if prec is None else min(prec, p.prec)
-    a = p.a
-
-    def term(l):
-        t = _a_pow(a, (k + 1) * l).shift(2 * (k + 1) * l * l - 2 * (k - r) * l)
-        t = t * _geom(SM(a.sign, a.e + 4 * l), k - r + 1)
-        return t * p.alpha[l]
-    return _two_sided(p, _lattice_vars(p, k, r, 0), [(2, None)] * k, term, tp)
-
-
 def _check_krj(k: int, r: int, j: int):
     """The (k, r, j) domain of the star chains and their consequences."""
     if k < 1 or r < 0 or j < 0 or r + j > k:
@@ -537,21 +508,39 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
     b and c are SignedMonomial values or the module constant INFINITY.  An
     infinite parameter triggers the standard formal limits
     (x)_l / x^l -> (-1)^l q^(l(l-1)/2), (y/x)_m -> 1, and
-    (1 - x q^l)/(x - a q^(l-1)) -> -q^l.  At b = c = INFINITY the LHS is
-    check_corolattice's with exponent
-    -2 s_1 - ... - 2 s_j - s_{j+1} - ... - s_{k-r}, and the RHS carries the
-    telescoped bracket sum_{i<=j}(aq^(2l-1))^i - a^(k+1-r) q^((2k+2-2r)l-j)
-    sum_{i<=j}(aq^(2l+1))^i over 1 - a q^(2l).
-    """
-    _check_krj(k, r, j)
-    a = p.a
-    if a.sign != 1 or a.e <= 0:
-        raise DegenerateDivision(
-            "supported parameters are positive powers of q (exercised at a = q)")
-    tp = p.prec if prec is None else min(prec, p.prec)
+    (1 - x q^l)/(x - a q^(l-1)) -> -q^l.  The domain is a = q^(e/2) of
+    sign +1, k >= 1, j >= 0, r + j <= k, and r >= -1 when c = INFINITY
+    (r >= 0 when c is finite).
 
+    At b = c = INFINITY the LHS is
+        sum over s_1 >= ... >= s_{k+1} >= 0 of a^(s_1+...+s_{k+1})
+        q^(s_1^2+...+s_{k+1}^2 - 2 s_1 - ... - 2 s_j - s_{j+1} - ... - s_{k-r})
+        / prod (q)_{s_i - s_{i+1}} * beta_{s_{k+1}}
+    and the RHS carries the telescoped bracket
+        sum_{i<=j} q^(-i) z^i - z^m q^(-j) sum_{i<=j} q^i z^i
+          = sum_{i<=j} q^(-i) (z^i - z^(m+j-i))
+    over 1 - z, with z = a q^(2l) and m = k + 1 - r.  Each difference is
+    z^i (1 - z^(m+j-2i)), so the quotient is the polynomial
+        sum_{i<=j} q^(-i) z^i (1 + z + ... + z^(m+j-2i-1)),
+    each geometric sum with at least one term because m >= j + 1; it is
+    built as such and nothing is divided.  At j = 0 this is the classical
+    single-lattice consequence, with RHS
+        1/(aq)_inf * sum_l a^((k+1)l) q^((k+1)l^2 - (k-r)l)
+        * (1 + z + ... + z^(k-r)) * alpha_l.
+    A finite b divides the assembled term exactly by 1 - z and the two
+    factors b - a q^(l-1) and b - a q^l.
+    """
     b_inf = b == INFINITY
     c_inf = c == INFINITY
+    r_min = -1 if c_inf else 0
+    if k < 1 or j < 0 or not r_min <= r <= k - j:
+        raise ParameterOutOfRange(
+            f"need k>=1, j>=0, {r_min}<=r, r+j<=k; got {k=} {r=} {j=}")
+    a = p.a
+    if a.sign != 1:
+        raise ParameterOutOfRange(f"a must be q^(e/2) of sign +1, got {a.text()}")
+    tp = p.prec if prec is None else min(prec, p.prec)
+
     if not b_inf:
         if b.sign != -1:
             raise UnsupportedBoundary("finite b must be a negative monomial")
@@ -582,11 +571,12 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
                     * p.beta[v])
         pervar[k] = (1, pervar[k][1] + 1 - c.e, tail_c)
         pochs[k] = c
-    # A negative linear exponent (a.e - 4 on s_1 .. s_j) costs order: one per
-    # s_i at a = q^(1/2), and as much on the right, where 1 + x + ... + x^j
-    # with x = a q^(-1) has that valuation; a finite b or c of negative
-    # exponent costs the valuation of its Pochhammer.  Both sides work to
-    # that much more order, and a seed is asked for the prefix to it.
+    # A linear exponent below -2 (a.e - 4 on s_1 .. s_j, a.e - 2 on
+    # s_{j+1} .. s_{k-r}) costs order: one per such s_i at a = q^(1/2), and
+    # as much on the right, where the bracket at l = 0 (x = a q^(-1),
+    # z = a) has that valuation; a finite b or c of negative exponent costs
+    # the valuation of its Pochhammer.  Both sides work to that much more
+    # order, and a seed is asked for the prefix to it.
     wp = tp + _order_lost(pervar, pochs)
     if p.prec < wp and p.seed is not None:
         return check_coro3(p.seed(p.a, p.n_max, wp), k, r, j, b, c, tp)
@@ -602,24 +592,26 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
     def term(l):
         x = SM(a.sign, a.e + 4 * l - 2)    # a q^(2l-1)
         y = SM(a.sign, a.e + 4 * l + 2)    # a q^(2l+1)
+        z = SM(a.sign, a.e + 4 * l)        # a q^(2l)
         divisors = []
         if b_inf:
             bpart = monomial((-1) ** l, l * (l - 1))
-            shift = (a ** (k + 1 - r)).as_series().shift(
-                2 * (2 * k + 2 - 2 * r) * l - 2 * j)
-            bracket = _geom(x, j + 1) - shift * _geom(y, j + 1)
+            bracket = zero(INF)            # sum_{i<=j} x^i (1 + ... + z^(...))
+            for i in range(j + 1):
+                bracket = bracket + (x ** i).as_series() * _geom(
+                    z, k + 1 - r + j - 2 * i)
         else:
             # (a/bq; q)_inf / (a/bq)_l folded into the term: ((a/bq) q^l)_inf.
             # Its even leading factor is what makes the l with b = -q^l
-            # (where b - aq^l is -2 t^e) come out integral, so the division by
-            # d1, d2 must happen after the full product is assembled.
+            # (where b - aq^l is -2 t^e) come out integral, so the divisions
+            # must happen after the full product is assembled.
             bpart = (poch_infinite(SM(w.sign, w.e + 2 * l), 2, wp)
                      * poch_finite(b, 2, l) * monomial(b.sign ** l, -b.e * l))
             aql_1 = SM(a.sign, a.e + 2 * l - 2)   # a q^(l-1)
             aql = SM(a.sign, a.e + 2 * l)         # a q^l
             d1 = QSeries({b.e: b.sign}) + QSeries({aql_1.e: -aql_1.sign})
             d2 = QSeries({b.e: b.sign}) + QSeries({aql.e: -aql.sign})
-            divisors = [d1, d2]
+            divisors = [d1, d2, _unit_check(_one_minus(z), "1-aq^2l")]
             p1num = (b.as_series() * _geom(x, j + 1)
                      - aql_1.as_series() * _geom(x, j))
             p2num = (b.as_series() * _geom(y, j + 1)
@@ -633,10 +625,8 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
             cpart = (poch_finite(c, 2, l) * monomial(c.sign ** l, -c.e * l)
                      * inv_poch_finite(aq_over_c, 2, l, wp))
         t = _a_pow(a, (k + 1) * l).shift(2 * k * l * l + 2 * (r + 1 - j - k) * l)
-        t = t.divide(_unit_check(_one_minus(SM(a.sign, a.e + 4 * l)),
-                                 "1-aq^2l"), wp)
         out = t * bpart * cpart * bracket * p.alpha[l]
-        # d1 and d2 are exact: 1/d known to wp - val(out) keeps every term
+        # the divisors are exact: 1/d known to wp - val(out) keeps every term
         # of the quotient below wp that the product above knows
         for d in divisors:
             out = out.divide(d, wp - min(out.coeffs, default=0))

@@ -183,7 +183,8 @@ def _cmd_interpret(args) -> int:
     rep = S.check_interpretation(args.theorem, args.k, args.r, args.j,
                                  args.prec)
     _emit({"theorem": args.theorem, "k": args.k, "r": args.r, "j": args.j,
-           "equal": rep.equal, "first_mismatch": rep.first_mismatch},
+           "prec": args.prec, "equal": rep.equal,
+           "first_mismatch": rep.first_mismatch},
           args.format)
     return 0 if rep.equal else 1
 
@@ -227,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-lambda", help="insertion map with full trace")
     p.add_argument("--input", required=True,
                    help='multipartition JSON, e.g. {"parts": [[3,1],[]]}')
-    common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_trace_lambda)
 
     p = sub.add_parser("trace-gamma", help="inverse insertion with full trace")
     p.add_argument("--input", required=True,
                    help="frequency sequence JSON list, e.g. [2,0,1]")
     p.add_argument("--k", type=int, default=None)
-    common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_trace_gamma)
 
     p = sub.add_parser("enumerate", help="list members of a family by weight")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    common(p, 25)
+    common(p)
     p.set_defaults(func=_cmd_interpret)
 
     return ap

@@ -199,10 +199,7 @@ class MotionTrace:
     def text(self) -> str:
         lines = [str(list(self.start))]
         for op, pos, amount, state in self.ops:
-            if op in ("pm", "rpm"):
-                lines.append(f"=> {op} at {pos}, m={amount}: {list(state)}")
-            else:
-                lines.append(f"-> focus {pos}: {list(state)}")
+            lines.append(f"=> {op} at {pos}, m={amount}: {list(state)}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:

@@ -391,14 +391,15 @@ _INTERP = {
 def check_interpretation(theorem: str, k: int, r: int, j: int,
                          max_weight: int) -> SetReport:
     """Generating function of the stated frequency family against the
-    corresponding catalog sum side, to q-order max_weight."""
+    corresponding catalog sum side, compared at exactly q-order max_weight
+    (t-order 2 max_weight + 1); a side known to less raises."""
     if theorem not in _INTERP:
         raise InvalidParameters(f"unknown interpretation {theorem!r}")
     tag, row = _INTERP[theorem]
     # the sum side validates (k, r, j), so a bad input fails before enumerating
     ref = lhs_series(row, {"k": k, "r": r, "j": j}, max_weight)
     gf = gf_family(SetPredicate(tag, k=k, r=r, j=j), max_weight)
-    eq, e = gf.equal_up_to(ref, min(gf.prec, ref.prec))
+    eq, e = gf.equal_up_to(ref, 2 * max_weight + 1)
     return SetReport(eq, e, f"{tag} vs {row}")
 
 

@@ -173,20 +173,15 @@ def test_criterion_4d_lattice_consequences():
     seeds_1 = [B.unit_pair(ONE_M, 12, tp), B.pair_dprime1(ONE_M, 12, tp),
                B.pair_dprime4(ONE_M, 12, tp)]
     bad, runs = [], 0
+    # j = 0 is the classical single-lattice consequence
     for p in seeds_q + seeds_1:
         for k in (1, 2, 3):
             for r in range(-1, k + 1):
-                runs += 1
-                if B.check_corolattice(p, k, r, tp) != (True, None):
-                    bad.append(("corolattice", p.a.text(), k, r))
-    for p in seeds_q:
-        for k in (1, 2, 3):
-            for r in range(0, k + 1):
                 for j in range(0, k - r + 1):
                     runs += 1
                     if B.check_coro3(p, k, r, j, B.INFINITY, B.INFINITY,
                                      tp) != (True, None):
-                        bad.append(("coro3-oo", k, r, j))
+                        bad.append(("coro3-oo", p.a.text(), k, r, j))
     combos = [(B.INFINITY, SM(-1, 2)), (B.INFINITY, SM(-1, 3)),
               (SM(-1, 0), B.INFINITY), (SM(-1, 0), SM(-1, 3))]
     for b, c in combos:

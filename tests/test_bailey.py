@@ -179,32 +179,39 @@ def test_beta_limit_not_stabilized():
 
 
 def test_corolattice_small(unit_q, unit_1):
+    # the classical single-lattice consequence: j = 0, b = c = oo
+    inf = B.INFINITY
     for p in (unit_q, unit_1):
         for k in (1, 2):
             for r in range(-1, k + 1):
-                assert B.check_corolattice(p, k, r, TP) == (True, None)
+                assert B.check_coro3(p, k, r, 0, inf, inf, TP) == (True, None)
     with pytest.raises(ParameterOutOfRange):
-        B.check_corolattice(unit_q, 0, 0, TP)
+        B.check_coro3(unit_q, 0, 0, 0, inf, inf, TP)
     with pytest.raises(ParameterOutOfRange):
-        B.check_corolattice(unit_q, 2, 3, TP)
+        B.check_coro3(unit_q, 2, 3, 0, inf, inf, TP)
+    with pytest.raises(ParameterOutOfRange):
+        B.check_coro3(unit_q, 2, -2, 0, inf, inf, TP)
+    with pytest.raises(ParameterOutOfRange):
+        B.check_coro3(B.unit_pair(SM(-1, 2), 8, TP), 1, 0, 0, inf, inf, TP)
 
 
 def test_corolattice_insufficient_depth():
     shallow = B.unit_pair(Q, 3, 121)
     with pytest.raises(InsufficientDepth):
-        B.check_corolattice(shallow, 1, 0, 121)
+        B.check_coro3(shallow, 1, 0, 0, B.INFINITY, B.INFINITY, 121)
 
 
 def test_coro2_small(unit_q, unit_1):
-    # the double-lattice consequence without boundary factors: b = c = oo
+    # the double-lattice consequence without boundary factors: b = c = oo;
+    # its bracket over 1 - a q^(2l) is a polynomial, so a = 1 needs no
+    # division by 1 - a
     inf = B.INFINITY
-    for k in (1, 2):
-        for r in range(0, k + 1):
-            for j in range(0, k - r + 1):
-                assert B.check_coro3(unit_q, k, r, j, inf, inf,
-                                     TP) == (True, None)
-    with pytest.raises(DegenerateDivision):
-        B.check_coro3(unit_1, 1, 0, 0, inf, inf, TP)
+    for p in (unit_q, unit_1):
+        for k in (1, 2):
+            for r in range(0, k + 1):
+                for j in range(0, k - r + 1):
+                    assert B.check_coro3(p, k, r, j, inf, inf,
+                                         TP) == (True, None), (p.a, k, r, j)
     with pytest.raises(ParameterOutOfRange):
         B.check_coro3(unit_q, 2, 2, 1, inf, inf, TP)
 
@@ -271,6 +278,34 @@ def test_coro3_at_a_half_power_counts_finite_boundaries(monkeypatch):
     assert B.check_coro3(bad, 3, 2, 1, SM(-1, -1), SM(-1, 2), 101) == (False, 8)
 
 
+def test_coro3_at_a_negative_half_power_and_r_minus_one(monkeypatch):
+    # at a = q^(-1/2) every lattice variable up to s_{k-r} carries a
+    # negative own exponent, so the multisum loses order that the check
+    # must ask the seed for; r = -1 with j >= 1 is in the domain when c is
+    # infinite
+    orders = []
+    equal_up_to = QSeries.equal_up_to
+
+    def spy(lhs, rhs, p):
+        orders.append(p)
+        return equal_up_to(lhs, rhs, p)
+    monkeypatch.setattr(QSeries, "equal_up_to", spy)
+    inf = B.INFINITY
+    every = [(k, r, j) for k in (1, 2, 3) for r in range(-1, k + 1)
+             for j in range(k - r + 1)]
+    r_minus_one = [(k, -1, j) for k in (1, 2, 3) for j in range(1, k + 2)]
+    for kind, seed in B.SEEDS.items():
+        for a, cases in ((SM(1, -1), every), (Q, r_minus_one)):
+            p = seed(a, 12, 101)
+            for (k, r, j) in cases:
+                del orders[:]
+                assert B.check_coro3(p, k, r, j, inf, inf,
+                                     101) == (True, None), (kind, a, k, r, j)
+                assert orders == [101], (kind, a, k, r, j)
+    bad = naive.with_beta1_perturbed(B.unit_pair(Q, 12, 101))
+    assert B.check_coro3(bad, 2, -1, 1, inf, inf, 101) == (False, 6)
+
+
 def test_coro3_boundaries(unit_q):
     combos = [(B.INFINITY, SM(-1, 2)), (B.INFINITY, SM(-1, 3)),
               (SM(-1, 0), B.INFINITY), (SM(-1, 0), SM(-1, 3))]
@@ -283,6 +318,10 @@ def test_coro3_boundaries(unit_q):
         B.check_coro3(unit_q, 2, 1, 1, SM(1, 2), B.INFINITY, TP)
     with pytest.raises(ParameterOutOfRange):
         B.check_coro3(unit_q, 2, 2, 1, B.INFINITY, SM(-1, 2), TP)
+    # r = -1 is the single-lattice boundary of an infinite c only
+    for b in (B.INFINITY, SM(-1, 0)):
+        with pytest.raises(ParameterOutOfRange):
+            B.check_coro3(unit_q, 2, -1, 1, b, SM(-1, 2), TP)
 
 
 def test_common2_default_and_subsets(unit_q):
@@ -298,9 +337,9 @@ def test_lattice_checks_reject_a_corrupted_pair():
     p = naive.with_beta1_perturbed(B.unit_pair(Q, 12, 101))
     lattice = {(1, -1): 6, (1, 0): 8, (1, 1): 10,
                (2, -1): 8, (2, 0): 10, (2, 1): 12, (2, 2): 14}
-    for (k, r), e in lattice.items():
-        assert B.check_corolattice(p, k, r, 101) == (False, e), (k, r)
     inf = B.INFINITY
+    for (k, r), e in lattice.items():
+        assert B.check_coro3(p, k, r, 0, inf, inf, 101) == (False, e), (k, r)
     boundary = {(inf, inf): (10, 10, 6),
                 (inf, SM(-1, 2)): (8, 8, 4), (inf, SM(-1, 3)): (7, 7, 3),
                 (SM(-1, 0), inf): (10, 10, 6),

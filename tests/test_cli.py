@@ -130,7 +130,10 @@ def test_enumerate(capsys):
 def test_interpret(capsys):
     rc, out, _ = run(capsys, "interpret", "--theorem", "1.11", "--k", "2",
                      "--r", "1", "--j", "1", "--prec", "15")
-    assert rc == 0 and "equal=True" in out
+    assert rc == 0 and "prec=15  equal=True" in out
+    rc, out, _ = run(capsys, "interpret", "--theorem", "1.12", "--k", "2",
+                     "--r", "1", "--j", "1", "--format", "json")
+    assert rc == 0 and json.loads(out)["prec"] == 40
 
 
 def test_usage_error(capsys):
@@ -272,6 +275,15 @@ def test_enumerate_rejects_parameters_outside_the_family(capsys, argv):
     assert rc == 2 and out == ""
     assert err.startswith(f"error: family {argv[0]} takes parameters [")
     assert err.count("\n") == 1
+
+
+def test_trace_commands_take_no_prec(capsys):
+    # the motions are exact and finite: a precision flag would be ignored
+    for cmd, text in (("trace-lambda", "[[1]]"), ("trace-gamma", "[1]")):
+        for prec in ("5", "0"):
+            rc, out, err = run(capsys, cmd, "--input", text, "--prec", prec)
+            assert rc == 2 and out == ""
+            assert "unrecognized arguments: --prec" in err
 
 
 def test_trace_non_integer_input(capsys):

@@ -8,7 +8,8 @@ import pytest
 from qident import identities as I
 from qident import motion as M
 from qident import sets as S
-from qident.errors import InvalidParameters, KindMismatch, NotAMember
+from qident.errors import (InvalidParameters, KindMismatch, NotAMember,
+                           PrecisionExceeded)
 from qident.qfunctions import Q, SignedMonomial as SM, poch_infinite, triple_product
 
 from gf_oracle import count_partitions, oracle_mod_partitions
@@ -250,6 +251,16 @@ def test_interpretations_small():
         S.check_interpretation("1.14", 2, 1, 1, 10)
     with pytest.raises(InvalidParameters):
         S.check_interpretation("1.11", 2, 2, 1, 10)
+
+
+def test_interpretation_refuses_a_short_side(monkeypatch):
+    # the comparison is at q-order max_weight exactly, never at the lower
+    # order of a side that came back short
+    gf_family = S.gf_family
+    monkeypatch.setattr(S, "gf_family",
+                        lambda pred, W: gf_family(pred, W).truncate(2 * W - 1))
+    with pytest.raises(PrecisionExceeded):
+        S.check_interpretation("1.11", 2, 1, 1, 16)
 
 
 def test_ztilde_relation_small():
