@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify every catalog row up to max k")
     p.add_argument("--max-k", type=_at_least_one("max k"), default=3,
                    dest="max_k")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one("jobs"), default=1,
                    help="worker processes (scheduling only, never results)")
     common(p)
     p.set_defaults(func=_cmd_sweep)

@@ -53,7 +53,8 @@ class NotStabilized(QidentError):
 
 
 class ParameterOutOfRange(QidentError):
-    """Lattice-consequence check called outside its parameter domain."""
+    """A lattice-consequence check, or gamma_map, called outside its
+    parameter domain."""
 
 
 class UnsupportedBoundary(QidentError):

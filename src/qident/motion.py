@@ -22,7 +22,7 @@ from itertools import accumulate, count, repeat
 from operator import add, lt, mul
 from typing import Optional
 
-from .errors import PreconditionViolated
+from .errors import ParameterOutOfRange, PreconditionViolated
 
 
 def canonical(f) -> tuple:
@@ -233,16 +233,19 @@ def lambda_map(parts, trace: bool = False):
 def gamma_map(f, k: Optional[int] = None, trace: bool = False):
     """Inverse insertion: frequency sequence -> multipartition.
 
-    k defaults to the maximum adjacent sum of the input; an explicit k is
-    validated against membership.  Repeatedly reverse-moves the leftmost
-    maximal pair back onto the frame positions 0, 2, 4, ... and records the
-    step counts, which become the parts.  With ``trace``, returns
-    (multipartition, MotionTrace).
+    k defaults to the maximum adjacent sum of the input; an explicit k must
+    be at least 1 (else ParameterOutOfRange) and is validated against
+    membership.  Repeatedly reverse-moves the leftmost maximal pair back
+    onto the frame positions 0, 2, 4, ... and records the step counts,
+    which become the parts.  With ``trace``, returns (multipartition,
+    MotionTrace).
     """
     f = canonical(f)
     inferred = max_adjacent_sum(f)
     if k is None:
         k = inferred
+    elif k < 1:
+        raise ParameterOutOfRange("k must be at least 1")
     elif inferred > k:
         raise PreconditionViolated(
             f"sequence has adjacent sum {inferred} > k = {k}")

@@ -43,6 +43,11 @@ _PACK_MIN_OPS = 1500
 _NATIVE = ({struct.calcsize(f): f for f in "BHILQ"}
            if sys.byteorder == "little" else {})
 
+# The native word each digit width up to 8 bytes is read and written in:
+# the narrowest one at least that wide.
+_WORD = ({n: min(w for w in _NATIVE if w >= n) for n in range(1, 9)}
+         if _NATIVE else {})
+
 
 def _as_prec(p):
     if p is INF or p == INF:
@@ -295,11 +300,13 @@ def _mul_dict(da: dict, db: dict, cap) -> dict:
     return out
 
 
-def kron_pack(rows, ndigits: int, nbytes: int) -> int:
-    """Kronecker substitution: the integer sum of c * X^(offset + e) over the
-    rows (offset, coeffs, limit) and the terms c*t^e of each coeffs dict with
-    e < limit, where X = 2^(8*nbytes).  Digit indices must be distinct and
-    lie in [0, ndigits).
+def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
+    """Kronecker substitution: the integer sum of c * X^((offset + e) / step)
+    over the rows (offset, coeffs, limit) and the terms c*t^e of each coeffs
+    dict with e < limit, where X = 2^(8*nbytes).  Every offset + e must be a
+    multiple of ``step``, so a row whose exponents lie on a lattice
+    r + step*Z packs one digit per lattice point, not one per exponent.
+    Digit indices must be distinct and lie in [0, ndigits).
 
     Coefficients may be negative.  Each is stored with a bias of half a
     digit, and the bias pattern is subtracted at the end, so every |c| must
@@ -307,37 +314,47 @@ def kron_pack(rows, ndigits: int, nbytes: int) -> int:
     must hold for every digit of the result: ``bound.bit_length() // 8 + 1``
     bytes are enough when ``bound`` bounds every |digit|.
 
-    When a digit is a native unsigned machine word (1, 2, 4 or 8 bytes on a
-    little-endian host), the buffer is written through a ``memoryview`` cast
-    to that word, one item per digit; other widths write each digit's bytes.
+    Digits of up to 8 bytes are written as native unsigned machine words
+    (1, 2, 4 or 8 bytes on a little-endian host) through a ``memoryview``
+    cast, one item per digit; a 3-, 5-, 6- or 7-byte digit is written into
+    the next wider word and the buffer is then narrowed with one strided
+    byte copy per digit byte.  Wider digits write each digit's bytes.
     """
     lift = 1 << (8 * nbytes - 1)
     bias = lift.to_bytes(nbytes, "little") * ndigits
-    buf = bytearray(bias)
-    fmt = _NATIVE.get(nbytes)
-    if fmt is not None:
-        words = memoryview(buf).cast(fmt)
+    w = _WORD.get(nbytes)
+    if w is not None:
+        buf = bytearray(lift.to_bytes(w, "little") * ndigits)
+        words = memoryview(buf).cast(_NATIVE[w])
         for offset, coeffs, limit in rows:
             for e, c in coeffs.items():
                 if e < limit:
-                    words[offset + e] = c + lift
+                    words[(offset + e) // step] = c + lift
+        if w != nbytes:
+            wide, buf = buf, bytearray(len(bias))
+            for i in range(nbytes):
+                buf[i::nbytes] = wide[i::w]
     else:
+        buf = bytearray(bias)
         for offset, coeffs, limit in rows:
             for e, c in coeffs.items():
                 if e < limit:
-                    k = (offset + e) * nbytes
+                    k = (offset + e) // step * nbytes
                     buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
     return int.from_bytes(buf, "little") - int.from_bytes(bias, "little")
 
 
-def kron_unpack(n: int, nbytes: int, spans) -> list:
+def kron_unpack(n: int, nbytes: int, spans, step: int = 1) -> list:
     """Signed digits of n in base 2^(8*nbytes), the inverse of kron_pack.
 
     ``spans`` lists (start, stop, base) digit ranges; the result holds one
-    dict per span mapping base + (i - start) to each nonzero digit i in
-    [start, stop).  Digits at or above the largest stop are never read, so
-    they may be arbitrary.  Native-width digits are read a span at a time,
-    as in kron_pack.
+    dict per span mapping base + step*(i - start) to each nonzero digit i in
+    [start, stop), so a span read at ``step`` gives back exponents on the
+    lattice base + step*Z.  Digits at or above the largest stop are never
+    read, so they may be arbitrary.  Digits of up to 8 bytes are read as
+    native words, a span at a time, as in kron_pack: a 3-, 5-, 6- or 7-byte
+    digit is first widened to the next native word by one strided byte copy
+    per digit byte.
     """
     ndigits = max((stop for _, stop, _ in spans), default=0)
     lift = 1 << (8 * nbytes - 1)
@@ -346,16 +363,21 @@ def kron_unpack(n: int, nbytes: int, spans) -> list:
     # Adding the bias turns every digit below ndigits into c + lift, which
     # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
     buf = ((n + bias) & ((1 << nbits) - 1)).to_bytes(nbits // 8, "little")
-    fmt = _NATIVE.get(nbytes)
-    if fmt is not None:
-        words = memoryview(buf).cast(fmt)
+    w = _WORD.get(nbytes)
+    if w is not None:
+        if w != nbytes:
+            narrow, buf = buf, bytearray(ndigits * w)
+            for i in range(nbytes):
+                buf[i::w] = narrow[i::nbytes]
+        words = memoryview(buf).cast(_NATIVE[w])
         spans_vals = [words[start:stop].tolist() for start, stop, _ in spans]
     else:
         from_bytes = int.from_bytes
         spans_vals = [[from_bytes(buf[k:k + nbytes], "little")
                        for k in range(start * nbytes, stop * nbytes, nbytes)]
                       for start, stop, _ in spans]
-    return [{base + j: c - lift for j, c in enumerate(vals) if c != lift}
+    return [{base + step * j: c - lift for j, c in enumerate(vals)
+             if c != lift}
             for (_, _, base), vals in zip(spans, spans_vals)]
 
 

@@ -25,9 +25,26 @@ reaches the next one.  The binomial factor gives two branches:
 L_u * t^(-b*u) against the plain Pochhammers, and L_u * t^(b*u) against
 1/(t^d; t^d)_m * t^(b*m), which puts t^(b*v) on slot v.  Slot v of the sum
 is T_v, with the precision that the per-pair series products and sums would
-have given it.  The Pochhammer side depends only on (d, the highest slot
-read, wp, the slot width, the digit width, the branch), so each such table
-is packed once per key and cached; only the layer side is packed per call.
+have given it.
+
+Inside a slot the term t^e sits at digit e - lo, with lo the lowest exponent
+of any L_u * t^(-b*u).  Every exponent that enters the product lies on the
+lattice lo + g*Z, where g is the gcd of d, b and every e - b*u - lo of the
+layer: the Pochhammer exponents are multiples of d, the branch shifts
+multiples of b, and a sum of lattice offsets is a lattice offset.  So both
+integers pack one digit per g exponents, with the slot width rounded up to
+a multiple of g; the product is the same polynomial with X = 2^(8*nbytes)
+standing for t^g instead of t, and exponent lo + g*j of a slot comes back
+from its digit j.  This is exact: the digits it leaves out are the ones
+that are always zero.  In t = q^(1/2) units, a layer of whole q-powers with
+d = 2 has g = 2, as do almost all layers of the catalog's sum sides and of
+the Bailey beta-side sums, so their packed integers have half the digits.
+
+The Pochhammer side depends only on (d, the highest slot read, wp, the
+slot width, the digit width, the branch, the grid step), so each such
+table is packed once per key and cached; only the layer side is packed per
+call.
+
 The outer variable's own factor is then applied to T_v: as an exact shift
 when it is a bare monomial, as a series product otherwise.  That layer is
 ``convolve_layer``.  Its second user is the Bailey engine:
@@ -55,6 +72,7 @@ PrecisionExceeded.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import PrecisionExceeded
 from .series import INF, QSeries, kron_pack, kron_unpack, monomial, zero
@@ -192,7 +210,9 @@ def convolve_layer(layer, own_row, gap, wp):
     lo = min((min(layer[u].coeffs) - b * u for u in us), default=0)
 
     # Precision of T_v: min over u <= v of prec(L_u * ip_{v-u}) - b*u, with
-    # prec(L_u * ip) = min(prec(L_u), wp + val(L_u)) since val(ip) = 0.
+    # prec(L_u * ip) = min(prec(L_u), wp + val(L_u)) since val(ip) = 0, and
+    # at most wp: no term of L_u * t^(-b*u) or L_u * t^(b*u) at or above wp
+    # is packed.
     # T_v is read below stop = wp - val(own_v) only: no more can reach the
     # result.  It has no term below stop when stop <= lo, or when no
     # nonzero L_u has u <= v; then nothing is read.
@@ -201,7 +221,7 @@ def convolve_layer(layer, own_row, gap, wp):
     for v in range(min(layer), len(own_row)):
         s = layer.get(v)
         if s is not None:
-            best = min(best, min(s.prec, wp + _val(s)) - b * v)
+            best = min(best, wp, min(s.prec, wp + _val(s)) - b * v)
         o = own_row[v]
         if o is not None:
             stop = min(best, wp - (o if isinstance(o, int) else _val(o)))
@@ -245,18 +265,28 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
                     for u, amax, asum in a_norms if u <= v)
                 for v, _ in reads)
     nbytes = (bound * (2 if b else 1)).bit_length() // 8 + 1
-    W = 2 * wp - 1 - lo         # a slot product spans at most W - 1 digits
+
+    # Every packed exponent lies on lo + g*Z (module docstring); b is in the
+    # gcd, so e - lo stands for e - b*u - lo.
+    g = gcd(den_step, b, *[e - lo for u in us for e in layer[u].coeffs])
+    # A slot product spans at most W - 1 exponents, W = 2*wp - 1 - lo here
+    # rounded up to a multiple of g, so a slot holds W/g digits and the
+    # exponent lo + g*j of slot v sits at digit j of it.
+    W = -(-(2 * wp - 1 - lo) // g) * g
+    Wg = W // g
 
     def pack_layer(shift):
         return kron_pack([((u - u0) * W + shift * u - lo, layer[u].coeffs,
                            wp - shift * u) for u in us],
-                         (us[-1] - u0 + 1) * W, nbytes)
+                         (us[-1] - u0 + 1) * Wg, nbytes, g)
 
-    prod = pack_layer(-b) * _packed_ips(den_step, top, wp, W, nbytes, 0)
+    prod = pack_layer(-b) * _packed_ips(den_step, top, wp, W, nbytes, 0, g)
     if b:
-        prod += pack_layer(b) * _packed_ips(den_step, top, wp, W, nbytes, b)
-    return kron_unpack(prod, nbytes, [((v - u0) * W, (v - u0) * W + stop - lo,
-                                       lo) for v, stop in reads])
+        prod += pack_layer(b) * _packed_ips(den_step, top, wp, W, nbytes, b, g)
+    # slot v is read below stop: ceil((stop - lo) / g) digits
+    return kron_unpack(prod, nbytes, [((v - u0) * Wg, (v - u0) * Wg
+                                       - (lo - stop) // g, lo)
+                                      for v, stop in reads], g)
 
 
 def _ips(den_step, top, wp):
@@ -277,9 +307,10 @@ def _ip_norms(den_step, top, wp):
 
 
 @lru_cache(maxsize=128)
-def _packed_ips(den_step, top, wp, W, nbytes, shift):
+def _packed_ips(den_step, top, wp, W, nbytes, shift, step):
     """1/(t^d; t^d)_m * t^(shift*m) packed into slot m of width W, for each
-    m <= top, read below wp."""
+    m <= top, read below wp, one digit per ``step`` exponents (step divides
+    d, shift and W)."""
     return kron_pack([(m * W + shift * m, ip.coeffs, wp - shift * m)
                       for m, ip in enumerate(_ips(den_step, top, wp))],
-                     (top + 1) * W, nbytes)
+                     (top + 1) * W // step, nbytes, step)

@@ -445,24 +445,30 @@ _coeffs = st.dictionaries(
 
 
 @st.composite
-def _beta_sum_cases(draw):
+def _beta_sum_cases(draw, grid=1):
     """Random beta values (zero ones included) known below, at or above tp,
-    exact lifts with Laurent shifts, with and without the star bracket."""
+    exact lifts with Laurent shifts, with and without the star bracket.
+    With grid 2 every exponent of the betas and the lifts is even."""
+    coeffs = _coeffs.map(lambda d: {grid * e: c for e, c in d.items()})
     n_max = draw(st.integers(0, 6))
     tp = draw(st.integers(1, 16))
-    beta = tuple(QSeries(draw(st.one_of(st.just({}), _coeffs)),
+    beta = tuple(QSeries(draw(st.one_of(st.just({}), coeffs)),
                          tp + draw(st.sampled_from([-3, -1, 0, 1, 4])))
                  for _ in range(n_max + 1))
-    lifts = [QSeries(draw(_coeffs)).shift(draw(st.integers(-6, 6)))
+    lifts = [QSeries(draw(coeffs)).shift(grid * draw(st.integers(-6, 6)))
              for _ in range(n_max + 1)]
     return n_max, tp, beta, lifts, draw(st.booleans())
 
 
-@settings(max_examples=150, deadline=None)
-@given(_beta_sum_cases())
+@settings(max_examples=300, deadline=None)
+@given(_beta_sum_cases() | _beta_sum_cases(grid=2))
 # the unit pair at a = q^(-1/2) under STAR: a zero beta_1 known to tp, lifted
 # by t^1 and lowered by the bracket's t^-2, leaves beta'_n known to tp - 1
 @example((1, 5, (one(5), zero(5)), [one(), monomial(1, 1)], True))
+# the unit pair at a = q under STAR, lifted by q^(l^2): every product of the
+# beta-side sum packs on the grid step 2
+@example((2, 9, (one(9), zero(9), zero(9)), [one(), monomial(1, 2),
+                                             monomial(1, 8)], True))
 def test_beta_sum_matches_the_double_loop(case):
     n_max, tp, beta, lifts, star = case
     p = B.BaileyPair(Q, n_max, (zero(tp),) * (n_max + 1), beta, tp)

@@ -308,6 +308,23 @@ def test_sweep_max_k_must_be_positive(capsys):
         assert "max k must be >= 1" in err and "Traceback" not in err
 
 
+def test_sweep_jobs_must_be_positive(capsys):
+    # below 1 the sweep would run in-process and ignore the flag
+    for jobs in ("0", "-3"):
+        rc, out, err = run(capsys, "sweep", "--max-k", "1", "--prec", "5",
+                           "--jobs", jobs)
+        assert rc == 2 and out == ""
+        assert f"jobs must be >= 1, got {jobs}" in err
+        assert "Traceback" not in err
+
+
+def test_trace_gamma_rejects_k_below_one(capsys):
+    for text, k in (("[]", "0"), ("[0]", "-2"), ("[1]", "0")):
+        rc, out, err = run(capsys, "trace-gamma", "--input", text, "--k", k)
+        assert rc == 2 and out == ""
+        assert err == "error: k must be at least 1\n"
+
+
 def test_verify_rejects_parameters_the_row_does_not_take(capsys):
     rc, out, err = run(capsys, "verify", "andrews_gordon", "--k", "2",
                        "--r", "1", "--j", "5")

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qident import motion as M
 from qident import sets as S
-from qident.errors import PreconditionViolated
+from qident.errors import ParameterOutOfRange, PreconditionViolated
 
 from motion_replay import (frame_weight, pm_stepwise, replays, rpm_stepwise,
                            states)
@@ -208,6 +208,11 @@ def test_landing_pair_is_leftmost_maximum():
 def test_gamma_k_validation():
     with pytest.raises(PreconditionViolated):
         M.gamma_map((3, 0, 1), k=2)
+    # an explicit k below 1 is out of range before any membership check,
+    # the empty sequence included
+    for f, k in (((), 0), ((0,), -2), ((1, 0, 1), 0)):
+        with pytest.raises(ParameterOutOfRange, match="k must be at least 1"):
+            M.gamma_map(f, k)
 
 
 def test_multipartition_validation():

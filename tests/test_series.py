@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
-from qident.series import (_NATIVE, _mul_dict, _mul_packed, kron_pack,
-                           kron_unpack)
+from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
+                           kron_pack, kron_unpack)
+from qident import sumeval
 from qident.sumeval import _ip_norms, _packed_ips, convolve_layer
 
 from series_oracle import newton_invert
@@ -267,15 +268,39 @@ def test_convolve_layer_results_are_canonical(data, wp, den_step, b):
         assert_canonical(s)
 
 
+def test_convolve_layer_claims_no_order_above_wp():
+    # an exact L_0 = t + t^3 at wp = 3 under the shift t^-2: T_0 is packed
+    # below wp only, so the result is t^-1 + O(t), not t^-1 + O(t^2) with
+    # the t^1 term missing; with L_0 = t alone at wp = 1 nothing is read
+    assert convolve_layer({0: QSeries({1: 1, 3: 1})}, [-2], (1, None), 3) \
+        == {0: QSeries({-1: 1}, 1)}
+    assert convolve_layer({0: QSeries({1: 1})}, [-1], (1, None), 1) \
+        == {0: zero(0)}
+
+
+def _grid_layers(wp):
+    """Two layers, each on the plain grid or with its exponents doubled, so
+    that both grid steps 1 and 2 occur."""
+    def on_grid(g):
+        return _layer_series(wp).map(lambda s: QSeries(
+            {g * e: c for e, c in s.coeffs.items()}, s.prec))
+    layer = st.sampled_from([1, 2]).flatmap(lambda g: st.dictionaries(
+        st.integers(0, 5), on_grid(g), min_size=1))
+    return st.tuples(st.just(wp), st.lists(layer, min_size=2, max_size=2))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 60), st.sampled_from([1, 2]),
+@given(st.integers(1, 60).flatmap(_grid_layers), st.sampled_from([1, 2]),
        st.sampled_from([None, 1, 2]))
-def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(data, wp,
+# two layers whose tables share every key part but the grid step (2, then 1)
+@example((10, [{0: QSeries({1: 1}, 10)}, {0: QSeries({1: 1, 2: 1}, 10)}]),
+         2, None)
+def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(case,
                                                               den_step, b):
     # the packed Pochhammer tables are cached per key; a table packed for
-    # one layer must serve every other layer with that key unchanged
-    layers = [data.draw(st.dictionaries(st.integers(0, 5), _layer_series(wp),
-                                        min_size=1)) for _ in range(2)]
+    # one layer must serve every other layer with that key unchanged, and
+    # only those
+    wp, layers = case
     own_row = [0] * 6
     cold = []
     for layer in layers:
@@ -293,13 +318,22 @@ def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(data, wp,
 @pytest.mark.skipif(sys.byteorder != "little", reason="big-endian host")
 def test_kron_pack_takes_the_native_path_at_word_widths():
     assert sorted(_NATIVE) == [1, 2, 4, 8]
+    # odd widths are widened to the next native word
+    assert _WORD == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 9))
-def test_kron_pack_and_unpack_match_int_arithmetic(data, nbytes):
-    # widths 1, 2, 4 and 8 read and write native words, the others one
-    # digit at a time; the extreme digits +-(2^(8n-1) - 1) are drawn often
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 4]))
+def test_kron_pack_and_unpack_match_int_arithmetic(data, step):
+    # every example checks every width: 1, 2, 4 and 8 read and write native
+    # words, 3, 5, 6 and 7 the next wider word, 9 one digit at a time; the
+    # extreme digits +-(2^(8n-1) - 1) are drawn often.  Exponents lie on a
+    # lattice of the drawn step, one digit per lattice point.
+    for nbytes in range(1, 10):
+        _check_kron_round_trip(data, nbytes, step)
+
+
+def _check_kron_round_trip(data, nbytes, step):
     top = (1 << (8 * nbytes - 1)) - 1
     digit = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
     digits = data.draw(st.lists(digit, min_size=1, max_size=40))
@@ -307,17 +341,17 @@ def test_kron_pack_and_unpack_match_int_arithmetic(data, nbytes):
     X = 1 << (8 * nbytes)
     want = sum(c * X ** i for i, c in enumerate(digits))
 
-    # rows at shifted exponents, each with a term at its limit that is left
-    # out
+    # rows at shifted exponents (digit i at exponent step*i - offset), each
+    # with a term at its limit that is left out
     cuts = sorted(data.draw(st.lists(st.integers(0, nd), max_size=3)))
     rows = []
     for lo, hi in zip([0] + cuts, cuts + [nd]):
-        shift = data.draw(st.integers(-5, 5))
-        coeffs = {i - lo + shift: digits[i] for i in range(lo, hi)
+        offset = data.draw(st.integers(-5, 5 + step * lo))
+        coeffs = {step * i - offset: digits[i] for i in range(lo, hi)
                   if digits[i]}
-        coeffs[hi - lo + shift] = 1
-        rows.append((lo - shift, coeffs, hi - lo + shift))
-    assert kron_pack(rows, nd, nbytes) == want
+        coeffs[step * hi - offset] = 1
+        rows.append((offset, coeffs, step * hi - offset))
+    assert kron_pack(rows, nd, nbytes, step) == want
 
     # spans may skip digits, overlap and come in any order; digits at or
     # above the last one read are arbitrary
@@ -328,9 +362,32 @@ def test_kron_pack_and_unpack_match_int_arithmetic(data, nbytes):
     junk = data.draw(st.integers(-X ** 3, X ** 3))
     got = kron_unpack(want - sum(c * X ** i for i, c in enumerate(digits)
                                  if i >= stop) + junk * X ** stop,
-                      nbytes, spans)
-    assert got == [{base + i - start: digits[i] for i in range(start, stop)
-                    if digits[i]} for start, stop, base in spans]
+                      nbytes, spans, step)
+    assert got == [{base + step * (i - start): digits[i]
+                    for i in range(start, stop) if digits[i]}
+                   for start, stop, base in spans]
+
+
+@pytest.mark.parametrize("den_step", [2, 4])
+def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
+    # a layer on the grid den_step*Z: both packed integers hold one digit
+    # per grid point, ceil(W/den_step) per slot of W = 2*wp - 1 - lo
+    # exponents (lo = 0 here), not W
+    wp = 21
+    layer = {0: QSeries({0: 1, den_step: 3}, wp),
+             1: QSeries({den_step: -1, 2 * den_step: 5}, wp)}
+    calls = []
+
+    def spy(rows, ndigits, *args):
+        calls.append(ndigits)
+        return kron_pack(rows, ndigits, *args)
+
+    monkeypatch.setattr(sumeval, "kron_pack", spy)
+    _packed_ips.cache_clear()
+    convolve_layer(layer, [0] * 4, (den_step, None), wp)
+    _packed_ips.cache_clear()
+    slot = -(-(2 * wp - 1) // den_step)
+    assert calls == [2 * slot, 4 * slot]    # layer slots 0..1, tables 0..3
 
 
 def test_divide_edge_cases():

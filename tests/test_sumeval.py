@@ -77,22 +77,35 @@ def brute_multisum(pervar, gaps, tprec, extras, bound_pervar):
     return total.truncate(tprec)
 
 
-shapes = st.integers(1, 3).flatmap(lambda K: st.tuples(
-    st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 4)),
-             min_size=K, max_size=K),
-    st.lists(st.tuples(st.sampled_from([2, 4]),
-                       st.sampled_from([None, 2, 4])),
-             min_size=K - 1, max_size=K - 1),
-    st.integers(1, 40),
-    st.booleans(),
-    st.sampled_from([None, 0, 1, 3])))
+def _shapes(quad, lin, tail_neg):
+    return st.integers(1, 3).flatmap(lambda K: st.tuples(
+        st.lists(st.tuples(quad, lin), min_size=K, max_size=K),
+        st.lists(st.tuples(st.sampled_from([2, 4]),
+                           st.sampled_from([None, 2, 4])),
+                 min_size=K - 1, max_size=K - 1),
+        st.integers(1, 40),
+        st.booleans(),
+        st.sampled_from(tail_neg)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(shapes)
+shapes = _shapes(st.integers(1, 3), st.integers(-6, 4), [None, 0, 1, 3])
+# Even quad, lin and tail shift, no lower than above (the oracle's slack
+# holds): every layer of the pass lies on an even grid, so its product packs
+# on the grid step 2 or 4 (sumeval._convolve).
+even_shapes = _shapes(st.sampled_from([2, 4, 6]),
+                      st.sampled_from(range(-6, 5, 2)), [None, 0, 2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes | even_shapes)
 # stanton_31-like: the binomial drop makes the working precision tprec + 2
 @example(([(2, -2), (2, 0)], [(2, 2)], 30, False, 0))
 @example(([(1, -6), (1, -6), (1, 4)], [(4, 4), (2, 4)], 40, True, 3))
+# stanton_31-like on the grid 4Z: exponents 4v^2 - 4v and 4v^2, the
+# difference Pochhammer in q^2 and the binomial step 4, every product at
+# grid step 4; the working precision is tprec + 4
+@example(([(4, -4), (4, 0)], [(4, 4)], 30, False, None))
+@example(([(2, -2), (2, 0)], [(2, 2)], 31, True, 2))
 def test_multisum_matches_brute_force(shape):
     pervar, gaps, tprec, head, tail_neg = shape
     K = len(pervar)
