@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional
@@ -62,24 +63,35 @@ class ProductSide:
     den_units: tuple = ()              # exact unit polys divided, as pair-tuples
 
 
+@lru_cache(maxsize=1024)
+def _last_factor(last_step: int, tail: Optional[str], v: int, tp: int):
+    """The factors on s_k = v of a sum side, truncated at tp: the final
+    1/(.)_{s_k} and the tail's.  Rows of a sweep share them, so each is
+    built once."""
+    out = inv_poch_finite(SM(1, last_step), last_step, v, tp)
+    if tail == "bgg":
+        out = out * poch_infinite(SM(-1, 2 + 4 * v), 4, tp)
+    elif tail == "slater2":
+        out = out.divide(poch_finite(SM(-1, 1), 2, v), tp)
+    return out
+
+
 def eval_sum(side: SumSide, qprec: int) -> QSeries:
     """Exact truncation of the sum side to q-order qprec."""
     tp = tgrid(qprec)
     k, head, b = side.k, side.head, side.binom_step
 
     def last(v):
-        out = inv_poch_finite(SM(1, side.last_step), side.last_step, v, tp)
-        if side.tail == "bgg":
-            out = out * poch_infinite(SM(-1, 2 + 4 * v), 4, tp)
-        elif side.tail == "slater2":
-            out = out.divide(poch_finite(SM(-1, 1), 2, v), tp)
+        out = _last_factor(side.last_step, side.tail, v, tp)
         # at k = 1 the last variable is s_1, which carries the head too
         return out if k > 1 or head is None else poch_finite(*head, v) * out
 
-    extras = [None] * k
+    # extras[i] and its description key[i], for multisum's layer memo
+    extras, key = [None] * k, [None] * k
     if head is not None:
-        extras[0] = lambda v: poch_finite(*head, v)
+        extras[0], key[0] = (lambda v: poch_finite(*head, v)), head
     extras[-1] = last
+    key[-1] = (side.last_step, side.tail, head if k == 1 else None)
     pervar = [(quad, lin, extra)
               for (quad, lin), extra in zip(side.pervar, extras)]
     if 1 in side.subset:        # element 1 of T: the plain factor t^(-b s_1)
@@ -89,7 +101,8 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
     gaps = [(side.den_step, b if g in side.subset else None)
             for g in range(2, k + 1)]
     # the extras are Pochhammer quotients of valuation >= 0
-    out = multisum(pervar, gaps, tp, vmax=summation_bound(pervar, gaps, tp))
+    out = multisum(pervar, gaps, tp, vmax=summation_bound(pervar, gaps, tp),
+                   key=key)
     if side.prefactor:
         out = out * QSeries(list(side.prefactor))
     return out.truncate(tp)
@@ -472,23 +485,6 @@ def verify_identity(name: str, params: dict, qprec: int) -> Report:
     eq, e = lhs.equal_up_to(rhs, tgrid(qprec))
     ms = (time.perf_counter() - t0) * 1000
     return Report(name, dict(params), qprec, eq, e, ms)
-
-
-def verify_subset_variants(name: str, k: int, r: int, j: int,
-                           qprec: int):
-    """Run every admissible subset T for one of the binomial rows, in the
-    order of their grid (``_krjT``), without scanning its ~2^(k+1) points."""
-    spec = CATALOG.get(name)
-    if spec is None or "T" not in spec.param_names:
-        raise InvalidParameters(f"{name} has no subset variants")
-    try:
-        ok = {"k": k, "r": r, "j": j} in _krj(k)
-    except TypeError:           # a value of the wrong type
-        ok = False
-    if not ok:
-        raise InvalidParameters(f"{name} is not defined at k={k}, r={r}, j={j}")
-    return [verify_identity(name, {"k": k, "r": r, "j": j, "T": T}, qprec)
-            for T in combinations(_subset_universe(k, r), j)]
 
 
 def catalog_rows(max_k: int):

@@ -127,6 +127,7 @@ def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
         prec)
 
 
+@lru_cache(maxsize=1024)
 def triple_product(M: int, A: int, prec) -> QSeries:
     """(q^(A/2), q^((M-A)/2), q^(M/2); q^(M/2))_inf, truncated at prec.
 

@@ -67,10 +67,31 @@ truncated, and a series that is zero below a precision short of wp is kept,
 so every precision loss reaches the result.  A result known below tprec only
 means an extra series was not known far enough; that raises
 PrecisionExceeded.
+
+Memoised across rows.  The rows of one catalog family differ in a few outer
+or inner variables, so they share most of their inner layers.  A caller
+that passes ``key``, one hashable description per variable of its extra
+(equal only where the extras are the same function of v at this tprec),
+has the layer after each variable i, 1 <= i <= K - 2, stored under
+((quad, lin, description) of variables i.., gaps[i:], tprec, wp, vmax); a
+later sum starts from its longest stored suffix.  The innermost layer is
+not stored: it is the own row, which is built anyway for wp.  Nor is the
+outermost, which every row needs: storing it too doubles the entries (392
+against 186 in the k <= 4 catalog sweep at q-order 60) and the memory the
+memo takes, for a smaller saving than the inner layers give.  Callers whose
+extras are closures over data (the Bailey lattice checks) pass no key, so
+nothing of theirs is stored.  Each stored layer is one ``kron_pack``ed
+integer, every slot on the layer's grid g and the digits as wide as its
+largest |c|, with (v, prec, start, stop, lo) per slot, read back by one
+``kron_unpack``; a zero series kept for its precision is an empty slot.
+The 186 layers above take 0.29 MB so; as dicts of series they would take
+4.1 MB.  The memo holds at most _LAYERS_MAX layers and drops the least
+recently used, as the other caches are bounded.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import gcd
 
@@ -116,7 +137,7 @@ def summation_bound(pervar, gaps, tprec) -> int:
                       in zip(pervar, drops)], tprec)
 
 
-def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
+def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     """Evaluate the nested sum described in the module docstring.
 
     pervar: per variable (outermost first) a tuple (quad, lin, extra) with
@@ -127,6 +148,9 @@ def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
         binom_step is None or the b of a factor (t^(b*s_i) + t^(-b*s_{i+1})).
     vmax: the largest value summed; ValueError when it is left out and a
         variable has an extra, which the default summation_bound cannot see.
+    key: None, or per variable a hashable description of its extra, equal
+        only where two extras are the same function of v at this tprec; then
+        the inner layers are memoised across calls (module docstring).
     Raises PrecisionExceeded when an extra is not known far enough for the
     result to reach tprec.
     """
@@ -162,13 +186,28 @@ def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
         own.append(row)
     wp = tprec + R
 
-    layer = {}
-    for v, o in enumerate(own[K - 1]):
-        if o is not None:
-            _keep(layer, v, monomial(1, o, wp) if isinstance(o, int)
-                  else o.truncate(wp), wp)
-    for i in range(K - 2, -1, -1):
+    # memo[i]: the memo key of the layer after variable i
+    memo = [None] * K
+    if key is not None:
+        descs = tuple((quad, lin, d) for (quad, lin, _), d in zip(pervar, key))
+        memo[1:K - 1] = [(descs[i:], tuple(gaps[i:]), tprec, wp, vmax)
+                         for i in range(1, K - 1)]
+    start = next((i for i in range(1, K - 1) if memo[i] in _LAYERS), K - 1)
+    if start < K - 1:
+        _LAYERS.move_to_end(memo[start])
+        layer = _unpack_layer(_LAYERS[memo[start]])
+    else:
+        layer = {}
+        for v, o in enumerate(own[K - 1]):
+            if o is not None:
+                _keep(layer, v, monomial(1, o, wp) if isinstance(o, int)
+                      else o.truncate(wp), wp)
+    for i in range(start - 1, -1, -1):
         layer = convolve_layer(layer, own[i], gaps[i], wp) if layer else {}
+        if memo[i] is not None:
+            _LAYERS[memo[i]] = _pack_layer(layer)
+            if len(_LAYERS) > _LAYERS_MAX:
+                _LAYERS.popitem(last=False)
 
     out = zero(wp)
     for s in layer.values():
@@ -178,6 +217,46 @@ def multisum(pervar, gaps, tprec, vmax=None) -> QSeries:
             f"multisum precision {out.prec} fell below {tprec}: an extra "
             f"series is not known far enough")
     return out.truncate(tprec)
+
+
+# The memoised inner layers (module docstring): memo key -> _pack_layer.
+_LAYERS = OrderedDict()
+_LAYERS_MAX = 1024
+
+
+def _pack_layer(layer):
+    """A layer {v: series} as (n, nbytes, g, slots): n packs the terms of
+    every slot on the layer's grid g, slot after slot in digits of nbytes,
+    and slots holds (v, prec, start, stop, lo) per slot, so that digit
+    start + j of n is the coefficient of t^(lo + g*j) of series v."""
+    g = 0
+    top = 0
+    for s in layer.values():
+        if s.coeffs:
+            lo = min(s.coeffs)
+            g = gcd(g, *[e - lo for e in s.coeffs])
+            top = max(top, max(map(abs, s.coeffs.values())))
+    g = g or 1
+    rows, slots, start = [], [], 0
+    for v, s in layer.items():
+        lo, stop = 0, start
+        if s.coeffs:
+            lo = min(s.coeffs)
+            stop = start + (max(s.coeffs) - lo) // g + 1
+            rows.append((start * g - lo, s.coeffs, INF))
+        slots.append((v, s.prec, start, stop, lo))
+        start = stop
+    nbytes = top.bit_length() // 8 + 1
+    return kron_pack(rows, start, nbytes, g), nbytes, g, tuple(slots)
+
+
+def _unpack_layer(packed):
+    """The layer {v: series} that _pack_layer packed."""
+    n, nbytes, g, slots = packed
+    coeffs = kron_unpack(n, nbytes, [(start, stop, lo)
+                                     for _, _, start, stop, lo in slots], g)
+    return {v: QSeries._of(c, prec)
+            for (v, prec, *_), c in zip(slots, coeffs)}
 
 
 def _val(s: QSeries):

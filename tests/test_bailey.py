@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident import bailey as B
+from qident import sumeval
 from qident.errors import (DegenerateDivision, InsufficientDepth,
                            NotStabilized, ParameterOutOfRange,
                            PoleAtParameter, PrecisionExceeded,
@@ -193,6 +194,18 @@ def test_corolattice_small(unit_q, unit_1):
         B.check_coro3(unit_q, 2, -2, 0, inf, inf, TP)
     with pytest.raises(ParameterOutOfRange):
         B.check_coro3(B.unit_pair(SM(-1, 2), 8, TP), 1, 0, 0, inf, inf, TP)
+
+
+def test_lattice_checks_store_no_layers(unit_q, monkeypatch):
+    # their extras are closures over the pair, so multisum gets no key
+    calls = []
+    real = sumeval.convolve_layer
+    monkeypatch.setattr(sumeval, "convolve_layer",
+                        lambda *args: calls.append(args) or real(*args))
+    sumeval._LAYERS.clear()
+    assert B.check_coro3(unit_q, 3, 0, 0, B.INFINITY, B.INFINITY, TP) == (
+        True, None)
+    assert len(calls) >= 2 and not sumeval._LAYERS
 
 
 def test_corolattice_insufficient_depth():

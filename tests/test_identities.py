@@ -4,14 +4,17 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import signal
+from itertools import combinations
 
 import pytest
 
 from qident import identities as I
+from qident import sumeval
 from qident.errors import (CatalogRangeError, InvalidParameters,
                            PrecisionExceeded)
-from qident.qfunctions import Q, SignedMonomial as SM
+from qident.qfunctions import Q, SignedMonomial as SM, triple_product
 from qident.series import QSeries, monomial, zero
 
 from gf_oracle import qbinom
@@ -108,10 +111,12 @@ def test_subset_rows_validate_without_scanning_the_grid():
                     I._spec(name, {"k": 40, "r": 3, "j": 3, "T": T})
             with pytest.raises(InvalidParameters, match=name):
                 I._spec(name, {"k": 40, "r": 38, "j": 3, "T": (1, 2, 3)})
-        # (r, j) = (39, 1) has one row
-        reports = I.verify_subset_variants("stanton_31", 40, 39, 1, 5)
-        assert [(rep.params["T"], rep.equal) for rep in reports] == [
-            ((1,), True)]
+        # (r, j) = (39, 1) has one row, T = (1,)
+        with pytest.raises(InvalidParameters, match="stanton_31"):
+            I._spec("stanton_31", {"k": 40, "r": 39, "j": 1, "T": (2,)})
+        rep = I.verify_identity("stanton_31",
+                                {"k": 40, "r": 39, "j": 1, "T": (1,)}, 5)
+        assert rep.equal
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
@@ -126,15 +131,18 @@ def test_verify_refuses_a_side_shorter_than_the_requested_order(monkeypatch):
 
 
 def test_subset_variants():
-    reports = I.verify_subset_variants("stanton_31", 4, 1, 2, 25)
+    reports = [I.verify_identity("stanton_31",
+                                 {"k": 4, "r": 1, "j": 2, "T": T}, 25)
+               for T in combinations(I._subset_universe(4, 1), 2)]
     assert len(reports) == 3  # subsets of {1,2,3} of size 2
     assert all(rep.equal for rep in reports)
-    with pytest.raises(InvalidParameters):
-        I.verify_subset_variants("andrews_gordon", 2, 1, 0, 10)
+    with pytest.raises(InvalidParameters, match="andrews_gordon takes"):
+        I._spec("andrews_gordon", {"k": 2, "r": 1, "j": 0, "T": ()})
 
 
-def test_subset_variants_run_the_grid_rows_in_order(monkeypatch):
-    monkeypatch.setattr(I, "verify_identity", lambda name, p, qprec: p)
+def test_subset_variants_run_the_grid_rows_in_order():
+    # the rows of a subset grid at one (k, r, j) are the j-subsets of the
+    # universe, in combinations order, and _spec takes exactly those
     for name in ("stanton_31", "stanton_41", "binom_kursungoz", "binom_bgg"):
         for k in range(1, 6):
             grid = list(I.CATALOG[name].grid(k))
@@ -142,12 +150,54 @@ def test_subset_variants_run_the_grid_rows_in_order(monkeypatch):
                 for j in range(-1, k + 2):
                     want = [p for p in grid if (p["r"], p["j"]) == (r, j)]
                     if want:
-                        got = I.verify_subset_variants(name, k, r, j, 10)
+                        got = [{"k": k, "r": r, "j": j, "T": T} for T in
+                               combinations(I._subset_universe(k, r), j)]
                         assert got == want
+                        for p in got:
+                            I._spec(name, p)
                     else:
+                        T = tuple(range(1, j + 1))
                         with pytest.raises(InvalidParameters,
                                            match="not defined"):
-                            I.verify_subset_variants(name, k, r, j, 10)
+                            I._spec(name, {"k": k, "r": r, "j": j, "T": T})
+
+
+def _clear_memos():
+    sumeval._LAYERS.clear()
+    I._last_factor.cache_clear()
+    triple_product.cache_clear()
+
+
+def test_memoised_reports_do_not_depend_on_the_row_order():
+    rows = list(I.catalog_rows(2))
+    shuffled = rows[:]
+    random.Random(16).shuffle(shuffled)
+    runs = []
+    for order in (rows, rows[::-1], shuffled):
+        _clear_memos()
+        reports = {(name, json.dumps(params)):
+                   I.verify_identity(name, params, 20).to_json()
+                   for name, params in order}
+        for rep in reports.values():
+            del rep["elapsed_ms"]
+        runs.append(reports)
+    assert runs[0] == runs[1] == runs[2]
+    assert all(rep["equal"] for rep in runs[0].values())
+
+
+def test_a_row_starts_from_an_inner_layer_of_an_earlier_row(monkeypatch):
+    # T = (1,) and T = (2,) differ only in the factors of s_1 and the gap
+    # s_1, s_2, so the layer after s_2 is shared
+    calls = []
+    real = sumeval.convolve_layer
+    monkeypatch.setattr(sumeval, "convolve_layer",
+                        lambda *args: calls.append(args) or real(*args))
+    _clear_memos()
+    for T, layers in (((1,), 2), ((2,), 1)):
+        calls.clear()
+        rep = I.verify_identity("stanton_31",
+                                {"k": 3, "r": 0, "j": 1, "T": T}, 20)
+        assert rep.equal and len(calls) == layers, T
 
 
 def test_kursungoz_rhs_divisible_by_one_plus_q():

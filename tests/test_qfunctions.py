@@ -179,8 +179,8 @@ def test_theta_sum_direct_coefficients():
 
 def test_caches_are_bounded():
     # the keys include prec, so an unbounded cache grows with every order
-    for f in (poch_finite, poch_infinite, inv_poch_finite, _relation_kernel,
-              _ip_norms, _packed_ips):
+    for f in (poch_finite, poch_infinite, inv_poch_finite, triple_product,
+              _relation_kernel, _ip_norms, _packed_ips):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # a packed table is keyed by its grid step too: one table at steps 1, 2
     # and 4 is three entries and three integers, and the cache stays at its

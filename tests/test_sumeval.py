@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident.qfunctions import NEG_ONE, SM, inv_poch_finite, poch_finite
-from qident.series import QSeries, monomial, zero
-from qident.sumeval import multisum, quad_min, summation_bound, var_bound
+from qident import sumeval
+from qident.series import INF, QSeries, monomial, zero
+from qident.sumeval import (_pack_layer, _unpack_layer, multisum, quad_min,
+                            summation_bound, var_bound)
 
 # The oracle multiplies every factor exactly, or to this many t-exponents
 # beyond the target order; no summand in the drawn shapes dips lower.
@@ -109,14 +111,15 @@ even_shapes = _shapes(st.sampled_from([2, 4, 6]),
 def test_multisum_matches_brute_force(shape):
     pervar, gaps, tprec, head, tail_neg = shape
     K = len(pervar)
-    extras = [None] * K
+    extras, key = [None] * K, [None] * K
     bound_pervar = list(pervar)
     vmax = None
     if head:
-        extras[0] = _head
+        extras[0], key[0] = _head, "head"
     if tail_neg is not None:
         # exact well beyond tprec, for the oracle and the engine alike
         extras[-1] = _tail_factory(tprec + ORACLE_SLACK, tail_neg)
+        key[-1] = ("tail", tail_neg)
         q, l = pervar[-1]
         bound_pervar[-1] = (q, l - tail_neg)
         if tail_neg:
@@ -128,10 +131,13 @@ def test_multisum_matches_brute_force(shape):
         # an extra needs an explicit vmax; these have valuation >= 0, so the
         # bound multisum uses without extras is enough, as in eval_sum
         vmax = summation_bound(engine_pervar, gaps, tprec)
-    got = multisum(engine_pervar, gaps, tprec, vmax=vmax)
     want = brute_multisum(pervar, gaps, tprec, extras, bound_pervar)
-    assert got.prec == tprec
-    assert got.coeffs == want.coeffs
+    # without a key, then with one twice: the second call starts from the
+    # memoised inner layers
+    for k in (None, key, key):
+        got = multisum(engine_pervar, gaps, tprec, vmax=vmax, key=k)
+        assert got.prec == tprec
+        assert got.coeffs == want.coeffs
 
 
 @given(st.integers(1, 50), st.integers(-2000, 50))
@@ -163,3 +169,56 @@ def test_default_vmax_refuses_an_extra_of_negative_valuation():
     with pytest.raises(ValueError, match="s_2"):
         multisum([(2, 0, None), (2, 0, lambda v: monomial(1, 0))], [(2, None)],
                  20)
+
+
+@st.composite
+def packed_layers(draw):
+    """A layer {v: series} on the grid g in {1, 2}: coefficients of either
+    sign up to 2^70, and zero series that carry only a precision."""
+    g = draw(st.sampled_from([1, 2]))
+    coeff = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+    layer = {}
+    for v in sorted(draw(st.sets(st.integers(0, 12), max_size=6))):
+        prec = draw(st.integers(-6, 60) | st.just(INF))
+        lo = draw(st.integers(-6, 30))
+        terms = draw(st.dictionaries(st.integers(0, 16), coeff, max_size=9))
+        layer[v] = QSeries({lo + g * j: c for j, c in terms.items()}, prec)
+    return g, layer
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_layers())
+@example((1, {}))
+@example((2, {0: zero(7), 3: QSeries({-2: -(2 ** 65), 4: 1}, 9)}))
+@example((1, {1: QSeries({3: 2 ** 64, 4: -1}, 30), 2: zero(12)}))
+def test_packed_layers_round_trip(drawn):
+    g, layer = drawn
+    packed = _pack_layer(layer)
+    if any(len(s.coeffs) > 1 for s in layer.values()):
+        assert packed[2] % g == 0       # packed on the layer's grid
+    back = _unpack_layer(packed)
+    assert list(back) == list(layer)
+    for v, s in layer.items():
+        assert (back[v].coeffs, back[v].prec) == (s.coeffs, s.prec), v
+
+
+def test_layer_memo_is_bounded(monkeypatch):
+    # one stored layer (after s_2) per shape but the first two, which share
+    # it; at a bound of 2 the memo keeps the most recently used layers
+    monkeypatch.setattr(sumeval, "_LAYERS_MAX", 2)
+    sumeval._LAYERS.clear()
+    gaps = [(2, None), (2, None)]
+    shapes = [[(2, lin, None), (2, 0, None), (2, 0, None)]
+              for lin in (0, -2)] + [[(2, 0, None), (q, 0, None),
+                                       (2, 0, None)] for q in (4, 6)]
+    sums = []
+    for p in shapes:
+        sums.append(multisum(p, gaps, 30, vmax=6, key=[None] * 3))
+        if len(sums) == 2:
+            assert len(sumeval._LAYERS) == 1
+    assert len(sumeval._LAYERS) == 2
+    # the shared layer was pushed out; it is built again, the same
+    for p, want in zip(shapes, sums):
+        assert multisum(p, gaps, 30, vmax=6, key=[None] * 3) == want
+        assert multisum(p, gaps, 30, vmax=6) == want
+    assert len(sumeval._LAYERS) == 2
