@@ -93,9 +93,6 @@ class BaileyPair:
         if len(self.alpha) != self.n_max + 1 or len(self.beta) != self.n_max + 1:
             raise ValueError("alpha/beta must have length n_max + 1")
 
-    def with_beta(self, beta) -> "BaileyPair":
-        return BaileyPair(self.a, self.n_max, self.alpha, tuple(beta), self.prec)
-
 
 @dataclass(frozen=True)
 class TransformStep:

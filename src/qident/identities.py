@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -27,7 +28,7 @@ from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite, triple_product)
 from .series import QSeries, one, zero
-from .sumeval import multisum, summation_bound
+from .sumeval import _recall, _store, multisum, summation_bound
 
 
 def tgrid(qprec: int) -> int:
@@ -108,8 +109,18 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
     return out.truncate(tp)
 
 
+# Many rows share a product side (a generalisation at its boundary
+# parameters is the identity it generalises), so each distinct side is
+# evaluated once per process: (side, qprec) -> the packed one-slot layer.
+_PRODUCTS = OrderedDict()
+
+
 def eval_product(side: ProductSide, qprec: int) -> QSeries:
     """Exact truncation of the product side to q-order qprec."""
+    memo_key = (side, qprec)
+    hit = _recall(_PRODUCTS, memo_key)
+    if hit is not None:
+        return hit[0]
     tp = tgrid(qprec)
     if side.terms:
         acc = zero(tp)
@@ -129,7 +140,9 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
         acc = acc.divide(poch_infinite(sm, base, tp), tp)
     for poly in side.den_units:
         acc = acc.divide(QSeries(list(poly)), tp)
-    return acc.truncate(tp)
+    acc = acc.truncate(tp)
+    _store(_PRODUCTS, memo_key, {0: acc})
+    return acc
 
 
 # -- catalog -------------------------------------------------------------------
@@ -467,10 +480,6 @@ def _spec(name: str, params: dict) -> IdentitySpec:
 
 def lhs_series(name: str, params: dict, qprec: int) -> QSeries:
     return eval_sum(_spec(name, params).lhs(params), qprec)
-
-
-def rhs_series(name: str, params: dict, qprec: int) -> QSeries:
-    return eval_product(_spec(name, params).rhs(params), qprec)
 
 
 def verify_identity(name: str, params: dict, qprec: int) -> Report:

@@ -94,21 +94,11 @@ class QSeries:
         """True when no known coefficient is nonzero (unknown tail may differ)."""
         return not self.coeffs
 
-    def min_exp(self):
-        """Lowest stored exponent; EmptySeries if there is none."""
-        if not self.coeffs:
-            raise EmptySeries("zero series has no valuation")
-        return min(self.coeffs)
-
     def coeff(self, e: int) -> int:
         """Exact coefficient of t^e.  PrecisionExceeded at or above prec."""
         if e >= self.prec:
             raise PrecisionExceeded(f"exponent {e} >= prec {self.prec}")
         return self.coeffs.get(e, 0)
-
-    def qcoeff(self, n: int) -> int:
-        """Coefficient of q^n (= t^(2n))."""
-        return self.coeff(2 * n)
 
     def equal_up_to(self, other: "QSeries", p):
         """Compare coefficients below p.  Returns (True, None) or (False, e)."""
@@ -199,13 +189,6 @@ class QSeries:
         return QSeries._of({e: c for e, c in self.coeffs.items() if e < prec},
                            prec)
 
-    def scale_exponents(self, s: int) -> "QSeries":
-        """Substitute t -> t^s (s positive); prec scales with the exponents."""
-        if s <= 0:
-            raise ValueError("scale factor must be positive")
-        p = self.prec if self.prec is INF else self.prec * s
-        return QSeries._of({e * s: c for e, c in self.coeffs.items()}, p)
-
     def divide(self, d: "QSeries", prec=None) -> "QSeries":
         """self / d by long division: with m = val(d), q_i = (x_(i+m) -
         sum_(j>0) d_(m+j) q_(i-j)) / d_m, NotAUnit if d_m does not divide a
@@ -259,11 +242,6 @@ class QSeries:
             "prec": None if self.prec is INF else self.prec,
             "terms": [[e, str(c)] for e, c in sorted(self.coeffs.items())],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "QSeries":
-        prec = INF if obj.get("prec") is None else obj["prec"]
-        return QSeries({int(e): int(c) for e, c in obj["terms"]}, prec)
 
     def __repr__(self):
         n = len(self.coeffs)

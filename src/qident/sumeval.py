@@ -69,24 +69,28 @@ means an extra series was not known far enough; that raises
 PrecisionExceeded.
 
 Memoised across rows.  The rows of one catalog family differ in a few outer
-or inner variables, so they share most of their inner layers.  A caller
-that passes ``key``, one hashable description per variable of its extra
-(equal only where the extras are the same function of v at this tprec),
-has the layer after each variable i, 1 <= i <= K - 2, stored under
-((quad, lin, description) of variables i.., gaps[i:], tprec, wp, vmax); a
-later sum starts from its longest stored suffix.  The innermost layer is
-not stored: it is the own row, which is built anyway for wp.  Nor is the
-outermost, which every row needs: storing it too doubles the entries (392
-against 186 in the k <= 4 catalog sweep at q-order 60) and the memory the
-memo takes, for a smaller saving than the inner layers give.  Callers whose
-extras are closures over data (the Bailey lattice checks) pass no key, so
-nothing of theirs is stored.  Each stored layer is one ``kron_pack``ed
-integer, every slot on the layer's grid g and the digits as wide as its
-largest |c|, with (v, prec, start, stop, lo) per slot, read back by one
-``kron_unpack``; a zero series kept for its precision is an empty slot.
-The 186 layers above take 0.29 MB so; as dicts of series they would take
-4.1 MB.  The memo holds at most _LAYERS_MAX layers and drops the least
-recently used, as the other caches are bounded.
+or inner variables, so they share most of their inner layers, and a
+generalisation at its boundary parameters sums the very series of the
+identity it generalises.  A caller that passes ``key``, one hashable
+description per variable of its extra (equal only where the extras are the
+same function of v at this tprec), has two things stored.  The sum itself,
+under ((quad, lin, description) per variable, gaps, tprec, vmax): the
+descriptions pin the extras and so wp, so it is looked up before any own
+factor is built, and a hit costs one read.  And the layer after each
+variable i, 1 <= i <= K - 2, under ((quad, lin, description) of variables
+i.., gaps[i:], tprec, wp, vmax), so that a sum not stored starts from its
+longest stored suffix.  The innermost layer is not stored: it is the own
+row, which is built anyway for wp.  Nor is the outermost: its sum is, one
+slot where the layer has one per value of s_1.  Callers whose extras are
+closures over data (the Bailey lattice checks) pass no key, so nothing of
+theirs is stored.  Each stored layer is one ``kron_pack``ed integer, every
+slot on the layer's grid g and the digits as wide as its largest |c|, with
+(v, prec, start, stop, lo) per slot, read back by one ``kron_unpack``; a
+zero series kept for its precision is an empty slot, and a stored sum is a
+layer of one slot.  The k <= 4 catalog sweep at q-order 60 stores 186
+layers in 0.29 MB and 298 sums in 0.11 MB; as dicts of series the layers
+alone would take 4.1 MB.  Each memo holds at most _LAYERS_MAX entries and
+drops the least recently used, as the other caches are bounded.
 """
 
 from __future__ import annotations
@@ -150,7 +154,8 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
         variable has an extra, which the default summation_bound cannot see.
     key: None, or per variable a hashable description of its extra, equal
         only where two extras are the same function of v at this tprec; then
-        the inner layers are memoised across calls (module docstring).
+        the sum and its inner layers are memoised across calls (module
+        docstring).
     Raises PrecisionExceeded when an extra is not known far enough for the
     result to reach tprec.
     """
@@ -163,6 +168,15 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
             raise ValueError(f"s_{extras[0]} has an extra, which the default "
                              f"vmax does not see; pass vmax")
         vmax = summation_bound(pervar, gaps, tprec)
+
+    # The descriptions pin the extras, and so wp: a stored sum is looked up
+    # before any own factor is built.
+    if key is not None:
+        descs = tuple((quad, lin, d) for (quad, lin, _), d in zip(pervar, key))
+        whole = (descs, tuple(gaps), tprec, vmax)
+        hit = _recall(_SUMS, whole)
+        if hit is not None:
+            return hit[0]
 
     # own[i][v]: the exponent of a bare monomial, a series, or None (an
     # exact zero); variable i is paired with the binomial step inside it
@@ -189,14 +203,15 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     # memo[i]: the memo key of the layer after variable i
     memo = [None] * K
     if key is not None:
-        descs = tuple((quad, lin, d) for (quad, lin, _), d in zip(pervar, key))
         memo[1:K - 1] = [(descs[i:], tuple(gaps[i:]), tprec, wp, vmax)
                          for i in range(1, K - 1)]
-    start = next((i for i in range(1, K - 1) if memo[i] in _LAYERS), K - 1)
-    if start < K - 1:
-        _LAYERS.move_to_end(memo[start])
-        layer = _unpack_layer(_LAYERS[memo[start]])
-    else:
+    layer, start = None, K - 1
+    for i in range(1, K - 1):
+        layer = _recall(_LAYERS, memo[i])
+        if layer is not None:
+            start = i
+            break
+    if layer is None:
         layer = {}
         for v, o in enumerate(own[K - 1]):
             if o is not None:
@@ -205,9 +220,7 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     for i in range(start - 1, -1, -1):
         layer = convolve_layer(layer, own[i], gaps[i], wp) if layer else {}
         if memo[i] is not None:
-            _LAYERS[memo[i]] = _pack_layer(layer)
-            if len(_LAYERS) > _LAYERS_MAX:
-                _LAYERS.popitem(last=False)
+            _store(_LAYERS, memo[i], layer)
 
     out = zero(wp)
     for s in layer.values():
@@ -216,12 +229,36 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
         raise PrecisionExceeded(
             f"multisum precision {out.prec} fell below {tprec}: an extra "
             f"series is not known far enough")
-    return out.truncate(tprec)
+    out = out.truncate(tprec)
+    if key is not None:
+        _store(_SUMS, whole, {0: out})
+    return out
 
 
-# The memoised inner layers (module docstring): memo key -> _pack_layer.
+# The memos (module docstring), memo key -> _pack_layer: the inner layers,
+# and the sums multisum returns as one-slot layers.  Each holds at most
+# _LAYERS_MAX entries.
 _LAYERS = OrderedDict()
+_SUMS = OrderedDict()
 _LAYERS_MAX = 1024
+
+
+def _recall(memo, key):
+    """The layer stored under key, read back, or None; a hit becomes the
+    most recently used entry."""
+    packed = memo.get(key)
+    if packed is None:
+        return None
+    memo.move_to_end(key)
+    return _unpack_layer(packed)
+
+
+def _store(memo, key, layer):
+    """Store the layer packed under key; past _LAYERS_MAX entries the least
+    recently used one is dropped."""
+    memo[key] = _pack_layer(layer)
+    if len(memo) > _LAYERS_MAX:
+        memo.popitem(last=False)
 
 
 def _pack_layer(layer):

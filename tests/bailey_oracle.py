@@ -1,7 +1,8 @@
 """Naive references for the Bailey engine: one series product and one sum
 per (n, l), the double loops that the packed beta-side sum and the cached
-verify kernel replace; and a pair broken on purpose."""
+verify kernel replace; and pairs with a beta replaced or broken on purpose."""
 
+from qident.bailey import BaileyPair
 from qident.qfunctions import Q, inv_poch_finite
 from qident.series import QSeries, monomial, zero
 
@@ -39,6 +40,11 @@ def first_bad_n(p, prec=None):
     return None
 
 
+def with_beta(p, beta):
+    """p with its betas replaced (and no seed to ask for more)."""
+    return BaileyPair(p.a, p.n_max, p.alpha, tuple(beta), p.prec)
+
+
 def with_beta1_perturbed(p):
     """p with q^1 added to beta_1: the defining relation then fails at n = 1."""
-    return p.with_beta(p.beta[:1] + (p.beta[1] + monomial(1, 2),) + p.beta[2:])
+    return with_beta(p, p.beta[:1] + (p.beta[1] + monomial(1, 2),) + p.beta[2:])

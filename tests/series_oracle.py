@@ -1,12 +1,39 @@
-"""Newton-iteration inverse: the oracle for ``QSeries.divide``.
+"""Series helpers that only tests use, and the Newton-iteration inverse:
+the oracle for ``QSeries.divide``.
 
-This is the inverse the series ring used before long division replaced it.
-It doubles the known order each round through the ring's multiply, so it
-shares no step with the long-division recurrence it checks.
+The inverse is the one the series ring used before long division replaced
+it.  It doubles the known order each round through the ring's multiply, so
+it shares no step with the long-division recurrence it checks.
 """
 
 from qident.errors import EmptySeries, NotAUnit
 from qident.series import INF, QSeries, _as_prec, _mul_any
+
+
+def min_exp(s: QSeries) -> int:
+    """Lowest stored exponent; EmptySeries if there is none."""
+    if not s.coeffs:
+        raise EmptySeries("zero series has no valuation")
+    return min(s.coeffs)
+
+
+def qcoeff(s: QSeries, n: int) -> int:
+    """Coefficient of q^n (= t^(2n))."""
+    return s.coeff(2 * n)
+
+
+def scale_exponents(s: QSeries, k: int) -> QSeries:
+    """Substitute t -> t^k (k positive); prec scales with the exponents."""
+    if k <= 0:
+        raise ValueError("scale factor must be positive")
+    p = s.prec if s.prec is INF else s.prec * k
+    return QSeries._of({e * k: c for e, c in s.coeffs.items()}, p)
+
+
+def from_json(obj: dict) -> QSeries:
+    """The series that ``QSeries.to_json`` wrote."""
+    prec = INF if obj.get("prec") is None else obj["prec"]
+    return QSeries({int(e): int(c) for e, c in obj["terms"]}, prec)
 
 
 def newton_invert(self, prec=None) -> QSeries:
@@ -19,7 +46,7 @@ def newton_invert(self, prec=None) -> QSeries:
     """
     if not self.coeffs:
         raise EmptySeries("cannot invert the zero series")
-    m = self.min_exp()
+    m = min(self.coeffs)
     lead = self.coeffs[m]
     if lead not in (1, -1):
         raise NotAUnit(f"lowest coefficient {lead} is not a unit over Z")

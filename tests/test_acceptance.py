@@ -18,8 +18,10 @@ from qident.errors import DegenerateDivision
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM
 from qident.qfunctions import triple_product
 
+from catalog_helpers import rhs_series
 from gf_oracle import theta_sum
 from motion_replay import replays
+from series_oracle import qcoeff
 
 
 def _announce(tag, ok, detail=""):
@@ -61,8 +63,8 @@ def brute_gap2_partitions(n, max_ones):
 def test_criterion_2_rr_spot_check():
     count = brute_gap2_partitions(10, max_ones=1)
     lhs = I.lhs_series("rogers_ramanujan", {"a": 1}, 12)
-    rhs = I.rhs_series("rogers_ramanujan", {"a": 1}, 12)
-    ok = lhs.qcoeff(10) == rhs.qcoeff(10) == count == 6
+    rhs = rhs_series("rogers_ramanujan", {"a": 1}, 12)
+    ok = qcoeff(lhs, 10) == qcoeff(rhs, 10) == count == 6
     _announce(f"Rogers-Ramanujan q^10 coefficient = {count} on both sides", ok)
 
 
@@ -331,8 +333,8 @@ def _pairs_equal(name_a, params_a, name_b, params_b, qp, both=True):
     if la.equal_up_to(lb, min(la.prec, lb.prec, tp)) != (True, None):
         return False
     if both:
-        ra = I.rhs_series(name_a, params_a, qp)
-        rb = I.rhs_series(name_b, params_b, qp)
+        ra = rhs_series(name_a, params_a, qp)
+        rb = rhs_series(name_b, params_b, qp)
         if ra.equal_up_to(rb, min(ra.prec, rb.prec, tp)) != (True, None):
             return False
     return True
@@ -361,8 +363,8 @@ def test_criterion_9_reduction_web():
             lhs = lk * QSeries([(0, 1), (2, 1)])
             if lhs.equal_up_to(l0, min(lhs.prec, l0.prec, tp)) != (True, None):
                 bad.append(("kur0-lhs", k, r))
-            rk = I.rhs_series("nonbinom_kursungoz", {"k": k, "r": r, "j": 0}, qp)
-            r0 = I.rhs_series("kursungoz_0", {"k": k, "r": r}, qp)
+            rk = rhs_series("nonbinom_kursungoz", {"k": k, "r": r, "j": 0}, qp)
+            r0 = rhs_series("kursungoz_0", {"k": k, "r": r}, qp)
             rhs = rk * QSeries([(0, 1), (2, 1)])
             if rhs.equal_up_to(r0, min(rhs.prec, r0.prec, tp)) != (True, None):
                 bad.append(("kur0-rhs", k, r))

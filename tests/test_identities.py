@@ -1,6 +1,7 @@
 """Catalog rows, evaluators, parameter validation, and reduction relations."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,9 @@ from qident.errors import (CatalogRangeError, InvalidParameters,
 from qident.qfunctions import Q, SignedMonomial as SM, triple_product
 from qident.series import QSeries, monomial, zero
 
+from catalog_helpers import rhs_series
 from gf_oracle import qbinom
+from series_oracle import qcoeff
 
 def gap_partition_count(n, k=1, max_ones=None):
     """Partitions of n with lambda_i - lambda_{i+k} >= 2 via frequency
@@ -46,8 +49,8 @@ def test_rogers_ramanujan_spot_values():
     count = gap_partition_count(10, k=1, max_ones=1)
     assert count == 6
     lhs = I.lhs_series("rogers_ramanujan", {"a": 1}, 15)
-    rhs = I.rhs_series("rogers_ramanujan", {"a": 1}, 15)
-    assert lhs.qcoeff(10) == rhs.qcoeff(10) == count
+    rhs = rhs_series("rogers_ramanujan", {"a": 1}, 15)
+    assert qcoeff(lhs, 10) == qcoeff(rhs, 10) == count
 
 
 def test_andrews_gordon_vs_gap_oracle():
@@ -56,7 +59,7 @@ def test_andrews_gordon_vs_gap_oracle():
     for (k, r) in ((1, 1), (2, 1), (2, 2), (3, 2)):
         lhs = I.lhs_series("andrews_gordon", {"k": k, "r": r}, 14)
         for n in range(13):
-            assert lhs.qcoeff(n) == gap_partition_count(n, k, k - r), (k, r, n)
+            assert qcoeff(lhs, n) == gap_partition_count(n, k, k - r), (k, r, n)
 
 
 def test_ag_k1_is_rogers_ramanujan():
@@ -164,8 +167,18 @@ def test_subset_variants_run_the_grid_rows_in_order():
 
 def _clear_memos():
     sumeval._LAYERS.clear()
+    sumeval._SUMS.clear()
+    I._PRODUCTS.clear()
     I._last_factor.cache_clear()
     triple_product.cache_clear()
+
+
+def _count_layers(monkeypatch):
+    calls = []
+    real = sumeval.convolve_layer
+    monkeypatch.setattr(sumeval, "convolve_layer",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_memoised_reports_do_not_depend_on_the_row_order():
@@ -188,16 +201,66 @@ def test_memoised_reports_do_not_depend_on_the_row_order():
 def test_a_row_starts_from_an_inner_layer_of_an_earlier_row(monkeypatch):
     # T = (1,) and T = (2,) differ only in the factors of s_1 and the gap
     # s_1, s_2, so the layer after s_2 is shared
-    calls = []
-    real = sumeval.convolve_layer
-    monkeypatch.setattr(sumeval, "convolve_layer",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = _count_layers(monkeypatch)
     _clear_memos()
     for T, layers in (((1,), 2), ((2,), 1)):
         calls.clear()
         rep = I.verify_identity("stanton_31",
                                 {"k": 3, "r": 0, "j": 1, "T": T}, 20)
         assert rep.equal and len(calls) == layers, T
+
+
+def test_a_row_with_an_earlier_rows_sides_builds_no_layer(monkeypatch):
+    # stanton_32 at j = 0 is andrews_gordon: both sides are the same, so the
+    # second row is served whole from the memos
+    calls = _count_layers(monkeypatch)
+    _clear_memos()
+    ag = I.verify_identity("andrews_gordon", {"k": 3, "r": 1}, 20)
+    assert calls
+    calls.clear()
+    st = I.verify_identity("stanton_32", {"k": 3, "r": 1, "j": 0}, 20)
+    assert calls == []
+    assert (st.equal, st.first_mismatch, st.prec) == \
+        (ag.equal, ag.first_mismatch, ag.prec) == (True, None, 20)
+    assert I.lhs_series("stanton_32", {"k": 3, "r": 1, "j": 0}, 20) == \
+        I.lhs_series("andrews_gordon", {"k": 3, "r": 1}, 20)
+
+
+def test_a_memo_hit_equals_a_cold_build():
+    # at two orders of one row that sum the same values (vmax 5), so that
+    # a memo keyed without the order would hand one order's series to the
+    # other
+    name, params = "stanton_31", {"k": 3, "r": 0, "j": 1, "T": (2,)}
+    spec = I.CATALOG[name]
+    sides = ((I.eval_sum, spec.lhs(params)), (I.eval_product, spec.rhs(params)))
+    cold = {}
+    for qp in (20, 24):
+        _clear_memos()
+        cold[qp] = [f(side, qp) for f, side in sides]
+    _clear_memos()
+    for qp in (20, 24):
+        for f, side in sides:
+            f(side, qp)
+    assert len(sumeval._SUMS) == len(I._PRODUCTS) == 2
+    for qp in (24, 20):
+        for (f, side), want in zip(sides, cold[qp]):
+            got = f(side, qp)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec), qp
+    assert cold[20][0].prec == I.tgrid(20) != cold[24][0].prec
+
+
+def test_the_prefactor_stays_outside_the_sum_memo():
+    # the same multisum with and without the prefactor 1 + q: the memo
+    # serves the sum, and each side multiplies in its own prefactor
+    with_pre = I.CATALOG["kursungoz_0"].lhs({"k": 2, "r": 1})
+    bare = dataclasses.replace(with_pre, prefactor=())
+    _clear_memos()
+    for first, second in ((with_pre, bare), (bare, with_pre)):
+        a, b = I.eval_sum(first, 20), I.eval_sum(second, 20)
+        assert len(sumeval._SUMS) == 1
+        assert a != b
+    assert I.eval_sum(with_pre, 20) == \
+        (I.eval_sum(bare, 20) * QSeries([(0, 1), (2, 1)])).truncate(41)
 
 
 def test_kursungoz_rhs_divisible_by_one_plus_q():
@@ -249,8 +312,8 @@ def test_bgg_k1_reductions():
     l1 = I.lhs_series("bressoud_gg", {"k": 1, "j": 0}, qp)
     g1 = I.lhs_series("gollnitz_gordon", {"variant": 1}, qp)
     assert l1.equal_up_to(g1, tp) == (True, None)
-    r1 = I.rhs_series("bressoud_gg", {"k": 1, "j": 0}, qp)
-    gr1 = I.rhs_series("gollnitz_gordon", {"variant": 1}, qp)
+    r1 = rhs_series("bressoud_gg", {"k": 1, "j": 0}, qp)
+    gr1 = rhs_series("gollnitz_gordon", {"variant": 1}, qp)
     assert r1.equal_up_to(gr1, tp) == (True, None)
     # k = j = 1 is the sum of both Gollnitz-Gordon sum sides
     l11 = I.lhs_series("bressoud_gg", {"k": 1, "j": 1}, qp)
@@ -273,7 +336,7 @@ def test_catalog_sides_are_pinned():
     h = hashlib.sha256()
     for name, params in I.catalog_rows(3):
         sides = [I.lhs_series(name, params, 20).to_json(),
-                 I.rhs_series(name, params, 20).to_json()]
+                 rhs_series(name, params, 20).to_json()]
         h.update(json.dumps([name, params, sides], sort_keys=True).encode())
     assert h.hexdigest() == ("fe22e88be82d568586ad82dfd9a4d8a1"
                              "ffc533b0b67c4a87831723f59eb7017a")
@@ -331,7 +394,7 @@ def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
 
 def test_integrality_everywhere():
     # coefficients are Python ints by construction; spot-check big rows
-    s = I.rhs_series("new_slater2", {"k": 3, "r": 2, "j": 1}, 40)
+    s = rhs_series("new_slater2", {"k": 3, "r": 2, "j": 1}, 40)
     assert all(isinstance(c, int) for c in s.coeffs.values())
     s = I.lhs_series("binom_bgg", {"k": 3, "r": 0, "j": 2, "T": (2, 3)}, 40)
     assert all(isinstance(c, int) for c in s.coeffs.values())

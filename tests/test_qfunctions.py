@@ -2,6 +2,8 @@
 
 import pytest
 
+from qident import identities as I
+from qident import sumeval
 from qident.bailey import _relation_kernel
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
@@ -9,10 +11,10 @@ from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                inv_poch_finite, poch_finite, poch_infinite,
                                triple_product)
 from qident.series import QSeries
-from qident.sumeval import _ip_norms, _packed_ips
+from qident.sumeval import _ip_norms, _packed_ips, multisum
 
 from gf_oracle import euler_inverse, qbinom, theta_sum
-from series_oracle import newton_invert
+from series_oracle import newton_invert, qcoeff
 
 
 def brute_partitions(n, max_part=None):
@@ -55,8 +57,8 @@ def test_poch_finite_shift_invariant():
 def test_poch_infinite_euler():
     inv = euler_inverse(41)
     for n in range(20):
-        assert inv.qcoeff(n) == brute_partitions(n), n
-    assert inv.qcoeff(5) == 7
+        assert qcoeff(inv, n) == brute_partitions(n), n
+    assert qcoeff(inv, 5) == 7
 
 
 def test_inv_poch_finite_against_the_newton_inverse():
@@ -141,7 +143,7 @@ def test_triple_product_partition_oracle():
             for w in range(part, 41):
                 counts[w] += counts[w - part]
     for n in range(41):
-        assert inv.qcoeff(n) == counts[n], n
+        assert qcoeff(inv, n) == counts[n], n
     # and the triple product with (M, A) = (10, 4) carries those factors
     tp10 = triple_product(10, 4, tp)
     recon = (poch_infinite(SM(1, 4), 10, tp) * poch_infinite(SM(1, 6), 10, tp)
@@ -177,11 +179,22 @@ def test_theta_sum_direct_coefficients():
     assert got.equal_up_to(triple_product(6, 2, 201), 201) == (True, None)
 
 
-def test_caches_are_bounded():
+def test_caches_are_bounded(monkeypatch):
     # the keys include prec, so an unbounded cache grows with every order
     for f in (poch_finite, poch_infinite, inv_poch_finite, triple_product,
               _relation_kernel, _ip_norms, _packed_ips):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
+    # the memos of whole sums and product sides drop their least recently
+    # used entries past the bound, as the layer memo does
+    monkeypatch.setattr(sumeval, "_LAYERS_MAX", 2)
+    sumeval._SUMS.clear()
+    I._PRODUCTS.clear()
+    side = I.CATALOG["andrews_gordon"].rhs({"k": 2, "r": 1})
+    for qprec in range(5, 10):
+        multisum([(2, 0, None), (2, 0, None)], [(2, None)], qprec, key=[0, 0])
+        I.eval_product(side, qprec)
+    assert len(sumeval._SUMS) == len(I._PRODUCTS) == 2
+    assert [k[1] for k in I._PRODUCTS] == [8, 9]
     # a packed table is keyed by its grid step too: one table at steps 1, 2
     # and 4 is three entries and three integers, and the cache stays at its
     # bound however many keys it sees

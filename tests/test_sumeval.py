@@ -132,10 +132,18 @@ def test_multisum_matches_brute_force(shape):
         # bound multisum uses without extras is enough, as in eval_sum
         vmax = summation_bound(engine_pervar, gaps, tprec)
     want = brute_multisum(pervar, gaps, tprec, extras, bound_pervar)
-    # without a key, then with one twice: the second call starts from the
-    # memoised inner layers
-    for k in (None, key, key):
-        got = multisum(engine_pervar, gaps, tprec, vmax=vmax, key=k)
+    # without a key, then with one twice: the second keyed call is served
+    # whole from the memo of sums and builds no layer
+    sums = [multisum(engine_pervar, gaps, tprec, vmax=vmax, key=k)
+            for k in (None, key)]
+    real, built = sumeval.convolve_layer, []
+    sumeval.convolve_layer = lambda *args: built.append(args) or real(*args)
+    try:
+        sums.append(multisum(engine_pervar, gaps, tprec, vmax=vmax, key=key))
+    finally:
+        sumeval.convolve_layer = real
+    assert built == []
+    for got in sums:
         assert got.prec == tprec
         assert got.coeffs == want.coeffs
 
@@ -217,7 +225,9 @@ def test_layer_memo_is_bounded(monkeypatch):
         if len(sums) == 2:
             assert len(sumeval._LAYERS) == 1
     assert len(sumeval._LAYERS) == 2
-    # the shared layer was pushed out; it is built again, the same
+    # the shared layer was pushed out; without the stored sums, it is built
+    # again, the same
+    sumeval._SUMS.clear()
     for p, want in zip(shapes, sums):
         assert multisum(p, gaps, 30, vmax=6, key=[None] * 3) == want
         assert multisum(p, gaps, 30, vmax=6) == want
