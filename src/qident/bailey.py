@@ -114,8 +114,11 @@ class TransformStep:
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """ok, the first n that fails (None when all hold), and the lowest
+    t-order below which an n was compared."""
     ok: bool
-    first_bad_n: Optional[int] = None
+    first_bad_n: Optional[int]
+    prec: int
 
 
 # -- seed pairs ---------------------------------------------------------------
@@ -194,17 +197,21 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     sums of ``apply``, so it does not share their packed layer product.  Both
     inverse Pochhammers are units of precision tp, so alpha_l times their
     cached product has the precision and coefficients of the two products
-    taken in turn."""
+    taken in turn.  Each n is compared below the order both sides are known
+    to, at most tp; the result carries the lowest of these."""
     tp = p.prec if prec is None else min(prec, p.prec)
     aq = p.a.times_qpow(1)
+    low = tp
     for n in range(p.n_max + 1):
         acc = zero(tp)
         for l in range(n + 1):
             acc = acc + p.alpha[l] * _relation_kernel(aq, n - l, n + l, tp)
-        same, _ = acc.equal_up_to(p.beta[n], min(acc.prec, p.beta[n].prec, tp))
+        upto = min(acc.prec, p.beta[n].prec, tp)
+        low = min(low, upto)
+        same, _ = acc.equal_up_to(p.beta[n], upto)
         if not same:
-            return VerifyResult(False, n)
-    return VerifyResult(True, None)
+            return VerifyResult(False, n, low)
+    return VerifyResult(True, None, low)
 
 
 # -- single transforms ----------------------------------------------------------

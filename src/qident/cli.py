@@ -135,7 +135,9 @@ def _cmd_bailey(args) -> int:
     seed, steps, tp = _parse_recipe(recipe, args.prec)
     pair, log = B.run_chain(seed, steps, tp)
     for tag, a_text, res in log:
-        _emit({"step": tag, "a": a_text, "verified": res.ok,
+        # res.prec is a t-order: q^0 .. q^((res.prec - 1) // 2) were compared
+        _emit({"step": tag, "a": a_text, "prec": (res.prec - 1) // 2,
+               "verified": res.ok,
                "first_bad_n": res.first_bad_n}, args.format)
     return 0 if all(res.ok for _, _, res in log) else 1
 

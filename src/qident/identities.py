@@ -111,7 +111,8 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
 
 # Many rows share a product side (a generalisation at its boundary
 # parameters is the identity it generalises), so each distinct side is
-# evaluated once per process: (side, qprec) -> the packed one-slot layer.
+# evaluated once per process: (side, qprec) -> the one-slot layer, stored
+# as sumeval stores its memo entries.
 _PRODUCTS = OrderedDict()
 
 

@@ -16,8 +16,8 @@ from .errors import DegenerateTheta, Divergent, NegativeIndex, OutOfRange
 from .series import INF, ONE, QSeries, monomial, one
 
 _MONO_RE = re.compile(
-    r"^\s*(?P<sign>[+-])?\s*(?:(?P<one>1)|q(?:\^(?:\(\s*(?P<num>\d+)\s*/\s*2\s*\)"
-    r"|(?P<int>\d+)))?)\s*$")
+    r"^\s*(?P<sign>[+-])?\s*(?:(?P<one>1)|q(?:\^(?:\(\s*(?P<num>-?\d+)\s*/\s*2\s*\)"
+    r"|(?P<int>-?\d+)))?)\s*$")
 
 
 @dataclass(frozen=True)

@@ -83,18 +83,18 @@ longest stored suffix.  The innermost layer is not stored: it is the own
 row, which is built anyway for wp.  Nor is the outermost: its sum is, one
 slot where the layer has one per value of s_1.  Callers whose extras are
 closures over data (the Bailey lattice checks) pass no key, so nothing of
-theirs is stored.  Each stored layer is one ``kron_pack``ed integer, every
-slot on the layer's grid g and the digits as wide as its largest |c|, with
-(v, prec, start, stop, lo) per slot, read back by one ``kron_unpack``; a
-zero series kept for its precision is an empty slot, and a stored sum is a
+theirs is stored.  Each stored layer is one ``marshal`` string of
+(v, prec, coefficient dict) per slot, read back by one ``marshal.loads``; a
+zero series kept for its precision is an empty dict, and a stored sum is a
 layer of one slot.  The k <= 4 catalog sweep at q-order 60 stores 186
-layers in 0.29 MB and 298 sums in 0.11 MB; as dicts of series the layers
+layers in 0.59 MB and 298 sums in 0.20 MB; as dicts of series the layers
 alone would take 4.1 MB.  Each memo holds at most _LAYERS_MAX entries and
 drops the least recently used, as the other caches are bounded.
 """
 
 from __future__ import annotations
 
+import marshal
 from collections import OrderedDict
 from functools import lru_cache
 from math import gcd
@@ -235,7 +235,7 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     return out
 
 
-# The memos (module docstring), memo key -> _pack_layer: the inner layers,
+# The memos (module docstring), memo key -> marshal bytes: the inner layers,
 # and the sums multisum returns as one-slot layers.  Each holds at most
 # _LAYERS_MAX entries.
 _LAYERS = OrderedDict()
@@ -246,54 +246,22 @@ _LAYERS_MAX = 1024
 def _recall(memo, key):
     """The layer stored under key, read back, or None; a hit becomes the
     most recently used entry."""
-    packed = memo.get(key)
-    if packed is None:
+    stored = memo.get(key)
+    if stored is None:
         return None
     memo.move_to_end(key)
-    return _unpack_layer(packed)
+    # marshal reads inf back as a new float, and QSeries tests prec is INF
+    return {v: QSeries._of(c, INF if p == INF else p)
+            for v, p, c in marshal.loads(stored)}
 
 
 def _store(memo, key, layer):
-    """Store the layer packed under key; past _LAYERS_MAX entries the least
-    recently used one is dropped."""
-    memo[key] = _pack_layer(layer)
+    """Store the layer under key as (v, prec, coefficients) per slot in
+    marshal bytes; past _LAYERS_MAX entries the least recently used one is
+    dropped."""
+    memo[key] = marshal.dumps([(v, s.prec, s.coeffs) for v, s in layer.items()])
     if len(memo) > _LAYERS_MAX:
         memo.popitem(last=False)
-
-
-def _pack_layer(layer):
-    """A layer {v: series} as (n, nbytes, g, slots): n packs the terms of
-    every slot on the layer's grid g, slot after slot in digits of nbytes,
-    and slots holds (v, prec, start, stop, lo) per slot, so that digit
-    start + j of n is the coefficient of t^(lo + g*j) of series v."""
-    g = 0
-    top = 0
-    for s in layer.values():
-        if s.coeffs:
-            lo = min(s.coeffs)
-            g = gcd(g, *[e - lo for e in s.coeffs])
-            top = max(top, max(map(abs, s.coeffs.values())))
-    g = g or 1
-    rows, slots, start = [], [], 0
-    for v, s in layer.items():
-        lo, stop = 0, start
-        if s.coeffs:
-            lo = min(s.coeffs)
-            stop = start + (max(s.coeffs) - lo) // g + 1
-            rows.append((start * g - lo, s.coeffs, INF))
-        slots.append((v, s.prec, start, stop, lo))
-        start = stop
-    nbytes = top.bit_length() // 8 + 1
-    return kron_pack(rows, start, nbytes, g), nbytes, g, tuple(slots)
-
-
-def _unpack_layer(packed):
-    """The layer {v: series} that _pack_layer packed."""
-    n, nbytes, g, slots = packed
-    coeffs = kron_unpack(n, nbytes, [(start, stop, lo)
-                                     for _, _, start, stop, lo in slots], g)
-    return {v: QSeries._of(c, prec)
-            for (v, prec, *_), c in zip(slots, coeffs)}
 
 
 def _val(s: QSeries):

@@ -26,18 +26,21 @@ def beta_sum(p, lift, star=False):
 
 def first_bad_n(p, prec=None):
     """The first n whose defining relation fails, with two products per term
-    (None when every n <= n_max holds)."""
+    (None when every n <= n_max holds), and the lowest t-order below which
+    an n up to it was compared."""
     tp = p.prec if prec is None else min(prec, p.prec)
     aq = p.a.times_qpow(1)
+    orders = []
     for n in range(p.n_max + 1):
         acc = zero(tp)
         for l in range(n + 1):
             acc = acc + (p.alpha[l] * inv_poch_finite(Q, 2, n - l, tp)
                          * inv_poch_finite(aq, 2, n + l, tp))
-        same, _ = acc.equal_up_to(p.beta[n], min(acc.prec, p.beta[n].prec, tp))
+        orders.append(min(acc.prec, p.beta[n].prec, tp))
+        same, _ = acc.equal_up_to(p.beta[n], orders[-1])
         if not same:
-            return n
-    return None
+            return n, min(orders)
+    return None, min(orders)
 
 
 def with_beta(p, beta):

@@ -499,8 +499,9 @@ def test_verify_matches_the_two_product_form_on_a_corrupted_pair():
     assert not B.verify(bad_beta).ok and not B.verify(bad_alpha).ok
     for pair in (p, bad_beta, bad_alpha):
         for prec in (None, 2, 25, 31):
-            want = naive.first_bad_n(pair, prec)
-            assert B.verify(pair, prec) == B.VerifyResult(want is None, want)
+            want, upto = naive.first_bad_n(pair, prec)
+            assert B.verify(pair, prec) == B.VerifyResult(want is None, want,
+                                                          upto)
 
 
 def test_run_chain_stops_at_the_first_failing_step(monkeypatch, unit_q):
@@ -508,5 +509,6 @@ def test_run_chain_stops_at_the_first_failing_step(monkeypatch, unit_q):
                         naive.with_beta1_perturbed(B._key_shared(p, True)))
     final, log = B.run_chain(unit_q, ["BL_INF", "KEY2", "BL_INF"])
     assert [(tag, res) for tag, _, res in log] == [
-        ("BL_INF", B.VerifyResult(True)), ("KEY2", B.VerifyResult(False, 1))]
+        ("BL_INF", B.VerifyResult(True, None, TP)),
+        ("KEY2", B.VerifyResult(False, 1, TP))]
     assert final.a == ONE_M and not B.verify(final).ok

@@ -85,6 +85,40 @@ def test_bailey_recipe(capsys, tmp_path):
     assert all(r["verified"] for r in rows)
 
 
+def _bailey_rows(capsys, tmp_path, recipe):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, _ = run(capsys, "bailey", "--input", str(path), "--format", "json")
+    return rc, [json.loads(line) for line in out.strip().splitlines()]
+
+
+def test_bailey_reports_the_order_compared(capsys, tmp_path):
+    # from a = q^(1/2), the second KEY1 step's betas are known only below
+    # t^30, one t-order short of q-order 15; from a = q, to q-order 15
+    rc, rows = _bailey_rows(capsys, tmp_path, {
+        "seed": {"a": "q^(1/2)"}, "steps": [{"tag": "KEY1"}, {"tag": "KEY1"}],
+        "prec": 15, "n_max": 5})
+    assert rc == 0
+    assert [(r["a"], r["prec"], r["verified"]) for r in rows] == [
+        ("q^(-1/2)", 15, True), ("q^(-3/2)", 14, True)]
+    rc, rows = _bailey_rows(capsys, tmp_path, {
+        "seed": {"a": "q"}, "steps": [{"tag": "KEY1"}, {"tag": "BL_INF"}],
+        "prec": 15, "n_max": 5})
+    assert rc == 0 and [r["prec"] for r in rows] == [15, 15]
+
+
+def test_bailey_parameter_round_trip(capsys, tmp_path):
+    # a parameter that a step prints, negative exponent included, reads back
+    # as a seed
+    rc, rows = _bailey_rows(capsys, tmp_path, {
+        "seed": {"a": "q^(1/2)"}, "steps": [{"tag": "KEY1"}], "n_max": 4})
+    assert rc == 0 and rows[0]["a"] == "q^(-1/2)"
+    rc, rows = _bailey_rows(capsys, tmp_path, {
+        "seed": {"a": rows[0]["a"]}, "steps": [{"tag": "BL_INF"}],
+        "n_max": 4})
+    assert rc == 0 and rows[0]["verified"] and rows[0]["prec"] == 40
+
+
 def test_bailey_failing_step_exits_1(capsys, tmp_path, monkeypatch):
     monkeypatch.setitem(B._TRANSFORMS, "KEY2", lambda p, step:
                         naive.with_beta1_perturbed(B._key_shared(p, True)))

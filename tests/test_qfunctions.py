@@ -34,8 +34,13 @@ def test_monomial_parse_and_text():
     assert SM.parse("q^2") == SM(1, 4)
     assert SM(-1, 3).text() == "-q^(3/2)"
     assert SM(1, 4).text() == "q^2"
-    with pytest.raises(ValueError):
-        SM.parse("2q")
+    assert SM(1, -1).text() == "q^(-1/2)"
+    for sign in (1, -1):
+        for e in range(-8, 9):
+            assert SM.parse(SM(sign, e).text()) == SM(sign, e), (sign, e)
+    for text in ("2q", "q^(1/3)", "q^(-1/3)", "q^--1", "q^(--1/2)"):
+        with pytest.raises(ValueError):
+            SM.parse(text)
 
 
 def test_poch_finite_examples():

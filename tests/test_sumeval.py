@@ -1,12 +1,14 @@
 """The multisum engine against a brute-force nested loop, and var_bound."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident.qfunctions import NEG_ONE, SM, inv_poch_finite, poch_finite
 from qident import sumeval
 from qident.series import INF, QSeries, monomial, zero
-from qident.sumeval import (_pack_layer, _unpack_layer, multisum, quad_min,
+from qident.sumeval import (_recall, _store, multisum, quad_min,
                             summation_bound, var_bound)
 
 # The oracle multiplies every factor exactly, or to this many t-exponents
@@ -180,34 +182,33 @@ def test_default_vmax_refuses_an_extra_of_negative_valuation():
 
 
 @st.composite
-def packed_layers(draw):
-    """A layer {v: series} on the grid g in {1, 2}: coefficients of either
-    sign up to 2^70, and zero series that carry only a precision."""
-    g = draw(st.sampled_from([1, 2]))
+def memo_layers(draw):
+    """A layer {v: series}: coefficients of either sign up to 2^70, exact
+    series, and zero series that carry only a precision."""
     coeff = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
     layer = {}
     for v in sorted(draw(st.sets(st.integers(0, 12), max_size=6))):
         prec = draw(st.integers(-6, 60) | st.just(INF))
         lo = draw(st.integers(-6, 30))
         terms = draw(st.dictionaries(st.integers(0, 16), coeff, max_size=9))
-        layer[v] = QSeries({lo + g * j: c for j, c in terms.items()}, prec)
-    return g, layer
+        layer[v] = QSeries({lo + j: c for j, c in terms.items()}, prec)
+    return layer
 
 
 @settings(max_examples=150, deadline=None)
-@given(packed_layers())
-@example((1, {}))
-@example((2, {0: zero(7), 3: QSeries({-2: -(2 ** 65), 4: 1}, 9)}))
-@example((1, {1: QSeries({3: 2 ** 64, 4: -1}, 30), 2: zero(12)}))
-def test_packed_layers_round_trip(drawn):
-    g, layer = drawn
-    packed = _pack_layer(layer)
-    if any(len(s.coeffs) > 1 for s in layer.values()):
-        assert packed[2] % g == 0       # packed on the layer's grid
-    back = _unpack_layer(packed)
+@given(memo_layers())
+@example({})
+@example({0: zero(7), 3: QSeries({-2: -(2 ** 65), 4: 1}, 9)})
+@example({1: QSeries({3: 2 ** 64, 4: -1}), 2: zero(12)})
+def test_packed_layers_round_trip(layer):
+    memo = OrderedDict()
+    _store(memo, "key", layer)
+    back = _recall(memo, "key")
     assert list(back) == list(layer)
     for v, s in layer.items():
         assert (back[v].coeffs, back[v].prec) == (s.coeffs, s.prec), v
+        # QSeries tests ``prec is INF``, so INF must come back itself
+        assert (back[v].prec is INF) == (s.prec is INF), v
 
 
 def test_layer_memo_is_bounded(monkeypatch):
