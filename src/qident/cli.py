@@ -17,7 +17,7 @@ from . import identities as I
 from . import motion as M
 from . import sets as S
 from .errors import InvalidParameters, QidentError
-from .qfunctions import SM
+from .qfunctions import Q, SM
 
 
 def _emit(obj, fmt):
@@ -89,6 +89,18 @@ def _recipe_int(recipe, key, default, low):
     return v
 
 
+def _recipe_monomial(obj, key, default=None):
+    """obj[key] parsed as a monomial, or default when absent; a given field
+    must be a string."""
+    if key not in obj:
+        return default
+    v = obj[key]
+    if not isinstance(v, str):
+        raise InvalidParameters(f'malformed recipe: "{key}" must be a '
+                                f'monomial string, got {json.dumps(v)}')
+    return SM.parse(v)
+
+
 def _check_keys(obj, known, what):
     """Reject a key of ``obj`` outside ``known``, so a misspelling is not
     silently replaced by the default."""
@@ -114,16 +126,15 @@ def _parse_recipe(recipe, default_prec):
         if "tag" not in s:
             raise InvalidParameters('each recipe step needs a "tag"')
     try:
-        a = SM.parse(seed_spec.get("a", "q"))
+        a = _recipe_monomial(seed_spec, "a", Q)
         tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1
         n_max = _recipe_int(recipe, "n_max", 10, 0)
         kind = seed_spec.get("kind", "unit")
         if kind not in B.SEEDS:
             raise InvalidParameters(f"unknown seed kind {kind!r}; known: "
                                     + ", ".join(B.SEEDS))
-        steps = [B.TransformStep(s["tag"],
-                                 rho=SM.parse(s["rho"]) if "rho" in s else None,
-                                 b=SM.parse(s["b"]) if "b" in s else None)
+        steps = [B.TransformStep(s["tag"], rho=_recipe_monomial(s, "rho"),
+                                 b=_recipe_monomial(s, "b"))
                  for s in raw_steps]
     except TypeError as exc:    # a field of the wrong JSON type
         raise InvalidParameters(f"malformed recipe: {exc}") from exc

@@ -24,6 +24,14 @@ from motion_replay import replays
 from series_oracle import qcoeff
 
 
+@pytest.fixture(autouse=True)
+def _cold_chain_memo():
+    # no test is served steps another test ran
+    B._CHAINS.clear()
+    yield
+    B._CHAINS.clear()
+
+
 def _announce(tag, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] {tag}"
     if detail and detail not in ("[]", "()"):

@@ -1,5 +1,7 @@
 """Seeds, transforms, chains, and the lattice-consequence checks."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,12 +12,20 @@ from qident.errors import (DegenerateDivision, InsufficientDepth,
                            PoleAtParameter, PrecisionExceeded,
                            UnsupportedBoundary)
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM, inv_poch_finite, poch_infinite
-from qident.series import QSeries, monomial, one, zero
+from qident.series import INF, QSeries, monomial, one, zero
 
 import bailey_oracle as naive
 from series_oracle import newton_invert
 
 TP = 81  # q-order 40 for the unit-level tests
+
+
+@pytest.fixture(autouse=True)
+def _cold_chain_memo():
+    # no test is served steps another test ran, patched transforms included
+    B._CHAINS.clear()
+    yield
+    B._CHAINS.clear()
 
 
 @pytest.fixture(scope="module")
@@ -512,3 +522,95 @@ def test_run_chain_stops_at_the_first_failing_step(monkeypatch, unit_q):
         ("BL_INF", B.VerifyResult(True, None, TP)),
         ("KEY2", B.VerifyResult(False, 1, TP))]
     assert final.a == ONE_M and not B.verify(final).ok
+
+
+# -- the chain memo -------------------------------------------------------------
+
+
+def _chain_result(pair, log):
+    """Everything a chain returns, with each precision's identity to INF."""
+    return (log, pair.a, pair.n_max, pair.prec,
+            [(s.coeffs, s.prec, s.prec is INF) for s in pair.alpha + pair.beta])
+
+
+def _count_steps(monkeypatch):
+    calls = {"apply": 0, "verify": 0}
+    for name in calls:
+        real = getattr(B, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(B, name, counted)
+    return calls
+
+
+def test_a_stored_pair_reads_back_equal():
+    # exact series included: marshal reads inf back as a new float
+    p = B.BaileyPair(Q, 1, (one(), monomial(-1, 3, 9)), (one(9), zero()), 9)
+    back = B._unpack(B._pack(p))
+    assert _chain_result(back, []) == _chain_result(p, [])
+    assert back.alpha[0].prec is INF and back.beta[1].prec is INF
+
+
+def test_memoised_star_chains_equal_cold_runs():
+    tp = 31
+    chains = [(k, r, j) for k in range(1, 5) for r in range(k + 1)
+              for j in range(k - r + 1)]
+    assert len(chains) == 34
+    random.Random(19).shuffle(chains)
+    for mk in B.SEEDS.values():
+        seed = mk(Q, 6, tp)
+        warm = [_chain_result(*B.run_chain(seed, B.star_chain(*c), tp))
+                for c in chains]
+        for c, got in zip(chains, warm):
+            B._CHAINS.clear()
+            assert got == _chain_result(
+                *B.run_chain(seed, B.star_chain(*c), tp)), (mk.__name__, c)
+
+
+def test_a_chain_runs_only_the_steps_past_its_stored_prefix(monkeypatch):
+    seed = B.unit_pair(Q, 6, 31)
+    calls = _count_steps(monkeypatch)
+    B.run_chain(seed, B.star_chain(3, 0, 0))
+    assert calls == {"apply": 5, "verify": 5}
+    # star_chain(4, 0, 0) is star_chain(3, 0, 0) and one more BL_INF
+    B.run_chain(seed, B.star_chain(4, 0, 0))
+    assert calls == {"apply": 6, "verify": 6}
+
+
+def test_a_stored_failing_step_stops_a_longer_chain(monkeypatch, unit_q):
+    monkeypatch.setitem(B._TRANSFORMS, "KEY2", lambda p, step:
+                        naive.with_beta1_perturbed(B._key_shared(p, True)))
+    first = B.run_chain(unit_q, ["BL_INF", "KEY2"])
+    calls = _count_steps(monkeypatch)
+    final, log = B.run_chain(unit_q, ["BL_INF", "KEY2", "BL_INF"])
+    assert calls == {"apply": 0, "verify": 0}
+    assert log == first[1] and log[-1][2] == B.VerifyResult(False, 1, TP)
+    assert _chain_result(final, log) == _chain_result(*first)
+
+
+def test_the_chain_memo_is_keyed_by_the_order():
+    seed = B.unit_pair(Q, 6, 41)
+    steps = B.star_chain(2, 0, 1)
+    for tp in (41, 31):
+        _, log = B.run_chain(seed, steps, tp)
+        assert [res.prec for _, _, res in log] == [tp] * len(steps)
+
+
+def test_seeds_that_differ_in_one_coefficient_share_no_entry(monkeypatch):
+    seed = B.unit_pair(Q, 6, 31)
+    alpha = list(seed.alpha)
+    alpha[2] = alpha[2] + monomial(1, 12, 31)
+    other = B.BaileyPair(seed.a, seed.n_max, tuple(alpha), seed.beta,
+                         seed.prec)
+    steps = B.star_chain(2, 1, 0)
+    B.run_chain(seed, steps)
+    calls = _count_steps(monkeypatch)
+    got = _chain_result(*B.run_chain(other, steps))
+    # with alpha_2 broken the seed is no Bailey pair: its first step fails
+    assert calls == {"apply": 1, "verify": 1}
+    assert [res.ok for _, _, res in got[0]] == [False]
+    assert len(B._CHAINS) == len(steps) + 1
+    B._CHAINS.clear()
+    assert got == _chain_result(*B.run_chain(other, steps))

@@ -11,6 +11,14 @@ from qident.errors import InvalidParameters
 import bailey_oracle as naive
 
 
+@pytest.fixture(autouse=True)
+def _cold_chain_memo():
+    # no test is served steps another test ran, patched transforms included
+    B._CHAINS.clear()
+    yield
+    B._CHAINS.clear()
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -194,6 +202,22 @@ def test_bailey_field_of_the_wrong_type(capsys, tmp_path):
     rc, _, err = run(capsys, "bailey", "--input", str(path))
     assert rc == 2
     assert err.startswith("error: malformed recipe")
+
+
+@pytest.mark.parametrize("recipe, field, value", [
+    ({"seed": {"a": 5}}, "a", 5),
+    ({"seed": {}, "steps": [{"tag": "BL_RHO", "rho": None}]}, "rho", None),
+    ({"seed": {}, "steps": [{"tag": "LOVEJOY", "b": []}]}, "b", []),
+], ids=["a", "rho", "b"])
+def test_bailey_monomial_of_the_wrong_type_names_its_field(capsys, tmp_path,
+                                                           recipe, field,
+                                                           value):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err == (f'error: malformed recipe: "{field}" must be a monomial '
+                   f'string, got {json.dumps(value)}\n')
 
 
 @pytest.mark.parametrize("field, value, low", [

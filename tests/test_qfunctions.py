@@ -2,6 +2,7 @@
 
 import pytest
 
+from qident import bailey as B
 from qident import identities as I
 from qident import sumeval
 from qident.bailey import _relation_kernel
@@ -200,6 +201,11 @@ def test_caches_are_bounded(monkeypatch):
         I.eval_product(side, qprec)
     assert len(sumeval._SUMS) == len(I._PRODUCTS) == 2
     assert [k[1] for k in I._PRODUCTS] == [8, 9]
+    # the chain memo keeps one entry per step, the last two of five here
+    B._CHAINS.clear()
+    B.run_chain(B.unit_pair(Q, 3, 11), B.star_chain(3, 0, 0))
+    assert [len(k[2]) for k in B._CHAINS] == [4, 5]
+    B._CHAINS.clear()
     # a packed table is keyed by its grid step too: one table at steps 1, 2
     # and 4 is three entries and three integers, and the cache stays at its
     # bound however many keys it sees
