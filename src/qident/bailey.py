@@ -21,19 +21,15 @@ check does not go through the kernel it checks.
 
 Memoised across chains.  The star chains BL^(r+1), KEY1, BL^(k-r-j),
 STAR1^j on one seed share most of their prefixes, so ``run_chain`` stores
-each step it runs under (the seed, the order tp, the steps so far) and a
-chain applies and verifies only the steps past its longest stored prefix;
-a miss is one ``apply`` and one ``verify``, as without the memo, and a
-stored step that failed stops a longer chain at the same row.  The seed is
-keyed by its content: its marshal bytes, made once per call, so two seeds
-that differ in one coefficient share nothing.  An entry is the step's log
-row and the pair it made as marshal bytes of (prec, coefficients) per alpha
-and beta series, read back only for the longest prefix.  The 102 star
-chains with k <= 4 on three seeds at n_max 10 and t-order 101 make 519
-steps of which 120 differ: 120 entries in 0.67 MB, which raise the peak RSS
-of that pass by 1.0 MB; kept as live pairs they raised it by 4.1 MB.  The
-memo holds at most sumeval._LAYERS_MAX entries and drops the least recently
-used.
+each step it runs in a ``series.Memo`` under (the seed's ``series.pack``
+bytes, the order tp, the steps so far): seeds that differ in one
+coefficient share nothing.  An entry holds the log so far and the pair the
+step made, so a chain reads back one entry, its longest stored prefix's,
+stops there if that log ends in a failed step, and otherwise applies and
+verifies only the steps past it.  The 102 star chains with k <= 4 on three
+seeds at n_max 10 and t-order 101 make 519 steps of which 120 differ: 120
+entries in 0.69 MB, which raise the peak RSS of that pass by about 1 MB;
+kept as live pairs they raised it by 4.1 MB.
 
 The multisum consequence of the double lattice (``check_coro3``, for
 a = q^(e/2), k >= 1, j >= 0 and r + j <= k, whose boundary parameters b
@@ -50,18 +46,15 @@ Precision arguments here are t-exponent truncation orders (t = q^(1/2)).
 
 from __future__ import annotations
 
-import marshal
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from . import sumeval
 from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
-from .series import INF, QSeries, monomial, one, zero
+from .series import INF, Memo, QSeries, monomial, one, pack, zero
 from .sumeval import convolve_layer, multisum, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
@@ -389,25 +382,8 @@ def apply(step, p: BaileyPair) -> BaileyPair:
 
 
 # The chain memo (module docstring): (seed bytes, tp, steps so far) ->
-# (log row, pair bytes).  It holds at most sumeval._LAYERS_MAX entries.
-_CHAINS = OrderedDict()
-
-
-def _pack(p: BaileyPair) -> bytes:
-    """The pair as marshal bytes: a, n_max, prec, then (prec, coefficients)
-    of every alpha and beta series.  Version 2 writes no back-references,
-    whose use follows reference counts, so equal pairs give equal bytes."""
-    return marshal.dumps((p.a.sign, p.a.e, p.n_max, p.prec,
-                          [(s.prec, s.coeffs) for s in p.alpha + p.beta]), 2)
-
-
-def _unpack(stored: bytes) -> BaileyPair:
-    sign, e, n_max, prec, series = marshal.loads(stored)
-    # marshal reads inf back as a new float, and QSeries tests prec is INF
-    series = tuple(QSeries._of(c, INF if sp == INF else sp)
-                   for sp, c in series)
-    return BaileyPair(SM(sign, e), n_max, series[:n_max + 1],
-                      series[n_max + 1:], prec)
+# ((log so far, a, prec), alpha and beta series).
+_CHAINS = Memo()
 
 
 def run_chain(seed: BaileyPair, steps, prec: Optional[int] = None):
@@ -415,36 +391,34 @@ def run_chain(seed: BaileyPair, steps, prec: Optional[int] = None):
 
     Returns (pair, log); log rows are (tag, parameter_after, VerifyResult).
     Stops at the first step that fails verification: that row is the last
-    one of the log, and pair is the pair that step produced.  The steps of
-    the longest prefix run before on an equal seed at this order are
-    replayed from the chain memo (module docstring).
+    one of the log, and pair is the pair that step produced.  The longest
+    prefix run before on an equal seed at this order is read back from the
+    chain memo (module docstring).
     """
     tp = seed.prec if prec is None else min(prec, seed.prec)
     steps = tuple(TransformStep(s) if isinstance(s, str) else s
                   for s in steps)
-    seed_key = _pack(seed)
-    log, stored = [], None
-    for i in range(1, len(steps) + 1):
-        key = (seed_key, tp, steps[:i])
-        hit = _CHAINS.get(key)
-        if hit is None:
+    seed_key = pack((seed.a.sign, seed.a.e, seed.prec), seed.alpha + seed.beta)
+    p, log = seed, []
+    for i in range(len(steps), 0, -1):
+        hit = _CHAINS.recall((seed_key, tp, steps[:i]))
+        if hit is not None:
+            (rows, sign, e, p_prec), series = hit
+            log = [(tag, a, VerifyResult(*res)) for tag, a, res in rows]
+            n = len(series) // 2
+            p = BaileyPair(SM(sign, e), n - 1, tuple(series[:n]),
+                           tuple(series[n:]), p_prec)
             break
-        _CHAINS.move_to_end(key)
-        row, stored = hit
-        log.append(row)
-        if not row[2].ok:
-            return _unpack(stored), log
-    p = seed if stored is None else _unpack(stored)
     for i in range(len(log), len(steps)):
+        if log and not log[-1][2].ok:
+            break
         p = apply(steps[i], p)
         res = verify(p, tp)
-        row = (steps[i].tag, p.a.text(), res)
-        log.append(row)
-        _CHAINS[(seed_key, tp, steps[:i + 1])] = (row, _pack(p))
-        if len(_CHAINS) > sumeval._LAYERS_MAX:
-            _CHAINS.popitem(last=False)
-        if not res.ok:
-            break
+        log.append((steps[i].tag, p.a.text(), res))
+        _CHAINS.store((seed_key, tp, steps[:i + 1]),
+                      ([(tag, a, (r.ok, r.first_bad_n, r.prec))
+                        for tag, a, r in log], p.a.sign, p.a.e, p.prec),
+                      p.alpha + p.beta)
     return p, log
 
 

@@ -42,14 +42,21 @@ def _at_least_one(what):
 _prec = _at_least_one("precision")  # a truncation order in whole q-powers
 
 
+def _subset(value) -> tuple:
+    """argparse type for --subset: comma-separated integer positions."""
+    try:
+        return tuple(int(x) for x in value.split(",") if x != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError("positions must be comma-separated "
+                                         f"integers, got {value!r}") from None
+
+
 def _identity_params(args):
     params = {}
-    for key in ("k", "r", "j", "a", "variant"):
+    for key in ("k", "r", "j", "a", "variant", "T"):
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
-    if getattr(args, "subset", None) is not None:
-        params["T"] = tuple(int(x) for x in args.subset.split(",") if x != "")
     return params
 
 
@@ -89,16 +96,22 @@ def _recipe_int(recipe, key, default, low):
     return v
 
 
-def _recipe_monomial(obj, key, default=None):
-    """obj[key] parsed as a monomial, or default when absent; a given field
-    must be a string."""
+def _recipe_str(obj, key, default=None, what="string"):
+    """obj[key], or default when absent; a given field must be a string."""
     if key not in obj:
         return default
     v = obj[key]
     if not isinstance(v, str):
         raise InvalidParameters(f'malformed recipe: "{key}" must be a '
-                                f'monomial string, got {json.dumps(v)}')
-    return SM.parse(v)
+                                f'{what}, got {json.dumps(v)}')
+    return v
+
+
+def _recipe_monomial(obj, key, default=None):
+    """obj[key] parsed as a monomial, or default when absent; a given field
+    must be a string."""
+    v = _recipe_str(obj, key, what="monomial string")
+    return default if v is None else SM.parse(v)
 
 
 def _check_keys(obj, known, what):
@@ -125,19 +138,17 @@ def _parse_recipe(recipe, default_prec):
         _check_keys(s, ("tag", "rho", "b"), "step")
         if "tag" not in s:
             raise InvalidParameters('each recipe step needs a "tag"')
-    try:
-        a = _recipe_monomial(seed_spec, "a", Q)
-        tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1
-        n_max = _recipe_int(recipe, "n_max", 10, 0)
-        kind = seed_spec.get("kind", "unit")
-        if kind not in B.SEEDS:
-            raise InvalidParameters(f"unknown seed kind {kind!r}; known: "
-                                    + ", ".join(B.SEEDS))
-        steps = [B.TransformStep(s["tag"], rho=_recipe_monomial(s, "rho"),
-                                 b=_recipe_monomial(s, "b"))
-                 for s in raw_steps]
-    except TypeError as exc:    # a field of the wrong JSON type
-        raise InvalidParameters(f"malformed recipe: {exc}") from exc
+    a = _recipe_monomial(seed_spec, "a", Q)
+    tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1
+    n_max = _recipe_int(recipe, "n_max", 10, 0)
+    kind = _recipe_str(seed_spec, "kind", "unit")
+    if kind not in B.SEEDS:
+        raise InvalidParameters(f"unknown seed kind {kind!r}; known: "
+                                + ", ".join(B.SEEDS))
+    steps = [B.TransformStep(_recipe_str(s, "tag"),
+                             rho=_recipe_monomial(s, "rho"),
+                             b=_recipe_monomial(s, "b"))
+             for s in raw_steps]
     return B.SEEDS[kind](a, n_max, tp), steps, tp
 
 
@@ -221,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int)
     p.add_argument("--a", type=int, help="variant selector for two-case rows")
     p.add_argument("--variant", type=int)
-    p.add_argument("--subset", help="comma-separated positions, e.g. 2,3")
+    p.add_argument("--subset", type=_subset, dest="T", metavar="SUBSET",
+                   help="comma-separated positions, e.g. 2,3")
     common(p, 50)
     p.set_defaults(func=_cmd_verify)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -27,8 +26,8 @@ from typing import Callable, Optional
 from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite, triple_product)
-from .series import QSeries, one, zero
-from .sumeval import _recall, _store, multisum, summation_bound
+from .series import Memo, QSeries, one, zero
+from .sumeval import multisum, summation_bound
 
 
 def tgrid(qprec: int) -> int:
@@ -111,17 +110,16 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
 
 # Many rows share a product side (a generalisation at its boundary
 # parameters is the identity it generalises), so each distinct side is
-# evaluated once per process: (side, qprec) -> the one-slot layer, stored
-# as sumeval stores its memo entries.
-_PRODUCTS = OrderedDict()
+# evaluated once per process, in a ``series.Memo`` under (side, qprec).
+_PRODUCTS = Memo()
 
 
 def eval_product(side: ProductSide, qprec: int) -> QSeries:
     """Exact truncation of the product side to q-order qprec."""
     memo_key = (side, qprec)
-    hit = _recall(_PRODUCTS, memo_key)
+    hit = _PRODUCTS.recall(memo_key)
     if hit is not None:
-        return hit[0]
+        return hit[1][0]
     tp = tgrid(qprec)
     if side.terms:
         acc = zero(tp)
@@ -142,7 +140,7 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     for poly in side.den_units:
         acc = acc.divide(QSeries(list(poly)), tp)
     acc = acc.truncate(tp)
-    _store(_PRODUCTS, memo_key, {0: acc})
+    _PRODUCTS.store(memo_key, None, [acc])
     return acc
 
 

@@ -22,13 +22,23 @@ results that are canonical by construction and hand them to the private
 Division is long division (``divide``); every divisor in scope is a product
 of binomials whose lowest coefficient is +-1, or +-2 where the two terms of
 a b - aq^l factor coincide.  ``invert`` divides one.
+
+The per-process memos of the sum engine, the product sides and the Bailey
+chains are each a ``Memo``: at most ``Memo.MAX`` entries, the least recently
+used dropped first.  An entry is ``pack(data, series)``: the stdlib
+``marshal`` bytes, at version 2, of plain data and of (prec, coefficient
+dict) per series.  ``unpack`` restores ``INF``, which marshal reads back as
+a new float.  Version 2 writes no back-references, whose use follows
+reference counts, so equal contents give equal bytes, fit for a key.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import struct
 import sys
+from collections import OrderedDict
 
 from .errors import EmptySeries, NotAUnit, PrecisionExceeded
 
@@ -390,6 +400,37 @@ def _mul_any(da: dict, db: dict, cap) -> dict:
         if out is not None:
             return out
     return _mul_dict(da, db, cap)
+
+
+# -- the memo -----------------------------------------------------------------
+
+def pack(data, series) -> bytes:
+    """data and the series as one bytes string (module docstring)."""
+    return marshal.dumps((data, [(s.prec, s.coeffs) for s in series]), 2)
+
+
+def unpack(stored: bytes):
+    """(data, [QSeries]) of pack's bytes, with ``INF`` restored."""
+    data, series = marshal.loads(stored)
+    return data, [QSeries._of(c, INF if p == INF else p) for p, c in series]
+
+
+class Memo(OrderedDict):
+    """A bounded LRU map, key -> pack bytes (module docstring)."""
+
+    MAX = 1024
+
+    def recall(self, key):
+        """unpack of the entry under key, or None; a hit is now the newest."""
+        stored = self.get(key)
+        if stored is not None:
+            self.move_to_end(key)
+            return unpack(stored)
+
+    def store(self, key, data, series):
+        self[key] = pack(data, series)
+        if len(self) > self.MAX:
+            self.popitem(last=False)
 
 
 # -- constructors -------------------------------------------------------------

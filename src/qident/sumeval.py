@@ -68,39 +68,34 @@ so every precision loss reaches the result.  A result known below tprec only
 means an extra series was not known far enough; that raises
 PrecisionExceeded.
 
-Memoised across rows.  The rows of one catalog family differ in a few outer
-or inner variables, so they share most of their inner layers, and a
-generalisation at its boundary parameters sums the very series of the
-identity it generalises.  A caller that passes ``key``, one hashable
-description per variable of its extra (equal only where the extras are the
-same function of v at this tprec), has two things stored.  The sum itself,
-under ((quad, lin, description) per variable, gaps, tprec, vmax): the
-descriptions pin the extras and so wp, so it is looked up before any own
-factor is built, and a hit costs one read.  And the layer after each
-variable i, 1 <= i <= K - 2, under ((quad, lin, description) of variables
-i.., gaps[i:], tprec, wp, vmax), so that a sum not stored starts from its
-longest stored suffix.  The innermost layer is not stored: it is the own
-row, which is built anyway for wp.  Nor is the outermost: its sum is, one
-slot where the layer has one per value of s_1.  Callers whose extras are
-closures over data (the Bailey lattice checks) pass no key, so nothing of
-theirs is stored.  Each stored layer is one ``marshal`` string of
-(v, prec, coefficient dict) per slot, read back by one ``marshal.loads``; a
-zero series kept for its precision is an empty dict, and a stored sum is a
-layer of one slot.  The k <= 4 catalog sweep at q-order 60 stores 186
-layers in 0.59 MB and 298 sums in 0.20 MB; as dicts of series the layers
-alone would take 4.1 MB.  Each memo holds at most _LAYERS_MAX entries and
-drops the least recently used, as the other caches are bounded.
+Memoised across rows.  The rows of one catalog family share most of their
+inner layers, and a generalisation at its boundary parameters sums the very
+series of the identity it generalises.  A caller that passes ``key``, one
+hashable description per variable of its extra (equal only where the
+extras are the same function of v at this tprec), has two things stored,
+each in a ``series.Memo``.  The sum, in ``_SUMS`` under ((quad, lin,
+description) per variable, gaps, tprec, vmax), looked up before any own
+factor is built: the descriptions pin the extras and so wp.  And the layer
+after each variable i, 1 <= i <= K - 2, in ``_LAYERS`` under (the name of
+the suffix of variables i.., tprec, wp, vmax), so that a sum not stored
+starts from its longest stored suffix.  A name is an int, interned from the
+inside out in the ever-growing ``_SUFFIXES`` under ((quad, lin, description)
+of variable i, gap i, the name inside it): equal names mean equal suffixes,
+and the keys of K variables take O(K) memory, not O(K^2).  The innermost
+layer is the own row, built anyway for wp, and the outermost one's sum is
+stored, so neither is.  Callers whose extras are closures over data (the
+Bailey lattice checks) pass no key.  The k <= 4 catalog sweep at q-order 60
+stores 186 layers in 0.59 MB and 298 sums in 0.20 MB; as dicts of series
+the layers alone would take 4.1 MB.
 """
 
 from __future__ import annotations
 
-import marshal
-from collections import OrderedDict
 from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import INF, QSeries, kron_pack, kron_unpack, monomial, zero
+from .series import INF, Memo, QSeries, kron_pack, kron_unpack, monomial, zero
 from .qfunctions import SM, inv_poch_finite
 
 # There is no pad any more: the working precision is exact (module
@@ -174,9 +169,9 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     if key is not None:
         descs = tuple((quad, lin, d) for (quad, lin, _), d in zip(pervar, key))
         whole = (descs, tuple(gaps), tprec, vmax)
-        hit = _recall(_SUMS, whole)
+        hit = _SUMS.recall(whole)
         if hit is not None:
-            return hit[0]
+            return hit[1][0]
 
     # own[i][v]: the exponent of a bare monomial, a series, or None (an
     # exact zero); variable i is paired with the binomial step inside it
@@ -203,13 +198,16 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     # memo[i]: the memo key of the layer after variable i
     memo = [None] * K
     if key is not None:
-        memo[1:K - 1] = [(descs[i:], tuple(gaps[i:]), tprec, wp, vmax)
-                         for i in range(1, K - 1)]
+        inner = descs[-1]
+        for i in range(K - 2, 0, -1):
+            inner = _SUFFIXES.setdefault((descs[i], gaps[i], inner),
+                                         len(_SUFFIXES))
+            memo[i] = (inner, tprec, wp, vmax)
     layer, start = None, K - 1
     for i in range(1, K - 1):
-        layer = _recall(_LAYERS, memo[i])
-        if layer is not None:
-            start = i
+        hit = _LAYERS.recall(memo[i])
+        if hit is not None:
+            layer, start = dict(zip(*hit)), i
             break
     if layer is None:
         layer = {}
@@ -220,7 +218,7 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     for i in range(start - 1, -1, -1):
         layer = convolve_layer(layer, own[i], gaps[i], wp) if layer else {}
         if memo[i] is not None:
-            _store(_LAYERS, memo[i], layer)
+            _LAYERS.store(memo[i], list(layer), layer.values())
 
     out = zero(wp)
     for s in layer.values():
@@ -231,37 +229,14 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
             f"series is not known far enough")
     out = out.truncate(tprec)
     if key is not None:
-        _store(_SUMS, whole, {0: out})
+        _SUMS.store(whole, None, [out])
     return out
 
 
-# The memos (module docstring), memo key -> marshal bytes: the inner layers,
-# and the sums multisum returns as one-slot layers.  Each holds at most
-# _LAYERS_MAX entries.
-_LAYERS = OrderedDict()
-_SUMS = OrderedDict()
-_LAYERS_MAX = 1024
-
-
-def _recall(memo, key):
-    """The layer stored under key, read back, or None; a hit becomes the
-    most recently used entry."""
-    stored = memo.get(key)
-    if stored is None:
-        return None
-    memo.move_to_end(key)
-    # marshal reads inf back as a new float, and QSeries tests prec is INF
-    return {v: QSeries._of(c, INF if p == INF else p)
-            for v, p, c in marshal.loads(stored)}
-
-
-def _store(memo, key, layer):
-    """Store the layer under key as (v, prec, coefficients) per slot in
-    marshal bytes; past _LAYERS_MAX entries the least recently used one is
-    dropped."""
-    memo[key] = marshal.dumps([(v, s.prec, s.coeffs) for v, s in layer.items()])
-    if len(memo) > _LAYERS_MAX:
-        memo.popitem(last=False)
+# The memos and the suffix names of their keys (module docstring).
+_LAYERS = Memo()
+_SUMS = Memo()
+_SUFFIXES = {}
 
 
 def _val(s: QSeries):

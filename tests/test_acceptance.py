@@ -8,8 +8,6 @@ stated q-orders are the contract.
 import time
 from itertools import combinations
 
-import pytest
-
 from qident import bailey as B
 from qident import identities as I
 from qident import motion as M
@@ -22,14 +20,6 @@ from catalog_helpers import rhs_series
 from gf_oracle import theta_sum
 from motion_replay import replays
 from series_oracle import qcoeff
-
-
-@pytest.fixture(autouse=True)
-def _cold_chain_memo():
-    # no test is served steps another test ran
-    B._CHAINS.clear()
-    yield
-    B._CHAINS.clear()
 
 
 def _announce(tag, ok, detail=""):

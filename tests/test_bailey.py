@@ -20,14 +20,6 @@ from series_oracle import newton_invert
 TP = 81  # q-order 40 for the unit-level tests
 
 
-@pytest.fixture(autouse=True)
-def _cold_chain_memo():
-    # no test is served steps another test ran, patched transforms included
-    B._CHAINS.clear()
-    yield
-    B._CHAINS.clear()
-
-
 @pytest.fixture(scope="module")
 def unit_q():
     return B.unit_pair(Q, 10, TP)
@@ -545,14 +537,6 @@ def _count_steps(monkeypatch):
     return calls
 
 
-def test_a_stored_pair_reads_back_equal():
-    # exact series included: marshal reads inf back as a new float
-    p = B.BaileyPair(Q, 1, (one(), monomial(-1, 3, 9)), (one(9), zero()), 9)
-    back = B._unpack(B._pack(p))
-    assert _chain_result(back, []) == _chain_result(p, [])
-    assert back.alpha[0].prec is INF and back.beta[1].prec is INF
-
-
 def test_memoised_star_chains_equal_cold_runs():
     tp = 31
     chains = [(k, r, j) for k in range(1, 5) for r in range(k + 1)
@@ -588,6 +572,22 @@ def test_a_stored_failing_step_stops_a_longer_chain(monkeypatch, unit_q):
     assert calls == {"apply": 0, "verify": 0}
     assert log == first[1] and log[-1][2] == B.VerifyResult(False, 1, TP)
     assert _chain_result(final, log) == _chain_result(*first)
+
+
+def test_an_equal_seed_built_apart_shares_every_entry(monkeypatch):
+    # the seed is keyed by its packed bytes, which must not depend on how
+    # the equal content was built
+    seed = B.unit_pair(Q, 6, 31)
+    copy = B.BaileyPair(
+        SM(seed.a.sign, seed.a.e), seed.n_max,
+        *(tuple(QSeries._of({e: c for e, c in s.coeffs.items()}, s.prec)
+                for s in side) for side in (seed.alpha, seed.beta)),
+        seed.prec)
+    steps = B.star_chain(3, 1, 1)
+    first = _chain_result(*B.run_chain(seed, steps))
+    calls = _count_steps(monkeypatch)
+    assert _chain_result(*B.run_chain(copy, steps)) == first
+    assert calls == {"apply": 0, "verify": 0}
 
 
 def test_the_chain_memo_is_keyed_by_the_order():

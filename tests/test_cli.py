@@ -11,14 +11,6 @@ from qident.errors import InvalidParameters
 import bailey_oracle as naive
 
 
-@pytest.fixture(autouse=True)
-def _cold_chain_memo():
-    # no test is served steps another test ran, patched transforms included
-    B._CHAINS.clear()
-    yield
-    B._CHAINS.clear()
-
-
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -67,6 +59,14 @@ def test_subset_flag(capsys):
     rc, out, _ = run(capsys, "verify", "stanton_31", "--k", "3", "--r", "1",
                      "--j", "2", "--subset", "1,2", "--prec", "25")
     assert rc == 0 and "equal=True" in out
+
+
+def test_subset_flag_takes_integers_only(capsys):
+    rc, out, err = run(capsys, "verify", "stanton_31", "--k", "3", "--r", "1",
+                       "--j", "2", "--subset", "1,a")
+    assert rc == 2 and out == ""
+    assert err.endswith("error: argument --subset: positions must be "
+                        "comma-separated integers, got '1,a'\n")
 
 
 def test_sweep_exit_code_and_coverage(capsys):
@@ -218,6 +218,20 @@ def test_bailey_monomial_of_the_wrong_type_names_its_field(capsys, tmp_path,
     assert rc == 2 and out == ""
     assert err == (f'error: malformed recipe: "{field}" must be a monomial '
                    f'string, got {json.dumps(value)}\n')
+
+
+@pytest.mark.parametrize("recipe, field, value", [
+    ({"seed": {"kind": []}}, "kind", []),
+    ({"seed": {}, "steps": [{"tag": ["BL_INF"]}]}, "tag", ["BL_INF"]),
+], ids=["kind", "tag"])
+def test_bailey_name_of_the_wrong_type_names_its_field(capsys, tmp_path,
+                                                       recipe, field, value):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err == (f'error: malformed recipe: "{field}" must be a string, '
+                   f'got {json.dumps(value)}\n')
 
 
 @pytest.mark.parametrize("field, value, low", [

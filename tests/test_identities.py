@@ -7,6 +7,7 @@ import json
 import os
 import random
 import signal
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -247,6 +248,20 @@ def test_a_memo_hit_equals_a_cold_build():
             got = f(side, qp)
             assert (got.coeffs, got.prec) == (want.coeffs, want.prec), qp
     assert cold[20][0].prec == I.tgrid(20) != cold[24][0].prec
+
+
+def test_the_memo_keys_of_a_deep_sum_take_linear_memory():
+    # each layer key names its suffix of variables by one interned int; the
+    # suffixes spelt out in every key took 70 MiB here, O(k^2)
+    side = I.CATALOG["andrews_gordon"].lhs({"k": 3000, "r": 0})
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        I.eval_sum(side, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_the_prefactor_stays_outside_the_sum_memo():

@@ -11,7 +11,7 @@ from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                inv_poch_finite, poch_finite, poch_infinite,
                                triple_product)
-from qident.series import QSeries
+from qident.series import Memo, QSeries
 from qident.sumeval import _ip_norms, _packed_ips, multisum
 
 from gf_oracle import euler_inverse, qbinom, theta_sum
@@ -192,7 +192,7 @@ def test_caches_are_bounded(monkeypatch):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does
-    monkeypatch.setattr(sumeval, "_LAYERS_MAX", 2)
+    monkeypatch.setattr(Memo, "MAX", 2)
     sumeval._SUMS.clear()
     I._PRODUCTS.clear()
     side = I.CATALOG["andrews_gordon"].rhs({"k": 2, "r": 1})

@@ -10,7 +10,7 @@ from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
-                           kron_pack, kron_unpack)
+                           kron_pack, kron_unpack, pack, unpack)
 from qident import sumeval
 from qident.sumeval import _ip_norms, _packed_ips, convolve_layer
 
@@ -391,6 +391,39 @@ def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
     _packed_ips.cache_clear()
     slot = -(-(2 * wp - 1) // den_step)
     assert calls == [2 * slot, 4 * slot]    # layer slots 0..1, tables 0..3
+
+
+# What the memos store: plain data and series with coefficients of either
+# sign up to 2^70, exact series, and zero series that carry only a precision.
+plain_data = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+    max_leaves=8)
+
+
+@st.composite
+def memo_series(draw):
+    coeff = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+    prec = draw(st.integers(-6, 60) | st.just(INF))
+    lo = draw(st.integers(-6, 30))
+    terms = draw(st.dictionaries(st.integers(0, 16), coeff, max_size=9))
+    return QSeries({lo + j: c for j, c in terms.items()}, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_data, st.lists(memo_series(), max_size=6))
+@example(None, [])
+@example([0, 3], [zero(7), QSeries({-2: -(2 ** 65), 4: 1}, 9)])
+@example([1, 2], [QSeries({3: 2 ** 64, 4: -1}), zero(12)])
+@example((1, 3, 9), [one(), monomial(-1, 3, 9), one(9), zero()])
+def test_pack_round_trip(data, series):
+    back_data, back = unpack(pack(data, series))
+    assert back_data == data and len(back) == len(series)
+    for i, (got, s) in enumerate(zip(back, series)):
+        assert (got.coeffs, got.prec) == (s.coeffs, s.prec), i
+        # QSeries tests ``prec is INF``, so INF must come back itself
+        assert (got.prec is INF) == (s.prec is INF), i
 
 
 def test_divide_edge_cases():
