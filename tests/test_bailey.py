@@ -537,6 +537,20 @@ def _count_steps(monkeypatch):
     return calls
 
 
+def test_a_stored_pair_reads_back_equal(monkeypatch):
+    # exact series included: marshal reads inf back as a new float
+    p = B.BaileyPair(Q, 1, (one(), monomial(-1, 3, 9)), (one(9), zero()), 9)
+    seed = B.unit_pair(Q, 6, 31)
+    monkeypatch.setattr(B, "apply", lambda step, pair: p)
+    first = B.run_chain(seed, ["BL_INF"])
+    assert _chain_result(*first)[1:] == _chain_result(p, [])[1:]
+    calls = _count_steps(monkeypatch)
+    back, log = B.run_chain(seed, ["BL_INF"])
+    assert calls == {"apply": 0, "verify": 0}
+    assert _chain_result(back, log) == _chain_result(*first)
+    assert back.alpha[0].prec is INF and back.beta[1].prec is INF
+
+
 def test_memoised_star_chains_equal_cold_runs():
     tp = 31
     chains = [(k, r, j) for k in range(1, 5) for r in range(k + 1)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident.qfunctions import NEG_ONE, SM, inv_poch_finite, poch_finite
 from qident import sumeval
-from qident.series import Memo, QSeries, monomial, zero
+from qident.series import INF, Memo, QSeries, monomial, zero
 from qident.sumeval import multisum, quad_min, summation_bound, var_bound
 
 # The oracle multiplies every factor exactly, or to this many t-exponents
@@ -176,6 +176,37 @@ def test_default_vmax_refuses_an_extra_of_negative_valuation():
     with pytest.raises(ValueError, match="s_2"):
         multisum([(2, 0, None), (2, 0, lambda v: monomial(1, 0))], [(2, None)],
                  20)
+
+
+@st.composite
+def memo_layers(draw):
+    """A layer {v: series}: coefficients of either sign up to 2^70, exact
+    series, and zero series that carry only a precision."""
+    coeff = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+    layer = {}
+    for v in sorted(draw(st.sets(st.integers(0, 12), max_size=6))):
+        prec = draw(st.integers(-6, 60) | st.just(INF))
+        lo = draw(st.integers(-6, 30))
+        terms = draw(st.dictionaries(st.integers(0, 16), coeff, max_size=9))
+        layer[v] = QSeries({lo + j: c for j, c in terms.items()}, prec)
+    return layer
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_layers())
+@example({})
+@example({0: zero(7), 3: QSeries({-2: -(2 ** 65), 4: 1}, 9)})
+@example({1: QSeries({3: 2 ** 64, 4: -1}), 2: zero(12)})
+def test_packed_layers_round_trip(layer):
+    # stored and read back as multisum stores a layer in _LAYERS
+    memo = Memo()
+    memo.store("key", list(layer), layer.values())
+    back = dict(zip(*memo.recall("key")))
+    assert list(back) == list(layer)
+    for v, s in layer.items():
+        assert (back[v].coeffs, back[v].prec) == (s.coeffs, s.prec), v
+        # QSeries tests ``prec is INF``, so INF must come back itself
+        assert (back[v].prec is INF) == (s.prec is INF), v
 
 
 def test_layer_memo_is_bounded(monkeypatch):
