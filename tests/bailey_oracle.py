@@ -1,6 +1,8 @@
 """Naive references for the Bailey engine: one series product and one sum
 per (n, l), the double loops that the packed beta-side sum and the cached
-verify kernel replace; and pairs with a beta replaced or broken on purpose."""
+verify kernel replace; the closed-form alpha of the star chains with both
+divisions made on every call; and pairs with a beta replaced or broken on
+purpose."""
 
 from qident.bailey import BaileyPair
 from qident.qfunctions import Q, inv_poch_finite
@@ -41,6 +43,20 @@ def first_bad_n(p, prec=None):
         if not same:
             return n, min(orders)
     return None, min(orders)
+
+
+def closed_alpha_star_chain(seed, k, r, j, n, prec=None):
+    """(1-q)(1+q^2n)^j q^((k+1)n^2+(r+1-j)n)
+        (alpha_n/(1-q^(2n+1)) - q^(-2rn-1) alpha_{n-1}/(1-q^(2n-1))),
+    dividing the seed's alphas afresh on every call."""
+    tp = seed.prec if prec is None else min(prec, seed.prec)
+    t = seed.alpha[n].divide(QSeries([(0, 1), (4 * n + 2, -1)]), tp)
+    if n >= 1:
+        t = t - (seed.alpha[n - 1].shift(-4 * r * n - 2)
+                 .divide(QSeries([(0, 1), (4 * n - 2, -1)]), tp))
+    out = (QSeries([(0, 1), (2, -1)]) * (QSeries([(0, 1), (4 * n, 1)]) ** j)
+           * t)
+    return out.shift(2 * (k + 1) * n * n + 2 * (r + 1 - j) * n).truncate(tp)
 
 
 def with_beta(p, beta):

@@ -5,9 +5,16 @@ import pytest
 from qident import bailey as B
 
 
+def _clear_bailey_memos():
+    B._CHAINS.clear()
+    B._QUOTIENTS.clear()
+    B._star_factor.cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def _cold_chain_memo():
-    # no test is served steps another test ran, patched transforms included
-    B._CHAINS.clear()
+def _cold_bailey_memos():
+    # no test is served steps or quotients another test made, patched
+    # transforms included
+    _clear_bailey_memos()
     yield
-    B._CHAINS.clear()
+    _clear_bailey_memos()

@@ -390,6 +390,75 @@ def test_star_chain_closed_alpha():
             assert final.alpha[n].equal_up_to(want, cmp_at) == (True, None)
 
 
+_ORACLE_SEEDS = {name: mk(Q, 6, 41) for name, mk in B.SEEDS.items()}
+
+
+def _star_chain_krj(k_max):
+    return [(k, r, j) for k in range(1, k_max + 1) for r in range(k + 1)
+            for j in range(k - r + 1)]
+
+
+def _same_series(got, want):
+    return got.coeffs == want.coeffs and got.prec == want.prec
+
+
+@st.composite
+def _oracle_calls(draw):
+    """(seed name, k, r, j, n, tp): k <= 4, any n <= n_max, tp <= seed prec."""
+    name = draw(st.sampled_from(sorted(_ORACLE_SEEDS)))
+    seed = _ORACLE_SEEDS[name]
+    k, r, j = draw(st.sampled_from(_star_chain_krj(4)))
+    n = draw(st.integers(0, seed.n_max))
+    tp = draw(st.integers(1, seed.prec))
+    return name, k, r, j, n, tp
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=_oracle_calls())
+@example(call=("unit", 4, 0, 4, 6, 41))
+@example(call=("dprime1", 4, 4, 0, 6, 1))
+def test_closed_alpha_equals_the_uncached_formula(call):
+    # the quotient memo stays warm across examples, at every order drawn
+    name, k, r, j, n, tp = call
+    seed = _ORACLE_SEEDS[name]
+    got = B.closed_alpha_star_chain(seed, k, r, j, n, tp)
+    want = naive.closed_alpha_star_chain(seed, k, r, j, n, tp)
+    assert _same_series(got, want)
+
+
+@settings(max_examples=4, deadline=None)
+@given(order=st.randoms(use_true_random=False),
+       tps=st.lists(st.integers(1, 41), min_size=2, max_size=2, unique=True))
+def test_closed_alpha_from_a_memo_warmed_in_shuffled_order(order, tps):
+    B._QUOTIENTS.clear()
+    calls = [(name, *krj, n, tp) for name in _ORACLE_SEEDS
+             for krj in _star_chain_krj(3) for n in range(7) for tp in tps]
+    order.shuffle(calls)
+    warm = [B.closed_alpha_star_chain(_ORACLE_SEEDS[name], *rest)
+            for name, *rest in calls]
+    for (name, *rest), got in zip(calls, warm):
+        want = naive.closed_alpha_star_chain(_ORACLE_SEEDS[name], *rest)
+        assert _same_series(got, want), (name, *rest)
+
+
+def test_the_oracle_reads_nothing_run_chain_writes(monkeypatch):
+    class Unreadable:
+        def _refuse(self, *args):
+            raise AssertionError("the chain memo was read")
+        __getattr__ = __getitem__ = __contains__ = _refuse
+        __iter__ = __len__ = __bool__ = _refuse
+
+    monkeypatch.setattr(B, "_CHAINS", Unreadable())
+    seed = _ORACLE_SEEDS["dprime4"]
+    with pytest.raises(AssertionError, match="chain memo"):
+        B.run_chain(seed, B.star_chain(1, 0, 0))
+    for k, r, j in _star_chain_krj(2):
+        for n in range(seed.n_max + 1):
+            assert _same_series(
+                B.closed_alpha_star_chain(seed, k, r, j, n),
+                naive.closed_alpha_star_chain(seed, k, r, j, n))
+
+
 def test_double_lattice_chain_at_q2():
     tp = 101
     seed = B.unit_pair(SM(1, 4), 10, tp)

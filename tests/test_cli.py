@@ -1,10 +1,16 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qident import bailey as B
+from qident import identities as I
+from qident import sets as S
 from qident.cli import _parse_recipe, main
 from qident.errors import InvalidParameters
 
@@ -402,3 +408,144 @@ def test_verify_rejects_parameters_the_row_does_not_take(capsys):
                        "--r", "1", "--j", "5")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "'j'" in err
+
+
+# -- the exit-code contract over generated input ------------------------------
+
+# JSON values of the wrong type for any field
+_WRONG = st.sampled_from([None, True, 3, -1, 2.5, [], {}, ["BL_INF"]])
+_MONOMIAL = st.sampled_from(["q", "1", "-1", "q^(1/2)", "q^(-1/2)", "-q",
+                             "q^2", "-q^(3/2)", "q^(5/2)", "q^(-1)", "inf",
+                             "q^", ""])
+
+
+def _near(valid):
+    """Mostly a valid value, now and then one of the wrong type."""
+    return st.one_of(valid, valid, _WRONG)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _one_in(n):
+    # true for the last of n choices: hypothesis favours the first
+    return st.sampled_from(range(n)).map(lambda i: i == n - 1)
+
+
+@st.composite
+def _recipe(draw):
+    seed = draw(st.fixed_dictionaries({}, optional={
+        "kind": _near(st.sampled_from([*B.SEEDS, "unti"])),
+        "a": _near(_MONOMIAL)}))
+    steps = draw(st.lists(st.fixed_dictionaries(
+        {"tag": _near(st.sampled_from([*B._TRANSFORMS, "BL"]))},
+        optional={"rho": _near(_MONOMIAL), "b": _near(_MONOMIAL)}),
+        max_size=3))
+    # n_max is always given: its default of 10 is past the size bound
+    recipe = {"seed": seed, "steps": steps,
+              "n_max": draw(_near(st.integers(0, 4)))}
+    if draw(st.booleans()):
+        recipe["prec"] = draw(_near(st.integers(1, 12)))
+    # a structural fault in about one recipe of three (faults 0-5 of
+    # -14..5): a misspelt or missing key, or a seed, step or step list that
+    # is no object or list
+    fault = draw(st.sampled_from(range(-14, 6)))
+    if fault == 0:
+        recipe["stpes"] = recipe.pop("steps")
+    elif fault == 1:
+        seed["knd"] = "unit"
+    elif fault == 2 and steps:
+        del steps[0]["tag"]
+    elif fault == 3:
+        recipe[draw(st.sampled_from(["seed", "steps"]))] = draw(_WRONG)
+    elif fault == 4 and steps:
+        steps[0] = draw(_WRONG)
+    elif fault == 5:
+        recipe = draw(_WRONG)
+    return recipe
+
+
+@st.composite
+def _near_valid_input(draw):
+    """(argv, stdin) for one of six commands: argv that argparse takes (its
+    own usage errors print a usage line and are pinned by the tests above)
+    with values in and out of each command's domain, k <= 3, prec <= 12 and
+    n_max <= 4; the bailey recipe comes on stdin, now and then cut short."""
+    command = draw(st.sampled_from(["bailey", "verify", "trace-lambda",
+                                    "trace-gamma", "enumerate", "interpret"]))
+    prec = ["--prec", draw(_ints(1, 12))]
+    stdin = ""
+    if command == "verify":
+        # the row's own parameters, each now and then left out, and now and
+        # then one it does not take
+        name = draw(st.sampled_from([*I.CATALOG, "rogers_ramanujn"]))
+        given = [p for p in I.CATALOG[name].param_names
+                 if not draw(_one_in(8))] if name in I.CATALOG else ["k"]
+        if draw(_one_in(8)):
+            given.append(draw(st.sampled_from(["k", "r", "j", "T"])))
+        argv = [name, *prec]
+        for p in dict.fromkeys(given):
+            argv += (["--subset", ",".join(map(str, draw(st.lists(
+                st.integers(0, 4), max_size=3))))] if p == "T"
+                else [f"--{p}", draw(_ints(-1, 3))])
+    elif command == "bailey":
+        stdin = json.dumps(draw(_recipe()))
+        if draw(_one_in(10)):
+            stdin = stdin[:-1]
+        argv = prec
+    elif command == "trace-lambda":
+        parts = st.lists(st.lists(_near(st.integers(-1, 4)), max_size=3),
+                         max_size=3)
+        obj = draw(st.one_of(parts, st.fixed_dictionaries(
+            {"parts": _near(parts)}, optional={"size": st.just(1)}),
+            _WRONG))
+        argv = ["--input", json.dumps(obj)]
+    elif command == "trace-gamma":
+        seq = st.lists(_near(st.integers(-1, 3)), max_size=6)
+        argv = ["--input", json.dumps(draw(_near(seq)))]
+        if draw(st.booleans()):
+            argv += ["--k", draw(_ints(-1, 3))]
+    elif command == "enumerate":
+        argv = ["--family", draw(st.sampled_from(sorted(S.FAMILIES))),
+                "--k", draw(_ints(-1, 3)), "--max-weight", draw(_ints(-1, 6))]
+        for flag in ("--r", "--j", "--s"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_ints(-1, 3))]
+    else:
+        argv = ["--theorem", draw(st.sampled_from(sorted(S._INTERP))), *prec]
+        for flag in ("--k", "--r", "--j"):
+            argv += [flag, draw(_ints(-1, 3))]
+    fmt = draw(st.sampled_from(["text", "json"]))
+    return [command, *argv, "--format", fmt], stdin
+
+
+def _run_with_stdin(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = saved
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_near_valid_input())
+@example(case=(["bailey", "--prec", "3", "--format", "json"],
+               '{"seed": {"kind": []}, "n_max": 2}'))
+@example(case=(["bailey", "--prec", "3", "--format", "text"],
+               '{"seed": {"a": 5}, "steps": [{"tag": ["BL_INF"]}], '
+               '"n_max": 2}'))
+def test_exit_codes_over_near_valid_input(case):
+    # 0 means every check passed, 2 a usage or domain error, and no input
+    # raises; 1 would be a real mismatch, which no valid input may give
+    argv, stdin = case
+    rc, out, err = _run_with_stdin(argv, stdin)
+    assert rc in (0, 2), (rc, out, err)
+    if rc == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    elif argv[-1] == "json":
+        for line in out.splitlines():
+            json.loads(line)

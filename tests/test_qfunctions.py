@@ -5,13 +5,13 @@ import pytest
 from qident import bailey as B
 from qident import identities as I
 from qident import sumeval
-from qident.bailey import _relation_kernel
+from qident.bailey import _relation_kernel, _star_factor
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                inv_poch_finite, poch_finite, poch_infinite,
                                triple_product)
-from qident.series import Memo, QSeries
+from qident.series import Memo, QSeries, unpack
 from qident.sumeval import _ip_norms, _packed_ips, multisum
 
 from gf_oracle import euler_inverse, qbinom, theta_sum
@@ -188,7 +188,7 @@ def test_theta_sum_direct_coefficients():
 def test_caches_are_bounded(monkeypatch):
     # the keys include prec, so an unbounded cache grows with every order
     for f in (poch_finite, poch_infinite, inv_poch_finite, triple_product,
-              _relation_kernel, _ip_norms, _packed_ips):
+              _relation_kernel, _star_factor, _ip_norms, _packed_ips):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does
@@ -206,6 +206,13 @@ def test_caches_are_bounded(monkeypatch):
     B.run_chain(B.unit_pair(Q, 3, 11), B.star_chain(3, 0, 0))
     assert [len(k[2]) for k in B._CHAINS] == [4, 5]
     B._CHAINS.clear()
+    # the oracle's quotient memo keeps the last two quotients it used, at
+    # n = 3 alpha_3 / (1 - t^14) and then alpha_2 / (1 - t^10)
+    seed = B.unit_pair(Q, 3, 11)
+    for n in range(4):
+        B.closed_alpha_star_chain(seed, 1, 0, 0, n)
+    assert [unpack(k)[0] for k in B._QUOTIENTS] == [(14, 11), (10, 11)]
+    B._QUOTIENTS.clear()
     # a packed table is keyed by its grid step too: one table at steps 1, 2
     # and 4 is three entries and three integers, and the cache stays at its
     # bound however many keys it sees
