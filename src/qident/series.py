@@ -29,7 +29,9 @@ used dropped first.  An entry is ``pack(data, series)``: the stdlib
 ``marshal`` bytes, at version 2, of plain data and of (prec, coefficient
 dict) per series.  ``unpack`` restores ``INF``, which marshal reads back as
 a new float.  Version 2 writes no back-references, whose use follows
-reference counts, so equal contents give equal bytes, fit for a key.
+reference counts, so a series built the same way gives the same bytes, fit
+for a key.  marshal keeps a dict's insertion order, so an equal series
+built in another order gives other bytes: its lookup only misses.
 """
 
 from __future__ import annotations
@@ -308,8 +310,23 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
     the next wider word and the buffer is then narrowed with one strided
     byte copy per digit byte.  Wider digits write each digit's bytes.
     """
+    return _pack(rows, ndigits, nbytes, step, 1)[0]
+
+
+def kron_pack2(rows, ndigits: int, nbytes: int, step: int = 1):
+    """Two-point kron_pack (Harvey's KS2): (f(Y), f(-Y)), Y = 2^(4*nbytes),
+    for the polynomial f that kron_pack evaluates at X = Y^2.  With F_e and
+    F_o its even- and odd-index digits packed at X, f(+-Y) = F_e +- Y*F_o:
+    half as long as kron_pack's integer, at the same digit width."""
+    even, odd = _pack(rows, ndigits, nbytes, step, 2)
+    odd <<= 4 * nbytes
+    return even + odd, even - odd
+
+
+def _pack(rows, ndigits, nbytes, step, parts):
+    """kron_pack's digits dealt out into ``parts`` integers at X, digit i
+    to integer i % parts as its digit i // parts."""
     lift = 1 << (8 * nbytes - 1)
-    bias = lift.to_bytes(nbytes, "little") * ndigits
     w = _WORD.get(nbytes)
     if w is not None:
         buf = bytearray(lift.to_bytes(w, "little") * ndigits)
@@ -318,18 +335,18 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
             for e, c in coeffs.items():
                 if e < limit:
                     words[(offset + e) // step] = c + lift
-        if w != nbytes:
-            wide, buf = buf, bytearray(len(bias))
-            for i in range(nbytes):
-                buf[i::nbytes] = wide[i::w]
     else:
-        buf = bytearray(bias)
+        w = nbytes
+        buf = bytearray(lift.to_bytes(nbytes, "little") * ndigits)
         for offset, coeffs, limit in rows:
             for e, c in coeffs.items():
                 if e < limit:
                     k = (offset + e) // step * nbytes
                     buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little") - int.from_bytes(bias, "little")
+    lifts = lift.to_bytes(nbytes, "little")
+    return [int.from_bytes(part, "little")
+            - int.from_bytes(lifts * (len(part) // nbytes), "little")
+            for part in _deal(buf, w, nbytes, ndigits, parts)]
 
 
 def kron_unpack(n: int, nbytes: int, spans, step: int = 1) -> list:
@@ -344,19 +361,35 @@ def kron_unpack(n: int, nbytes: int, spans, step: int = 1) -> list:
     digit is first widened to the next native word by one strided byte copy
     per digit byte.
     """
+    return _unpack([n], nbytes, spans, step)
+
+
+def kron_unpack2(hp: int, hm: int, nbytes: int, spans, step: int = 1):
+    """kron_unpack of h from hp = h(Y) and hm = h(-Y), as kron_pack2: with
+    H_e and H_o its even- and odd-index digits at X, exactly
+    hp + hm = 2*H_e and hp - hm = 2Y*H_o, read and interleaved."""
+    return _unpack([(hp + hm) >> 1, (hp - hm) >> (4 * nbytes + 1)],
+                   nbytes, spans, step)
+
+
+def _unpack(dealt, nbytes, spans, step):
+    """kron_unpack of the integer whose digit i is digit i // len(dealt) of
+    dealt[i % len(dealt)]."""
     ndigits = max((stop for _, stop, _ in spans), default=0)
     lift = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes(lift.to_bytes(nbytes, "little") * ndigits, "little")
-    nbits = 8 * nbytes * ndigits
-    # Adding the bias turns every digit below ndigits into c + lift, which
-    # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
-    buf = ((n + bias) & ((1 << nbits) - 1)).to_bytes(nbits // 8, "little")
+    lifts = lift.to_bytes(nbytes, "little")
+    parts = []
+    for p, n in enumerate(dealt):
+        nd = len(range(p, ndigits, len(dealt)))
+        nbits = 8 * nbytes * nd
+        # Adding the bias turns every digit below nd into c + lift, which
+        # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
+        bias = int.from_bytes(lifts * nd, "little")
+        parts.append(((n + bias) & ((1 << nbits) - 1))
+                     .to_bytes(nbits // 8, "little"))
     w = _WORD.get(nbytes)
+    buf = _gather(parts, w or nbytes, nbytes, ndigits)
     if w is not None:
-        if w != nbytes:
-            narrow, buf = buf, bytearray(ndigits * w)
-            for i in range(nbytes):
-                buf[i::w] = narrow[i::nbytes]
         words = memoryview(buf).cast(_NATIVE[w])
         spans_vals = [words[start:stop].tolist() for start, stop, _ in spans]
     else:
@@ -367,6 +400,32 @@ def kron_unpack(n: int, nbytes: int, spans, step: int = 1) -> list:
     return [{base + step * j: c - lift for j, c in enumerate(vals)
              if c != lift}
             for (_, _, base), vals in zip(spans, spans_vals)]
+
+
+def _deal(buf, w, nbytes, ndigits, parts):
+    """ndigits words of w bytes holding an nbytes digit each, dealt out as
+    nbytes digits, word i to buffer i % parts, by strided byte copies."""
+    if parts == 1 and w == nbytes:
+        return [buf]
+    out = []
+    for p in range(parts):
+        part = bytearray(len(range(p, ndigits, parts)) * nbytes)
+        for i in range(nbytes):
+            part[i::nbytes] = buf[p * w + i::parts * w]
+        out.append(part)
+    return out
+
+
+def _gather(parts, w, nbytes, ndigits):
+    """The inverse of _deal: ndigits words of w bytes, word i from digit
+    i // len(parts) of parts[i % len(parts)]."""
+    if len(parts) == 1 and w == nbytes:
+        return parts[0]
+    buf = bytearray(ndigits * w)
+    for p, part in enumerate(parts):
+        for i in range(nbytes):
+            buf[p * w + i::len(parts) * w] = part[i::nbytes]
+    return buf
 
 
 def _mul_packed(da: dict, db: dict, cap):

@@ -40,10 +40,20 @@ that are always zero.  In t = q^(1/2) units, a layer of whole q-powers with
 d = 2 has g = 2, as do almost all layers of the catalog's sum sides and of
 the Bailey beta-side sums, so their packed integers have half the digits.
 
+Each product is taken at two points (Harvey's two-point Kronecker
+substitution, ``series.kron_pack2``): every packed polynomial in X is
+evaluated at Y and at -Y, Y^2 = X, its even- and odd-index digits packed
+apart, so one product of n-digit integers becomes two of about n/2 digits.
+Half the sum of the two products holds the even digits of the product,
+and the difference over 2Y the odd ones, exactly.  The digit width, its
+bound and the slot layout are those of the one-point product, since each
+half holds true digits of it only.  On CPython 3.11 the two products, sum
+and shifts included, take about 0.77 of the time of the one.
+
 The Pochhammer side depends only on (d, the highest slot read, wp, the
 slot width, the digit width, the branch, the grid step), so each such
-table is packed once per key and cached; only the layer side is packed per
-call.
+table is packed once per key, at both points, and cached; only the layer
+side is packed per call.
 
 The outer variable's own factor is then applied to T_v: as an exact shift
 when it is a bare monomial, as a series product otherwise.  That layer is
@@ -95,7 +105,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import INF, Memo, QSeries, kron_pack, kron_unpack, monomial, zero
+from .series import (INF, Memo, QSeries, kron_pack2, kron_unpack2, monomial,
+                     zero)
 from .qfunctions import SM, inv_poch_finite
 
 # There is no pad any more: the working precision is exact (module
@@ -309,7 +320,8 @@ def convolve_layer(layer, own_row, gap, wp):
 
 def _convolve(layer, us, lo, reads, den_step, b, wp):
     """The coefficient dicts of T_v below each (v, stop) in reads, from one
-    packed product per branch."""
+    packed product per branch, taken at the two points +-Y (module
+    docstring) and read back once for both branches."""
     u0 = us[0]
     top = reads[-1][0] - u0     # highest slot read, relative to u0
     us = [u for u in us if u - u0 <= top]
@@ -334,18 +346,22 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
     W = -(-(2 * wp - 1 - lo) // g) * g
     Wg = W // g
 
-    def pack_layer(shift):
-        return kron_pack([((u - u0) * W + shift * u - lo, layer[u].coeffs,
-                           wp - shift * u) for u in us],
-                         (us[-1] - u0 + 1) * Wg, nbytes, g)
+    def branch(shift):
+        # L_u * t^(shift*u) against 1/(t^d; t^d)_m * t^(max(shift, 0)*m)
+        lp, lm = kron_pack2([((u - u0) * W + shift * u - lo, layer[u].coeffs,
+                              wp - shift * u) for u in us],
+                            (us[-1] - u0 + 1) * Wg, nbytes, g)
+        tp, tm = _packed_ips(den_step, top, wp, W, nbytes, max(shift, 0), g)
+        return lp * tp, lm * tm
 
-    prod = pack_layer(-b) * _packed_ips(den_step, top, wp, W, nbytes, 0, g)
+    hp, hm = branch(-b)
     if b:
-        prod += pack_layer(b) * _packed_ips(den_step, top, wp, W, nbytes, b, g)
+        bp, bm = branch(b)
+        hp, hm = hp + bp, hm + bm
     # slot v is read below stop: ceil((stop - lo) / g) digits
-    return kron_unpack(prod, nbytes, [((v - u0) * Wg, (v - u0) * Wg
-                                       - (lo - stop) // g, lo)
-                                      for v, stop in reads], g)
+    return kron_unpack2(hp, hm, nbytes, [((v - u0) * Wg, (v - u0) * Wg
+                                          - (lo - stop) // g, lo)
+                                         for v, stop in reads], g)
 
 
 def _ips(den_step, top, wp):
@@ -369,7 +385,8 @@ def _ip_norms(den_step, top, wp):
 def _packed_ips(den_step, top, wp, W, nbytes, shift, step):
     """1/(t^d; t^d)_m * t^(shift*m) packed into slot m of width W, for each
     m <= top, read below wp, one digit per ``step`` exponents (step divides
-    d, shift and W)."""
-    return kron_pack([(m * W + shift * m, ip.coeffs, wp - shift * m)
-                      for m, ip in enumerate(_ips(den_step, top, wp))],
-                     (top + 1) * W // step, nbytes, step)
+    d, shift and W): the pair of its values at +-Y, ``series.kron_pack2``,
+    together as many bits as the one-point table."""
+    return kron_pack2([(m * W + shift * m, ip.coeffs, wp - shift * m)
+                       for m, ip in enumerate(_ips(den_step, top, wp))],
+                      (top + 1) * W // step, nbytes, step)

@@ -12,7 +12,7 @@ from qident.errors import (DegenerateDivision, InsufficientDepth,
                            PoleAtParameter, PrecisionExceeded,
                            UnsupportedBoundary)
 from qident.qfunctions import ONE_M, Q, SignedMonomial as SM, inv_poch_finite, poch_infinite
-from qident.series import INF, QSeries, monomial, one, zero
+from qident.series import INF, QSeries, monomial, one, pack, zero
 
 import bailey_oracle as naive
 from series_oracle import newton_invert
@@ -439,6 +439,21 @@ def test_closed_alpha_from_a_memo_warmed_in_shuffled_order(order, tps):
     for (name, *rest), got in zip(calls, warm):
         want = naive.closed_alpha_star_chain(_ORACLE_SEEDS[name], *rest)
         assert _same_series(got, want), (name, *rest)
+
+
+def test_seed_quotient_of_a_reordered_dividend_is_equal():
+    # marshal keeps a dict's insertion order, so an equal dividend built in
+    # another order packs to other bytes: its lookup misses, and the
+    # quotient is divided again, equal
+    s = QSeries({0: 1, 4: -2, 6: 3, 10: 5}, 30)
+    r = QSeries(dict(reversed(s.coeffs.items())), 30)
+    assert r == s and list(r.coeffs) != list(s.coeffs)
+    assert pack(None, [r]) != pack(None, [s])
+    got = [B._seed_quotient(x, 6, 25) for x in (s, r, s)]
+    assert len(B._QUOTIENTS) == 2
+    want = s.divide(QSeries({0: 1, 6: -1}), 25)
+    for q in got:
+        assert (q.coeffs, q.prec) == (want.coeffs, want.prec)
 
 
 def test_the_oracle_reads_nothing_run_chain_writes(monkeypatch):

@@ -10,8 +10,9 @@ from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
-                           kron_pack, kron_unpack, pack, unpack)
-from qident import sumeval
+                           kron_pack, kron_pack2, kron_unpack, kron_unpack2,
+                           pack, unpack)
+from qident import series
 from qident.sumeval import _ip_norms, _packed_ips, convolve_layer
 
 from series_oracle import (from_json, min_exp, newton_invert, qcoeff,
@@ -371,26 +372,76 @@ def _check_kron_round_trip(data, nbytes, step):
                    for start, stop, base in spans]
 
 
+def _poly(y, coeffs):
+    return sum(c * y ** i for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 4]))
+def test_kron_pack2_and_unpack2_match_int_arithmetic(data, step):
+    # the two-point forms at every width and step, as above: digit counts
+    # and span starts of either parity, so either half may hold the last
+    # digit read, and junk of any size above the last one read
+    for nbytes in range(1, 10):
+        _check_kron2_round_trip(data, nbytes, step)
+
+
+def _check_kron2_round_trip(data, nbytes, step):
+    top = (1 << (8 * nbytes - 1)) - 1
+    digit = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
+    nd = 2 * data.draw(st.integers(0, 12)) + data.draw(st.sampled_from([1, 2]))
+    digits = data.draw(st.lists(digit, min_size=nd, max_size=nd))
+    Y = 1 << (4 * nbytes)           # Y^2 = X, the base of kron_pack
+    rows = []
+    cuts = sorted(data.draw(st.lists(st.integers(0, nd), max_size=3)))
+    for lo, hi in zip([0] + cuts, cuts + [nd]):
+        offset = data.draw(st.integers(-5, 5 + step * lo))
+        coeffs = {step * i - offset: digits[i] for i in range(lo, hi)
+                  if digits[i]}
+        coeffs[step * hi - offset] = 1      # at the limit: left out
+        rows.append((offset, coeffs, step * hi - offset))
+    assert kron_pack2(rows, nd, nbytes, step) == (_poly(Y, digits),
+                                                  _poly(-Y, digits))
+
+    starts = data.draw(st.lists(st.integers(0, nd // 2), max_size=4))
+    spans = []
+    for half in starts:
+        start = min(nd, 2 * half + data.draw(st.sampled_from([0, 1])))
+        spans.append((start, start + data.draw(st.integers(0, nd - start)),
+                      data.draw(st.integers(-9, 9))))
+    stop = max((s for _, s, _ in spans), default=0)
+    h = digits[:stop] + data.draw(st.lists(
+        st.integers(-Y ** 5, Y ** 5), max_size=3))
+    got = kron_unpack2(_poly(Y, h), _poly(-Y, h), nbytes, spans, step)
+    assert got == [{base + step * (i - start): digits[i]
+                    for i in range(start, stop) if digits[i]}
+                   for start, stop, base in spans]
+
+
 @pytest.mark.parametrize("den_step", [2, 4])
 def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
-    # a layer on the grid den_step*Z: both packed integers hold one digit
+    # a layer on the grid den_step*Z: both packed operands hold one digit
     # per grid point, ceil(W/den_step) per slot of W = 2*wp - 1 - lo
-    # exponents (lo = 0 here), not W
+    # exponents (lo = 0 here), not W, counted over the two halves that
+    # the two-point packing deals the digits into
     wp = 21
     layer = {0: QSeries({0: 1, den_step: 3}, wp),
              1: QSeries({den_step: -1, 2 * den_step: 5}, wp)}
     calls = []
+    deal = series._deal
 
-    def spy(rows, ndigits, *args):
-        calls.append(ndigits)
-        return kron_pack(rows, ndigits, *args)
+    def spy(buf, w, nbytes, ndigits, parts):
+        halves = deal(buf, w, nbytes, ndigits, parts)
+        calls.append((parts, sum(map(len, halves)) // nbytes))
+        return halves
 
-    monkeypatch.setattr(sumeval, "kron_pack", spy)
+    monkeypatch.setattr(series, "_deal", spy)
     _packed_ips.cache_clear()
     convolve_layer(layer, [0] * 4, (den_step, None), wp)
     _packed_ips.cache_clear()
     slot = -(-(2 * wp - 1) // den_step)
-    assert calls == [2 * slot, 4 * slot]    # layer slots 0..1, tables 0..3
+    # layer slots 0..1, tables 0..3
+    assert calls == [(2, 2 * slot), (2, 4 * slot)]
 
 
 # What the memos store: plain data and series with coefficients of either

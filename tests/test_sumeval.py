@@ -147,6 +147,54 @@ def test_multisum_matches_brute_force(shape):
         assert got.coeffs == want.coeffs
 
 
+@st.composite
+def bound_layers(draw):
+    """(wp, layer) with every coefficient of one size M: all positive, so
+    that the product digits reach the digit bound of sumeval._convolve, or
+    of mixed signs; exponents on the grid 1 or 2, Laurent ones included."""
+    wp = draw(st.integers(1, 40))
+    size = draw(st.sampled_from([1, 2 ** 7 - 1, 2 ** 31 - 1, 2 ** 62,
+                                 2 ** 63 - 1, 2 ** 70]))
+    coeff = st.sampled_from([size, -size]) if draw(st.booleans()) \
+        else st.just(size)
+    grid = draw(st.sampled_from([1, 2]))
+    layer = {}
+    for u in sorted(draw(st.sets(st.integers(0, 5), min_size=1))):
+        terms = draw(st.dictionaries(st.integers(-3, wp // grid + 2), coeff))
+        prec = draw(st.integers(1, wp + 3) | st.just(INF))
+        layer[u] = QSeries({grid * e: c for e, c in terms.items()}, prec)
+    return wp, layer
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_layers(), st.sampled_from([1, 2, 4]),
+       st.sampled_from([None, 1, 2]))
+@example((12, {0: QSeries({e: 2 ** 70 for e in range(0, 12, 2)}),
+               1: QSeries({e: -2 ** 70 for e in range(-2, 14, 2)}, 11)}),
+         2, 2)
+def test_convolve_layer_matches_the_per_pair_products(case, den_step, b):
+    # T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u} [* (t^(b*v) + t^(-b*u))]
+    # as plain series products and sums, both binomial branches included
+    wp, layer = case
+    n = 7
+    want = {}
+    for v in range(min(layer), n):
+        t = zero(wp)
+        for u, s in layer.items():
+            if u <= v:
+                term = s * inv_poch_finite(SM(1, den_step), den_step, v - u,
+                                           wp)
+                if b:
+                    term = term * QSeries([(b * v, 1), (-b * u, 1)])
+                t = t + term
+        t = t.truncate(wp)
+        if t.coeffs or t.prec < wp:
+            want[v] = t
+    got = sumeval.convolve_layer(layer, [0] * n, (den_step, b), wp)
+    assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
+        {v: (s.coeffs, s.prec) for v, s in want.items()}
+
+
 @given(st.integers(1, 50), st.integers(-2000, 50))
 def test_quad_min_is_the_integer_minimum(quad, lin):
     assert quad_min(quad, lin) == min(quad * v * v + lin * v
