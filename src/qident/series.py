@@ -290,13 +290,18 @@ def _mul_dict(da: dict, db: dict, cap) -> dict:
     return out
 
 
-def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
-    """Kronecker substitution: the integer sum of c * X^((offset + e) / step)
-    over the rows (offset, coeffs, limit) and the terms c*t^e of each coeffs
-    dict with e < limit, where X = 2^(8*nbytes).  Every offset + e must be a
-    multiple of ``step``, so a row whose exponents lie on a lattice
-    r + step*Z packs one digit per lattice point, not one per exponent.
-    Digit indices must be distinct and lie in [0, ndigits).
+def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1,
+              points: int = 1) -> tuple:
+    """Kronecker substitution: the polynomial f(x), the sum of
+    c * x^((offset + e) / step) over the rows (offset, coeffs, limit) and
+    the terms c*t^e of each coeffs dict with e < limit, at ``points``
+    points: (f(X),), X = 2^(8*nbytes), or (f(Y), f(-Y)), Y^2 = X, Harvey's
+    two-point form (KS2).  With F_e and F_o its even- and odd-index digits
+    packed at X, f(+-Y) = F_e +- Y*F_o, half as long as f(X) at the same
+    digit width.  Every offset + e must be a multiple of ``step``, so a row
+    whose exponents lie on a lattice r + step*Z packs one digit per lattice
+    point, not one per exponent.  Digit indices must be distinct and lie in
+    [0, ndigits).
 
     Coefficients may be negative.  Each is stored with a bias of half a
     digit, and the bias pattern is subtracted at the end, so every |c| must
@@ -307,25 +312,10 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
     Digits of up to 8 bytes are written as native unsigned machine words
     (1, 2, 4 or 8 bytes on a little-endian host) through a ``memoryview``
     cast, one item per digit; a 3-, 5-, 6- or 7-byte digit is written into
-    the next wider word and the buffer is then narrowed with one strided
-    byte copy per digit byte.  Wider digits write each digit's bytes.
+    the next wider word.  Wider digits write each digit's bytes.  The
+    buffer is then narrowed, and at two points dealt out by parity, by
+    strided byte copies (``_deal``).
     """
-    return _pack(rows, ndigits, nbytes, step, 1)[0]
-
-
-def kron_pack2(rows, ndigits: int, nbytes: int, step: int = 1):
-    """Two-point kron_pack (Harvey's KS2): (f(Y), f(-Y)), Y = 2^(4*nbytes),
-    for the polynomial f that kron_pack evaluates at X = Y^2.  With F_e and
-    F_o its even- and odd-index digits packed at X, f(+-Y) = F_e +- Y*F_o:
-    half as long as kron_pack's integer, at the same digit width."""
-    even, odd = _pack(rows, ndigits, nbytes, step, 2)
-    odd <<= 4 * nbytes
-    return even + odd, even - odd
-
-
-def _pack(rows, ndigits, nbytes, step, parts):
-    """kron_pack's digits dealt out into ``parts`` integers at X, digit i
-    to integer i % parts as its digit i // parts."""
     lift = 1 << (8 * nbytes - 1)
     w = _WORD.get(nbytes)
     if w is not None:
@@ -344,13 +334,21 @@ def _pack(rows, ndigits, nbytes, step, parts):
                     k = (offset + e) // step * nbytes
                     buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
     lifts = lift.to_bytes(nbytes, "little")
-    return [int.from_bytes(part, "little")
-            - int.from_bytes(lifts * (len(part) // nbytes), "little")
-            for part in _deal(buf, w, nbytes, ndigits, parts)]
+    values = tuple(int.from_bytes(part, "little")
+                   - int.from_bytes(lifts * (len(part) // nbytes), "little")
+                   for part in _deal(buf, w, nbytes, ndigits, points))
+    if points == 1:
+        return values
+    even, odd = values
+    odd <<= 4 * nbytes
+    return even + odd, even - odd
 
 
-def kron_unpack(n: int, nbytes: int, spans, step: int = 1) -> list:
-    """Signed digits of n in base 2^(8*nbytes), the inverse of kron_pack.
+def kron_unpack(values, nbytes: int, spans, step: int = 1) -> list:
+    """Signed digits of h in base X = 2^(8*nbytes), the inverse of
+    kron_pack, from h's values at its points: (h(X),), or (h(Y), h(-Y)),
+    whose half sum and difference over 2Y are exactly h's even- and
+    odd-index digits at X, read apart and interleaved.
 
     ``spans`` lists (start, stop, base) digit ranges; the result holds one
     dict per span mapping base + step*(i - start) to each nonzero digit i in
@@ -358,29 +356,18 @@ def kron_unpack(n: int, nbytes: int, spans, step: int = 1) -> list:
     lattice base + step*Z.  Digits at or above the largest stop are never
     read, so they may be arbitrary.  Digits of up to 8 bytes are read as
     native words, a span at a time, as in kron_pack: a 3-, 5-, 6- or 7-byte
-    digit is first widened to the next native word by one strided byte copy
-    per digit byte.
+    digit is first widened to the next native word by strided byte copies
+    (``_gather``, which also interleaves the halves).
     """
-    return _unpack([n], nbytes, spans, step)
-
-
-def kron_unpack2(hp: int, hm: int, nbytes: int, spans, step: int = 1):
-    """kron_unpack of h from hp = h(Y) and hm = h(-Y), as kron_pack2: with
-    H_e and H_o its even- and odd-index digits at X, exactly
-    hp + hm = 2*H_e and hp - hm = 2Y*H_o, read and interleaved."""
-    return _unpack([(hp + hm) >> 1, (hp - hm) >> (4 * nbytes + 1)],
-                   nbytes, spans, step)
-
-
-def _unpack(dealt, nbytes, spans, step):
-    """kron_unpack of the integer whose digit i is digit i // len(dealt) of
-    dealt[i % len(dealt)]."""
+    if len(values) == 2:
+        hp, hm = values
+        values = [(hp + hm) >> 1, (hp - hm) >> (4 * nbytes + 1)]
     ndigits = max((stop for _, stop, _ in spans), default=0)
     lift = 1 << (8 * nbytes - 1)
     lifts = lift.to_bytes(nbytes, "little")
     parts = []
-    for p, n in enumerate(dealt):
-        nd = len(range(p, ndigits, len(dealt)))
+    for p, n in enumerate(values):
+        nd = len(range(p, ndigits, len(values)))
         nbits = 8 * nbytes * nd
         # Adding the bias turns every digit below nd into c + lift, which
         # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
@@ -444,11 +431,11 @@ def _mul_packed(da: dict, db: dict, cap):
     amax = max(map(abs, da.values()))
     bmax = max(map(abs, db.values()))
     nbytes = (amax * bmax * min(len(da), len(db))).bit_length() // 8 + 1
-    a = kron_pack([(-ma, da, ma + width)], min(width, max(da) - ma + 1),
-                  nbytes)
-    b = kron_pack([(-mb, db, mb + width)], min(width, max(db) - mb + 1),
-                  nbytes)
-    return kron_unpack(a * b, nbytes, [(0, width, ma + mb)])[0]
+    (a,) = kron_pack([(-ma, da, ma + width)], min(width, max(da) - ma + 1),
+                     nbytes)
+    (b,) = kron_pack([(-mb, db, mb + width)], min(width, max(db) - mb + 1),
+                     nbytes)
+    return kron_unpack((a * b,), nbytes, [(0, width, ma + mb)])[0]
 
 
 def _mul_any(da: dict, db: dict, cap) -> dict:

@@ -40,20 +40,24 @@ that are always zero.  In t = q^(1/2) units, a layer of whole q-powers with
 d = 2 has g = 2, as do almost all layers of the catalog's sum sides and of
 the Bailey beta-side sums, so their packed integers have half the digits.
 
-Each product is taken at two points (Harvey's two-point Kronecker
-substitution, ``series.kron_pack2``): every packed polynomial in X is
-evaluated at Y and at -Y, Y^2 = X, its even- and odd-index digits packed
-apart, so one product of n-digit integers becomes two of about n/2 digits.
-Half the sum of the two products holds the even digits of the product,
-and the difference over 2Y the odd ones, exactly.  The digit width, its
-bound and the slot layout are those of the one-point product, since each
-half holds true digits of it only.  On CPython 3.11 the two products, sum
-and shifts included, take about 0.77 of the time of the one.
+A product whose packed layer has at least _TWO_POINT_BYTES bytes is taken
+at two points (Harvey's two-point Kronecker substitution, ``series.kron_pack``
+at points=2): every packed polynomial in X is evaluated at Y and at -Y,
+Y^2 = X, its even- and odd-index digits packed apart, so one product of
+n-digit integers becomes two of about n/2 digits.  Half the sum of the two
+products holds the even digits of the product, and the difference over 2Y
+the odd ones, exactly.  The digit width, its bound and the slot layout are
+those of the one-point product, since each half holds true digits of it
+only.  On CPython 3.11 the two products, sum and shifts included, take
+about 0.77 of the time of the one; with packing and reading back, a layer
+product takes 0.82-0.92 of the one-point time at 2-16 kB of layer, but
+1.04-1.08 below 0.7 kB, as in the interpretation checks' sum sides, so a
+smaller layer is taken at the one point X.
 
 The Pochhammer side depends only on (d, the highest slot read, wp, the
-slot width, the digit width, the branch, the grid step), so each such
-table is packed once per key, at both points, and cached; only the layer
-side is packed per call.
+slot width, the digit width, the branch, the grid step, the points), so
+each such table is packed once per key and cached; only the layer side is
+packed per call.
 
 The outer variable's own factor is then applied to T_v: as an exact shift
 when it is a bare monomial, as a series product otherwise.  That layer is
@@ -105,9 +109,12 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import (INF, Memo, QSeries, kron_pack2, kron_unpack2, monomial,
-                     zero)
+from .series import INF, Memo, QSeries, kron_pack, kron_unpack, monomial, zero
 from .qfunctions import SM, inv_poch_finite
+
+# A product whose layer packs to fewer bytes is taken at one point, where
+# two half-length products cost more than one (module docstring).
+_TWO_POINT_BYTES = 1024
 
 # There is no pad any more: the working precision is exact (module
 # docstring).  perfbench/tracing.py reads this name to count pad retries,
@@ -320,7 +327,7 @@ def convolve_layer(layer, own_row, gap, wp):
 
 def _convolve(layer, us, lo, reads, den_step, b, wp):
     """The coefficient dicts of T_v below each (v, stop) in reads, from one
-    packed product per branch, taken at the two points +-Y (module
+    packed product per branch, taken at one point or two (module
     docstring) and read back once for both branches."""
     u0 = us[0]
     top = reads[-1][0] - u0     # highest slot read, relative to u0
@@ -346,22 +353,24 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
     W = -(-(2 * wp - 1 - lo) // g) * g
     Wg = W // g
 
+    nd = (us[-1] - u0 + 1) * Wg
+    points = 2 if nd * nbytes >= _TWO_POINT_BYTES else 1
+
     def branch(shift):
         # L_u * t^(shift*u) against 1/(t^d; t^d)_m * t^(max(shift, 0)*m)
-        lp, lm = kron_pack2([((u - u0) * W + shift * u - lo, layer[u].coeffs,
-                              wp - shift * u) for u in us],
-                            (us[-1] - u0 + 1) * Wg, nbytes, g)
-        tp, tm = _packed_ips(den_step, top, wp, W, nbytes, max(shift, 0), g)
-        return lp * tp, lm * tm
+        lay = kron_pack([((u - u0) * W + shift * u - lo, layer[u].coeffs,
+                          wp - shift * u) for u in us], nd, nbytes, g, points)
+        tab = _packed_ips(den_step, top, wp, W, nbytes, max(shift, 0), g,
+                          points)
+        return [x * y for x, y in zip(lay, tab)]
 
-    hp, hm = branch(-b)
+    h = branch(-b)
     if b:
-        bp, bm = branch(b)
-        hp, hm = hp + bp, hm + bm
+        h = [x + y for x, y in zip(h, branch(b))]
     # slot v is read below stop: ceil((stop - lo) / g) digits
-    return kron_unpack2(hp, hm, nbytes, [((v - u0) * Wg, (v - u0) * Wg
-                                          - (lo - stop) // g, lo)
-                                         for v, stop in reads], g)
+    return kron_unpack(h, nbytes, [((v - u0) * Wg, (v - u0) * Wg
+                                    - (lo - stop) // g, lo)
+                                   for v, stop in reads], g)
 
 
 def _ips(den_step, top, wp):
@@ -382,11 +391,10 @@ def _ip_norms(den_step, top, wp):
 
 
 @lru_cache(maxsize=128)
-def _packed_ips(den_step, top, wp, W, nbytes, shift, step):
+def _packed_ips(den_step, top, wp, W, nbytes, shift, step, points):
     """1/(t^d; t^d)_m * t^(shift*m) packed into slot m of width W, for each
     m <= top, read below wp, one digit per ``step`` exponents (step divides
-    d, shift and W): the pair of its values at +-Y, ``series.kron_pack2``,
-    together as many bits as the one-point table."""
-    return kron_pack2([(m * W + shift * m, ip.coeffs, wp - shift * m)
-                       for m, ip in enumerate(_ips(den_step, top, wp))],
-                      (top + 1) * W // step, nbytes, step)
+    d, shift and W), at 1 or 2 points (``series.kron_pack``)."""
+    return kron_pack([(m * W + shift * m, ip.coeffs, wp - shift * m)
+                      for m, ip in enumerate(_ips(den_step, top, wp))],
+                     (top + 1) * W // step, nbytes, step, points)

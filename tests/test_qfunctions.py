@@ -214,14 +214,14 @@ def test_caches_are_bounded(monkeypatch):
     assert [unpack(k)[0] for k in B._QUOTIENTS] == [(14, 11), (10, 11)]
     B._QUOTIENTS.clear()
     # a packed table is keyed by its grid step too: one table at steps 1, 2
-    # and 4 is three entries and three integers, and the cache stays at its
-    # bound however many keys it sees
+    # and 4 is three entries and three pairs of values, and the cache stays
+    # at its bound however many keys it sees
     _packed_ips.cache_clear()
-    tables = {_packed_ips(4, 1, 5, 8, 1, 0, step) for step in (1, 2, 4)}
+    tables = {_packed_ips(4, 1, 5, 8, 1, 0, step, 2) for step in (1, 2, 4)}
     assert len(tables) == _packed_ips.cache_info().currsize == 3
     maxsize = _packed_ips.cache_info().maxsize
     for W in range(8, 8 * (maxsize + 2), 8):
         for step in (1, 2, 4):
-            _packed_ips(4, 1, 5, W, 1, 0, step)
+            _packed_ips(4, 1, 5, W, 1, 0, step, 2)
     assert _packed_ips.cache_info().currsize == maxsize
     _packed_ips.cache_clear()

@@ -10,9 +10,8 @@ from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
-                           kron_pack, kron_pack2, kron_unpack, kron_unpack2,
-                           pack, unpack)
-from qident import series
+                           kron_pack, kron_unpack, pack, unpack)
+from qident import series, sumeval
 from qident.sumeval import _ip_norms, _packed_ips, convolve_layer
 
 from series_oracle import (from_json, min_exp, newton_invert, qcoeff,
@@ -332,9 +331,15 @@ def test_kron_pack_and_unpack_match_int_arithmetic(data, step):
     # every example checks every width: 1, 2, 4 and 8 read and write native
     # words, 3, 5, 6 and 7 the next wider word, 9 one digit at a time; the
     # extreme digits +-(2^(8n-1) - 1) are drawn often.  Exponents lie on a
-    # lattice of the drawn step, one digit per lattice point.
+    # lattice of the drawn step, one digit per lattice point.  Both point
+    # counts are checked on the same draw: digit counts and span starts of
+    # either parity, so either half may hold the last digit read at two.
     for nbytes in range(1, 10):
         _check_kron_round_trip(data, nbytes, step)
+
+
+def _poly(x, coeffs):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
 
 
 def _check_kron_round_trip(data, nbytes, step):
@@ -343,7 +348,7 @@ def _check_kron_round_trip(data, nbytes, step):
     digits = data.draw(st.lists(digit, min_size=1, max_size=40))
     nd = len(digits)
     X = 1 << (8 * nbytes)
-    want = sum(c * X ** i for i, c in enumerate(digits))
+    Y = 1 << (4 * nbytes)           # Y^2 = X: the two points are +-Y
 
     # rows at shifted exponents (digit i at exponent step*i - offset), each
     # with a term at its limit that is left out
@@ -355,67 +360,24 @@ def _check_kron_round_trip(data, nbytes, step):
                   if digits[i]}
         coeffs[step * hi - offset] = 1
         rows.append((offset, coeffs, step * hi - offset))
-    assert kron_pack(rows, nd, nbytes, step) == want
+    assert kron_pack(rows, nd, nbytes, step) == (_poly(X, digits),)
+    assert kron_pack(rows, nd, nbytes, step, 2) == (_poly(Y, digits),
+                                                    _poly(-Y, digits))
 
-    # spans may skip digits, overlap and come in any order; digits at or
-    # above the last one read are arbitrary
+    # spans may skip digits, overlap and come in any order; the coefficients
+    # at or above the last digit read are arbitrary
     spans = [(start, start + data.draw(st.integers(0, nd - start)),
               data.draw(st.integers(-9, 9)))
              for start in data.draw(st.lists(st.integers(0, nd), max_size=4))]
     stop = max((s for _, s, _ in spans), default=0)
-    junk = data.draw(st.integers(-X ** 3, X ** 3))
-    got = kron_unpack(want - sum(c * X ** i for i, c in enumerate(digits)
-                                 if i >= stop) + junk * X ** stop,
-                      nbytes, spans, step)
-    assert got == [{base + step * (i - start): digits[i]
-                    for i in range(start, stop) if digits[i]}
-                   for start, stop, base in spans]
-
-
-def _poly(y, coeffs):
-    return sum(c * y ** i for i, c in enumerate(coeffs))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 4]))
-def test_kron_pack2_and_unpack2_match_int_arithmetic(data, step):
-    # the two-point forms at every width and step, as above: digit counts
-    # and span starts of either parity, so either half may hold the last
-    # digit read, and junk of any size above the last one read
-    for nbytes in range(1, 10):
-        _check_kron2_round_trip(data, nbytes, step)
-
-
-def _check_kron2_round_trip(data, nbytes, step):
-    top = (1 << (8 * nbytes - 1)) - 1
-    digit = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
-    nd = 2 * data.draw(st.integers(0, 12)) + data.draw(st.sampled_from([1, 2]))
-    digits = data.draw(st.lists(digit, min_size=nd, max_size=nd))
-    Y = 1 << (4 * nbytes)           # Y^2 = X, the base of kron_pack
-    rows = []
-    cuts = sorted(data.draw(st.lists(st.integers(0, nd), max_size=3)))
-    for lo, hi in zip([0] + cuts, cuts + [nd]):
-        offset = data.draw(st.integers(-5, 5 + step * lo))
-        coeffs = {step * i - offset: digits[i] for i in range(lo, hi)
-                  if digits[i]}
-        coeffs[step * hi - offset] = 1      # at the limit: left out
-        rows.append((offset, coeffs, step * hi - offset))
-    assert kron_pack2(rows, nd, nbytes, step) == (_poly(Y, digits),
-                                                  _poly(-Y, digits))
-
-    starts = data.draw(st.lists(st.integers(0, nd // 2), max_size=4))
-    spans = []
-    for half in starts:
-        start = min(nd, 2 * half + data.draw(st.sampled_from([0, 1])))
-        spans.append((start, start + data.draw(st.integers(0, nd - start)),
-                      data.draw(st.integers(-9, 9))))
-    stop = max((s for _, s, _ in spans), default=0)
-    h = digits[:stop] + data.draw(st.lists(
-        st.integers(-Y ** 5, Y ** 5), max_size=3))
-    got = kron_unpack2(_poly(Y, h), _poly(-Y, h), nbytes, spans, step)
-    assert got == [{base + step * (i - start): digits[i]
-                    for i in range(start, stop) if digits[i]}
-                   for start, stop, base in spans]
+    h = digits[:stop] + data.draw(st.lists(st.integers(-X ** 3, X ** 3),
+                                           max_size=3))
+    want = [{base + step * (i - start): digits[i]
+             for i in range(start, stop) if digits[i]}
+            for start, stop, base in spans]
+    assert kron_unpack((_poly(X, h),), nbytes, spans, step) == want
+    assert kron_unpack((_poly(Y, h), _poly(-Y, h)), nbytes, spans,
+                       step) == want
 
 
 @pytest.mark.parametrize("den_step", [2, 4])
@@ -423,7 +385,8 @@ def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
     # a layer on the grid den_step*Z: both packed operands hold one digit
     # per grid point, ceil(W/den_step) per slot of W = 2*wp - 1 - lo
     # exponents (lo = 0 here), not W, counted over the two halves that
-    # the two-point packing deals the digits into
+    # the two-point packing deals the digits into (taken here at every
+    # size, though a layer this small is packed at one point)
     wp = 21
     layer = {0: QSeries({0: 1, den_step: 3}, wp),
              1: QSeries({den_step: -1, 2 * den_step: 5}, wp)}
@@ -436,6 +399,7 @@ def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
         return halves
 
     monkeypatch.setattr(series, "_deal", spy)
+    monkeypatch.setattr(sumeval, "_TWO_POINT_BYTES", 0)
     _packed_ips.cache_clear()
     convolve_layer(layer, [0] * 4, (den_step, None), wp)
     _packed_ips.cache_clear()

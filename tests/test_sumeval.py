@@ -1,5 +1,7 @@
 """The multisum engine against a brute-force nested loop, and var_bound."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -168,13 +170,15 @@ def bound_layers(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(bound_layers(), st.sampled_from([1, 2, 4]),
-       st.sampled_from([None, 1, 2]))
+       st.sampled_from([None, 1, 2]), st.sampled_from([0, INF]))
 @example((12, {0: QSeries({e: 2 ** 70 for e in range(0, 12, 2)}),
                1: QSeries({e: -2 ** 70 for e in range(-2, 14, 2)}, 11)}),
-         2, 2)
-def test_convolve_layer_matches_the_per_pair_products(case, den_step, b):
+         2, 2, 0)
+def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
+                                                      two_point_bytes):
     # T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u} [* (t^(b*v) + t^(-b*u))]
-    # as plain series products and sums, both binomial branches included
+    # as plain series products and sums, both binomial branches included,
+    # with every product taken at two points or every one at one point
     wp, layer = case
     n = 7
     want = {}
@@ -190,7 +194,8 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b):
         t = t.truncate(wp)
         if t.coeffs or t.prec < wp:
             want[v] = t
-    got = sumeval.convolve_layer(layer, [0] * n, (den_step, b), wp)
+    with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
+        got = sumeval.convolve_layer(layer, [0] * n, (den_step, b), wp)
     assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
         {v: (s.coeffs, s.prec) for v, s in want.items()}
 
