@@ -8,7 +8,11 @@ its frame sequence) into a frequency sequence whose adjacent sums are at
 most k, by running particle motions; ``gamma_map`` inverts it with reverse
 motions.  Each map runs all its motions on one zero-padded working list,
 through the in-place closed forms ``_pm`` and ``_rpm``, and makes a tuple
-only for its result and, when traced, for each state of the trace.
+only for its result and, when traced, for each state of the trace.  One
+loop, ``_frame``, builds the frame pairs and the motion sequence that
+``lambda_map``, ``frame_of`` and ``flatten_parts`` read.  ``_rpm`` returns
+``(h, steps)``, h the largest adjacent sum it found (0 once nothing is
+left), so ``gamma_map`` takes k from its first call and stops on h = 0.
 ``pm_explicit`` and ``rpm_explicit`` are the same closed forms on tuples.
 The step-by-step simulations that the tests replay every traced motion
 against live with the tests, in ``tests/motion_replay.py``.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from operator import add, lt, mul
 from typing import Optional
 
@@ -57,16 +61,16 @@ def check_multipartition(parts) -> tuple:
         raise PreconditionViolated("a multipartition is a list of partitions")
     out = []
     for lam in parts:
-        if (not isinstance(lam, (list, tuple))
-                or not all(map(isinstance, lam, repeat(int)))
-                or any(map(isinstance, lam, repeat(bool)))):
+        # type(x) is int, which refuses bools with the other non-integers
+        if not isinstance(lam, (list, tuple)) or not {int}.issuperset(
+                map(type, lam)):
             raise PreconditionViolated("each partition must be a list of "
                                        "integers")
         lam = tuple(lam)
-        if min(lam, default=0) < 0:
-            raise PreconditionViolated("parts must be non-negative")
-        if any(map(lt, lam, lam[1:])):
-            raise PreconditionViolated("each partition must be weakly decreasing")
+        if lam and (lam[-1] < 0 or any(map(lt, lam, lam[1:]))):
+            raise PreconditionViolated(
+                "parts must be non-negative" if min(lam) < 0
+                else "each partition must be weakly decreasing")
         out.append(lam)
     return tuple(out)
 
@@ -78,24 +82,24 @@ def mp_size(parts) -> int:
 def frame_of(parts) -> tuple:
     """Frame sequence: s_k pairs (k,0), then s_{k-1}-s_k pairs (k-1,0), ...
     down to s_1-s_2 pairs (1,0), where s_i - s_{i+1} = len(lambda^(i))."""
-    return _frame(check_multipartition(parts))
-
-
-def _frame(parts) -> tuple:
-    """frame_of for parts that check_multipartition has already accepted."""
-    out = []
-    for h in range(len(parts), 0, -1):
-        out += [h, 0] * len(parts[h - 1])
-    return canonical(out)
+    return canonical(_frame(check_multipartition(parts))[0])
 
 
 def flatten_parts(parts):
     """The sequence (lambda_0, ..., lambda_{s_1 - 1}) read from the largest
     partition index inwards: lambda^(k) supplies the lowest indices."""
-    seq = []
-    for lam in reversed(parts):
-        seq.extend(reversed(lam))
-    return seq  # seq[i] = lambda_i
+    return _frame(parts)[1]  # seq[i] = lambda_i
+
+
+def _frame(parts):
+    """The frame pairs (h, 0) as a list, which ends in a zero as the kernels
+    need, and the motion sequence, seq[i] = lambda_i, that moves the pair at
+    2i; one loop from the largest partition index inwards builds both."""
+    pairs, seq = [], []
+    for h, lam in zip(range(len(parts), 0, -1), reversed(parts)):
+        pairs += [h, 0] * len(lam)
+        seq += lam[::-1]
+    return pairs, seq
 
 
 # -- particle motion -------------------------------------------------------------
@@ -135,22 +139,24 @@ def _pm(f: list, u: int, m: int) -> int:
     return v - 2
 
 
-def _rpm(f: list, u: int) -> int:
+def _rpm(f: list, u: int) -> tuple:
     """Reverse particle motions ending at u, in place: the leftmost maximal
     adjacent pair at or right of u goes back to (u, u+1) in the frame form
-    (h, 0), and the pairs between shift right by two.  Returns the steps."""
+    (h, 0), and the pairs between shift right by two.  Returns (h, steps),
+    h the largest adjacent sum at or right of u; (0, 0) when nothing is
+    left there."""
     if u > 0 and f[u - 1] != 0:
         raise PreconditionViolated(f"entry before position {u} must be zero")
     sums = list(map(add, f[u:], f[u + 1:]))
     h = max(sums, default=0)
     if h == 0:
-        return 0
+        return 0, 0
     p = sums.index(h)
     steps = h - f[u] + h * p - sum(sums[:p])
     f[u + 2:u + 2 + p] = f[u:u + p]
     f[u] = h
     f[u + 1] = 0
-    return steps
+    return h, steps
 
 
 def _working(f, u: int) -> list:
@@ -181,7 +187,7 @@ def rpm_explicit(f, u: int):
     (u, u+1), ending in the frame form (h, 0).
     """
     f = _working(f, u)
-    steps = _rpm(f, u)
+    steps = _rpm(f, u)[1]
     return canonical(f), steps
 
 
@@ -215,18 +221,15 @@ def lambda_map(parts, trace: bool = False):
     particle-motion step counts from the innermost frame pair outwards.
     With ``trace``, returns (sequence, MotionTrace)."""
     parts = check_multipartition(parts)
-    k = len(parts)
-    frame = _frame(parts)
-    seq = flatten_parts(parts)
-    tr = MotionTrace(frame) if trace else None
-    cur = list(frame) + [0]
+    cur, seq = _frame(parts)
+    tr = MotionTrace(canonical(cur)) if trace else None
     for i in range(len(seq) - 1, -1, -1):
         _pm(cur, 2 * i, seq[i])
         if tr is not None:
             tr.ops.append(("pm", 2 * i, seq[i], canonical(cur)))
-    out = canonical(cur)
-    if k and not in_A(out, k):
+    if parts and not in_A(cur, len(parts)):
         raise PreconditionViolated("insertion left the bounded family")
+    out = canonical(cur)
     return (out, tr) if trace else out
 
 
@@ -241,24 +244,24 @@ def gamma_map(f, k: Optional[int] = None, trace: bool = False):
     MotionTrace).
     """
     f = canonical(f)
-    inferred = max_adjacent_sum(f)
+    cur = list(f) + [0]
+    # the first reverse motion reports the largest adjacent sum of f
+    h, steps = _rpm(cur, 0)
     if k is None:
-        k = inferred
+        k = h
     elif k < 1:
         raise ParameterOutOfRange("k must be at least 1")
-    elif inferred > k:
-        raise PreconditionViolated(
-            f"sequence has adjacent sum {inferred} > k = {k}")
-    cur = list(f) + [0]
+    elif h > k:
+        raise PreconditionViolated(f"sequence has adjacent sum {h} > k = {k}")
     mus = []
     tr = MotionTrace(f) if trace else None
     u = 0
-    while any(cur[u:]):
-        steps = _rpm(cur, u)
+    while h:
         mus.append(steps)
         if tr is not None:
             tr.ops.append(("rpm", u, steps, canonical(cur)))
         u += 2
+        h, steps = _rpm(cur, u)
     # cur is now a frame sequence; group the recorded steps by frame value
     parts = [[] for _ in range(k)]
     for h, m in zip(cur[::2], mus):

@@ -2,6 +2,9 @@
 
 import ast
 import random
+from enum import IntEnum
+from itertools import repeat
+from operator import add, lt
 from pathlib import Path
 
 import pytest
@@ -223,6 +226,100 @@ def test_multipartition_validation():
     for parts in (5, "12", None):
         with pytest.raises(PreconditionViolated):
             M.check_multipartition(parts)
+
+
+
+
+def _gamma_refusal(f, k):
+    """(type, message) that gamma_map refuses f with at the given k, or None:
+    negative entries, then an explicit k below 1, then an adjacent sum
+    above an explicit k."""
+    if any(x < 0 for x in f):
+        return PreconditionViolated, "frequency entries must be non-negative"
+    if k is None:
+        return None
+    if k < 1:
+        return ParameterOutOfRange, "k must be at least 1"
+    top = max(map(add, f, f[1:] + [0]), default=0)
+    if top > k:
+        return PreconditionViolated, f"sequence has adjacent sum {top} > k = {k}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1, 4), max_size=8),
+       st.sampled_from((None, -1, 0, 1, 2, 3, 4)))
+def test_gamma_k_validation_order(f, k):
+    why = _gamma_refusal(f, k)
+    if why is None:
+        assert M.lambda_map(M.gamma_map(f, k)) == M.canonical(f)
+        return
+    with pytest.raises((PreconditionViolated, ParameterOutOfRange)) as exc:
+        M.gamma_map(f, k)
+    assert (type(exc.value), str(exc.value)) == why
+
+
+def _reference_check_multipartition(parts):
+    """The partition check as it stood before it tested element types in
+    one pass: isinstance, so int subclasses other than bool passed."""
+    if not isinstance(parts, (list, tuple)):
+        raise PreconditionViolated("a multipartition is a list of partitions")
+    out = []
+    for lam in parts:
+        if (not isinstance(lam, (list, tuple))
+                or not all(map(isinstance, lam, repeat(int)))
+                or any(map(isinstance, lam, repeat(bool)))):
+            raise PreconditionViolated("each partition must be a list of "
+                                       "integers")
+        lam = tuple(lam)
+        if min(lam, default=0) < 0:
+            raise PreconditionViolated("parts must be non-negative")
+        if any(map(lt, lam, lam[1:])):
+            raise PreconditionViolated("each partition must be weakly decreasing")
+        out.append(lam)
+    return tuple(out)
+
+
+def _verdict(check, parts):
+    try:
+        return "accepted", check(parts)
+    except PreconditionViolated as exc:
+        return "refused", str(exc)
+
+
+def _list_or_tuple(elements, **sizes):
+    return st.tuples(st.sampled_from((list, tuple)),
+                     st.lists(elements, **sizes)).map(lambda c: c[0](c[1]))
+
+
+non_sequences = st.one_of(st.integers(-1, 3), st.text(max_size=2), st.none(),
+                          st.frozensets(st.integers(0, 3), max_size=2))
+part_entries = st.one_of(st.integers(-2, 6), st.booleans(),
+                         st.floats(-2, 6, allow_nan=False), st.just("1"))
+partitions = st.one_of(
+    _list_or_tuple(st.integers(0, 6), max_size=4).map(
+        lambda lam: type(lam)(sorted(lam, reverse=True))),
+    _list_or_tuple(st.integers(-2, 6), max_size=4),
+    _list_or_tuple(part_entries, max_size=4),
+    non_sequences)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_list_or_tuple(partitions, max_size=4), non_sequences))
+def test_partition_check_matches_the_reference(parts):
+    assert (_verdict(M.check_multipartition, parts)
+            == _verdict(_reference_check_multipartition, parts))
+
+
+def test_partition_check_refuses_int_subclasses():
+    # the one verdict that differs from the reference: an int subclass
+    # other than bool is refused with the message for non-integers
+    class Size(IntEnum):
+        TWO = 2
+    parts = ((Size.TWO, 1), ())
+    assert _reference_check_multipartition(parts) == parts
+    assert _verdict(M.check_multipartition, parts) == (
+        "refused", "each partition must be a list of integers")
 
 
 def test_trace_rendering():
