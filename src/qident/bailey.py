@@ -55,7 +55,10 @@ b = c = infinity the double-lattice consequence is the classical
 single-lattice one; at b = infinity its bracket over 1 - a q^(2l) is a
 polynomial, built as such, so nothing is divided by 1 - a.
 
-Precision arguments here are t-exponent truncation orders (t = q^(1/2)).
+Precision arguments here are t-exponent truncation orders (t = q^(1/2)),
+``identities.tgrid`` of an order in q-powers.  ``_order`` caps a requested
+order at the pair's, and every comparison goes through ``_agree``: below what
+both series know, at most that order, returning the order it used.
 """
 
 from __future__ import annotations
@@ -209,6 +212,18 @@ SEEDS = {"unit": unit_pair, "dprime4": pair_dprime4, "dprime1": pair_dprime1}
 # -- the defining relation ------------------------------------------------------
 
 
+def _order(p: BaileyPair, prec: Optional[int]) -> int:
+    """The t-order a check on p works to: prec, capped at what p knows."""
+    return p.prec if prec is None else min(prec, p.prec)
+
+
+def _agree(x: QSeries, y: QSeries, tp: int):
+    """Compare x and y below the order both are known to, at most tp.
+    Returns (equal, first_mismatch_exponent, the order compared)."""
+    upto = min(x.prec, y.prec, tp)
+    return (*x.equal_up_to(y, upto), upto)
+
+
 @lru_cache(maxsize=1024)
 def _relation_kernel(aq: SM, m: int, M: int, tp: int) -> QSeries:
     """1/((q)_m (aq)_M) truncated at tp, the factor of alpha_l in the
@@ -223,18 +238,16 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     sums of ``apply``, so it does not share their packed layer product.  Both
     inverse Pochhammers are units of precision tp, so alpha_l times their
     cached product has the precision and coefficients of the two products
-    taken in turn.  Each n is compared below the order both sides are known
-    to, at most tp; the result carries the lowest of these."""
-    tp = p.prec if prec is None else min(prec, p.prec)
+    taken in turn.  The result carries the lowest order ``_agree`` used."""
+    tp = _order(p, prec)
     aq = p.a.times_qpow(1)
     low = tp
     for n in range(p.n_max + 1):
         acc = zero(tp)
         for l in range(n + 1):
             acc = acc + p.alpha[l] * _relation_kernel(aq, n - l, n + l, tp)
-        upto = min(acc.prec, p.beta[n].prec, tp)
+        same, _, upto = _agree(acc, p.beta[n], tp)
         low = min(low, upto)
-        same, _ = acc.equal_up_to(p.beta[n], upto)
         if not same:
             return VerifyResult(False, n, low)
     return VerifyResult(True, None, low)
@@ -409,7 +422,7 @@ def run_chain(seed: BaileyPair, steps, prec: Optional[int] = None):
     prefix run before on an equal seed at this order is read back from the
     chain memo (module docstring).
     """
-    tp = seed.prec if prec is None else min(prec, seed.prec)
+    tp = _order(seed, prec)
     steps = tuple(TransformStep(s) if isinstance(s, str) else s
                   for s in steps)
     seed_key = pack((seed.a.sign, seed.a.e, seed.prec), seed.alpha + seed.beta)
@@ -441,17 +454,11 @@ def commute_check(p: BaileyPair, prec: Optional[int] = None) -> bool:
     alpha agreement is syntactic, so the content is the beta comparison."""
     if p.a != ONE_M:
         raise DegenerateDivision("commute check applies to pairs relative to 1")
-    tp = p.prec if prec is None else min(prec, p.prec)
+    tp = _order(p, prec)
     p1 = _star1(_bl(p))
     p2 = _bl(_star1(p))
-    for n in range(p.n_max + 1):
-        cmp_to = min(tp, p1.alpha[n].prec, p2.alpha[n].prec)
-        if p1.alpha[n].equal_up_to(p2.alpha[n], cmp_to) != (True, None):
-            return False
-        cmp_to = min(tp, p1.beta[n].prec, p2.beta[n].prec)
-        if p1.beta[n].equal_up_to(p2.beta[n], cmp_to) != (True, None):
-            return False
-    return True
+    return all(_agree(x, y, tp)[0]
+               for x, y in zip(p1.alpha + p1.beta, p2.alpha + p2.beta))
 
 
 def beta_limit(p: BaileyPair, prec: Optional[int] = None) -> QSeries:
@@ -461,11 +468,11 @@ def beta_limit(p: BaileyPair, prec: Optional[int] = None) -> QSeries:
     order (NotStabilized otherwise).  The independent route is the limit of
     the defining relation: beta_inf = (sum_l alpha_l) / ((q)_inf (aq)_inf).
     """
-    tp = p.prec if prec is None else min(prec, p.prec)
+    tp = _order(p, prec)
     if p.n_max < 1:
         raise NotStabilized("n_max too small to witness stabilization")
-    last, prev = p.beta[p.n_max], p.beta[p.n_max - 1]
-    same, e = last.equal_up_to(prev, min(tp, last.prec, prev.prec))
+    last = p.beta[p.n_max]
+    same, e, _ = _agree(last, p.beta[p.n_max - 1], tp)
     if not same:
         raise NotStabilized(f"beta still moving at exponent {e}")
     total = zero(tp)
@@ -474,20 +481,13 @@ def beta_limit(p: BaileyPair, prec: Optional[int] = None) -> QSeries:
     den = poch_infinite(Q, 2, tp) * poch_infinite(p.a.times_qpow(1), 2, tp)
     direct = total.divide(_unit_check(den, "(q)_inf (aq)_inf"), tp)
     stabilized = last.truncate(tp)
-    same, e = direct.equal_up_to(stabilized,
-                                 min(direct.prec, stabilized.prec, tp))
+    same, e, _ = _agree(direct, stabilized, tp)
     if not same:
         raise NotStabilized(f"alpha-sum route disagrees at exponent {e}")
     return stabilized
 
 
 # -- lattice consequences -------------------------------------------------------
-
-
-def _beta_extra(p: BaileyPair):
-    def extra(v):
-        return p.beta[v] if v <= p.n_max else None
-    return extra
 
 
 def _two_sided(p: BaileyPair, pervar, gaps, term, tp: int):
@@ -514,7 +514,7 @@ def _two_sided(p: BaileyPair, pervar, gaps, term, tp: int):
     # a sum of valuation v < 0 needs 1/(aq)_inf to order tp - v
     wp = tp - min(min(rhs.coeffs, default=0), 0)
     rhs = rhs.divide(poch_infinite(p.a.times_qpow(1), 2, wp), wp)
-    return lhs.equal_up_to(rhs, min(lhs.prec, rhs.prec, tp))
+    return _agree(lhs, rhs, tp)[:2]
 
 
 def _order_lost(pervar, pochs) -> int:
@@ -540,7 +540,7 @@ def _lattice_vars(p: BaileyPair, k: int, r: int, j: int) -> list:
     rides on the last variable."""
     K = k + 1
     return [(2, p.a.e - (4 if i <= j else 2 if i <= k - r else 0),
-             _beta_extra(p) if i == K else None)
+             (lambda v: p.beta[v]) if i == K else None)
             for i in range(1, K + 1)]
 
 
@@ -589,7 +589,7 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
     a = p.a
     if a.sign != 1:
         raise ParameterOutOfRange(f"a must be q^(e/2) of sign +1, got {a.text()}")
-    tp = p.prec if prec is None else min(prec, p.prec)
+    tp = _order(p, prec)
 
     if not b_inf:
         if b.sign != -1:
@@ -615,8 +615,6 @@ def check_coro3(p: BaileyPair, k: int, r: int, j: int, b, c,
         pochs[0] = b
     if not c_inf:
         def tail_c(v):
-            if v > p.n_max:
-                return None
             return (poch_finite(c, 2, v) * monomial((-c.sign) ** v, 0)
                     * p.beta[v])
         pervar[k] = (1, pervar[k][1] + 1 - c.e, tail_c)
@@ -705,15 +703,11 @@ def check_common2(p: BaileyPair, k: int, r: int, j: int,
     universe = {1} | set(range(2, k - r + 1))
     if len(T) != j or not T <= universe:
         raise ParameterOutOfRange(f"subset {sorted(T)} invalid for {k=} {r=} {j=}")
-    tp = p.prec if prec is None else min(prec, p.prec)
-    K = k + 1
-    pervar = []
-    for i in range(1, K + 1):
-        lin = 2 if i > k - r else 0
-        if i == 1 and 1 in T:
-            lin -= 2
-        pervar.append((2, lin, _beta_extra(p) if i == K else None))
-    gaps = [(2, 2 if (g + 1) in T else None) for g in range(1, K)]
+    tp = _order(p, prec)
+    # the q^(-s_1) factor of 1 in T is the j = 1 row of the lattice sums at
+    # a = q (1 in T needs j >= 1, so r < k and s_1 is not past k - r)
+    pervar = _lattice_vars(p, k, r, 1 if 1 in T else 0)
+    gaps = [(2, 2 if g in T else None) for g in range(2, k + 2)]
 
     def term(l):
         big = (QSeries([(0, 1), (4 * l, 1)]) ** j
@@ -762,7 +756,7 @@ def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
     if not 0 <= n <= seed.n_max:
         raise ParameterOutOfRange(
             f"need 0 <= n <= n_max = {seed.n_max}, got {n=}")
-    tp = seed.prec if prec is None else min(prec, seed.prec)
+    tp = _order(seed, prec)
     t = _seed_quotient(seed.alpha[n], 4 * n + 2, tp)
     if n >= 1:
         t = t - _seed_quotient(seed.alpha[n - 1], 4 * n - 2,

@@ -139,7 +139,7 @@ def _parse_recipe(recipe, default_prec):
         if "tag" not in s:
             raise InvalidParameters('each recipe step needs a "tag"')
     a = _recipe_monomial(seed_spec, "a", Q)
-    tp = 2 * _recipe_int(recipe, "prec", default_prec, 1) + 1
+    tp = I.tgrid(_recipe_int(recipe, "prec", default_prec, 1))
     n_max = _recipe_int(recipe, "n_max", 10, 0)
     kind = _recipe_str(seed_spec, "kind", "unit")
     if kind not in B.SEEDS:
@@ -157,8 +157,7 @@ def _cmd_bailey(args) -> int:
     seed, steps, tp = _parse_recipe(recipe, args.prec)
     pair, log = B.run_chain(seed, steps, tp)
     for tag, a_text, res in log:
-        # res.prec is a t-order: q^0 .. q^((res.prec - 1) // 2) were compared
-        _emit({"step": tag, "a": a_text, "prec": (res.prec - 1) // 2,
+        _emit({"step": tag, "a": a_text, "prec": I.qorder(res.prec),
                "verified": res.ok,
                "first_bad_n": res.first_bad_n}, args.format)
     return 0 if all(res.ok for _, _, res in log) else 1

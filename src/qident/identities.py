@@ -35,6 +35,11 @@ def tgrid(qprec: int) -> int:
     return 2 * qprec + 1
 
 
+def qorder(tprec: int) -> int:
+    """The inverse of ``tgrid``: the highest q-exponent below t-order tprec."""
+    return (tprec - 1) // 2
+
+
 # -- declarative sides ---------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ desk scale because frame weights grow quadratically.  Generating functions
 rows by enumeration) are compared against catalog sum sides and against
 independent product-side oracles.
 
-Weight/precision arguments here are in whole q-powers.
+Weights and orders here are whole q-powers, put on the t-grid by ``tgrid``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import add
 from typing import Callable, Optional
 
 from .errors import InvalidParameters, KindMismatch, NotAMember
-from .identities import _kr, _krj, lhs_series
+from .identities import _kr, _krj, lhs_series, tgrid
 from .motion import canonical, frame_of, in_A, mp_size, weight
 from .series import QSeries
 
@@ -326,7 +326,7 @@ def gf_members(members, max_weight: int, weight_fn=weight) -> QSeries:
         w = weight_fn(m)
         if w <= max_weight:
             counts[2 * w] = counts.get(2 * w, 0) + 1
-    return QSeries(counts, 2 * max_weight + 1)
+    return QSeries(counts, tgrid(max_weight))
 
 
 def gf_family(pred: SetPredicate, max_weight: int) -> QSeries:
@@ -364,7 +364,7 @@ def _gf_transfer(pred: SetPredicate, row: Family, W: int) -> QSeries:
                 if parity_ok(u, a, b):
                     dst[shift:] = map(add, dst[shift:], counts[a])
         counts = nxt
-    return QSeries({2 * w: c for w, c in enumerate(counts[0])}, 2 * W + 1)
+    return QSeries({2 * w: c for w, c in enumerate(counts[0])}, tgrid(W))
 
 
 def mp_total_size(mp) -> int:
@@ -392,14 +392,14 @@ def check_interpretation(theorem: str, k: int, r: int, j: int,
                          max_weight: int) -> SetReport:
     """Generating function of the stated frequency family against the
     corresponding catalog sum side, compared at exactly q-order max_weight
-    (t-order 2 max_weight + 1); a side known to less raises."""
+    (t-order ``tgrid(max_weight)``); a side known to less raises."""
     if theorem not in _INTERP:
         raise InvalidParameters(f"unknown interpretation {theorem!r}")
     tag, row = _INTERP[theorem]
     # the sum side validates (k, r, j), so a bad input fails before enumerating
     ref = lhs_series(row, {"k": k, "r": r, "j": j}, max_weight)
     gf = gf_family(SetPredicate(tag, k=k, r=r, j=j), max_weight)
-    eq, e = gf.equal_up_to(ref, 2 * max_weight + 1)
+    eq, e = gf.equal_up_to(ref, tgrid(max_weight))
     return SetReport(eq, e, f"{tag} vs {row}")
 
 
@@ -420,7 +420,7 @@ def check_ztilde_relation(k: int, r: int, j: int,
         return SetReport(False, None, "inclusion chain fails")
     lhs = gf_members(zt, W) * QSeries([(0, 1), (2, 1)])
     rhs = gf_members(zm, W) + gf_members(zp, W).shift(2)
-    eq, e = lhs.equal_up_to(rhs, 2 * W + 1)
+    eq, e = lhs.equal_up_to(rhs, tgrid(W))
     if not eq:
         return SetReport(False, e, "three-term gf relation fails")
     # weight-(-1) shift bijection from Z'_{j,r-1,k} minus the tilde family

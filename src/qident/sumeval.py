@@ -159,7 +159,7 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
 
     pervar: per variable (outermost first) a tuple (quad, lin, extra) with
         exponents in t-units and ``extra`` either None or a callable
-        v -> QSeries (returning None to drop that value entirely).
+        v -> QSeries.
     gaps: per adjacent pair a tuple (den_step, binom_step) where den_step is
         the t-step of the difference Pochhammer 1/(.)_{s_i - s_{i+1}}, and
         binom_step is None or the b of a factor (t^(b*s_i) + t^(-b*s_{i+1})).
@@ -202,9 +202,8 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
         else:
             row, low = [], 0
             for v in range(vmax + 1):
-                f = extra(v)
-                s = None if f is None else f.shift(quad * v * v + lin * v)
-                if s is not None and (s.coeffs or s.prec is not INF):
+                s = extra(v).shift(quad * v * v + lin * v)
+                if s.coeffs or s.prec is not INF:
                     low = min(low, _val(s) - b * v)
                     row.append(s)
                 else:

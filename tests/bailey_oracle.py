@@ -59,6 +59,11 @@ def closed_alpha_star_chain(seed, k, r, j, n, prec=None):
     return out.shift(2 * (k + 1) * n * n + 2 * (r + 1 - j) * n).truncate(tp)
 
 
+def with_alpha(p, alpha):
+    """p with its alphas replaced (and no seed to ask for more)."""
+    return BaileyPair(p.a, p.n_max, tuple(alpha), p.beta, p.prec)
+
+
 def with_beta(p, beta):
     """p with its betas replaced (and no seed to ask for more)."""
     return BaileyPair(p.a, p.n_max, p.alpha, tuple(beta), p.prec)

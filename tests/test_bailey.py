@@ -1,6 +1,7 @@
 """Seeds, transforms, chains, and the lattice-consequence checks."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -151,6 +152,26 @@ def test_commute_is_an_operator_identity(unit_q):
     assert B.commute_check(naive.with_beta(p1, beta), 60)
 
 
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_commute_check_sees_one_route_broken(unit_q, monkeypatch, side):
+    # the first STAR1 is the one on the BL_INF-first route; q^3 added to its
+    # alpha_2 or beta_2 must make the two routes disagree
+    real, calls = B._star1, []
+
+    def broken(p):
+        out = real(p)
+        calls.append(out)
+        if len(calls) > 1:
+            return out
+        seq = list(getattr(out, side))
+        seq[2] = seq[2] + monomial(1, 6, TP)
+        return (naive.with_alpha(out, seq) if side == "alpha"
+                else naive.with_beta(out, seq))
+    monkeypatch.setattr(B, "_star1", broken)
+    assert not B.commute_check(B.apply("KEY1", unit_q), TP)
+    assert len(calls) == 2
+
+
 def test_beta_limit_routes():
     tp = 61
     # two Bailey-lemma steps on the a = 1 seed give the gap-2 sum with n^2
@@ -179,6 +200,15 @@ def test_beta_limit_not_stabilized():
         B.beta_limit(p, 121)
     with pytest.raises(NotStabilized):
         B.beta_limit(B.unit_pair(Q, 0, 21), 21)
+    # beta is the stabilized Bailey-lemma limit; q^4 added to alpha_2
+    # leaves beta alone and moves the alpha-sum route
+    ch, _ = B.run_chain(B.unit_pair(ONE_M, 12, 21), ["BL_INF", "BL_INF"], 21)
+    assert not B.beta_limit(ch, 21).is_zero()
+    alpha = list(ch.alpha)
+    alpha[2] = alpha[2] + monomial(1, 8, 21)
+    with pytest.raises(NotStabilized,
+                       match="alpha-sum route disagrees at exponent 8"):
+        B.beta_limit(naive.with_alpha(ch, alpha), 21)
 
 
 def test_corolattice_small(unit_q, unit_1):
@@ -210,10 +240,26 @@ def test_lattice_checks_store_no_layers(unit_q, monkeypatch):
     assert len(calls) >= 2 and not sumeval._LAYERS
 
 
-def test_corolattice_insufficient_depth():
+def test_corolattice_insufficient_depth(unit_q):
+    inf = B.INFINITY
     shallow = B.unit_pair(Q, 3, 121)
     with pytest.raises(InsufficientDepth):
-        B.check_coro3(shallow, 1, 0, 0, B.INFINITY, B.INFINITY, 121)
+        B.check_coro3(shallow, 1, 0, 0, inf, inf, 121)
+    # at t-order 1 the multisum needs only s <= 1, so n_max = 1 passes the
+    # depth check of the multisum side and fails that of the alpha side
+    shallow = B.unit_pair(Q, 1, 1)
+    for check in (lambda p: B.check_coro3(p, 1, 0, 0, inf, inf, 1),
+                  lambda p: B.check_common2(p, 1, 0, 0, 1)):
+        with pytest.raises(InsufficientDepth, match="n_max too small"):
+            check(shallow)
+    # an alpha_{n_max} of valuation t^(-500) leaves the last alpha-side term
+    # nonzero below tp, however deep the multisum side is
+    alpha = unit_q.alpha[:-1] + (monomial(1, -500, TP),)
+    for check in (lambda p: B.check_coro3(p, 1, 0, 0, inf, inf, TP),
+                  lambda p: B.check_common2(p, 1, 0, 0, TP)):
+        assert check(unit_q) == (True, None)
+        with pytest.raises(InsufficientDepth, match="alpha sum not converged"):
+            check(naive.with_alpha(unit_q, alpha))
 
 
 def test_coro2_small(unit_q, unit_1):
@@ -331,6 +377,15 @@ def test_coro3_boundaries(unit_q):
                          TP) == (True, None)
     with pytest.raises(UnsupportedBoundary):
         B.check_coro3(unit_q, 2, 1, 1, SM(1, 2), B.INFINITY, TP)
+    # at a = q, a/(bq) = -q^(-3/2) for b = -q^(3/2), and aq/c = +-1 for
+    # c = +-q^2
+    with pytest.raises(UnsupportedBoundary, match=re.escape(
+            "a/(bq) has negative exponent for b = -q^(3/2)")):
+        B.check_coro3(unit_q, 2, 1, 1, SM(-1, 3), B.INFINITY, TP)
+    for c in (SM(-1, 4), SM(1, 4)):
+        with pytest.raises(UnsupportedBoundary, match=re.escape(
+                "(aq/c) must have positive exponent")):
+            B.check_coro3(unit_q, 2, 1, 1, B.INFINITY, c, TP)
     with pytest.raises(ParameterOutOfRange):
         B.check_coro3(unit_q, 2, 2, 1, B.INFINITY, SM(-1, 2), TP)
     # r = -1 is the single-lattice boundary of an infinite c only

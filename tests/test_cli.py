@@ -13,6 +13,7 @@ from qident import identities as I
 from qident import sets as S
 from qident.cli import _parse_recipe, main
 from qident.errors import InvalidParameters
+from qident.series import monomial
 
 import bailey_oracle as naive
 
@@ -83,6 +84,20 @@ def test_sweep_exit_code_and_coverage(capsys):
     from qident.identities import CATALOG_ORDER
     assert {row["name"] for row in rows} == set(CATALOG_ORDER)
     assert all(row["equal"] for row in rows)
+
+
+def test_sweep_exits_1_on_a_mismatching_row(capsys, monkeypatch):
+    # q^3 added to the product side of the first row at k <= 1 (a side no
+    # other row of that sweep shares) makes that row, and only it, mismatch
+    # at t^6
+    name, params = next(I.catalog_rows(1))
+    side, real = I._spec(name, params).rhs(params), I.eval_product
+    monkeypatch.setattr(I, "eval_product", lambda s, qprec: (
+        real(s, qprec) + monomial(1, 6)) if s == side else real(s, qprec))
+    rc, out, err = run(capsys, "sweep", "--max-k", "1", "--prec", "20")
+    assert rc == 1 and err == ""
+    assert [line for line in out.splitlines() if "equal=False" in line] == [
+        f"name={name}  params={params}  prec=20  equal=False  first_mismatch=6"]
 
 
 def test_bailey_recipe(capsys, tmp_path):

@@ -69,6 +69,16 @@ def test_membership_examples():
     assert not S.in_Z((1, 1), 1, 1, 2)
     assert S.in_Z((), 1, 1, 2)
     assert S.in_X(((3, 1), (), (6, 6, 5, 3), (19, 0)), 4, 0, 4)
+    # at k = 2, r = j = 0 the parts of lambda^(1) are >= 1 and those of
+    # lambda^(2) >= 2; Xp wants the parts of lambda^(2) even, Xpt odd
+    x, xp, xpt = (S.SetPredicate(tag, k=2) for tag in ("X", "Xp", "Xpt"))
+    assert x.member(((1,), (2,))) and x.member(((1,), (3,)))
+    for mp in (((1,),), ((1,), (2,), ()), ((0,), (2,)), ((1,), (1,)),
+               ((1, 0), (2,)), ((1,), (2, 1))):
+        assert not any(pred.member(mp) for pred in (x, xp, xpt)), mp
+    assert xp.member(((1,), (2,))) and not xp.member(((1,), (3,)))
+    assert xpt.member(((1,), (3,))) and not xpt.member(((1,), (2,)))
+    assert not xpt.member(((1,), (3, 2)))
     pred = S.SetPredicate("Z", k=2, r=1, j=1)
     assert pred.member((0, 1))
     with pytest.raises(KindMismatch):
@@ -86,6 +96,19 @@ def test_membership_examples():
                       (S.SetPredicate("A", k=2), (True, 1))):
         with pytest.raises(KindMismatch):
             S.membership(pred, obj)
+
+
+@pytest.mark.parametrize("tag", ["X", "Xp", "Xpt"])
+def test_mp_membership_agrees_with_enumeration(tag):
+    # the candidates are the images under gamma of A_k to weight 10, which
+    # are every k-multipartition of total size <= 10, built without the
+    # multipartition enumerator
+    for k in (1, 2, 3):
+        cands = [M.gamma_map(f, k) for f in S.enum_freq(k, 10)]
+        for point in S.FAMILIES[tag].domain(k):
+            pred = S.SetPredicate(tag, **point)
+            assert sorted(S.enum_family(pred, 10)) == sorted(
+                mp for mp in cands if S.membership(pred, mp)), point
 
 
 FREQ_TAGS = [tag for tag, row in S.FAMILIES.items()
@@ -270,6 +293,52 @@ def test_ztilde_relation_small():
     for k, r, j in ((3, 0, 1), (0, 1, 0), (3, 1, -1), (3, 2, 2)):
         with pytest.raises(InvalidParameters):
             S.check_ztilde_relation(k, r, j, 10)
+
+
+def _swapped(members, old, new):
+    return [new if f == old else f for f in members]
+
+
+def test_ztilde_relation_reports_each_broken_member_set(monkeypatch):
+    # check_ztilde_relation(3, 1, 1, 12) enumerates the tilde family Zpt at
+    # r = 1 and its neighbours Zp at r = 0 and r = 2; edits[(tag, r)]
+    # rewrites the member list of one of them
+    real, edits = S.enum_family, {}
+    monkeypatch.setattr(S, "enum_family", lambda pred, W: edits.get(
+        (pred.tag, pred.r), list)(real(pred, W)))
+    zt, zm, zp = (set(real(S.SetPredicate(tag, k=3, r=r, j=1), 12))
+                  for tag, r in (("Zpt", 1), ("Zp", 0), ("Zp", 2)))
+    assert S.check_ztilde_relation(3, 1, 1, 12) == S.SetReport(True, None, "")
+    # the difference set that the shift map carries onto zt - zp
+    diff = sorted(zm - zt, key=lambda f: (M.weight(f), f))
+    f = next(f for f in diff if M.weight(f) >= 2)
+    w, head7 = M.weight(f), (7,)    # a head of 7 is outside A_3
+    g, h = [g for g in diff if M.weight(g) == M.weight(diff[-1])][:2]
+    light = min(zp, key=M.weight)
+    cases = [
+        # a Zp neighbour at r = 2 that is not in the tilde family
+        (("Zp", 2), lambda fs: fs + [f], "inclusion chain fails", None),
+        # one member fewer at r = 2: q gf(Z'_{j,r+1,k}) loses q^(w+1)
+        (("Zp", 2), lambda fs: [m for m in fs if m != light],
+         "three-term gf relation fails", 2 * (M.weight(light) + 1)),
+        # a member of zm - zt swapped for one of the same weight keeps the gf
+        # relation; the shift map then meets one with f_1 = 0 ...
+        (("Zp", 0), lambda fs: _swapped(fs, f, head7 + (0,) * (w - 1) + (1,)),
+         f"shift map undefined on {head7 + (0,) * (w - 1) + (1,)}", None),
+        # ... one whose image has a head outside A_3 ...
+        (("Zp", 0), lambda fs: _swapped(fs, f, head7 + f[1:]),
+         f"shift image {head7 + (f[1] - 1,) + f[2:]} escapes the target",
+         None),
+        # ... and another member with a trailing zero
+        (("Zp", 0), lambda fs: _swapped(fs, g, h + (0,)),
+         f"shift map collides at {M.canonical((h[0], h[1] - 1) + h[2:])}",
+         None),
+    ]
+    for key, edit, detail, mismatch in cases:
+        edits.clear()
+        edits[key] = edit
+        assert S.check_ztilde_relation(3, 1, 1, 12) == S.SetReport(
+            False, mismatch, detail), detail
 
 
 def test_x_family_gf_matches_multisum():
