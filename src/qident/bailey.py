@@ -14,8 +14,10 @@ compositions: the lattice step a -> a/q is key lemma 1 followed by the
 Bailey lemma at a/q, and STAR1 is the star step at a = 1.
 
 Every Bailey lemma shares one beta-side sum (``_beta_sum``), which is one
-layer of the multisum kernel (``sumeval.convolve_layer``): one packed
-big-int product, two for the star step.  ``verify`` stays on plain ring
+layer of the multisum kernel (``sumeval.convolve_layer``): the layer
+product that ``multisum`` memoises, one packed big-int product, two for the
+star step, here built on every call and not stored, then the own pass by
+t^0, which keeps all of it.  ``verify`` stays on plain ring
 products, one per term against a cached 1/((q)_{n-l} (aq)_{n+l}), so the
 check does not go through the kernel it checks.
 

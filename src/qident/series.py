@@ -25,7 +25,8 @@ a b - aq^l factor coincide.  ``invert`` divides one.
 
 The per-process memos of the sum engine, the product sides and the Bailey
 chains are each a ``Memo``: at most ``Memo.MAX`` entries, the least recently
-used dropped first.  An entry is ``pack(data, series)``: the stdlib
+used dropped first, with a count of the hits and misses of its lookups that
+nothing prints.  An entry is ``pack(data, series)``: the stdlib
 ``marshal`` bytes, at version 2, of plain data and of (prec, coefficient
 dict) per series.  ``unpack`` restores ``INF``, which marshal reads back as
 a new float.  Version 2 writes no back-references, whose use follows
@@ -462,16 +463,28 @@ def unpack(stored: bytes):
 
 
 class Memo(OrderedDict):
-    """A bounded LRU map, key -> pack bytes (module docstring)."""
+    """A bounded LRU map, key -> pack bytes (module docstring), that counts
+    the hits and misses of ``recall``; ``clear`` zeroes the counts too."""
 
     MAX = 1024
+
+    def __init__(self):
+        super().__init__()
+        self.hits = self.misses = 0
+
+    def clear(self):
+        super().clear()
+        self.hits = self.misses = 0
 
     def recall(self, key):
         """unpack of the entry under key, or None; a hit is now the newest."""
         stored = self.get(key)
-        if stored is not None:
-            self.move_to_end(key)
-            return unpack(stored)
+        if stored is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.move_to_end(key)
+        return unpack(stored)
 
     def store(self, key, data, series):
         self[key] = pack(data, series)

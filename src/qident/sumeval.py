@@ -59,12 +59,16 @@ slot width, the digit width, the branch, the grid step, the points), so
 each such table is packed once per key and cached; only the layer side is
 packed per call.
 
-The outer variable's own factor is then applied to T_v: as an exact shift
-when it is a bare monomial, as a series product otherwise.  That layer is
-``convolve_layer``.  Its second user is the Bailey engine:
-the beta-side sum of the Bailey lemmas (``bailey._beta_sum``) is one layer
-with L_l = lift(l) * beta_l, d = 2, binomial step 2 for the star step, and
-an own factor of 1.
+``layer_product`` builds T_v for every v <= vmax, each read below its own
+precision best_v, so nothing in it depends on the outer variable's own
+factor.  The own pass then applies that factor to T_v: as an exact shift by
+o_v that keeps only the terms below wp - o_v when it is a bare monomial
+t^(o_v), as a series product otherwise.  ``convolve_layer`` is the two in
+turn, and ``multisum`` takes the same two per variable.  The second user of
+``convolve_layer`` is the Bailey engine: the beta-side sum of the Bailey
+lemmas (``bailey._beta_sum``) is one layer with L_l = lift(l) * beta_l,
+d = 2, binomial step 2 for the star step, and an own factor of 1: the
+shift by 0, which keeps every term of T_v.
 
 Working precision.  Every layer is truncated at the working order wp, and
 so are the Pochhammer factors.  What is lost there is regained only if the
@@ -83,24 +87,38 @@ means an extra series was not known far enough; that raises
 PrecisionExceeded.
 
 Memoised across rows.  The rows of one catalog family share most of their
-inner layers, and a generalisation at its boundary parameters sums the very
-series of the identity it generalises.  A caller that passes ``key``, one
-hashable description per variable of its extra (equal only where the
-extras are the same function of v at this tprec), has two things stored,
-each in a ``series.Memo``.  The sum, in ``_SUMS`` under ((quad, lin,
-description) per variable, gaps, tprec, vmax), looked up before any own
-factor is built: the descriptions pin the extras and so wp.  And the layer
-after each variable i, 1 <= i <= K - 2, in ``_LAYERS`` under (the name of
-the suffix of variables i.., tprec, wp, vmax), so that a sum not stored
-starts from its longest stored suffix.  A name is an int, interned from the
-inside out in the ever-growing ``_SUFFIXES`` under ((quad, lin, description)
-of variable i, gap i, the name inside it): equal names mean equal suffixes,
-and the keys of K variables take O(K) memory, not O(K^2).  The innermost
-layer is the own row, built anyway for wp, and the outermost one's sum is
-stored, so neither is.  Callers whose extras are closures over data (the
-Bailey lattice checks) pass no key.  The k <= 4 catalog sweep at q-order 60
-stores 186 layers in 0.59 MB and 298 sums in 0.20 MB; as dicts of series
-the layers alone would take 4.1 MB.
+inner variables and differ mostly in the outer one, and a generalisation at
+its boundary parameters sums the very series of the identity it
+generalises.  A caller that passes ``key``, one hashable description per
+variable of its extra (equal only where the extras are the same function of
+v at this tprec), has two things stored, each in a ``series.Memo``.  The
+sum, in ``_SUMS`` under ((quad, lin, description) per variable, gaps, tprec,
+vmax), looked up before any own factor is built: the descriptions pin the
+extras and so wp.  And the layer product of each gap i, before the own
+factor of variable i, in ``_CONVOLUTIONS`` under (the name of the suffix of
+variables i+1.. that it convolves, gap i, tprec, wp), so that rows that
+differ only in their outer variables share it.  A name is an int, interned
+from the inside out in the ever-growing ``_SUFFIXES`` under ((quad, lin,
+description) of variable i, gap i, the name inside it): equal names mean
+equal suffixes, and the keys of K variables take O(K) memory, not O(K^2).
+The key leaves vmax out.  T_v and best_v read L_u for u <= v only, L_u is
+the same whatever vmax the layer was summed to, and the lo, g and digit
+width that a larger vmax may change set the layout of the packed product,
+never a digit read back.  So an entry holds the vmax it was built to and
+T_v for every v up to it: a request at that vmax or below takes the entry
+restricted to v <= vmax, and a larger vmax builds it again and replaces it.
+``multisum`` looks for the outermost stored product first, so a row that
+misses only on its outer variable pays one recall and one own pass.  The
+innermost layer is the own row, built anyway for wp, so it is not stored.
+Callers whose extras are closures over data (the Bailey lattice checks)
+pass no key, and nothing is looked up or stored for them.  One shuffled
+pass of the k <= 4 catalog sweep at q-order 60 (perfbench's catalog_sweep,
+seed 1) builds 232 layer products, and stores 200 in 1.13 MiB and 298 sums
+in 0.19 MiB; a memo of the layers after their own factors, keyed by vmax
+too, built 468 from 186 stored layers in 0.57 MiB.  The row order decides
+which entries are restricted and which built again: 229-244 products over
+other seeds, 270 in catalog order.  At k <= 5 and q-order 100 the products
+take 5.14 MiB (2.37 MiB for the layers).
 """
 
 from __future__ import annotations
@@ -167,7 +185,7 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
         variable has an extra, which the default summation_bound cannot see.
     key: None, or per variable a hashable description of its extra, equal
         only where two extras are the same function of v at this tprec; then
-        the sum and its inner layers are memoised across calls (module
+        the sum and its layer products are memoised across calls (module
         docstring).
     Raises PrecisionExceeded when an extra is not known far enough for the
     result to reach tprec.
@@ -212,20 +230,26 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
         own.append(row)
     wp = tprec + R
 
-    # memo[i]: the memo key of the layer after variable i
-    memo = [None] * K
+    # names[i]: the memo key of the product before variable i's own factor,
+    # which convolves the suffix of variables i + 1..; the outermost stored
+    # one built to this vmax or more is taken, restricted to v <= vmax
+    names = [None] * (K - 1)
+    layer, start = None, K - 1
     if key is not None:
         inner = descs[-1]
-        for i in range(K - 2, 0, -1):
-            inner = _SUFFIXES.setdefault((descs[i], gaps[i], inner),
-                                         len(_SUFFIXES))
-            memo[i] = (inner, tprec, wp, vmax)
-    layer, start = None, K - 1
-    for i in range(1, K - 1):
-        hit = _LAYERS.recall(memo[i])
-        if hit is not None:
-            layer, start = dict(zip(*hit)), i
-            break
+        for i in range(K - 2, -1, -1):
+            names[i] = (inner, gaps[i], tprec, wp)
+            if i:
+                inner = _SUFFIXES.setdefault((descs[i], gaps[i], inner),
+                                             len(_SUFFIXES))
+        for i, name in enumerate(names):
+            hit = _CONVOLUTIONS.recall(name)
+            if hit is not None and hit[0][0] >= vmax:
+                (_, v0), products = hit
+                layer = _own_pass(dict(zip(range(v0, vmax + 1), products)),
+                                  own[i], wp)
+                start = i
+                break
     if layer is None:
         layer = {}
         for v, o in enumerate(own[K - 1]):
@@ -233,9 +257,11 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
                 _keep(layer, v, monomial(1, o, wp) if isinstance(o, int)
                       else o.truncate(wp), wp)
     for i in range(start - 1, -1, -1):
-        layer = convolve_layer(layer, own[i], gaps[i], wp) if layer else {}
-        if memo[i] is not None:
-            _LAYERS.store(memo[i], list(layer), layer.values())
+        products = layer_product(layer, vmax, gaps[i], wp) if layer else {}
+        if names[i] is not None:
+            _CONVOLUTIONS.store(names[i], (vmax, min(products, default=0)),
+                                products.values())
+        layer = _own_pass(products, own[i], wp)
 
     out = zero(wp)
     for s in layer.values():
@@ -251,7 +277,7 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
 
 
 # The memos and the suffix names of their keys (module docstring).
-_LAYERS = Memo()
+_CONVOLUTIONS = Memo()
 _SUMS = Memo()
 _SUFFIXES = {}
 
@@ -269,7 +295,8 @@ def _keep(layer, v, s, wp):
 
 def convolve_layer(layer, own_row, gap, wp):
     """One layer of the pass (module docstring): own_row[v] * T_v, truncated
-    at wp, for every v from min(layer) to len(own_row) - 1.
+    at wp, for every v from min(layer) to len(own_row) - 1; the composition
+    of ``layer_product`` and the own pass.
 
     layer: {u: L_u}, a nonempty dict of series; a zero series still bounds
         the precision of every T_v with v >= u.
@@ -277,49 +304,62 @@ def convolve_layer(layer, own_row, gap, wp):
         series, or None (an exact zero).
     gap: (den_step, binom_step) as in ``multisum``.
     Returns {v: series}, without the entries that are zero at precision wp.
-    ``multisum`` calls this once per variable; the Bailey engine's beta-side
-    sum is one call with own_row all 0.
+    ``multisum`` takes the same two steps per variable, with the products
+    memoised; the Bailey engine's beta-side sum is one call with own_row
+    all 0.
     """
+    return _own_pass(layer_product(layer, len(own_row) - 1, gap, wp),
+                     own_row, wp)
+
+
+def layer_product(layer, vmax, gap, wp):
+    """{v: T_v} for every v from min(layer) to vmax (module docstring), T_v
+    known below its precision best_v <= wp, which it holds as its prec.
+    Nothing here depends on an own factor, and T_v reads L_u for u <= v
+    only; a layer's u above vmax are not read."""
     den_step, b = gap
     b = b or 0
     us = [u for u in sorted(layer) if layer[u].coeffs]   # packed slots
     lo = min((min(layer[u].coeffs) - b * u for u in us), default=0)
 
-    # Precision of T_v: min over u <= v of prec(L_u * ip_{v-u}) - b*u, with
+    # best_v: min over u <= v of prec(L_u * ip_{v-u}) - b*u, with
     # prec(L_u * ip) = min(prec(L_u), wp + val(L_u)) since val(ip) = 0, and
     # at most wp: no term of L_u * t^(-b*u) or L_u * t^(b*u) at or above wp
-    # is packed.
-    # T_v is read below stop = wp - val(own_v) only: no more can reach the
-    # result.  It has no term below stop when stop <= lo, or when no
+    # is packed.  T_v has no term below best_v when best_v <= lo, or when no
     # nonzero L_u has u <= v; then nothing is read.
-    targets = []                # (v, precision of T_v, stop, read?)
+    v0 = min(layer)
+    precs = []
     best = INF
-    for v in range(min(layer), len(own_row)):
+    for v in range(v0, vmax + 1):
         s = layer.get(v)
         if s is not None:
             best = min(best, wp, min(s.prec, wp + _val(s)) - b * v)
-        o = own_row[v]
-        if o is not None:
-            stop = min(best, wp - (o if isinstance(o, int) else _val(o)))
-            targets.append((v, best, stop,
-                            bool(us) and v >= us[0] and stop > lo))
-
-    reads = [(v, stop) for v, _, stop, read in targets if read]
+        precs.append(best)
+    reads = [(v, p) for v, p in enumerate(precs, v0)
+             if us and v >= us[0] and p > lo]
     slots = {}
     if reads:
         slots = dict(zip((v for v, _ in reads),
                          _convolve(layer, us, lo, reads, den_step, b, wp)))
+    return {v: QSeries._of(slots.get(v, {}), p)
+            for v, p in enumerate(precs, v0)}
+
+
+def _own_pass(products, own_row, wp):
+    """own_row[v] * T_v truncated at wp for each {v: T_v} of products,
+    without the entries that are zero at precision wp."""
     nxt = {}
-    for v, t_prec, stop, _ in targets:
-        t = slots.get(v, {})
+    for v, t in products.items():
         o = own_row[v]
+        if o is None:
+            continue
         if isinstance(o, int):
-            # an exact shift; T_v holds only terms below stop, which shift
-            # below min(t_prec + o, wp)
-            s = QSeries._of({e + o: c for e, c in t.items()},
-                            min(t_prec + o, wp))
+            # an exact shift: only the terms of T_v below wp - o reach wp
+            s = QSeries._of({e + o: c for e, c in t.coeffs.items()
+                             if e < wp - o}, min(t.prec + o, wp))
         else:
-            s = (o * QSeries._of(t, stop)).truncate(wp)
+            # T_v is read below wp - val(o) only: no more can reach wp
+            s = (o * t.truncate(wp - _val(o))).truncate(wp)
         _keep(nxt, v, s, wp)
     return nxt
 

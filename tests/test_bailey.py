@@ -229,15 +229,18 @@ def test_corolattice_small(unit_q, unit_1):
 
 
 def test_lattice_checks_store_no_layers(unit_q, monkeypatch):
-    # their extras are closures over the pair, so multisum gets no key
+    # their extras are closures over the pair, so multisum gets no key: it
+    # builds its layer products, and neither looks one up nor stores one
     calls = []
-    real = sumeval.convolve_layer
-    monkeypatch.setattr(sumeval, "convolve_layer",
+    real = sumeval.layer_product
+    monkeypatch.setattr(sumeval, "layer_product",
                         lambda *args: calls.append(args) or real(*args))
-    sumeval._LAYERS.clear()
+    memo = sumeval._CONVOLUTIONS
+    memo.clear()
     assert B.check_coro3(unit_q, 3, 0, 0, B.INFINITY, B.INFINITY, TP) == (
         True, None)
-    assert len(calls) >= 2 and not sumeval._LAYERS
+    assert len(calls) >= 2 and not memo
+    assert memo.hits == memo.misses == 0
 
 
 def test_corolattice_insufficient_depth(unit_q):

@@ -167,7 +167,7 @@ def test_subset_variants_run_the_grid_rows_in_order():
 
 
 def _clear_memos():
-    sumeval._LAYERS.clear()
+    sumeval._CONVOLUTIONS.clear()
     sumeval._SUMS.clear()
     I._PRODUCTS.clear()
     I._last_factor.cache_clear()
@@ -175,9 +175,10 @@ def _clear_memos():
 
 
 def _count_layers(monkeypatch):
+    # the layer products that multisum builds, before any own factor
     calls = []
-    real = sumeval.convolve_layer
-    monkeypatch.setattr(sumeval, "convolve_layer",
+    real = sumeval.layer_product
+    monkeypatch.setattr(sumeval, "layer_product",
                         lambda *args: calls.append(args) or real(*args))
     return calls
 
@@ -201,14 +202,17 @@ def test_memoised_reports_do_not_depend_on_the_row_order():
 
 def test_a_row_starts_from_an_inner_layer_of_an_earlier_row(monkeypatch):
     # T = (1,) and T = (2,) differ only in the factors of s_1 and the gap
-    # s_1, s_2, so the layer after s_2 is shared
+    # s_1, s_2, so the product that convolves the layer after s_2 is shared:
+    # the second row misses the outermost product and hits that one
     calls = _count_layers(monkeypatch)
     _clear_memos()
-    for T, layers in (((1,), 2), ((2,), 1)):
+    memo = sumeval._CONVOLUTIONS
+    for T, layers, hits, misses in (((1,), 2, 0, 2), ((2,), 1, 1, 3)):
         calls.clear()
         rep = I.verify_identity("stanton_31",
                                 {"k": 3, "r": 0, "j": 1, "T": T}, 20)
         assert rep.equal and len(calls) == layers, T
+        assert (memo.hits, memo.misses, len(memo)) == (hits, misses, misses)
 
 
 def test_a_row_with_an_earlier_rows_sides_builds_no_layer(monkeypatch):
@@ -219,8 +223,13 @@ def test_a_row_with_an_earlier_rows_sides_builds_no_layer(monkeypatch):
     ag = I.verify_identity("andrews_gordon", {"k": 3, "r": 1}, 20)
     assert calls
     calls.clear()
+    counts = (sumeval._CONVOLUTIONS.hits, sumeval._CONVOLUTIONS.misses)
     st = I.verify_identity("stanton_32", {"k": 3, "r": 1, "j": 0}, 20)
     assert calls == []
+    # one hit on the stored sum, and no recall of a product
+    assert (sumeval._SUMS.hits, sumeval._SUMS.misses) == (1, 1)
+    assert (sumeval._CONVOLUTIONS.hits, sumeval._CONVOLUTIONS.misses) == \
+        counts
     assert (st.equal, st.first_mismatch, st.prec) == \
         (ag.equal, ag.first_mismatch, ag.prec) == (True, None, 20)
     assert I.lhs_series("stanton_32", {"k": 3, "r": 1, "j": 0}, 20) == \

@@ -137,12 +137,12 @@ def test_multisum_matches_brute_force(shape):
     # whole from the memo of sums and builds no layer
     sums = [multisum(engine_pervar, gaps, tprec, vmax=vmax, key=k)
             for k in (None, key)]
-    real, built = sumeval.convolve_layer, []
-    sumeval.convolve_layer = lambda *args: built.append(args) or real(*args)
+    real, built = sumeval.layer_product, []
+    sumeval.layer_product = lambda *args: built.append(args) or real(*args)
     try:
         sums.append(multisum(engine_pervar, gaps, tprec, vmax=vmax, key=key))
     finally:
-        sumeval.convolve_layer = real
+        sumeval.layer_product = real
     assert built == []
     for got in sums:
         assert got.prec == tprec
@@ -251,7 +251,8 @@ def memo_layers(draw):
 @example({0: zero(7), 3: QSeries({-2: -(2 ** 65), 4: 1}, 9)})
 @example({1: QSeries({3: 2 ** 64, 4: -1}), 2: zero(12)})
 def test_packed_layers_round_trip(layer):
-    # stored and read back as multisum stores a layer in _LAYERS
+    # stored and read back as multisum stores the products T_v of a layer in
+    # _CONVOLUTIONS, one series per v (here with the v themselves as data)
     memo = Memo()
     memo.store("key", list(layer), layer.values())
     back = dict(zip(*memo.recall("key")))
@@ -263,24 +264,83 @@ def test_packed_layers_round_trip(layer):
 
 
 def test_layer_memo_is_bounded(monkeypatch):
-    # one stored layer (after s_2) per shape but the first two, which share
-    # it; at a bound of 2 the memo keeps the most recently used layers
+    # the products that convolve the layer after s_3 (key: s_3, gap 2) and
+    # after s_2 (key: s_2.., gap 1); the first two shapes differ only in s_1
+    # and share both, and the last two share only the product after s_3 with
+    # them.  At a bound of 2 the memo keeps the most recently used products.
     monkeypatch.setattr(Memo, "MAX", 2)
-    sumeval._LAYERS.clear()
+    memo = sumeval._CONVOLUTIONS
+    memo.clear()
+    real, built = sumeval.layer_product, []
+    monkeypatch.setattr(sumeval, "layer_product",
+                        lambda *args: built.append(args) or real(*args))
     gaps = [(2, None), (2, None)]
     shapes = [[(2, lin, None), (2, 0, None), (2, 0, None)]
               for lin in (0, -2)] + [[(2, 0, None), (q, 0, None),
                                        (2, 0, None)] for q in (4, 6)]
     sums = []
-    for p in shapes:
+    # per shape: (products built, hits, misses) so far
+    counts = [(2, 0, 2), (2, 1, 2), (3, 2, 3), (4, 3, 4)]
+    for p, want in zip(shapes, counts):
         sums.append(multisum(p, gaps, 30, vmax=6, key=[None] * 3))
-        if len(sums) == 2:
-            assert len(sumeval._LAYERS) == 1
-    assert len(sumeval._LAYERS) == 2
-    # the shared layer was pushed out; without the stored sums, it is built
-    # again, the same
+        assert (len(built), memo.hits, memo.misses) == want
+        assert len(memo) == 2
+    # the products after s_2 were pushed out but the last; without the
+    # stored sums, each is built again, the same, from the stored product
+    # after s_3, and then serves the second shape
     sumeval._SUMS.clear()
-    for p, want in zip(shapes, sums):
+    for p, want, n in zip(shapes, sums, (1, 0, 1, 1)):
+        built.clear()
         assert multisum(p, gaps, 30, vmax=6, key=[None] * 3) == want
+        assert len(built) == n
         assert multisum(p, gaps, 30, vmax=6) == want
-    assert len(sumeval._LAYERS) == 2
+    assert len(memo) == 2
+
+
+@st.composite
+def memo_runs(draw):
+    """A run of multisum calls on shapes of 2-4 variables that share their
+    gaps and draw each variable's (quad, lin) from two choices, so that
+    calls share suffixes and with them stored products; each call has its
+    own vmax, so a stored product is sometimes restricted and sometimes
+    rebuilt.  The innermost variable may carry a Bailey-style extra, whose
+    valuation moves the working precision with vmax."""
+    K = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.tuples(st.sampled_from([1, 2]),
+                                   st.sampled_from([None, 1, 2])),
+                         min_size=K - 1, max_size=K - 1))
+    choices = draw(st.lists(st.lists(st.tuples(st.integers(1, 3),
+                                               st.integers(-3, 3)),
+                                     min_size=2, max_size=2),
+                            min_size=K, max_size=K))
+    calls = draw(st.lists(st.tuples(st.lists(st.integers(0, 1), min_size=K,
+                                             max_size=K),
+                                    st.integers(0, 9)),
+                          min_size=2, max_size=8))
+    return (gaps, choices, draw(st.sampled_from([None, 0, 1])),
+            draw(st.integers(8, 30)), calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_runs())
+# a product stored at vmax 1 is asked for at vmax 5: it is rebuilt
+@example(([(2, None)], [[(1, 0), (2, 0)], [(1, 0), (1, 0)]], None, 20,
+          [([0, 0], 1), ([1, 0], 5)]))
+# a product stored at vmax 5 is asked for at vmax 1: it is restricted
+@example(([(2, 2), (1, None)], [[(2, 0), (3, 0)], [(1, -1), (1, 0)],
+                                [(1, 0), (1, 0)]], 1, 20,
+          [([0, 0, 0], 5), ([1, 0, 0], 1), ([1, 1, 0], 3)]))
+def test_stored_products_equal_a_cold_build(run):
+    gaps, choices, tail, tprec, calls = run
+    sumeval._CONVOLUTIONS.clear()
+    sumeval._SUMS.clear()
+    for picks, vmax in calls:
+        pervar = [choice[c] + (None,) for choice, c in zip(choices, picks)]
+        key = [None] * len(pervar)
+        if tail is not None:
+            pervar[-1] = pervar[-1][:2] + (
+                _tail_factory(tprec + ORACLE_SLACK, tail),)
+            key[-1] = ("tail", tail)
+        want = multisum(pervar, gaps, tprec, vmax=vmax)
+        got = multisum(pervar, gaps, tprec, vmax=vmax, key=key)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec), vmax
