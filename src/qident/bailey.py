@@ -17,9 +17,15 @@ Every Bailey lemma shares one beta-side sum (``_beta_sum``), which is one
 layer of the multisum kernel (``sumeval.convolve_layer``): the layer
 product that ``multisum`` memoises, one packed big-int product, two for the
 star step, here built on every call and not stored, then the own pass by
-t^0, which keeps all of it.  ``verify`` stays on plain ring
-products, one per term against a cached 1/((q)_{n-l} (aq)_{n+l}), so the
-check does not go through the kernel it checks.
+t^0, which keeps all of it.  ``verify`` is the oracle for those sums,
+so it goes through none of that: for each n it builds sum_l alpha_l *
+1/((q)_{n-l} (aq)_{n+l}) as one signed big integer at one point, from the
+alphas packed once per call and the kernels packed once per digit width
+(cached by value), and reads it back once.  It shares only the Kronecker
+codec (``series.kron_pack`` and ``kron_unpack``), whose own oracle is
+plain int arithmetic, and makes no ring product; the kernels are cached
+1/(aq)_M divided by the polynomial (q)_m.  Its sums have the coefficients
+and precision of the ring sums of the products, term by term.
 
 Memoised across chains.  The star chains BL^(r+1), KEY1, BL^(k-r-j),
 STAR1^j on one seed share most of their prefixes, so ``run_chain`` stores
@@ -73,7 +79,8 @@ from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
-from .series import INF, Memo, QSeries, monomial, one, pack, zero
+from .series import (INF, Memo, QSeries, kron_pack, kron_unpack,
+                     monomial, one, pack, zero)
 from .sumeval import convolve_layer, multisum, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
@@ -229,25 +236,91 @@ def _agree(x: QSeries, y: QSeries, tp: int):
 @lru_cache(maxsize=1024)
 def _relation_kernel(aq: SM, m: int, M: int, tp: int) -> QSeries:
     """1/((q)_m (aq)_M) truncated at tp, the factor of alpha_l in the
-    defining relation for beta_n (m = n - l, M = n + l)."""
-    return inv_poch_finite(Q, 2, m, tp) * inv_poch_finite(aq, 2, M, tp)
+    defining relation for beta_n (m = n - l, M = n + l): the cached
+    1/(aq)_M divided by the polynomial (q)_m, so no ring product is made.
+    Both are units, so it has the precision and coefficients of
+    1/(q)_m * 1/(aq)_M, each truncated at tp."""
+    return inv_poch_finite(aq, 2, M, tp).divide(poch_finite(Q, 2, m), tp)
+
+
+@lru_cache(maxsize=1024)
+def _kernel_shape(aq: SM, m: int, M: int, tp: int) -> tuple:
+    """(valuation, precision, max |c|) of ``_relation_kernel``; an empty
+    kernel has valuation equal to its precision and max |c| 0."""
+    k = _relation_kernel(aq, m, M, tp)
+    return (min(k.coeffs, default=k.prec), k.prec,
+            max(map(abs, k.coeffs.values()), default=0))
+
+
+@lru_cache(maxsize=1024)
+def _packed_kernel(aq: SM, m: int, M: int, tp: int, nbytes: int) -> int:
+    """``_relation_kernel`` packed by ``_packed``."""
+    return _packed(_relation_kernel(aq, m, M, tp), nbytes)
+
+
+def _packed(s: QSeries, nbytes: int) -> int:
+    """s at X = 2^(8*nbytes) (``series.kron_pack`` at one point), digit 0 at
+    its valuation; 0 for an empty series."""
+    if not s.coeffs:
+        return 0
+    v = min(s.coeffs)
+    return kron_pack([(-v, s.coeffs, s.prec)], max(s.coeffs) - v + 1,
+                     nbytes)[0]
+
+
+def _relation_sums(p: BaileyPair, tp: int):
+    """Yield sum_l alpha_l/((q)_{n-l}(aq)_{n+l}) for n = 0..n_max, each with
+    the coefficients and precision of the ring sum of the products
+    alpha_l * ``_relation_kernel`` truncated at tp.
+
+    Each sum is one signed big integer in base X = 2^(8*nbytes): the sum over
+    l of A_l * K_l shifted to its exponent, with A_l packed once per call and
+    K_l once per width (``series.kron_pack`` at one point), read back once
+    (``kron_unpack``).  One width serves the call: every digit of every sum,
+    read or not, is at most sum_l sum |alpha_l| * max |K_l| in size.  The
+    n-th sum is known below p_n = min(tp, prec(alpha_l) + val(K_l),
+    prec(K_l) + val(alpha_l)) over l, the precision of the ring sum, where
+    an empty series has valuation equal to its precision; a term whose
+    lowest exponent val(alpha_l) + val(K_l) reaches p_n adds nothing below
+    it and is skipped."""
+    aq = p.a.times_qpow(1)
+    vals = [min(a.coeffs, default=a.prec) for a in p.alpha]
+    norms = [sum(map(abs, a.coeffs.values())) for a in p.alpha]
+    shapes = [[_kernel_shape(aq, n - l, n + l, tp) for l in range(n + 1)]
+              for n in range(p.n_max + 1)]
+    bound = max(sum(norms[l] * top for l, (_, _, top) in enumerate(row))
+                for row in shapes)
+    nbytes = bound.bit_length() // 8 + 1
+    packed = [_packed(a, nbytes) for a in p.alpha]
+    digit = 8 * nbytes
+    for n, row in enumerate(shapes):
+        pn = tp
+        for l, (vk, pk, _) in enumerate(row):
+            pn = min(pn, p.alpha[l].prec + vk, pk + vals[l])
+        terms = [(l, vals[l] + vk) for l, (vk, _, _) in enumerate(row)
+                 if vals[l] + vk < pn]
+        base = min((e for _, e in terms), default=pn)
+        h = 0
+        for l, e in terms:
+            h += (packed[l] * _packed_kernel(aq, n - l, n + l, tp, nbytes)
+                  << digit * (e - base))
+        yield QSeries._of(kron_unpack((h,), nbytes, [(0, pn - base, base)])[0],
+                          pn)
 
 
 def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     """Check beta_n = sum_l alpha_l/((q)_{n-l}(aq)_{n+l}) for every n <= n_max.
 
-    Plain ring products, term by term: this is the oracle for the beta-side
-    sums of ``apply``, so it does not share their packed layer product.  Both
-    inverse Pochhammers are units of precision tp, so alpha_l times their
-    cached product has the precision and coefficients of the two products
-    taken in turn.  The result carries the lowest order ``_agree`` used."""
+    This is the oracle for the beta-side sums of ``apply``, so it shares none
+    of their layer product: each sum comes from ``_relation_sums``, one
+    packed big integer per n, which shares only the Kronecker codec
+    (``series.kron_pack`` and ``kron_unpack`` at one point, whose own oracle
+    is plain int arithmetic).  The sums have the coefficients and precision
+    of the ring sums of alpha_l times the cached 1/((q)_{n-l} (aq)_{n+l}).
+    The result carries the lowest order ``_agree`` used."""
     tp = _order(p, prec)
-    aq = p.a.times_qpow(1)
     low = tp
-    for n in range(p.n_max + 1):
-        acc = zero(tp)
-        for l in range(n + 1):
-            acc = acc + p.alpha[l] * _relation_kernel(aq, n - l, n + l, tp)
+    for n, acc in enumerate(_relation_sums(p, tp)):
         same, _, upto = _agree(acc, p.beta[n], tp)
         low = min(low, upto)
         if not same:

@@ -1,8 +1,9 @@
 """Naive references for the Bailey engine: one series product and one sum
-per (n, l), the double loops that the packed beta-side sum and the cached
-verify kernel replace; the closed-form alpha of the star chains with both
-divisions made on every call; and pairs with a beta replaced or broken on
-purpose."""
+per (n, l), the ring double loops that the packed beta-side sum and the
+packed relation sums of ``verify`` replace (each relation term is alpha_l
+times the two inverse Pochhammers in turn); the closed-form alpha of the
+star chains with both divisions made on every call; and pairs with a beta
+replaced or broken on purpose."""
 
 from qident.bailey import BaileyPair
 from qident.qfunctions import Q, inv_poch_finite
@@ -26,18 +27,27 @@ def beta_sum(p, lift, star=False):
     return beta
 
 
-def first_bad_n(p, prec=None):
-    """The first n whose defining relation fails, with two products per term
-    (None when every n <= n_max holds), and the lowest t-order below which
-    an n up to it was compared."""
-    tp = p.prec if prec is None else min(prec, p.prec)
+def relation_sums(p, tp):
+    """sum_l alpha_l/((q)_{n-l}(aq)_{n+l}) for every n <= n_max, truncated
+    at tp, with two ring products and one ring sum per term."""
     aq = p.a.times_qpow(1)
-    orders = []
+    sums = []
     for n in range(p.n_max + 1):
         acc = zero(tp)
         for l in range(n + 1):
             acc = acc + (p.alpha[l] * inv_poch_finite(Q, 2, n - l, tp)
                          * inv_poch_finite(aq, 2, n + l, tp))
+        sums.append(acc)
+    return sums
+
+
+def first_bad_n(p, prec=None):
+    """The first n whose defining relation fails, from ``relation_sums``
+    (None when every n <= n_max holds), and the lowest t-order below which
+    an n up to it was compared."""
+    tp = p.prec if prec is None else min(prec, p.prec)
+    orders = []
+    for n, acc in enumerate(relation_sums(p, tp)):
         orders.append(min(acc.prec, p.beta[n].prec, tp))
         same, _ = acc.equal_up_to(p.beta[n], orders[-1])
         if not same:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident import bailey as B
-from qident import sumeval
+from qident import series, sumeval
 from qident.errors import (DegenerateDivision, InsufficientDepth,
                            NotStabilized, ParameterOutOfRange,
                            PoleAtParameter, PrecisionExceeded,
@@ -646,6 +646,103 @@ def test_verify_matches_the_two_product_form_on_a_corrupted_pair():
             want, upto = naive.first_bad_n(pair, prec)
             assert B.verify(pair, prec) == B.VerifyResult(want is None, want,
                                                           upto)
+
+
+# a = q^(-1/2), 1, q^(1/2), q and q^2
+_PARAMETERS = (SM(1, -1), ONE_M, SM(1, 1), Q, SM(1, 4))
+
+
+@st.composite
+def _relation_cases(draw):
+    """Pairs whose alphas have negative and odd exponents and coefficients of
+    up to 67 bits, or are zero, known below, at or above tp or exactly."""
+    n_max = draw(st.integers(0, 5))
+    tp = draw(st.integers(1, 20))
+    top = 2 ** draw(st.integers(0, 66))
+    coeffs = st.dictionaries(st.integers(-6, 24), st.integers(-top, top),
+                             max_size=5)
+    alpha = tuple(QSeries(draw(st.one_of(st.just({}), coeffs)),
+                          draw(st.sampled_from([tp - 3, tp - 1, tp, tp + 1,
+                                                tp + 4, INF])))
+                  for _ in range(n_max + 1))
+    return B.BaileyPair(draw(st.sampled_from(_PARAMETERS)), n_max, alpha,
+                        (zero(tp),) * (n_max + 1), tp)
+
+
+def _sums(sums):
+    return [(s.coeffs, s.prec) for s in sums]
+
+
+def _clear_kernel_caches():
+    for f in (B._relation_kernel, B._kernel_shape, B._packed_kernel):
+        f.cache_clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_cases(), st.integers(1, 8))
+def test_relation_sums_match_the_ring_double_loop(p, wider):
+    tp = p.prec
+    want = _sums(naive.relation_sums(p, tp))
+    _clear_kernel_caches()
+    assert _sums(B._relation_sums(p, tp)) == want
+    # the same kernels at a width `wider` bytes more, the alphas scaled to
+    # need it, then the pair again from a cache that holds both widths
+    scale = 1 << 8 * wider
+    scaled = naive.with_alpha(p, [scale * a for a in p.alpha])
+    assert _sums(B._relation_sums(scaled, tp)) == [
+        ({e: scale * c for e, c in coeffs.items()}, prec)
+        for coeffs, prec in want]
+    assert _sums(B._relation_sums(p, tp)) == want
+
+
+def test_relation_sums_take_every_width_from_one_to_nine(monkeypatch):
+    widths = []
+    real = B.kron_pack
+    monkeypatch.setattr(B, "kron_pack", lambda rows, nd, nbytes, *rest:
+                        widths.append(nbytes) or real(rows, nd, nbytes, *rest))
+    base = B.unit_pair(SM(1, 1), 3, 9)
+    seen = set()
+    for bits in range(0, 66, 2):
+        widths.clear()
+        p = naive.with_alpha(base, [(1 << bits) * a for a in base.alpha])
+        assert _sums(B._relation_sums(p, 9)) == _sums(
+            naive.relation_sums(p, 9)), bits
+        assert len(set(widths)) == 1, widths
+        seen |= set(widths)
+    assert seen == set(range(1, 10))
+
+
+def test_verify_shares_only_the_codec_with_apply(monkeypatch):
+    """verify is the oracle for the beta-side sums of ``apply``: on a chained
+    pair it enters neither their layer product, its packed tables and their
+    norms, nor the two-point path, nor the packed ring product.  It shares
+    only the Kronecker codec at one point (``series.kron_pack`` and
+    ``kron_unpack``), whose own oracle is plain int arithmetic
+    (``test_series.py::test_kron_pack_and_unpack_match_int_arithmetic``)."""
+    p, log = B.run_chain(B.pair_dprime4(Q, 10, 101),
+                         ["BL_INF", "KEY1", "BL_INF", "STAR1"])
+    assert all(res.ok for _, _, res in log)
+    _clear_kernel_caches()       # the kernels are built under the spies too
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"verify entered {name}")
+        return spy
+
+    for module, name in ((sumeval, "layer_product"),
+                         (sumeval, "convolve_layer"), (B, "convolve_layer"),
+                         (sumeval, "_convolve"), (sumeval, "_packed_ips"),
+                         (sumeval, "_ip_norms"), (series, "_mul_packed")):
+        monkeypatch.setattr(module, name, refuse(name))
+    points = []
+    real = series.kron_pack
+    for module in (series, sumeval, B):
+        monkeypatch.setattr(module, "kron_pack", lambda *args, **kwargs: (
+            points.append(args[4] if len(args) > 4
+                          else kwargs.get("points", 1))
+            or real(*args, **kwargs)))
+    assert B.verify(p) == B.VerifyResult(True, None, 101)
+    assert points and set(points) == {1}
 
 
 def test_run_chain_stops_at_the_first_failing_step(monkeypatch, unit_q):

@@ -5,7 +5,8 @@ import pytest
 from qident import bailey as B
 from qident import identities as I
 from qident import sumeval
-from qident.bailey import _relation_kernel, _star_factor
+from qident.bailey import (_kernel_shape, _packed_kernel,
+                           _relation_kernel, _star_factor)
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
@@ -188,7 +189,8 @@ def test_theta_sum_direct_coefficients():
 def test_caches_are_bounded(monkeypatch):
     # the keys include prec, so an unbounded cache grows with every order
     for f in (poch_finite, poch_infinite, inv_poch_finite, triple_product,
-              _relation_kernel, _star_factor, _ip_norms, _packed_ips):
+              _relation_kernel, _kernel_shape, _packed_kernel,
+              _star_factor, _ip_norms, _packed_ips):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does
@@ -225,3 +227,18 @@ def test_caches_are_bounded(monkeypatch):
             _packed_ips(4, 1, 5, W, 1, 0, step, 2)
     assert _packed_ips.cache_info().currsize == maxsize
     _packed_ips.cache_clear()
+    # a packed relation kernel is keyed by its width and its shape is not:
+    # one kernel at three widths is three packed entries and one shape
+    _kernel_shape.cache_clear()
+    _packed_kernel.cache_clear()
+    for nbytes in (1, 2, 3):
+        _kernel_shape(Q, 2, 4, 11)
+        _packed_kernel(Q, 2, 4, 11, nbytes)
+    assert _kernel_shape.cache_info().currsize == 1
+    assert _packed_kernel.cache_info().currsize == 3
+    maxsize = _packed_kernel.cache_info().maxsize
+    for nbytes in range(1, maxsize + 3):
+        _packed_kernel(Q, 0, 0, 3, nbytes)
+    assert _packed_kernel.cache_info().currsize == maxsize
+    _kernel_shape.cache_clear()
+    _packed_kernel.cache_clear()
