@@ -337,14 +337,21 @@ def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
 
     This is one multisum layer (``sumeval.convolve_layer``) with
     L_l = lift(l) beta_l and an own factor of 1, at working precision
-    p.prec: one packed product, two with the bracket.  L_l is not truncated
-    (a lift of negative valuation brings terms from above p.prec down), and
-    every l enters the layer, zero series included: with the bracket a zero
-    beta_l known only to p.prec still lowers the precision of beta'_n."""
-    tp = p.prec
-    layer = {l: lift(l) * p.beta[l] for l in range(p.n_max + 1)}
-    out = convolve_layer(layer, [0] * (p.n_max + 1), (2, 2 if star else None),
-                         tp)
+    p.prec: one packed product, two with the bracket.  The layer product
+    packs only the terms of L_l below tp + b*l (b = 2 with the bracket, 0
+    without), so beta_l is cut at tp + b*l - val(lift(l)) before the lift;
+    every beta'_n keeps the precision the uncut layer gives it.  An
+    exact-zero lift stays an exact zero.  Every l enters the layer, zero
+    series included: with the bracket a zero beta_l known only to p.prec
+    still lowers the precision of beta'_n."""
+    tp, b = p.prec, 2 if star else 0
+    layer = {}
+    for l in range(p.n_max + 1):
+        x, beta = lift(l), p.beta[l]
+        if x.coeffs:
+            beta = beta.truncate(tp + b * l - min(x.coeffs))
+        layer[l] = x * beta
+    out = convolve_layer(layer, [0] * (p.n_max + 1), (2, b or None), tp)
     return [out.get(n, zero(tp)) for n in range(p.n_max + 1)]
 
 
@@ -836,8 +843,11 @@ def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
     if n >= 1:
         t = t - _seed_quotient(seed.alpha[n - 1], 4 * n - 2,
                                tp).shift(-4 * r * n - 2)
-    out = _star_factor(n, j) * t
-    return out.shift(2 * (k + 1) * n * n + 2 * (r + 1 - j) * n).truncate(tp)
+    # the factor has valuation 0, so terms of t at or above tp - shift only
+    # reach tp or more
+    shift = 2 * (k + 1) * n * n + 2 * (r + 1 - j) * n
+    out = _star_factor(n, j) * t.truncate(tp - shift)
+    return out.shift(shift).truncate(tp)
 
 
 def star_chain(k: int, r: int, j: int):

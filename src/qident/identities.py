@@ -24,8 +24,9 @@ from math import comb
 from typing import Callable, Optional
 
 from .errors import CatalogRangeError, InvalidParameters
-from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite, poch_finite,
-                         poch_infinite, triple_product)
+from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite,
+                         inv_poch_infinite, poch_finite, poch_infinite,
+                         triple_product)
 from .series import Memo, QSeries, one, zero
 from .sumeval import multisum, summation_bound
 
@@ -120,7 +121,14 @@ _PRODUCTS = Memo()
 
 
 def eval_product(side: ProductSide, qprec: int) -> QSeries:
-    """Exact truncation of the product side to q-order qprec."""
+    """Exact truncation of the product side to q-order qprec.
+
+    Each (x; q^b)_inf of den_inf is divided out as a product with its
+    cached reciprocal (``qfunctions.inv_poch_infinite``), a unit of
+    valuation 0 known to the t-order tp, so the quotient has the precision
+    of long division, min(prec(acc), tp + val(acc)), and is taken on the
+    packed multiply when dense enough.  The den_units, exact polynomials,
+    are divided out by long division."""
     memo_key = (side, qprec)
     hit = _PRODUCTS.recall(memo_key)
     if hit is not None:
@@ -141,7 +149,7 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     for sm, base in side.num_inf:
         acc = acc * poch_infinite(sm, base, tp)
     for sm, base in side.den_inf:
-        acc = acc.divide(poch_infinite(sm, base, tp), tp)
+        acc = acc * inv_poch_infinite(sm, base, tp)
     for poly in side.den_units:
         acc = acc.divide(QSeries(list(poly)), tp)
     acc = acc.truncate(tp)

@@ -115,6 +115,15 @@ def poch_infinite(x: SM, base: int, prec) -> QSeries:
 
 
 @lru_cache(maxsize=1024)
+def inv_poch_infinite(x: SM, base: int, prec) -> QSeries:
+    """1 / (x; q^(base/2))_inf truncated at prec, a unit for x of positive
+    valuation: the reciprocal of the cached ``poch_infinite``, exact below
+    prec.  A series s times it is exact below min(prec(s), prec + val(s)),
+    as s divided by the product would be."""
+    return poch_infinite(x, base, prec).invert(prec)
+
+
+@lru_cache(maxsize=1024)
 def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
     """1 / (x; q^(base/2))_n truncated at prec (a unit product): the cached
     n - 1 value divided by the last factor, kept at prec if that rises."""

@@ -626,6 +626,10 @@ def _beta_sum_cases(draw, grid=1):
 # beta-side sum packs on the grid step 2
 @example((2, 9, (one(9), zero(9), zero(9)), [one(), monomial(1, 2),
                                              monomial(1, 8)], True))
+# an exact-zero lift, as (rho)_l at rho = 1 for l >= 1: its product with
+# beta_l stays an exact zero, however beta_l is cut before the lift
+@example((2, 7, (one(7), monomial(3, 2, 7), one(6)), [one(), zero(), zero()],
+          True))
 def test_beta_sum_matches_the_double_loop(case):
     n_max, tp, beta, lifts, star = case
     p = B.BaileyPair(Q, n_max, (zero(tp),) * (n_max + 1), beta, tp)

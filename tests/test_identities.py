@@ -16,8 +16,9 @@ from qident import identities as I
 from qident import sumeval
 from qident.errors import (CatalogRangeError, InvalidParameters,
                            PrecisionExceeded)
-from qident.qfunctions import Q, SignedMonomial as SM, triple_product
-from qident.series import QSeries, monomial, zero
+from qident.qfunctions import (Q, SignedMonomial as SM, inv_poch_infinite,
+                               poch_infinite, triple_product)
+from qident.series import QSeries, monomial, one, zero
 
 from catalog_helpers import rhs_series
 from gf_oracle import qbinom
@@ -301,6 +302,42 @@ def test_kursungoz_rhs_divisible_by_one_plus_q():
     back = quotient * QSeries([(0, 1), (2, 1)])
     assert back.equal_up_to(numerator, min(back.prec, numerator.prec, tp)) \
         == (True, None)
+
+
+# every product side of the catalog with k <= 5, and the (x; q^b)_inf it
+# divides by
+_SIDES = list(dict.fromkeys(I.CATALOG[name].rhs(params)
+                            for name, params in I.catalog_rows(5)))
+_DEN_INF = list(dict.fromkeys(d for side in _SIDES for d in side.den_inf))
+
+
+@pytest.mark.parametrize("qprec", [10, 60, 100])
+def test_reciprocal_product_side_matches_long_division(qprec):
+    # times the cached 1/(x; q^b)_inf, a series has the coefficients and
+    # precision that long division by (x; q^b)_inf gives it: numerators of
+    # valuation 0 and above, known to tp or less, a zero one among them
+    tp = I.tgrid(qprec)
+    numerators = [one(tp), QSeries({3: -2, 4: 5, 9: 2 ** 70}, tp - 5),
+                  zero(tp - 3), 7 * triple_product(14, 4, tp).shift(2)]
+    for sm, base in _DEN_INF:
+        inv = inv_poch_infinite(sm, base, tp)
+        assert (inv.prec, min(inv.coeffs), inv.coeffs[0]) == (tp, 0, 1)
+        for num in numerators:
+            got = num * inv
+            want = num.divide(poch_infinite(sm, base, tp), tp)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec), \
+                (sm, base, num)
+    # and every product side is its numerator divided by its den_inf, one
+    # factor after the other, and by its den_units
+    for side in _SIDES:
+        want = I.eval_product(dataclasses.replace(side, den_inf=(),
+                                                  den_units=()), qprec)
+        for sm, base in side.den_inf:
+            want = want.divide(poch_infinite(sm, base, tp), tp)
+        for poly in side.den_units:
+            want = want.divide(QSeries(list(poly)), tp)
+        got = I.eval_product(side, qprec)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec), side
 
 
 def test_eval_product_zero_theta_terms():

@@ -10,8 +10,8 @@ from qident.bailey import (_kernel_shape, _packed_kernel,
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
-                               inv_poch_finite, poch_finite, poch_infinite,
-                               triple_product)
+                               inv_poch_finite, inv_poch_infinite,
+                               poch_finite, poch_infinite, triple_product)
 from qident.series import Memo, QSeries, unpack
 from qident.sumeval import _ip_norms, _packed_ips, multisum
 
@@ -188,9 +188,10 @@ def test_theta_sum_direct_coefficients():
 
 def test_caches_are_bounded(monkeypatch):
     # the keys include prec, so an unbounded cache grows with every order
-    for f in (poch_finite, poch_infinite, inv_poch_finite, triple_product,
-              _relation_kernel, _kernel_shape, _packed_kernel,
-              _star_factor, _ip_norms, _packed_ips):
+    for f in (poch_finite, poch_infinite, inv_poch_finite,
+              inv_poch_infinite, triple_product, _relation_kernel,
+              _kernel_shape, _packed_kernel, _star_factor, _ip_norms,
+              _packed_ips):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does

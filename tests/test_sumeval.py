@@ -168,21 +168,33 @@ def bound_layers(draw):
     return wp, layer
 
 
+# own rows of convolve_layer: the Bailey engine's all 0, and one with every
+# kind of entry, series of finite and infinite precision among them
+_OWN_ROWS = ([0] * 7,
+             [3, None, QSeries({0: 2, 2: -1}), -2, QSeries({-2: 5}, 9), 0,
+              QSeries({1: -(2 ** 70)})])
+
+
 @settings(max_examples=150, deadline=None)
 @given(bound_layers(), st.sampled_from([1, 2, 4]),
-       st.sampled_from([None, 1, 2]), st.sampled_from([0, INF]))
+       st.sampled_from([None, 1, 2]), st.sampled_from([0, INF]),
+       st.sampled_from(_OWN_ROWS))
 @example((12, {0: QSeries({e: 2 ** 70 for e in range(0, 12, 2)}),
                1: QSeries({e: -2 ** 70 for e in range(-2, 14, 2)}, 11)}),
-         2, 2, 0)
+         2, 2, 0, _OWN_ROWS[0])
 def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
-                                                      two_point_bytes):
-    # T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u} [* (t^(b*v) + t^(-b*u))]
-    # as plain series products and sums, both binomial branches included,
-    # with every product taken at two points or every one at one point
+                                                      two_point_bytes,
+                                                      own_row):
+    # own_row[v] * T_v with T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u}
+    # [* (t^(b*v) + t^(-b*u))] as plain series products and sums, both
+    # binomial branches included, with every product taken at two points
+    # or every one at one point
     wp, layer = case
     n = 7
     want = {}
     for v in range(min(layer), n):
+        if own_row[v] is None:
+            continue
         t = zero(wp)
         for u, s in layer.items():
             if u <= v:
@@ -191,11 +203,12 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
                 if b:
                     term = term * QSeries([(b * v, 1), (-b * u, 1)])
                 t = t + term
-        t = t.truncate(wp)
+        o = own_row[v]
+        t = (t.shift(o) if isinstance(o, int) else o * t).truncate(wp)
         if t.coeffs or t.prec < wp:
             want[v] = t
     with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
-        got = sumeval.convolve_layer(layer, [0] * n, (den_step, b), wp)
+        got = sumeval.convolve_layer(layer, own_row, (den_step, b), wp)
     assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
         {v: (s.coeffs, s.prec) for v, s in want.items()}
 
@@ -344,3 +357,74 @@ def test_stored_products_equal_a_cold_build(run):
         want = multisum(pervar, gaps, tprec, vmax=vmax)
         got = multisum(pervar, gaps, tprec, vmax=vmax, key=key)
         assert (got.coeffs, got.prec) == (want.coeffs, want.prec), vmax
+
+
+def own_pass_then_sum(products, own_row, wp):
+    """The reference for sumeval._own_sum: the own pass as multisum took it
+    before the outer step was fused, every own series shifted by its
+    exponent in full, and then the ring sum of its series."""
+    layer = {}
+    for v, t in products.items():
+        o = own_row[v]
+        if o is None:
+            continue
+        if isinstance(o, int):
+            s = QSeries({e + o: c for e, c in t.coeffs.items()
+                         if e < wp - o}, min(t.prec + o, wp))
+        else:
+            x = o[1].shift(o[0])
+            low = min(x.coeffs) if x.coeffs else x.prec
+            s = (x * t.truncate(wp - low)).truncate(wp)
+        if s.coeffs or s.prec < wp:
+            layer[v] = s
+    out = zero(wp)
+    for s in layer.values():
+        out = out + s
+    return out
+
+
+_BIG = st.integers(-2 ** 64, 2 ** 64) | st.sampled_from([2 ** 64, -2 ** 64])
+
+
+@st.composite
+def outer_steps(draw):
+    """(products, own_row, wp) as the outermost variable sees them: T_v
+    known below wp or less, own entries of every kind (bare exponents,
+    (exponent, series) pairs with Laurent, exact and truncated series, and
+    None), coefficients of either sign up to 2^64."""
+    wp = draw(st.integers(1, 40))
+    products, own_row = {}, []
+    for v in range(draw(st.integers(1, 7))):
+        terms = draw(st.dictionaries(st.integers(-4, wp + 4), _BIG,
+                                     max_size=12))
+        products[v] = QSeries(terms, wp - draw(st.integers(0, 6)))
+        kind = draw(st.sampled_from(["int", "pair", "none"]))
+        o = draw(st.integers(-6, 20))
+        if kind == "int":
+            own_row.append(o)
+        elif kind == "pair":
+            x = QSeries(draw(st.dictionaries(st.integers(-4, 30), _BIG,
+                                             max_size=12)),
+                        draw(st.integers(-2, wp + 6) | st.just(INF)))
+            own_row.append((o, x) if x.coeffs or x.prec is not INF else None)
+        else:
+            own_row.append(None)
+    return products, own_row, wp
+
+
+@settings(max_examples=300, deadline=None)
+@given(outer_steps())
+# every coefficient at 2^64 and no cancellation: the digits of the packed
+# sum reach its bound, and a bound without the own factor's sizes is short
+@example(({v: QSeries({e: 2 ** 64 for e in range(8)}, 10) for v in range(3)},
+          [(0, QSeries({e: 2 ** 64 for e in range(6)})),
+           (1, QSeries({e: 2 ** 64 for e in range(-2, 4)}, 12)), 2], 12))
+# heads that add no term below wp: one that starts at wp - 1, and an empty
+# one known to t^3, which still bounds the precision of the sum
+@example(({0: QSeries({0: 1}, 9), 1: QSeries({3: -5}, 7)},
+          [(9, QSeries({0: 1})), (2, QSeries({}, 3))], 10))
+def test_outer_step_matches_the_own_pass_and_ring_sum(case):
+    products, own_row, wp = case
+    got = sumeval._own_sum(products, own_row, wp)
+    want = own_pass_then_sum(products, own_row, wp)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
