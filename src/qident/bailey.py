@@ -13,19 +13,19 @@ every move rather than trusting any closed form.  Two steps are
 compositions: the lattice step a -> a/q is key lemma 1 followed by the
 Bailey lemma at a/q, and STAR1 is the star step at a = 1.
 
-Every Bailey lemma shares one beta-side sum (``_beta_sum``), which is one
-layer of the multisum kernel (``sumeval.convolve_layer``): the layer
-product that ``multisum`` memoises, one packed big-int product, two for the
-star step, here built on every call and not stored, then the own pass by
-t^0, which keeps all of it.  ``verify`` is the oracle for those sums,
-so it goes through none of that: for each n it builds sum_l alpha_l *
-1/((q)_{n-l} (aq)_{n+l}) as one signed big integer at one point, from the
-alphas packed once per call and the kernels packed once per digit width
-(cached by value), and reads it back once.  It shares only the Kronecker
-codec (``series.kron_pack`` and ``kron_unpack``), whose own oracle is
-plain int arithmetic, and makes no ring product; the kernels are cached
-1/(aq)_M divided by the polynomial (q)_m.  Its sums have the coefficients
-and precision of the ring sums of the products, term by term.
+Every Bailey lemma shares one beta-side sum (``_beta_sum``), which is a
+bare layer product of the multisum kernel (``sumeval.layer_product``, the
+convolution that ``multisum`` memoises, with no own factor): one packed
+big-int product, two for the star step, here built on every call and not
+stored.  ``verify`` is the oracle for those sums, so it goes through none
+of that: for each n it builds sum_l alpha_l * 1/((q)_{n-l} (aq)_{n+l}) as
+one signed big integer at one point, from the alphas packed once per call
+and the kernels packed once per digit width (cached by value), and reads it
+back once.  It shares only the Kronecker codec (``series.kron_pack``, one
+row at a time through ``kron_pack_one``, and ``kron_unpack``), whose own
+oracle is plain int arithmetic, and makes no ring product; the kernels are
+cached 1/(aq)_M divided by the polynomial (q)_m.  Its sums have the
+coefficients and precision of the ring sums of the products, term by term.
 
 Memoised across chains.  The star chains BL^(r+1), KEY1, BL^(k-r-j),
 STAR1^j on one seed share most of their prefixes, so ``run_chain`` stores
@@ -79,9 +79,9 @@ from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
-from .series import (INF, Memo, QSeries, kron_pack, kron_unpack,
-                     monomial, one, pack, zero)
-from .sumeval import convolve_layer, multisum, summation_bound
+from .series import (INF, Memo, QSeries, digit_bytes, kron_pack_one,
+                     kron_unpack, monomial, one, pack, zero)
+from .sumeval import layer_product, multisum, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
 INFINITY = "infinity"
@@ -254,18 +254,10 @@ def _kernel_shape(aq: SM, m: int, M: int, tp: int) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _packed_kernel(aq: SM, m: int, M: int, tp: int, nbytes: int) -> int:
-    """``_relation_kernel`` packed by ``_packed``."""
-    return _packed(_relation_kernel(aq, m, M, tp), nbytes)
-
-
-def _packed(s: QSeries, nbytes: int) -> int:
-    """s at X = 2^(8*nbytes) (``series.kron_pack`` at one point), digit 0 at
-    its valuation; 0 for an empty series."""
-    if not s.coeffs:
-        return 0
-    v = min(s.coeffs)
-    return kron_pack([(-v, s.coeffs, s.prec)], max(s.coeffs) - v + 1,
-                     nbytes)[0]
+    """``_relation_kernel`` at X = 2^(8*nbytes), digit 0 at its valuation
+    (``series.kron_pack_one``)."""
+    k = _relation_kernel(aq, m, M, tp)
+    return kron_pack_one(k.coeffs, min(k.coeffs, default=0), k.prec, nbytes)
 
 
 def _relation_sums(p: BaileyPair, tp: int):
@@ -275,7 +267,7 @@ def _relation_sums(p: BaileyPair, tp: int):
 
     Each sum is one signed big integer in base X = 2^(8*nbytes): the sum over
     l of A_l * K_l shifted to its exponent, with A_l packed once per call and
-    K_l once per width (``series.kron_pack`` at one point), read back once
+    K_l once per width (``series.kron_pack_one``), read back once
     (``kron_unpack``).  One width serves the call: every digit of every sum,
     read or not, is at most sum_l sum |alpha_l| * max |K_l| in size.  The
     n-th sum is known below p_n = min(tp, prec(alpha_l) + val(K_l),
@@ -290,8 +282,9 @@ def _relation_sums(p: BaileyPair, tp: int):
               for n in range(p.n_max + 1)]
     bound = max(sum(norms[l] * top for l, (_, _, top) in enumerate(row))
                 for row in shapes)
-    nbytes = bound.bit_length() // 8 + 1
-    packed = [_packed(a, nbytes) for a in p.alpha]
+    nbytes = digit_bytes(bound)
+    packed = [kron_pack_one(a.coeffs, v, a.prec, nbytes)
+              for a, v in zip(p.alpha, vals)]
     digit = 8 * nbytes
     for n, row in enumerate(shapes):
         pn = tp
@@ -315,9 +308,10 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     of their layer product: each sum comes from ``_relation_sums``, one
     packed big integer per n, which shares only the Kronecker codec
     (``series.kron_pack`` and ``kron_unpack`` at one point, whose own oracle
-    is plain int arithmetic).  The sums have the coefficients and precision
-    of the ring sums of alpha_l times the cached 1/((q)_{n-l} (aq)_{n+l}).
-    The result carries the lowest order ``_agree`` used."""
+    is plain int arithmetic, with ``kron_pack_one`` and ``digit_bytes``).
+    The sums have the coefficients and precision of the ring sums of alpha_l
+    times the cached 1/((q)_{n-l} (aq)_{n+l}).  The result carries the
+    lowest order ``_agree`` used."""
     tp = _order(p, prec)
     low = tp
     for n, acc in enumerate(_relation_sums(p, tp)):
@@ -335,8 +329,8 @@ def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
     """beta'_n = sum_{l<=n} lift(l) beta_l (q^n + q^-l) / (q)_{n-l} for every
     n <= n_max, the bracket only when ``star``; lift(l) is an exact series.
 
-    This is one multisum layer (``sumeval.convolve_layer``) with
-    L_l = lift(l) beta_l and an own factor of 1, at working precision
+    This is one multisum layer product (``sumeval.layer_product``) with
+    L_l = lift(l) beta_l, d = 2 and no own factor, at working precision
     p.prec: one packed product, two with the bracket.  The layer product
     packs only the terms of L_l below tp + b*l (b = 2 with the bracket, 0
     without), so beta_l is cut at tp + b*l - val(lift(l)) before the lift;
@@ -351,8 +345,7 @@ def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
         if x.coeffs:
             beta = beta.truncate(tp + b * l - min(x.coeffs))
         layer[l] = x * beta
-    out = convolve_layer(layer, [0] * (p.n_max + 1), (2, b or None), tp)
-    return [out.get(n, zero(tp)) for n in range(p.n_max + 1)]
+    return list(layer_product(layer, p.n_max, (2, b or None), tp).values())
 
 
 def _bl(p: BaileyPair) -> BaileyPair:

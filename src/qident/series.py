@@ -107,12 +107,6 @@ class QSeries:
         """True when no known coefficient is nonzero (unknown tail may differ)."""
         return not self.coeffs
 
-    def coeff(self, e: int) -> int:
-        """Exact coefficient of t^e.  PrecisionExceeded at or above prec."""
-        if e >= self.prec:
-            raise PrecisionExceeded(f"exponent {e} >= prec {self.prec}")
-        return self.coeffs.get(e, 0)
-
     def equal_up_to(self, other: "QSeries", p):
         """Compare coefficients below p.  Returns (True, None) or (False, e)."""
         p = _as_prec(p)
@@ -307,8 +301,8 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1,
     Coefficients may be negative.  Each is stored with a bias of half a
     digit, and the bias pattern is subtracted at the end, so every |c| must
     be below 2^(8*nbytes - 1).  For products of packed integers the same
-    must hold for every digit of the result: ``bound.bit_length() // 8 + 1``
-    bytes are enough when ``bound`` bounds every |digit|.
+    must hold for every digit of the result: ``digit_bytes(bound)`` bytes
+    are enough when ``bound`` bounds every |digit|.
 
     Digits of up to 8 bytes are written as native unsigned machine words
     (1, 2, 4 or 8 bytes on a little-endian host) through a ``memoryview``
@@ -343,6 +337,22 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1,
     even, odd = values
     odd <<= 4 * nbytes
     return even + odd, even - odd
+
+
+def digit_bytes(bound: int) -> int:
+    """The digit width, in bytes, that holds every signed digit of absolute
+    value at most ``bound`` (kron_pack)."""
+    return bound.bit_length() // 8 + 1
+
+
+def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int) -> int:
+    """The terms c*t^e of coeffs with e < stop as one integer at
+    X = 2^(8*nbytes), t^low at digit 0 (kron_pack of one row at one point);
+    0 when there are none.  No exponent may lie below low."""
+    if not coeffs:
+        return 0
+    return kron_pack([(-low, coeffs, stop)], min(stop, max(coeffs) + 1) - low,
+                     nbytes)[0]
 
 
 def kron_unpack(values, nbytes: int, spans, step: int = 1) -> list:
@@ -431,12 +441,10 @@ def _mul_packed(da: dict, db: dict, cap):
         return None
     amax = max(map(abs, da.values()))
     bmax = max(map(abs, db.values()))
-    nbytes = (amax * bmax * min(len(da), len(db))).bit_length() // 8 + 1
-    (a,) = kron_pack([(-ma, da, ma + width)], min(width, max(da) - ma + 1),
-                     nbytes)
-    (b,) = kron_pack([(-mb, db, mb + width)], min(width, max(db) - mb + 1),
-                     nbytes)
-    return kron_unpack((a * b,), nbytes, [(0, width, ma + mb)])[0]
+    nbytes = digit_bytes(amax * bmax * min(len(da), len(db)))
+    h = (kron_pack_one(da, ma, ma + width, nbytes)
+         * kron_pack_one(db, mb, mb + width, nbytes))
+    return kron_unpack((h,), nbytes, [(0, width, ma + mb)])[0]
 
 
 def _mul_any(da: dict, db: dict, cap) -> dict:

@@ -39,21 +39,22 @@ def enum_freq(k: int, max_weight: int):
     in canonical (trailing-zero-trimmed) form, each exactly once."""
     _check_bounds(k, max_weight)
     out = []
-
-    def rec(i, prev, wleft, acc):
-        if i > 0 and wleft < i:
-            out.append(canonical(acc))
-            return
-        for v in range(0, k - prev + 1):
-            if i > 0 and i * v > wleft:
-                break
-            acc.append(v)
-            rec(i + 1, v, wleft - i * v, acc)
-            acc.pop()
-
-    rec(0, 0, max_weight, [])
-    del rec     # rec refers to itself through its cell; break that cycle
+    _freq(k, 0, 0, max_weight, [], out)
     return out
+
+
+def _freq(k, i, prev, wleft, acc, out):
+    """Append to out every sequence acc + (f_i, f_(i+1), ...) of enum_freq,
+    with prev = f_(i-1) and wleft the weight left."""
+    if i > 0 and wleft < i:
+        out.append(canonical(acc))
+        return
+    for v in range(0, k - prev + 1):
+        if i > 0 and i * v > wleft:
+            break
+        acc.append(v)
+        _freq(k, i + 1, v, wleft - i * v, acc, out)
+        acc.pop()
 
 
 # -- the family table ---------------------------------------------------------------
@@ -255,43 +256,51 @@ def enum_mp_family(k: int, j: int, r: int, max_size: int,
     """Members (multipartitions) of the part-bounded family with
     |parts| + |frame| <= max_size; parity constrains the last partition."""
     _check_bounds(k, max_size)
-    out = []
     smax = 1
     while smax * smax - smax <= max_size:
         smax += 1
-
-    def rec_shapes(i, prev, s_list):
-        if i > k:
-            fw = sum(v * v for v in s_list) - sum(s_list)
-            if fw > max_size:
-                return
-            budget = max_size - fw
-            lengths = [s_list[m] - (s_list[m + 1] if m + 1 < k else 0)
-                       for m in range(k)]
-            mins = [x_min_part(m, j, r, k) for m in range(1, k + 1)]
-            floor = sum(lengths[m] * max(mins[m], 0) for m in range(k))
-            if floor > budget:
-                return
-            def assemble(m, left, acc):
-                if m == k:
-                    out.append(tuple(acc))
-                    return
-                par = parity if m == k - 1 else None
-                for lam in _enum_partitions(lengths[m], left, mins[m], par):
-                    acc.append(lam)
-                    assemble(m + 1, left - sum(lam), acc)
-                    acc.pop()
-            assemble(0, budget, [])
-            del assemble    # each refers to itself through its cell
-            return
-        for v in range(prev, -1, -1):
-            if v * v - v <= max_size:
-                rec_shapes(i + 1, v, s_list + [v])
-
+    frames = []
     for s1 in range(smax + 1):
-        rec_shapes(2, s1, [s1])
-    del rec_shapes      # the same cycle, one level out
+        _frames(k, max_size, [s1], frames)
+    mins = [x_min_part(m, j, r, k) for m in range(1, k + 1)]
+    out = []
+    for s_list in frames:
+        fw = sum(v * v for v in s_list) - sum(s_list)
+        if fw > max_size:
+            continue
+        budget = max_size - fw
+        lengths = [s_list[m] - (s_list[m + 1] if m + 1 < k else 0)
+                   for m in range(k)]
+        if sum(lengths[m] * max(mins[m], 0) for m in range(k)) > budget:
+            continue
+        _assemble([(lengths[m], mins[m], parity if m == k - 1 else None)
+                   for m in range(k)], budget, [], out)
     return out
+
+
+def _frames(k, max_size, s_list, out):
+    """Append to out every frame s_1 >= ... >= s_k that extends s_list,
+    each s with s^2 - s <= max_size."""
+    if len(s_list) == k:
+        out.append(s_list)
+        return
+    for v in range(s_list[-1], -1, -1):
+        if v * v - v <= max_size:
+            _frames(k, max_size, s_list + [v], out)
+
+
+def _assemble(rows, left, acc, out):
+    """Append to out every tuple acc + (lam, ...) that adds one partition
+    for each row (length, least part, parity) of rows from len(acc) on, the
+    added partitions of total size <= left."""
+    if len(acc) == len(rows):
+        out.append(tuple(acc))
+        return
+    length, least, par = rows[len(acc)]
+    for lam in _enum_partitions(length, left, least, par):
+        acc.append(lam)
+        _assemble(rows, left - sum(lam), acc, out)
+        acc.pop()
 
 
 # -- head rewriting between the Y and Z families ---------------------------------------

@@ -13,7 +13,17 @@ outwards, instead of enumerating tuples: the quadratic own-exponents make the
 series for large values vanish below the truncation order, so the recursion
 self-prunes.
 
-One layer of that pass maps the inner layer's series L_u (u = 0..vmax) to
+The pass.  ``multisum`` is one loop over the variables, from the innermost
+outwards.  It starts from T_v = 1 for every v <= vmax, the product before
+the innermost own factor, or from the outermost stored product (below).
+For each variable but the outermost, the own pass (``_own_pass``) applies
+its own factor to each T_v, and ``layer_product`` convolves the result
+through the gap outside it.  The outermost variable's own pass and the sum
+over its values are one step, ``_own_sum`` (below).  A single variable
+takes no step of the loop: its own row is summed against T_v = 1.
+
+A layer product maps the layer L_u (u = 0..vmax), the inner T_u after their
+own factors, to
 
     T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u}   [* (t^(b*v) + t^(-b*u))],
 
@@ -67,28 +77,25 @@ extra as the caller made it, so an own row copies no series.  The shift is
 applied once, where the factor is used, and fused with the truncation at
 wp: only the terms below wp - o_v are shifted.  The own pass applies the
 factor to each T_v, as that shift for a bare monomial and as a series
-product, shifted, otherwise.  ``convolve_layer`` is the two in turn, and
-``multisum`` takes the same two per variable but the outermost.  The second
-user of ``convolve_layer`` is the Bailey engine: the beta-side sum of the
-Bailey lemmas (``bailey._beta_sum``) is one layer with L_l = lift(l) *
-beta_l, d = 2, binomial step 2 for the star step, and an own factor of 1:
-the shift by 0, which keeps every term of T_v.
+product, shifted, otherwise.  The other user of ``layer_product`` is the
+Bailey engine: the beta-side sum of the Bailey lemmas
+(``bailey._beta_sum``) is one bare layer product, with L_l = lift(l) *
+beta_l, d = 2 and binomial step 2 for the star step, and no own factor.
 
 The outer step.  The outermost variable's own pass and the sum over its
 values are one step (``_own_sum``), with the coefficients and precision of
 the ring sum of the own pass's series.  The T_v of bare monomials are added
 into one dict, each term shifted as it is read.  A series own factor (the
 head (x; q)_(s_1) of the Gollnitz-Gordon and Slater-type rows) is one
-packed sum: each extra and each T_v packed at one point (``kron_pack``)
-from its lowest term, and only the terms that land below the precision of
-the sum, the products A_v * B_v added into one big integer at the offsets
-of their lowest exponents, and read back once (``kron_unpack``).  Its digit
-width comes from _convolve's rule, the sum over v of
-min(max|extra| * sum|T_v|, sum|extra| * max|T_v|) over the packed terms.
-Packing the T_v of the bare monomials the same way was measured slower
-(0.35-0.37 ms against 0.40-0.43 ms for the median catalog row).  A single
-variable has no layer product: its own row, shifted and truncated at wp,
-is summed with an own factor of 1.
+packed sum: each extra and each T_v packed at one point
+(``series.kron_pack_one``) from its lowest term, and only the terms that
+land below the precision of the sum, the products A_v * B_v added into one
+big integer at the offsets of their lowest exponents, and read back once
+(``kron_unpack``).  Its digit width comes from _convolve's rule, the sum
+over v of min(max|extra| * sum|T_v|, sum|extra| * max|T_v|) over the
+packed terms.  Packing the T_v of the bare monomials the same way was
+measured slower (0.35-0.37 ms against 0.40-0.43 ms for the median catalog
+row).
 
 Working precision.  Every layer is truncated at the working order wp, and
 so are the Pochhammer factors.  What is lost there is regained only if the
@@ -128,17 +135,14 @@ never a digit read back.  So an entry holds the vmax it was built to and
 T_v for every v up to it: a request at that vmax or below takes the entry
 restricted to v <= vmax, and a larger vmax builds it again and replaces it.
 ``multisum`` looks for the outermost stored product first, so a row that
-misses only on its outer variable pays one recall and the outer step.  The
-innermost layer is the own row, built anyway for wp, so it is not stored.
+misses only on its outer variable pays one recall and the outer step.
 Callers whose extras are closures over data (the Bailey lattice checks)
 pass no key, and nothing is looked up or stored for them.  One shuffled
 pass of the k <= 4 catalog sweep at q-order 60 (perfbench's catalog_sweep,
 seed 1) builds 232 layer products, and stores 200 in 1.13 MiB and 298 sums
-in 0.19 MiB; a memo of the layers after their own factors, keyed by vmax
-too, built 468 from 186 stored layers in 0.57 MiB.  The row order decides
-which entries are restricted and which built again: 229-244 products over
-other seeds, 270 in catalog order.  At k <= 5 and q-order 100 the products
-take 5.14 MiB (2.37 MiB for the layers).
+in 0.19 MiB.  The row order decides which entries are restricted and which
+built again: 229-244 products over other seeds, 270 in catalog order.  At
+k <= 5 and q-order 100 the products take 5.14 MiB.
 """
 
 from __future__ import annotations
@@ -147,7 +151,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import INF, Memo, QSeries, kron_pack, kron_unpack, monomial
+from .series import (INF, ONE, Memo, QSeries, digit_bytes, kron_pack,
+                     kron_pack_one, kron_unpack)
 from .qfunctions import SM, inv_poch_finite
 
 # A product whose layer packs to fewer bytes is taken at one point, where
@@ -192,7 +197,7 @@ def summation_bound(pervar, gaps, tprec) -> int:
                       in zip(pervar, drops)], tprec)
 
 
-def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
+def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
     """Evaluate the nested sum described in the module docstring.
 
     pervar: per variable (outermost first) a tuple (quad, lin, extra) with
@@ -201,8 +206,8 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     gaps: per adjacent pair a tuple (den_step, binom_step) where den_step is
         the t-step of the difference Pochhammer 1/(.)_{s_i - s_{i+1}}, and
         binom_step is None or the b of a factor (t^(b*s_i) + t^(-b*s_{i+1})).
-    vmax: the largest value summed; ValueError when it is left out and a
-        variable has an extra, which the default summation_bound cannot see.
+    vmax: the largest value summed; ``summation_bound`` gives it when every
+        extra has valuation >= 0.
     key: None, or per variable a hashable description of its extra, equal
         only where two extras are the same function of v at this tprec; then
         the sum and its layer products are memoised across calls (module
@@ -213,12 +218,6 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
     K = len(pervar)
     assert len(gaps) == K - 1
     steps = [b or 0 for _, b in gaps]
-    if vmax is None:
-        extras = [i for i, (_, _, f) in enumerate(pervar, 1) if f is not None]
-        if extras:
-            raise ValueError(f"s_{extras[0]} has an extra, which the default "
-                             f"vmax does not see; pass vmax")
-        vmax = summation_bound(pervar, gaps, tprec)
 
     # The descriptions pin the extras, and so wp: a stored sum is looked up
     # before any own factor is built.
@@ -252,11 +251,13 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
         own.append(row)
     wp = tprec + R
 
-    # names[i]: the memo key of the product before variable i's own factor,
-    # which convolves the suffix of variables i + 1..; the outermost stored
-    # one built to this vmax or more is taken, restricted to v <= vmax
+    # products: T_v before variable start's own factor, 1 for the innermost
+    # variable.  names[i]: the memo key of the product before variable i's
+    # own factor, which convolves the suffix of variables i + 1..; the
+    # outermost stored one built to this vmax or more is taken, restricted
+    # to v <= vmax
+    start, products = K - 1, dict.fromkeys(range(vmax + 1), ONE)
     names = [None] * (K - 1)
-    products, start = None, K - 1
     if key is not None:
         inner = descs[-1]
         for i in range(K - 2, -1, -1):
@@ -268,32 +269,18 @@ def multisum(pervar, gaps, tprec, vmax=None, key=None) -> QSeries:
             hit = _CONVOLUTIONS.recall(name)
             if hit is not None and hit[0][0] >= vmax:
                 (_, v0), stored = hit
-                products = dict(zip(range(v0, vmax + 1), stored))
-                start = i
+                start, products = i, dict(zip(range(v0, vmax + 1), stored))
                 break
-    outer = own[0]
-    if products is not None:
-        if start:
-            layer = _own_pass(products, own[start], wp)
-    else:
-        # the innermost own row is the first layer
-        layer = {}
-        for v, o in enumerate(own[K - 1]):
-            if o is not None:
-                _keep(layer, v, monomial(1, o, wp) if isinstance(o, int)
-                      else _shifted(o[1], o[0], wp), wp)
-        if K == 1:
-            # a single variable: its own row is summed as it stands
-            products, outer = layer, [0] * (vmax + 1)
-    for i in range(start - 1, -1, -1):
-        products = layer_product(layer, vmax, gaps[i], wp) if layer else {}
-        if names[i] is not None:
-            _CONVOLUTIONS.store(names[i], (vmax, min(products, default=0)),
+    for i in range(start, 0, -1):
+        layer = _own_pass(products, own[i], wp)
+        products = (layer_product(layer, vmax, gaps[i - 1], wp) if layer
+                    else {})
+        if names[i - 1] is not None:
+            _CONVOLUTIONS.store(names[i - 1],
+                                (vmax, min(products, default=0)),
                                 products.values())
-        if i:
-            layer = _own_pass(products, own[i], wp)
 
-    out = _own_sum(products, outer, wp)
+    out = _own_sum(products, own[0], wp)
     if out.prec < tprec:
         raise PrecisionExceeded(
             f"multisum precision {out.prec} fell below {tprec}: an extra "
@@ -315,37 +302,10 @@ def _val(s: QSeries):
     return min(s.coeffs) if s.coeffs else s.prec
 
 
-def _keep(layer, v, s, wp):
-    # A zero series below wp still bounds what is known; keep it.
-    if s.coeffs or s.prec < wp:
-        layer[v] = s
-
-
 def _shifted(s, o, wp):
     """t^o * s truncated at wp, shifting only the terms that stay below."""
     return QSeries._of({e + o: c for e, c in s.coeffs.items() if e < wp - o},
                        min(s.prec + o, wp))
-
-
-def convolve_layer(layer, own_row, gap, wp):
-    """One layer of the pass (module docstring): own_row[v] * T_v, truncated
-    at wp, for every v from min(layer) to len(own_row) - 1; the composition
-    of ``layer_product`` and the own pass.
-
-    layer: {u: L_u}, a nonempty dict of series; a zero series still bounds
-        the precision of every T_v with v >= u.
-    own_row: per v the exponent o of a bare monomial t^o (an exact shift), a
-        series, or None (an exact zero); a series s is the own factor
-        (0, s) of ``multisum``'s rows.
-    gap: (den_step, binom_step) as in ``multisum``.
-    Returns {v: series}, without the entries that are zero at precision wp.
-    ``multisum`` takes the same two steps per variable, with the products
-    memoised; the Bailey engine's beta-side sum is one call with own_row
-    all 0.
-    """
-    own_row = [(0, o) if isinstance(o, QSeries) else o for o in own_row]
-    return _own_pass(layer_product(layer, len(own_row) - 1, gap, wp),
-                     own_row, wp)
 
 
 def layer_product(layer, vmax, gap, wp):
@@ -398,7 +358,9 @@ def _own_pass(products, own_row, wp):
             # reach wp
             o, x = o
             s = _shifted(x * t.truncate(wp - o - _val(x)), o, wp)
-        _keep(nxt, v, s, wp)
+        # a zero series below wp still bounds what is known; keep it
+        if s.coeffs or s.prec < wp:
+            nxt[v] = s
     return nxt
 
 
@@ -450,15 +412,13 @@ def _own_sum(products, own_row, wp):
         bound += min(max(xs) * sum(ts), sum(xs) * max(ts))
         terms.append((x, vx, xstop, t, vt, tstop, low))
     if terms:
-        nbytes = bound.bit_length() // 8 + 1
+        nbytes = digit_bytes(bound)
         base = min(low for *_, low in terms)
         h = 0
         for x, vx, xstop, t, vt, tstop, low in terms:
-            (a,) = kron_pack([(-vx, x.coeffs, xstop)],
-                             min(xstop, max(x.coeffs) + 1) - vx, nbytes)
-            (b,) = kron_pack([(-vt, t.coeffs, tstop)],
-                             min(tstop, max(t.coeffs) + 1) - vt, nbytes)
-            h += a * b << 8 * nbytes * (low - base)
+            h += (kron_pack_one(x.coeffs, vx, xstop, nbytes)
+                  * kron_pack_one(t.coeffs, vt, tstop, nbytes)
+                  << 8 * nbytes * (low - base))
         for e, c in kron_unpack((h,), nbytes, [(0, prec - base, base)])[0] \
                 .items():
             acc[e] = acc.get(e, 0) + c
@@ -482,7 +442,7 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
     bound = max(sum(min(amax * b_norms[v - u][1], asum * b_norms[v - u][0])
                     for u, amax, asum in a_norms if u <= v)
                 for v, _ in reads)
-    nbytes = (bound * (2 if b else 1)).bit_length() // 8 + 1
+    nbytes = digit_bytes(bound * (2 if b else 1))
 
     # Every packed exponent lies on lo + g*Z (module docstring); b is in the
     # gcd, so e - lo stands for e - b*u - lo.

@@ -6,7 +6,7 @@ it.  It doubles the known order each round through the ring's multiply, so
 it shares no step with the long-division recurrence it checks.
 """
 
-from qident.errors import EmptySeries, NotAUnit
+from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.series import INF, QSeries, _as_prec, _mul_any
 
 
@@ -17,9 +17,16 @@ def min_exp(s: QSeries) -> int:
     return min(s.coeffs)
 
 
+def coeff(s: QSeries, e: int) -> int:
+    """Exact coefficient of t^e.  PrecisionExceeded at or above prec."""
+    if e >= s.prec:
+        raise PrecisionExceeded(f"exponent {e} >= prec {s.prec}")
+    return s.coeffs.get(e, 0)
+
+
 def qcoeff(s: QSeries, n: int) -> int:
     """Coefficient of q^n (= t^(2n))."""
-    return s.coeff(2 * n)
+    return coeff(s, 2 * n)
 
 
 def scale_exponents(s: QSeries, k: int) -> QSeries:

@@ -13,10 +13,10 @@ from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                inv_poch_finite, inv_poch_infinite,
                                poch_finite, poch_infinite, triple_product)
 from qident.series import Memo, QSeries, unpack
-from qident.sumeval import _ip_norms, _packed_ips, multisum
+from qident.sumeval import _ip_norms, _packed_ips, multisum, summation_bound
 
 from gf_oracle import euler_inverse, qbinom, theta_sum
-from series_oracle import newton_invert, qcoeff
+from series_oracle import coeff, newton_invert, qcoeff
 
 
 def brute_partitions(n, max_part=None):
@@ -87,7 +87,7 @@ def test_inv_poch_finite_against_the_newton_inverse():
 def test_poch_infinite_edge_cases():
     assert poch_infinite(ONE_M, 2, 30).is_zero()          # (1;q) has a 0 factor
     s = poch_infinite(SM(-1, 2), 4, 30)                   # (-q; q^2)
-    assert s.coeff(0) == 1
+    assert coeff(s, 0) == 1
     with pytest.raises(Divergent):
         poch_infinite(Q, 0, 30)
     with pytest.raises(Divergent):
@@ -199,8 +199,10 @@ def test_caches_are_bounded(monkeypatch):
     sumeval._SUMS.clear()
     I._PRODUCTS.clear()
     side = I.CATALOG["andrews_gordon"].rhs({"k": 2, "r": 1})
+    pervar, gaps = [(2, 0, None), (2, 0, None)], [(2, None)]
     for qprec in range(5, 10):
-        multisum([(2, 0, None), (2, 0, None)], [(2, None)], qprec, key=[0, 0])
+        multisum(pervar, gaps, qprec, summation_bound(pervar, gaps, qprec),
+                 key=[0, 0])
         I.eval_product(side, qprec)
     assert len(sumeval._SUMS) == len(I._PRODUCTS) == 2
     assert [k[1] for k in I._PRODUCTS] == [8, 9]

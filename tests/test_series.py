@@ -12,9 +12,9 @@ from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
                            kron_pack, kron_unpack, pack, unpack)
 from qident import series, sumeval
-from qident.sumeval import _ip_norms, _packed_ips, convolve_layer
+from qident.sumeval import _ip_norms, _own_pass, _packed_ips, layer_product
 
-from series_oracle import (from_json, min_exp, newton_invert, qcoeff,
+from series_oracle import (coeff, from_json, min_exp, newton_invert, qcoeff,
                            scale_exponents)
 
 
@@ -58,7 +58,7 @@ def test_invert_examples():
     assert [qcoeff(inv, n) for n in range(6)] == [1, -1, 1, -1, 1, -1]
     lau = QSeries({2: 1, 4: -1}).invert(20)        # 1/(q(1-q))
     assert min_exp(lau) == -2
-    assert lau.coeff(-2) == 1 and lau.coeff(0) == 1
+    assert coeff(lau, -2) == 1 and coeff(lau, 0) == 1
     with pytest.raises(NotAUnit):
         QSeries({0: 2, 2: 1}).invert(10)           # 2+q not invertible over Z
     with pytest.raises(EmptySeries):
@@ -97,10 +97,10 @@ def test_scale_exponents():
 
 def test_coeff_and_equal_up_to():
     s = QSeries({0: 1, 4: 3}, 20)
-    assert s.coeff(4) == 3 and qcoeff(s, 2) == 3
-    assert s.coeff(7) == 0
+    assert coeff(s, 4) == 3 and qcoeff(s, 2) == 3
+    assert coeff(s, 7) == 0
     with pytest.raises(PrecisionExceeded):
-        s.coeff(20)
+        coeff(s, 20)
     assert s.equal_up_to(s, 20) == (True, None)
     t = s + monomial(1, 6, 20)
     assert s.equal_up_to(t, 20) == (False, 6)
@@ -254,6 +254,13 @@ def test_quotients_are_canonical(x, d, prec):
     assert_canonical(x.divide(d, prec))
 
 
+def _one_layer(layer, own_row, gap, wp):
+    """One layer of ``multisum``'s pass: ``layer_product`` up to the last v
+    of own_row, then the own pass."""
+    return _own_pass(layer_product(layer, len(own_row) - 1, gap, wp),
+                     own_row, wp)
+
+
 def _layer_series(wp):
     return _series_st(True) | st.builds(zero, st.integers(1, wp))
 
@@ -265,9 +272,11 @@ def test_convolve_layer_results_are_canonical(data, wp, den_step, b):
     n = data.draw(st.integers(1, 6))
     layer = data.draw(st.dictionaries(st.integers(0, n - 1), _layer_series(wp),
                                       min_size=1))
-    own_row = data.draw(st.lists(st.none() | st.integers(-6, 30)
-                                 | _series_st(True), min_size=n, max_size=n))
-    for s in convolve_layer(layer, own_row, (den_step, b), wp).values():
+    own_row = data.draw(st.lists(
+        st.none() | st.integers(-6, 30)
+        | st.tuples(st.integers(-6, 30), _series_st(True)),
+        min_size=n, max_size=n))
+    for s in _one_layer(layer, own_row, (den_step, b), wp).values():
         assert_canonical(s)
 
 
@@ -275,9 +284,9 @@ def test_convolve_layer_claims_no_order_above_wp():
     # an exact L_0 = t + t^3 at wp = 3 under the shift t^-2: T_0 is packed
     # below wp only, so the result is t^-1 + O(t), not t^-1 + O(t^2) with
     # the t^1 term missing; with L_0 = t alone at wp = 1 nothing is read
-    assert convolve_layer({0: QSeries({1: 1, 3: 1})}, [-2], (1, None), 3) \
+    assert _one_layer({0: QSeries({1: 1, 3: 1})}, [-2], (1, None), 3) \
         == {0: QSeries({-1: 1}, 1)}
-    assert convolve_layer({0: QSeries({1: 1})}, [-1], (1, None), 1) \
+    assert _one_layer({0: QSeries({1: 1})}, [-1], (1, None), 1) \
         == {0: zero(0)}
 
 
@@ -309,10 +318,10 @@ def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(case,
     for layer in layers:
         _ip_norms.cache_clear()
         _packed_ips.cache_clear()
-        cold.append(convolve_layer(layer, own_row, (den_step, b), wp))
+        cold.append(_one_layer(layer, own_row, (den_step, b), wp))
     for order in (1, -1):       # the second pass finds every table cached
         misses = _packed_ips.cache_info().misses
-        warm = [convolve_layer(layer, own_row, (den_step, b), wp)
+        warm = [_one_layer(layer, own_row, (den_step, b), wp)
                 for layer in layers[::order]][::order]
         assert warm == cold
     assert _packed_ips.cache_info().misses == misses
@@ -401,7 +410,7 @@ def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
     monkeypatch.setattr(series, "_deal", spy)
     monkeypatch.setattr(sumeval, "_TWO_POINT_BYTES", 0)
     _packed_ips.cache_clear()
-    convolve_layer(layer, [0] * 4, (den_step, None), wp)
+    _one_layer(layer, [0] * 4, (den_step, None), wp)
     _packed_ips.cache_clear()
     slot = -(-(2 * wp - 1) // den_step)
     # layer slots 0..1, tables 0..3

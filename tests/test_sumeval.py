@@ -10,6 +10,8 @@ from qident import sumeval
 from qident.series import INF, Memo, QSeries, monomial, zero
 from qident.sumeval import multisum, quad_min, summation_bound, var_bound
 
+from series_oracle import coeff
+
 # The oracle multiplies every factor exactly, or to this many t-exponents
 # beyond the target order; no summand in the drawn shapes dips lower.
 ORACLE_SLACK = 80
@@ -128,9 +130,9 @@ def test_multisum_matches_brute_force(shape):
             # extras pass their own bound, as the Bailey checks do
             vmax = oracle_top(bound_pervar, gaps, tprec)
     engine_pervar = [(q, l, extras[i]) for i, (q, l) in enumerate(pervar)]
-    if vmax is None and (head or tail_neg is not None):
-        # an extra needs an explicit vmax; these have valuation >= 0, so the
-        # bound multisum uses without extras is enough, as in eval_sum
+    if vmax is None:
+        # these extras have valuation >= 0, so the bound that sees no
+        # extras is enough, as in eval_sum
         vmax = summation_bound(engine_pervar, gaps, tprec)
     want = brute_multisum(pervar, gaps, tprec, extras, bound_pervar)
     # without a key, then with one twice: the second keyed call is served
@@ -168,11 +170,11 @@ def bound_layers(draw):
     return wp, layer
 
 
-# own rows of convolve_layer: the Bailey engine's all 0, and one with every
-# kind of entry, series of finite and infinite precision among them
+# own rows of multisum: all 0, and one with every kind of entry, (offset,
+# series) pairs of finite and infinite precision among them
 _OWN_ROWS = ([0] * 7,
-             [3, None, QSeries({0: 2, 2: -1}), -2, QSeries({-2: 5}, 9), 0,
-              QSeries({1: -(2 ** 70)})])
+             [3, None, (0, QSeries({0: 2, 2: -1})), -2,
+              (4, QSeries({-2: 5}, 9)), 0, (-1, QSeries({1: -(2 ** 70)}))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,10 +187,10 @@ _OWN_ROWS = ([0] * 7,
 def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
                                                       two_point_bytes,
                                                       own_row):
-    # own_row[v] * T_v with T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u}
-    # [* (t^(b*v) + t^(-b*u))] as plain series products and sums, both
-    # binomial branches included, with every product taken at two points
-    # or every one at one point
+    # layer_product, then the own pass, against own_row[v] * T_v with
+    # T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u} [* (t^(b*v) + t^(-b*u))]
+    # as plain series products and sums, both binomial branches included,
+    # with every product taken at two points or every one at one point
     wp, layer = case
     n = 7
     want = {}
@@ -204,11 +206,13 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
                     term = term * QSeries([(b * v, 1), (-b * u, 1)])
                 t = t + term
         o = own_row[v]
-        t = (t.shift(o) if isinstance(o, int) else o * t).truncate(wp)
+        t = (t.shift(o) if isinstance(o, int)
+             else o[1].shift(o[0]) * t).truncate(wp)
         if t.coeffs or t.prec < wp:
             want[v] = t
     with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
-        got = sumeval.convolve_layer(layer, own_row, (den_step, b), wp)
+        got = sumeval._own_pass(sumeval.layer_product(
+            layer, n - 1, (den_step, b), wp), own_row, wp)
     assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
         {v: (s.coeffs, s.prec) for v, s in want.items()}
 
@@ -226,20 +230,20 @@ def test_var_bound_sees_minima_beyond_64():
 
 
 def test_default_vmax_refuses_an_extra_of_negative_valuation():
-    # var_bound sees only (quad, lin) = (1, 0) and sums v <= 5, which misses
-    # t^(v^2 - 3v) = t^18 at v = 6
+    # there is no default vmax: var_bound sees only (quad, lin) = (1, 0) and
+    # sums v <= 5, which misses t^(v^2 - 3v) = t^18 at v = 6
     pervar = [(1, 0, lambda v: monomial(1, -3 * v))]
-    with pytest.raises(ValueError, match="s_1"):
+    with pytest.raises(TypeError, match="vmax"):
         multisum(pervar, [], 20)
-    assert multisum(pervar, [], 20, vmax=12).coeff(18) == 1
+    assert coeff(multisum(pervar, [], 20, vmax=12), 18) == 1
     # an extra that turns negative only past that bound, which a check of
     # the valuations up to the bound misses, and one of valuation >= 0: any
-    # extra needs vmax
+    # sum needs vmax
     late = [(1, 0, lambda v: monomial(1, 0 if v < 6 else -18))]
-    with pytest.raises(ValueError, match="s_1"):
+    with pytest.raises(TypeError, match="vmax"):
         multisum(late, [], 20)
-    assert multisum(late, [], 20, vmax=12).coeff(18) == 1
-    with pytest.raises(ValueError, match="s_2"):
+    assert coeff(multisum(late, [], 20, vmax=12), 18) == 1
+    with pytest.raises(TypeError, match="vmax"):
         multisum([(2, 0, None), (2, 0, lambda v: monomial(1, 0))], [(2, None)],
                  20)
 
