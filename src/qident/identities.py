@@ -11,6 +11,13 @@ vanishing products (some rows reach them at extreme parameters, e.g. the
 second product of the even-moduli rows at r = k); they contribute the zero
 series.  Any other exponent excursion outside (0, M) is a transcription bug
 and raises CatalogRangeError.
+
+A product side is one big-integer multiply and one read-back
+(``eval_product``): the weighted, shifted triple products added as packed
+integers, times the prefactor F of its Pochhammer quotients.  The sides of
+the catalog use a handful of factor sets, so F is built once per factor set
+and order (``_prefactor``), and F and each triple product are packed once
+per digit width.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite,
                          inv_poch_infinite, poch_finite, poch_infinite,
                          triple_product)
-from .series import Memo, QSeries, one, zero
+from .series import Memo, QSeries, digit_bytes, kron_pack_one, kron_unpack, one
 from .sumeval import multisum, summation_bound
 
 
@@ -66,7 +73,8 @@ class ProductSide:
     terms: tuple = ()                  # (weight, t_shift, A_t)
     num_inf: tuple = ()                # ((SM, base_t), ...) multiplied
     den_inf: tuple = ()                # ((SM, base_t), ...) divided
-    den_units: tuple = ()              # exact unit polys divided, as pair-tuples
+    den_units: tuple = ()              # exact polys, constant term +-1, divided,
+                                       # as pair-tuples
 
 
 @lru_cache(maxsize=1024)
@@ -120,41 +128,90 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
 _PRODUCTS = Memo()
 
 
+# The catalog's product sides share a few factor sets and theta terms, so
+# each prefactor is built once per order and each packed integer once per
+# width; the caches are bounded like the Pochhammer caches they read.
+@lru_cache(maxsize=1024)
+def _prefactor(num_inf, den_inf, den_units, tp):
+    """(F, max |c|, sum |c|) of F = prod num_inf / prod den_inf / prod
+    den_units truncated at tp: a unit of valuation 0 known below tp, or the
+    exact zero when num_inf holds a (1; .)_inf."""
+    f = one(tp)
+    for sm, base in num_inf:
+        f = f * poch_infinite(sm, base, tp)
+    for sm, base in den_inf:
+        f = f * inv_poch_infinite(sm, base, tp)
+    for poly in den_units:
+        f = f.divide(QSeries(list(poly)), tp)
+    size = [abs(c) for c in f.coeffs.values()]
+    return f, max(size, default=0), sum(size)
+
+
+@lru_cache(maxsize=1024)
+def _packed_prefactor(num_inf, den_inf, den_units, tp, nbytes):
+    """``_prefactor``'s F at X = 2^(8*nbytes), t^0 at digit 0."""
+    f = _prefactor(num_inf, den_inf, den_units, tp)[0]
+    return kron_pack_one(f.coeffs, 0, tp, nbytes)
+
+
+@lru_cache(maxsize=1024)
+def _packed_theta(M, A, tp, nbytes):
+    """triple_product(M, A, tp) at X = 2^(8*nbytes), t^0 at digit 0."""
+    return kron_pack_one(triple_product(M, A, tp).coeffs, 0, tp, nbytes)
+
+
 def eval_product(side: ProductSide, qprec: int) -> QSeries:
     """Exact truncation of the product side to q-order qprec.
 
-    Each (x; q^b)_inf of den_inf is divided out as a product with its
-    cached reciprocal (``qfunctions.inv_poch_infinite``), a unit of
-    valuation 0 known to the t-order tp, so the quotient has the precision
-    of long division, min(prec(acc), tp + val(acc)), and is taken on the
-    packed multiply when dense enough.  The den_units, exact polynomials,
-    are divided out by long division."""
+    The side is acc * F: acc the weighted sum of the shifted theta terms,
+    known below prec(acc) = tp + min(0, lowest shift), and F the cached
+    prefactor (``_prefactor``).  Both are packed at one digit width and
+    multiplied once, acc as the sum of the packed triple products, each
+    shifted by its t-shift less the lowest.  The product is read back once,
+    below the ring product's precision min(prec(acc), tp + val(acc)), which
+    is prec(acc) as val(acc) is at least the lowest shift, or below tp when
+    F is the exact zero.  A digit of the product is at most the sum over
+    the terms of |weight| * min(max|theta| * sum|F|, sum|theta| * max|F|),
+    which also bounds the digits of acc, as max|F| >= 1; the width holds
+    max|F| too, for F is packed whole even when every term vanishes or
+    weighs 0.  Without theta terms the side is F itself."""
     memo_key = (side, qprec)
     hit = _PRODUCTS.recall(memo_key)
     if hit is not None:
         return hit[1][0]
     tp = tgrid(qprec)
+    M = side.modulus
+    thetas = []             # (weight, shift, A, theta) that do not vanish
+    for weight, shift, A in side.terms:
+        if A % M == 0:
+            continue  # vanishing theta: contributes 0
+        if not 0 < A < M:
+            raise CatalogRangeError(
+                f"theta exponent {A} outside (0, {M})")
+        thetas.append((weight, shift, A, triple_product(M, A, tp)))
+    factors = (side.num_inf, side.den_inf, side.den_units, tp)
+    f, fmax, fsum = _prefactor(*factors)
     if side.terms:
-        acc = zero(tp)
-        M = side.modulus
-        for weight, shift, A in side.terms:
-            if A % M == 0:
-                continue  # vanishing theta: contributes 0
-            if not 0 < A < M:
-                raise CatalogRangeError(
-                    f"theta exponent {A} outside (0, {M})")
-            acc = acc + weight * triple_product(M, A, tp).shift(shift)
+        bound = 0
+        for weight, _, _, theta in thetas:
+            size = [abs(c) for c in theta.coeffs.values()]
+            bound += abs(weight) * min(max(size, default=0) * fsum,
+                                       sum(size) * fmax)
+        nbytes = digit_bytes(max(bound, fmax))    # F is packed whole
+        width = 8 * nbytes
+        low = min((shift for _, shift, _, _ in thetas), default=0)
+        acc = 0
+        for weight, shift, A, _ in thetas:
+            acc += weight * _packed_theta(M, A, tp, nbytes) << width * (
+                shift - low)
+        p = tp + min(low, 0) if f.coeffs else tp
+        out = QSeries._of(kron_unpack(
+            (acc * _packed_prefactor(*factors, nbytes),), nbytes,
+            [(0, max(p - low, 0), low)])[0], p)
     else:
-        acc = one(tp)
-    for sm, base in side.num_inf:
-        acc = acc * poch_infinite(sm, base, tp)
-    for sm, base in side.den_inf:
-        acc = acc * inv_poch_infinite(sm, base, tp)
-    for poly in side.den_units:
-        acc = acc.divide(QSeries(list(poly)), tp)
-    acc = acc.truncate(tp)
-    _PRODUCTS.store(memo_key, None, [acc])
-    return acc
+        out = f.truncate(tp)
+    _PRODUCTS.store(memo_key, None, [out])
+    return out
 
 
 # -- catalog -------------------------------------------------------------------

@@ -4,6 +4,15 @@ Everything is exact over the integers on the t = q^(1/2) exponent grid from
 :mod:`qident.series`.  Pochhammer arguments are signed monomials +-q^(e/2):
 that is the only argument form any specialization in scope requires, and it
 makes every divisor a product of binomials 1 -+ t^e for ``QSeries.divide``.
+
+An infinite product, ``poch_infinite`` or the three progressions of
+``triple_product``, is multiplied out on one signed big integer
+(``_binomials``): the truncated product packed at X = 2^(8*nbytes), one digit
+per exponent, and each binomial 1 - s*t^e applied as h - s*(h << 8*nbytes*e),
+cut back below t^prec by a mask.  The cut is arithmetic modulo X^prec, so
+only the digits of the result need to fit: a binomial at most doubles the
+largest coefficient, so n binomials need ``digit_bytes(2**n)``, and
+``kron_unpack`` reads them back.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateTheta, Divergent, NegativeIndex, OutOfRange
-from .series import INF, ONE, QSeries, monomial, one
+from .series import INF, ONE, QSeries, digit_bytes, kron_unpack, monomial
 
 _MONO_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?:(?P<one>1)|q(?:\^(?:\(\s*(?P<num>-?\d+)\s*/\s*2\s*\)"
@@ -94,24 +103,36 @@ def poch_finite(x: SM, base: int, n: int) -> QSeries:
     return out
 
 
+def _binomials(progressions, prec) -> QSeries:
+    """The product of 1 - s*t^e over e = e0, e0 + step, ... for each
+    (s, e0, step) of progressions, e0 >= 0 and step > 0, truncated at prec:
+    one signed big integer (module docstring), the exact zero when a factor
+    is 1 - 1."""
+    if prec == INF:
+        raise Divergent("infinite product needs a finite truncation order")
+    prec = int(prec)
+    digits = max(prec, 0)
+    factors = [(s, e) for s, e0, step in progressions
+               for e in range(e0, prec, step)]
+    nbytes = digit_bytes(2 ** len(factors))
+    width = 8 * nbytes
+    mask = (1 << width * digits) - 1
+    h = 1
+    for s, e in factors:
+        h = (h - s * (h << width * e)) & mask
+    if not h:
+        return QSeries._of({}, INF)
+    return QSeries._of(kron_unpack((h,), nbytes, [(0, digits, 0)])[0], prec)
+
+
 @lru_cache(maxsize=1024)
 def poch_infinite(x: SM, base: int, prec) -> QSeries:
     """(x; q^(base/2))_inf truncated at prec; factors beyond prec are 1."""
     if base <= 0:
         raise Divergent("infinite product needs a positive base step")
-    if prec == INF:
-        raise Divergent("infinite product needs a finite truncation order")
-    prec = int(prec)
     if x.e < 0:
         raise Divergent("argument valuation must be non-negative")
-    out = one(prec)
-    i = 0
-    while x.e + i * base < prec:
-        out = out * QSeries([(0, 1), (x.e + i * base, -x.sign)], INF)
-        if out.is_zero():
-            break
-        i += 1
-    return out
+    return _binomials(((x.sign, x.e, base),), prec)
 
 
 @lru_cache(maxsize=1024)
@@ -149,6 +170,4 @@ def triple_product(M: int, A: int, prec) -> QSeries:
         raise DegenerateTheta(f"A = {A} vanishes mod M = {M}")
     if not 0 < A < M:
         raise OutOfRange(f"need 0 < A < M, got A={A}, M={M}")
-    return (poch_infinite(SM(1, A), M, prec)
-            * poch_infinite(SM(1, M - A), M, prec)
-            * poch_infinite(SM(1, M), M, prec))
+    return _binomials(((1, A, M), (1, M - A, M), (1, M, M)), prec)

@@ -114,6 +114,8 @@ class QSeries:
             raise PrecisionExceeded(
                 f"compare order {p} exceeds operand precision "
                 f"{min(self.prec, other.prec)}")
+        if self.coeffs == other.coeffs:
+            return True, None
         exps = set(self.coeffs) | set(other.coeffs)
         bad = [e for e in exps
                if e < p and self.coeffs.get(e, 0) != other.coeffs.get(e, 0)]
@@ -270,6 +272,10 @@ _set_prec = QSeries.prec.__set__
 def _mul_dict(da: dict, db: dict, cap) -> dict:
     if len(da) > len(db):
         da, db = db, da
+    if len(da) == 1:
+        (ea, ca), = da.items()
+        stop = cap - ea
+        return {ea + eb: ca * cb for eb, cb in db.items() if eb < stop}
     out = {}
     items_b = list(db.items())
     for ea, ca in da.items():

@@ -391,8 +391,9 @@ def _own_sum(products, own_row, wp):
     for v, t in products.items():
         o = own_row[v]
         if isinstance(o, int):
+            stop = prec - o
             for e, c in t.coeffs.items():
-                if e < prec - o:
+                if e < stop:
                     acc[e + o] = acc.get(e + o, 0) + c
 
     # One big integer in base X = 2^(8*nbytes) for the series own factors:

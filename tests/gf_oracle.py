@@ -1,17 +1,21 @@
 """Generating functions built by direct counting and summation: the oracles
-for ``qident.qfunctions`` and ``qident.sets``.
+for ``qident.qfunctions``, ``qident.sets`` and the product sides of
+``qident.identities``.
 
 The theta sum adds the bilateral series term by term, the partition counts
 run a dynamic program or a brute recursion over parts, and the Gaussian
-binomial follows q-Pascal.  None of them goes through the Pochhammer
-products or the enumerators they are compared with.
+binomial follows q-Pascal.  The ring Pochhammer product multiplies one
+binomial at a time, and the ring product side is built from it with series
+ring operations only.  None of them goes through the Pochhammer products,
+the packed product sides or the enumerators they are compared with.
 """
 
 from functools import lru_cache
 
-from qident.errors import OutOfRange
-from qident.qfunctions import Q, poch_infinite
-from qident.series import INF, ONE, QSeries, one
+from qident.errors import CatalogRangeError, Divergent, OutOfRange
+from qident.identities import tgrid
+from qident.qfunctions import Q, SignedMonomial as SM, poch_infinite
+from qident.series import INF, ONE, QSeries, one, zero
 
 
 @lru_cache(maxsize=1024)
@@ -54,6 +58,49 @@ def theta_sum(M: int, A: int, prec) -> QSeries:
                     break
             l += direction
     return QSeries(terms, prec)
+
+
+@lru_cache(maxsize=1024)
+def ring_poch_infinite(x, base: int, prec) -> QSeries:
+    """(x; q^(base/2))_inf truncated at prec, one binomial 1 - sign*t^e at a
+    time through the series ring; an exact zero once a factor is 1 - 1."""
+    if base <= 0 or prec == INF or x.e < 0:
+        raise Divergent("needs a positive base step, a finite order and "
+                        "an argument of valuation >= 0")
+    out = one(prec)
+    e = x.e
+    while e < prec:
+        out = out * QSeries([(0, 1), (e, -x.sign)], INF)
+        if out.is_zero():
+            break
+        e += base
+    return out
+
+
+def ring_product_side(side, qprec: int) -> QSeries:
+    """The product side through the series ring: the weighted, shifted
+    triple products added one at a time, each the ring product of its three
+    Pochhammers, then multiplied by each num_inf, by the inverse of each
+    den_inf and divided by each den_units polynomial, in turn."""
+    tp = tgrid(qprec)
+    acc = zero(tp) if side.terms else one(tp)
+    M = side.modulus
+    for weight, shift, A in side.terms:
+        if A % M == 0:
+            continue
+        if not 0 < A < M:
+            raise CatalogRangeError(f"theta exponent {A} outside (0, {M})")
+        theta = (ring_poch_infinite(SM(1, A), M, tp)
+                 * ring_poch_infinite(SM(1, M - A), M, tp)
+                 * ring_poch_infinite(SM(1, M), M, tp))
+        acc = acc + weight * theta.shift(shift)
+    for sm, base in side.num_inf:
+        acc = acc * ring_poch_infinite(sm, base, tp)
+    for sm, base in side.den_inf:
+        acc = acc * ring_poch_infinite(sm, base, tp).invert(tp)
+    for poly in side.den_units:
+        acc = acc.divide(QSeries(list(poly)), tp)
+    return acc.truncate(tp)
 
 
 def euler_inverse(prec) -> QSeries:

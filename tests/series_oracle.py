@@ -1,9 +1,12 @@
-"""Series helpers that only tests use, and the Newton-iteration inverse:
-the oracle for ``QSeries.divide``.
+"""Series helpers that only tests use, and the oracles of the series ring:
+the Newton-iteration inverse for ``QSeries.divide``, the exponent scan for
+``QSeries.equal_up_to`` and the double loop for ``series._mul_dict``.
 
 The inverse is the one the series ring used before long division replaced
 it.  It doubles the known order each round through the ring's multiply, so
-it shares no step with the long-division recurrence it checks.
+it shares no step with the long-division recurrence it checks.  The scan
+and the double loop are the ring's own code from before it took its short
+cuts (equal dicts, a one-term operand).
 """
 
 from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
@@ -41,6 +44,36 @@ def from_json(obj: dict) -> QSeries:
     """The series that ``QSeries.to_json`` wrote."""
     prec = INF if obj.get("prec") is None else obj["prec"]
     return QSeries({int(e): int(c) for e, c in obj["terms"]}, prec)
+
+
+def scan_equal_up_to(a: QSeries, b: QSeries, p):
+    """(True, None), or (False, e) for the lowest e < p where the
+    coefficients of a and b differ, scanning every stored exponent;
+    PrecisionExceeded when p exceeds either precision."""
+    p = _as_prec(p)
+    if p > a.prec or p > b.prec:
+        raise PrecisionExceeded(f"compare order {p} exceeds operand "
+                                f"precision {min(a.prec, b.prec)}")
+    bad = [e for e in set(a.coeffs) | set(b.coeffs)
+           if e < p and a.coeffs.get(e, 0) != b.coeffs.get(e, 0)]
+    return (False, min(bad)) if bad else (True, None)
+
+
+def double_loop_mul(da: dict, db: dict, cap) -> dict:
+    """The terms below cap of the product of two coefficient dicts, one
+    term pair at a time, zeros dropped as they arise."""
+    out = {}
+    for ea, ca in da.items():
+        for eb, cb in db.items():
+            e = ea + eb
+            if e >= cap:
+                continue
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 def newton_invert(self, prec=None) -> QSeries:

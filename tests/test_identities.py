@@ -21,7 +21,8 @@ from qident.qfunctions import (Q, SignedMonomial as SM, inv_poch_infinite,
 from qident.series import QSeries, monomial, one, zero
 
 from catalog_helpers import rhs_series
-from gf_oracle import qbinom
+from gf_oracle import qbinom, ring_product_side
+from product_sides import QPRECS, SIDES
 from series_oracle import qcoeff
 
 def gap_partition_count(n, k=1, max_ones=None):
@@ -304,11 +305,82 @@ def test_kursungoz_rhs_divisible_by_one_plus_q():
         == (True, None)
 
 
-# every product side of the catalog with k <= 5, and the (x; q^b)_inf it
-# divides by
-_SIDES = list(dict.fromkeys(I.CATALOG[name].rhs(params)
-                            for name, params in I.catalog_rows(5)))
-_DEN_INF = list(dict.fromkeys(d for side in _SIDES for d in side.den_inf))
+# the (x; q^b)_inf that the product sides of the catalog with k <= 5
+# divide by
+_DEN_INF = list(dict.fromkeys(d for side in SIDES for d in side.den_inf))
+
+
+def _cold_product_sides():
+    I._PRODUCTS.clear()
+    for f in (I._prefactor, I._packed_prefactor, I._packed_theta):
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("qprec", QPRECS)
+def test_product_sides_match_the_ring_oracle(qprec):
+    # every distinct product side of catalog_rows(5), from cold caches, in
+    # coefficients and precision
+    _cold_product_sides()
+    for side in SIDES:
+        got = I.eval_product(side, qprec)
+        want = ring_product_side(side, qprec)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec), side
+
+
+_M = 22
+_SYNTHETIC = {
+    # two theta terms that cancel: an exact-zero sum, at two shifts
+    "zero sum": I.ProductSide(_M, ((3, 2, 6), (-3, 2, 6)),
+                              den_inf=I.INV_Q_INF),
+    "zero sum, negative shift": I.ProductSide(_M, ((1, -3, 6), (-1, -3, 16))),
+    # 1 - t^6 - ... against 1 - t^4 - ...: the lowest exponent cancels
+    "lowest cancels": I.ProductSide(_M, ((1, 0, 6), (-1, 0, 4)),
+                                    den_inf=I.INV_Q_INF),
+    "lowest cancels, shifted": I.ProductSide(_M, ((2, 5, 6), (-2, 5, 4),
+                                                  (1, 9, 8))),
+    "negative shift": I.ProductSide(_M, ((1, -4, 6), (5, 3, 10), (-2, 0, 2)),
+                                    num_inf=((SM(-1, 6), 4),),
+                                    den_inf=I.INV_Q_INF,
+                                    den_units=(I.ONE_PLUS_Q,)),
+    "shift past the order": I.ProductSide(_M, ((1, 400, 6),),
+                                          den_inf=I.INV_Q_INF),
+    "weight 0": I.ProductSide(_M, ((0, -2, 6), (1, 0, 4))),
+    "wide weights": I.ProductSide(_M, ((2 ** 90, 0, 6), (-(3 ** 70), 1, 8)),
+                                  den_inf=I.INV_Q_INF),
+    "den_units alone": I.ProductSide(
+        den_units=(I.ONE_PLUS_Q, ((0, -1), (1, 1), (5, -3)))),
+    "den_units with terms": I.ProductSide(_M, ((1, 0, 6),),
+                                          den_units=(I.ONE_PLUS_Q,)),
+    "no terms": I.ProductSide(),
+    "vanishing terms only": I.ProductSide(_M, ((1, 0, 22), (1, 4, 44)),
+                                          den_inf=I.INV_Q_INF),
+    "(1; q)_inf, the exact zero": I.ProductSide(_M, ((1, -2, 6),),
+                                                num_inf=((SM(1, 0), 2),),
+                                                den_inf=I.INV_Q_INF),
+    "(1; q)_inf without terms": I.ProductSide(num_inf=((SM(1, 0), 2),)),
+    "(-1; q)_inf": I.ProductSide(_M, ((1, 0, 6),), num_inf=((SM(-1, 0), 2),)),
+}
+
+
+@pytest.mark.parametrize("name", _SYNTHETIC)
+@pytest.mark.parametrize("qprec", [0, 1, 10, 60])
+def test_synthetic_product_sides_match_the_ring_oracle(name, qprec):
+    _cold_product_sides()
+    side = _SYNTHETIC[name]
+    got = I.eval_product(side, qprec)
+    want = ring_product_side(side, qprec)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_a_packed_theta_is_kept_per_digit_width():
+    # one theta at weight 1 and then at weights that need wider digits
+    _cold_product_sides()
+    for weight in (1, 2 ** 40, 2 ** 200, 3):
+        side = I.ProductSide(_M, ((weight, 0, 6), (1, 2, 8)),
+                             den_inf=I.INV_Q_INF)
+        got = I.eval_product(side, 30)
+        want = ring_product_side(side, 30)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec), weight
 
 
 @pytest.mark.parametrize("qprec", [10, 60, 100])
@@ -329,7 +401,7 @@ def test_reciprocal_product_side_matches_long_division(qprec):
                 (sm, base, num)
     # and every product side is its numerator divided by its den_inf, one
     # factor after the other, and by its den_units
-    for side in _SIDES:
+    for side in SIDES:
         want = I.eval_product(dataclasses.replace(side, den_inf=(),
                                                   den_units=()), qprec)
         for sm, base in side.den_inf:

@@ -15,11 +15,11 @@ import pytest
 
 from qident import bailey as B
 from qident import identities, motion as M, qfunctions, series, sets, sumeval
-from qident.qfunctions import Q
+from qident.qfunctions import Q, SignedMonomial as SM
 from qident.series import QSeries
 
 import bailey_oracle as naive
-from gf_oracle import theta_sum
+from gf_oracle import ring_product_side, theta_sum
 from motion_replay import pm_stepwise, replays, rpm_stepwise
 from test_sumeval import _head, brute_multisum
 
@@ -65,10 +65,27 @@ def _theta_row():
             [(qfunctions, "triple_product")])
 
 
+def _product_side_row():
+    # a side with every kind of factor, evaluated past the memo
+    side = identities.ProductSide(
+        22, ((1, 0, 6), (-2, -1, 8), (3, 2, 10)),
+        num_inf=((SM(-1, 6), 4),), den_inf=identities.INV_Q_INF,
+        den_units=(identities.ONE_PLUS_Q,))
+
+    def checked():
+        identities._PRODUCTS.clear()
+        return identities.eval_product(side, 30)
+    return (lambda: ring_product_side(side, 30), checked,
+            [(qfunctions, "_binomials"), (identities, "_prefactor"),
+             (identities, "_packed_prefactor"),
+             (identities, "_packed_theta")])
+
+
 ROWS = {"brute_multisum": _multisum_row,
         "bailey_oracle.beta_sum": _beta_sum_row,
         "motion_replay": _motion_row,
-        "gf_oracle.theta_sum": _theta_row}
+        "gf_oracle.theta_sum": _theta_row,
+        "gf_oracle.ring_product_side": _product_side_row}
 
 
 def _plain(x):

@@ -1,6 +1,10 @@
 """Pochhammer symbols, Gaussian binomials, and the triple product."""
 
+from functools import reduce
+from operator import mul
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qident import bailey as B
 from qident import identities as I
@@ -9,13 +13,16 @@ from qident.bailey import (_kernel_shape, _packed_kernel,
                            _relation_kernel, _star_factor)
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
+from qident.identities import (_packed_prefactor, _packed_theta,
+                               _prefactor)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
-                               inv_poch_finite, inv_poch_infinite,
-                               poch_finite, poch_infinite, triple_product)
-from qident.series import Memo, QSeries, unpack
+                               _binomials, inv_poch_finite,
+                               inv_poch_infinite, poch_finite, poch_infinite,
+                               triple_product)
+from qident.series import INF, Memo, QSeries, one, unpack
 from qident.sumeval import _ip_norms, _packed_ips, multisum, summation_bound
 
-from gf_oracle import euler_inverse, qbinom, theta_sum
+from gf_oracle import euler_inverse, qbinom, ring_poch_infinite, theta_sum
 from series_oracle import coeff, newton_invert, qcoeff
 
 
@@ -92,6 +99,71 @@ def test_poch_infinite_edge_cases():
         poch_infinite(Q, 0, 30)
     with pytest.raises(Divergent):
         poch_infinite(Q, 2, float("inf"))
+
+
+def _progressions(draw, prec):
+    # a progression (sign, e0, step) with step >= prec has the one factor
+    # 1 - sign*t^e0 when e0 < prec, so single factors repeat freely
+    sign = st.sampled_from([1, -1])
+    runs = draw(st.lists(st.tuples(sign, st.integers(0, 40),
+                                   st.integers(1, 40)), max_size=4))
+    singles = draw(st.lists(st.tuples(sign, st.integers(0, 12)), max_size=20))
+    return runs + [(s, e, 250) for s, e in singles]
+
+
+@st.composite
+def binomial_cases(draw):
+    prec = draw(st.integers(1, 250))
+    return _progressions(draw, prec), prec
+
+
+def _ring(progressions, prec):
+    return reduce(mul, [ring_poch_infinite(SM(s, e0), step, prec)
+                        for s, e0, step in progressions], one(prec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_cases())
+# factor counts on both sides of a digit width: (1 + 1)^n = 2^n needs
+# digit_bytes(2^n) bytes, and (1 + t)^n at its widest
+@example(([(-1, 0, 250)] * 7, 1))
+@example(([(-1, 0, 250)] * 8, 1))
+@example(([(-1, 0, 250)] * 15, 3))
+@example(([(-1, 0, 250)] * 16, 3))
+@example(([(-1, 1, 250)] * 63, 250))
+@example(([(-1, 1, 250)] * 64, 250))
+@example(([(1, 1, 1)], 65))              # (t; t)_inf: 64 factors
+@example(([(-1, 0, 1)], 64))             # (-1; t)_inf: 64 factors, 2 * ...
+@example(([(1, 0, 250), (1, 3, 2)], 30))  # the factor 1 - 1: an exact zero
+@example(([], 17))
+def test_binomials_match_the_ring_product(case):
+    progressions, prec = case
+    got = _binomials(progressions, prec)
+    want = _ring(progressions, prec)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, -1]), st.integers(0, 30), st.integers(1, 30),
+       st.integers(1, 250))
+@example(1, 0, 2, 30)                    # (1; q)_inf, the exact zero
+def test_poch_infinite_and_triple_product_match_the_ring(sign, e, base,
+                                                          prec):
+    got = poch_infinite(SM(sign, e), base, prec)
+    want = ring_poch_infinite(SM(sign, e), base, prec)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    if e > 0:
+        M = e + base
+        got = triple_product(M, e, prec)
+        want = _ring([(1, e, M), (1, base, M), (1, M, M)], prec)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_an_infinite_product_needs_a_finite_order():
+    for f in (lambda: _binomials([(1, 1, 1)], INF),
+              lambda: triple_product(5, 2, INF)):
+        with pytest.raises(Divergent):
+            f()
 
 
 def test_poch_splitting():
@@ -191,7 +263,7 @@ def test_caches_are_bounded(monkeypatch):
     for f in (poch_finite, poch_infinite, inv_poch_finite,
               inv_poch_infinite, triple_product, _relation_kernel,
               _kernel_shape, _packed_kernel, _star_factor, _ip_norms,
-              _packed_ips):
+              _packed_ips, _prefactor, _packed_prefactor, _packed_theta):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does

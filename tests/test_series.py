@@ -14,8 +14,9 @@ from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
 from qident import series, sumeval
 from qident.sumeval import _ip_norms, _own_pass, _packed_ips, layer_product
 
-from series_oracle import (coeff, from_json, min_exp, newton_invert, qcoeff,
-                           scale_exponents)
+from series_oracle import (coeff, double_loop_mul, from_json, min_exp,
+                           newton_invert, qcoeff, scale_exponents,
+                           scan_equal_up_to)
 
 
 def rand_series(rng, prec=40, laurent=False, terms=12, cmax=9):
@@ -106,6 +107,57 @@ def test_coeff_and_equal_up_to():
     assert s.equal_up_to(t, 20) == (False, 6)
     with pytest.raises(PrecisionExceeded):
         s.equal_up_to(t, 21)
+
+
+@st.composite
+def comparable_pairs(draw):
+    """(a, b, p): b is a, a copy of it, or a with terms changed below p, at
+    p or above; both known to p at least."""
+    a = draw(any_series)
+    top = max(a.coeffs, default=0) + 1
+    p = draw(st.integers(top - 12, top + 12))
+    if a.prec is not INF and p > a.prec:
+        p = a.prec
+    changes = draw(st.dictionaries(st.integers(p - 10, p + 10),
+                                   st.integers(-3, 3), max_size=3))
+    b = QSeries({**a.coeffs, **changes}, a.prec if a.prec is INF
+                else a.prec + draw(st.integers(0, 5)))
+    return draw(st.sampled_from([(a, a, p), (a, b, p), (b, a, p)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(comparable_pairs(), st.integers(0, 3))
+@example((QSeries({0: 1}, 5), QSeries({0: 1, 5: 2}, 6), 5), 0)
+@example((QSeries({0: 1, 5: 2}, 6), QSeries({0: 1}, 5), 5), 0)
+@example((QSeries({0: 1, 3: 2}, 6), QSeries({0: 1, 3: 1}, 6), 4), 0)
+def test_equal_up_to_matches_the_exponent_scan(case, past):
+    # equal dicts, dicts that differ only at or above p, and dicts that
+    # differ below it; p past an operand's precision raises as the scan does
+    a, b, p = case
+    p += past
+    try:
+        want = scan_equal_up_to(a, b, p)
+    except PrecisionExceeded:
+        with pytest.raises(PrecisionExceeded):
+            a.equal_up_to(b, p)
+        return
+    assert a.equal_up_to(b, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-9, 30), st.integers(-2**70, 2**70)
+                       .filter(bool), min_size=1, max_size=1),
+       st.dictionaries(st.integers(-9, 30), st.integers(-2**70, 2**70)
+                       .filter(bool), max_size=12),
+       st.none() | st.integers(-12, 40), st.booleans())
+@example({-3: 2}, {1: 5, 9: -1, -4: 3}, 4, False)
+def test_one_term_operand_matches_the_double_loop(one_term, other, cap, flip):
+    # a monomial on either side, negative exponents, a cap that cuts terms
+    cap = INF if cap is None else cap
+    da, db = (other, one_term) if flip else (one_term, other)
+    got = _mul_dict(da, db, cap)
+    want = double_loop_mul(da, db, cap)
+    assert got == want and list(got) == list(want)
 
 
 def test_ring_axioms_random():
