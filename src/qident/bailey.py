@@ -81,7 +81,7 @@ from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
 from .series import (INF, Memo, QSeries, digit_bytes, kron_pack_one,
                      kron_unpack, monomial, one, pack, zero)
-from .sumeval import layer_product, multisum, summation_bound
+from .sumeval import layer_product, multisum, slot_series, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
 INFINITY = "infinity"
@@ -329,15 +329,16 @@ def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
     """beta'_n = sum_{l<=n} lift(l) beta_l (q^n + q^-l) / (q)_{n-l} for every
     n <= n_max, the bracket only when ``star``; lift(l) is an exact series.
 
-    This is one multisum layer product (``sumeval.layer_product``) with
-    L_l = lift(l) beta_l, d = 2 and no own factor, at working precision
-    p.prec: one packed product, two with the bracket.  The layer product
-    packs only the terms of L_l below tp + b*l (b = 2 with the bracket, 0
-    without), so beta_l is cut at tp + b*l - val(lift(l)) before the lift;
-    every beta'_n keeps the precision the uncut layer gives it.  An
-    exact-zero lift stays an exact zero.  Every l enters the layer, zero
-    series included: with the bracket a zero beta_l known only to p.prec
-    still lowers the precision of beta'_n."""
+    This is one multisum layer product (``sumeval.layer_product``), read
+    whole (``sumeval.slot_series``), with L_l = lift(l) beta_l, d = 2 and
+    no own factor, at working precision p.prec: one packed product, two
+    with the bracket.  The layer product packs only the terms of L_l below
+    tp + b*l (b = 2 with the bracket, 0 without), so beta_l is cut at
+    tp + b*l - val(lift(l)) before the lift; every beta'_n keeps the
+    precision the uncut layer gives it.  An exact-zero lift stays an exact
+    zero.  Every l enters the layer, zero series included: with the bracket
+    a zero beta_l known only to p.prec still lowers the precision of
+    beta'_n."""
     tp, b = p.prec, 2 if star else 0
     layer = {}
     for l in range(p.n_max + 1):
@@ -345,7 +346,8 @@ def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
         if x.coeffs:
             beta = beta.truncate(tp + b * l - min(x.coeffs))
         layer[l] = x * beta
-    return list(layer_product(layer, p.n_max, (2, b or None), tp).values())
+    return list(slot_series(layer_product(layer, p.n_max, (2, b or None),
+                                          tp)).values())
 
 
 def _bl(p: BaileyPair) -> BaileyPair:

@@ -86,7 +86,7 @@ def _last_factor(last_step: int, tail: Optional[str], v: int, tp: int):
     if tail == "bgg":
         out = out * poch_infinite(SM(-1, 2 + 4 * v), 4, tp)
     elif tail == "slater2":
-        out = out.divide(poch_finite(SM(-1, 1), 2, v), tp)
+        out = out * inv_poch_finite(SM(-1, 1), 2, v, tp)
     return out
 
 
@@ -155,6 +155,13 @@ def _packed_prefactor(num_inf, den_inf, den_units, tp, nbytes):
 
 
 @lru_cache(maxsize=1024)
+def _theta_norms(M, A, tp):
+    """(max |c|, sum |c|) of triple_product(M, A, tp)."""
+    size = [abs(c) for c in triple_product(M, A, tp).coeffs.values()]
+    return max(size, default=0), sum(size)
+
+
+@lru_cache(maxsize=1024)
 def _packed_theta(M, A, tp, nbytes):
     """triple_product(M, A, tp) at X = 2^(8*nbytes), t^0 at digit 0."""
     return kron_pack_one(triple_product(M, A, tp).coeffs, 0, tp, nbytes)
@@ -181,27 +188,26 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
         return hit[1][0]
     tp = tgrid(qprec)
     M = side.modulus
-    thetas = []             # (weight, shift, A, theta) that do not vanish
+    thetas = []             # (weight, shift, A) that do not vanish
     for weight, shift, A in side.terms:
         if A % M == 0:
             continue  # vanishing theta: contributes 0
         if not 0 < A < M:
             raise CatalogRangeError(
                 f"theta exponent {A} outside (0, {M})")
-        thetas.append((weight, shift, A, triple_product(M, A, tp)))
+        thetas.append((weight, shift, A))
     factors = (side.num_inf, side.den_inf, side.den_units, tp)
     f, fmax, fsum = _prefactor(*factors)
     if side.terms:
         bound = 0
-        for weight, _, _, theta in thetas:
-            size = [abs(c) for c in theta.coeffs.values()]
-            bound += abs(weight) * min(max(size, default=0) * fsum,
-                                       sum(size) * fmax)
+        for weight, _, A in thetas:
+            tmax, tsum = _theta_norms(M, A, tp)
+            bound += abs(weight) * min(tmax * fsum, tsum * fmax)
         nbytes = digit_bytes(max(bound, fmax))    # F is packed whole
         width = 8 * nbytes
-        low = min((shift for _, shift, _, _ in thetas), default=0)
+        low = min((shift for _, shift, _ in thetas), default=0)
         acc = 0
-        for weight, shift, A, _ in thetas:
+        for weight, shift, A in thetas:
             acc += weight * _packed_theta(M, A, tp, nbytes) << width * (
                 shift - low)
         p = tp + min(low, 0) if f.coeffs else tp

@@ -23,6 +23,17 @@ Division is long division (``divide``); every divisor in scope is a product
 of binomials whose lowest coefficient is +-1, or +-2 where the two terms of
 a b - aq^l factor coincide.  ``invert`` divides one.
 
+Kronecker substitution packs a polynomial into one integer, one digit of
+nbytes bytes per exponent (``kron_pack``), so that a product of
+polynomials is one big-integer product.  Reading a product back is two
+steps.  ``kron_digits`` turns the product's values at its points into one
+buffer of digit words, each digit stored with a bias of half a digit so
+that the word is unsigned, in the native word that holds nbytes bytes;
+``read_digits`` reads spans of that buffer into coefficient dicts.
+``kron_unpack`` is the two in one call.  A caller that reads only part of
+a product, or reads it later, keeps the buffer: the sum engine's layer
+products are such buffers (``sumeval``).
+
 The per-process memos of the sum engine, the product sides and the Bailey
 chains are each a ``Memo``: at most ``Memo.MAX`` entries, the least recently
 used dropped first, with a count of the hits and misses of its lookups that
@@ -351,37 +362,42 @@ def digit_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int) -> int:
+def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int,
+                  step: int = 1) -> int:
     """The terms c*t^e of coeffs with e < stop as one integer at
-    X = 2^(8*nbytes), t^low at digit 0 (kron_pack of one row at one point);
-    0 when there are none.  No exponent may lie below low."""
+    X = 2^(8*nbytes), t^(low + step*j) at digit j (kron_pack of one row at
+    one point); 0 when there are none.  No exponent may lie below low, and
+    every e - low must be a multiple of step."""
     if not coeffs:
         return 0
-    return kron_pack([(-low, coeffs, stop)], min(stop, max(coeffs) + 1) - low,
-                     nbytes)[0]
+    return kron_pack([(-low, coeffs, stop)],
+                     -((low - min(stop, max(coeffs) + 1)) // step), nbytes,
+                     step)[0]
 
 
-def kron_unpack(values, nbytes: int, spans, step: int = 1) -> list:
-    """Signed digits of h in base X = 2^(8*nbytes), the inverse of
-    kron_pack, from h's values at its points: (h(X),), or (h(Y), h(-Y)),
-    whose half sum and difference over 2Y are exactly h's even- and
-    odd-index digits at X, read apart and interleaved.
+def word_bytes(nbytes: int) -> int:
+    """The width, in bytes, of the word that holds one digit of nbytes in
+    a buffer of ``kron_digits``: the next native word up to 8 bytes."""
+    return _WORD.get(nbytes, nbytes)
 
-    ``spans`` lists (start, stop, base) digit ranges; the result holds one
-    dict per span mapping base + step*(i - start) to each nonzero digit i in
-    [start, stop), so a span read at ``step`` gives back exponents on the
-    lattice base + step*Z.  Digits at or above the largest stop are never
-    read, so they may be arbitrary.  Digits of up to 8 bytes are read as
-    native words, a span at a time, as in kron_pack: a 3-, 5-, 6- or 7-byte
-    digit is first widened to the next native word by strided byte copies
-    (``_gather``, which also interleaves the halves).
-    """
+
+def kron_digits(values, nbytes: int, ndigits: int):
+    """The digits 0..ndigits-1 of h in base X = 2^(8*nbytes) from h's
+    values at its points, as kron_pack gives them: (h(X),), or (h(Y),
+    h(-Y)), whose half sum and difference over 2Y are exactly h's even- and
+    odd-index digits at X, taken apart and interleaved.
+
+    The result is a buffer of ndigits little-endian words of
+    ``word_bytes(nbytes)`` bytes, word i holding digit i plus the bias
+    2^(8*nbytes - 1), so every word is unsigned; ``read_digits`` reads
+    spans of it.  Digits at or above ndigits are never taken, so they may
+    be arbitrary.  A 3-, 5-, 6- or 7-byte digit is widened to the next
+    native word by strided byte copies (``_gather``, which also interleaves
+    the two points' halves)."""
     if len(values) == 2:
         hp, hm = values
         values = [(hp + hm) >> 1, (hp - hm) >> (4 * nbytes + 1)]
-    ndigits = max((stop for _, stop, _ in spans), default=0)
-    lift = 1 << (8 * nbytes - 1)
-    lifts = lift.to_bytes(nbytes, "little")
+    lifts = (1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
     parts = []
     for p, n in enumerate(values):
         nd = len(range(p, ndigits, len(values)))
@@ -391,19 +407,38 @@ def kron_unpack(values, nbytes: int, spans, step: int = 1) -> list:
         bias = int.from_bytes(lifts * nd, "little")
         parts.append(((n + bias) & ((1 << nbits) - 1))
                      .to_bytes(nbits // 8, "little"))
+    return _gather(parts, word_bytes(nbytes), nbytes, ndigits)
+
+
+def read_digits(buf, nbytes: int, spans, step: int = 1) -> list:
+    """The signed digits of a ``kron_digits`` buffer, one dict per
+    (start, stop, base) of spans, mapping base + step*(i - start) to each
+    nonzero digit i in [start, stop): a span read at ``step`` gives back
+    exponents on the lattice base + step*Z.  Words of up to 8 bytes are
+    read as native words through a ``memoryview`` cast."""
+    lift = 1 << (8 * nbytes - 1)
     w = _WORD.get(nbytes)
-    buf = _gather(parts, w or nbytes, nbytes, ndigits)
     if w is not None:
         words = memoryview(buf).cast(_NATIVE[w])
-        spans_vals = [words[start:stop].tolist() for start, stop, _ in spans]
     else:
-        from_bytes = int.from_bytes
-        spans_vals = [[from_bytes(buf[k:k + nbytes], "little")
-                       for k in range(start * nbytes, stop * nbytes, nbytes)]
-                      for start, stop, _ in spans]
-    return [{base + step * j: c - lift for j, c in enumerate(vals)
+        words = [int.from_bytes(buf[k:k + nbytes], "little")
+                 for k in range(0, len(buf), nbytes)]
+    return [{e: c - lift
+             for e, c in zip(range(base, base + step * (stop - start), step),
+                             words[start:stop])
              if c != lift}
-            for (_, _, base), vals in zip(spans, spans_vals)]
+            for start, stop, base in spans]
+
+
+def kron_unpack(values, nbytes: int, spans, step: int = 1) -> list:
+    """Signed digits of h in base X = 2^(8*nbytes), the inverse of
+    kron_pack: ``read_digits`` of spans of ``kron_digits`` up to the
+    largest stop.  Digits at or above it are never read, so they may be
+    arbitrary."""
+    return read_digits(
+        kron_digits(values, nbytes,
+                    max((stop for _, stop, _ in spans), default=0)),
+        nbytes, spans, step)
 
 
 def _deal(buf, w, nbytes, ndigits, parts):

@@ -15,10 +15,11 @@ self-prunes.
 
 The pass.  ``multisum`` is one loop over the variables, from the innermost
 outwards.  It starts from T_v = 1 for every v <= vmax, the product before
-the innermost own factor, or from the outermost stored product (below).
-For each variable but the outermost, the own pass (``_own_pass``) applies
-its own factor to each T_v, and ``layer_product`` convolves the result
-through the gap outside it.  The outermost variable's own pass and the sum
+the innermost own factor (a packed product whose slots all read one digit
+1), or from the outermost stored product (below).  For each variable but
+the outermost, the own pass (``_own_pass``) applies its own factor to each
+T_v, and ``layer_product`` convolves the result through the gap outside
+it.  The outermost variable's own pass and the sum
 over its values are one step, ``_own_sum`` (below).  A single variable
 takes no step of the loop: its own row is summed against T_v = 1.
 
@@ -69,33 +70,48 @@ slot width, the digit width, the branch, the grid step, the points), so
 each such table is packed once per key and cached; only the layer side is
 packed per call.
 
-``layer_product`` builds T_v for every v <= vmax, each read below its own
-precision best_v, so nothing in it depends on the outer variable's own
-factor.  That factor is kept by its offset: o_v = quad*v^2 + lin*v for a
-bare monomial t^(o_v), or the pair (o_v, extra(v)) for t^(o_v) times the
-extra as the caller made it, so an own row copies no series.  The shift is
-applied once, where the factor is used, and fused with the truncation at
-wp: only the terms below wp - o_v are shifted.  The own pass applies the
-factor to each T_v, as that shift for a bare monomial and as a series
-product, shifted, otherwise.  The other user of ``layer_product`` is the
+A layer product stays packed.  ``layer_product`` returns the digits of T_v
+for every v <= vmax, each slot below its own precision best_v, as the
+buffer of biased digit words that ``series.kron_digits`` reads out of the
+product, with only each slot's read run kept and the runs joined: the
+layer's lo, grid step g, digit width and the bound on every |digit| that
+set it, and per slot the start of its run, its digit count and best_v.
+Digit j of slot v is the coefficient of t^(lo + g*j) in T_v.  Nothing in it
+depends on the outer variable's own factor, and no coefficient dict is
+made: each consumer reads a slot only as far as its own factor needs.  That
+factor is kept by its offset: o_v = quad*v^2 + lin*v for a bare monomial
+t^(o_v), or the pair (o_v, extra(v)) for t^(o_v) times the extra as the
+caller made it, so an own row copies no series.  The own pass
+(``_own_pass``) reads slot v below wp - o_v for a bare monomial, with the
+shift folded into the read's base exponent lo + o_v, and below wp - o_v -
+val(extra) for a series factor, which it then multiplies by the extra and
+shifts; one ``read_digits`` call reads every slot, and a bare slot that has
+nothing below wp is not read.  The other user of ``layer_product`` is the
 Bailey engine: the beta-side sum of the Bailey lemmas
 (``bailey._beta_sum``) is one bare layer product, with L_l = lift(l) *
-beta_l, d = 2 and binomial step 2 for the star step, and no own factor.
+beta_l, d = 2 and binomial step 2 for the star step, and no own factor,
+read whole (``slot_series``, one ``read_digits`` call).
 
 The outer step.  The outermost variable's own pass and the sum over its
 values are one step (``_own_sum``), with the coefficients and precision of
-the ring sum of the own pass's series.  The T_v of bare monomials are added
-into one dict, each term shifted as it is read.  A series own factor (the
-head (x; q)_(s_1) of the Gollnitz-Gordon and Slater-type rows) is one
-packed sum: each extra and each T_v packed at one point
-(``series.kron_pack_one``) from its lowest term, and only the terms that
-land below the precision of the sum, the products A_v * B_v added into one
-big integer at the offsets of their lowest exponents, and read back once
-(``kron_unpack``).  Its digit width comes from _convolve's rule, the sum
-over v of min(max|extra| * sum|T_v|, sum|extra| * max|T_v|) over the
-packed terms.  Packing the T_v of the bare monomials the same way was
-measured slower (0.35-0.37 ms against 0.40-0.43 ms for the median catalog
-row).
+the ring sum of the own pass's series: one packed sum for both kinds of own
+factor.  Each slot's digits below the precision of the sum are taken as one
+integer straight from the bytes, multiplied by its extra packed at one
+point (``series.kron_pack_one``) or by 1, shifted to its lowest exponent
+lo + o_v (+ val(extra)), added, and the sum is read back once
+(``kron_unpack``).  With D the digit bound of the layer product, which the
+layout keeps, a digit of the sum is at most the sum over v of D for a bare
+monomial, and D * min(max|extra| * n_v, sum|extra|) for n_v digits of T_v
+taken.  While that fits the slots' words, the sum is taken at their width;
+beyond it each slot is widened by strided byte copies.  Scanning the digits
+taken for their largest |digit| costs more than the widening it saves: the
+p30-p70 band of rows of a cold k <= 4, q-order 60 pass took 48.6-49.6 ms
+with the scan against 43.2-45.3 ms without (in-process, best of 8 passes a
+row).  The sum lies on the lattice lo + g2*Z, g2 the gcd of g, the
+offsets between the terms' lowest exponents and the exponents of each extra
+less its valuation; when g2 < g (odd offsets, or an extra with odd
+exponents, over a product on the even grid), the same strided copies spread
+each slot's digits g/g2 apart.
 
 Working precision.  Every layer is truncated at the working order wp, and
 so are the Pochhammer factors.  What is lost there is regained only if the
@@ -128,21 +144,25 @@ differ only in their outer variables share it.  A name is an int, interned
 from the inside out in the ever-growing ``_SUFFIXES`` under ((quad, lin,
 description) of variable i, gap i, the name inside it): equal names mean
 equal suffixes, and the keys of K variables take O(K) memory, not O(K^2).
-The key leaves vmax out.  T_v and best_v read L_u for u <= v only, L_u is
-the same whatever vmax the layer was summed to, and the lo, g and digit
-width that a larger vmax may change set the layout of the packed product,
-never a digit read back.  So an entry holds the vmax it was built to and
-T_v for every v up to it: a request at that vmax or below takes the entry
-restricted to v <= vmax, and a larger vmax builds it again and replaces it.
-``multisum`` looks for the outermost stored product first, so a row that
-misses only on its outer variable pays one recall and the outer step.
-Callers whose extras are closures over data (the Bailey lattice checks)
-pass no key, and nothing is looked up or stored for them.  One shuffled
-pass of the k <= 4 catalog sweep at q-order 60 (perfbench's catalog_sweep,
-seed 1) builds 232 layer products, and stores 200 in 1.13 MiB and 298 sums
-in 0.19 MiB.  The row order decides which entries are restricted and which
-built again: 229-244 products over other seeds, 270 in catalog order.  At
-k <= 5 and q-order 100 the products take 5.14 MiB.
+An entry is the packed layer product itself, its joined read runs as one
+``bytes`` and its layout, with no coefficient dict.  The key leaves vmax
+out.  T_v and best_v read L_u for u <= v only, L_u is the same whatever
+vmax the layer was summed to, and the lo, g and digit width that a larger
+vmax may change set the layout of the packed product, never a digit read
+back.  So an entry holds the vmax it was built to and the slots of every v
+up to it: a request at that vmax or below takes the entry with its slot
+list cut to v <= vmax, decoding nothing, and a larger vmax builds it again
+and replaces it.  ``multisum`` looks for the outermost stored product
+first, so a row that misses only on its outer variable pays one recall and
+the outer step, whose final read-back is the only read of digits.  Callers
+whose extras are closures over data (the Bailey lattice checks) pass no
+key, and nothing is looked up or stored for them.  One shuffled pass of the
+k <= 4 catalog sweep at q-order 60 (perfbench's catalog_sweep, seed 1)
+builds 232 layer products, and stores 200 in 0.80 MiB (1.13 MiB as
+coefficient dicts) and 298 sums in 0.19 MiB.  The row order decides which
+entries are cut and which built again: 229-244 products over other seeds,
+270 in catalog order.  At k <= 5 and q-order 100 the products take
+4.32 MiB (5.14 MiB as dicts).
 """
 
 from __future__ import annotations
@@ -151,8 +171,9 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import (INF, ONE, Memo, QSeries, digit_bytes, kron_pack,
-                     kron_pack_one, kron_unpack)
+from .series import (INF, Memo, QSeries, digit_bytes, kron_digits,
+                     kron_pack, kron_pack_one, kron_unpack, read_digits,
+                     word_bytes)
 from .qfunctions import SM, inv_poch_finite
 
 # A product whose layer packs to fewer bytes is taken at one point, where
@@ -191,10 +212,16 @@ def var_bound(pervar, tprec) -> int:
 
 def summation_bound(pervar, gaps, tprec) -> int:
     """var_bound of multisum's (quad, lin) pairs, each lin less the binomial
-    step of the gap outside it; blind to extras, so only for valuation >= 0."""
+    step of the gap outside it; blind to extras, so only for valuation >= 0.
+    Every sum side pays it before its memo lookup, so it is cached."""
     drops = [0] + [b or 0 for _, b in gaps]
-    return var_bound([(quad, lin - drop) for (quad, lin, _), drop
-                      in zip(pervar, drops)], tprec)
+    return _bound(tuple((quad, lin - drop) for (quad, lin, _), drop
+                        in zip(pervar, drops)), tprec)
+
+
+@lru_cache(maxsize=1024)
+def _bound(pairs, tprec) -> int:
+    return var_bound(list(pairs), tprec)
 
 
 def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
@@ -251,12 +278,12 @@ def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
         own.append(row)
     wp = tprec + R
 
-    # products: T_v before variable start's own factor, 1 for the innermost
-    # variable.  names[i]: the memo key of the product before variable i's
-    # own factor, which convolves the suffix of variables i + 1..; the
-    # outermost stored one built to this vmax or more is taken, restricted
-    # to v <= vmax
-    start, products = K - 1, dict.fromkeys(range(vmax + 1), ONE)
+    # products: the packed T_v before variable start's own factor, 1 for
+    # the innermost variable.  names[i]: the memo key of the product before
+    # variable i's own factor, which convolves the suffix of variables
+    # i + 1..; the outermost stored one built to this vmax or more is
+    # taken, restricted to v <= vmax
+    start, products = K - 1, _ones(vmax)
     names = [None] * (K - 1)
     if key is not None:
         inner = descs[-1]
@@ -268,17 +295,16 @@ def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
         for i, name in enumerate(names):
             hit = _CONVOLUTIONS.recall(name)
             if hit is not None and hit[0][0] >= vmax:
-                (_, v0), stored = hit
-                start, products = i, dict(zip(range(v0, vmax + 1), stored))
+                *head, v0, slots = hit[0][1]
+                start = i
+                products = (*head, v0, slots[:max(vmax - v0 + 1, 0)])
                 break
     for i in range(start, 0, -1):
         layer = _own_pass(products, own[i], wp)
         products = (layer_product(layer, vmax, gaps[i - 1], wp) if layer
-                    else {})
+                    else _NOTHING)
         if names[i - 1] is not None:
-            _CONVOLUTIONS.store(names[i - 1],
-                                (vmax, min(products, default=0)),
-                                products.values())
+            _CONVOLUTIONS.store(names[i - 1], (vmax, products), ())
 
     out = _own_sum(products, own[0], wp)
     if out.prec < tprec:
@@ -308,11 +334,40 @@ def _shifted(s, o, wp):
                        min(s.prec + o, wp))
 
 
+# A layer product, packed (module docstring): (buf, nbytes, dmax, lo, g,
+# v0, slots), slots[i] = (start, n, prec) for v = v0 + i, so that T_v is
+# sum_{j < n} digit(start + j) * t^(lo + g*j), known below prec, with
+# every |digit| <= dmax; buf holds the digits as the biased words of
+# ``series.kron_digits``.
+
+def _ones(vmax):
+    """T_v = 1 for every v <= vmax, exact: one digit that every slot reads."""
+    return (b"\x81", 1, 1, 0, 1, 0, [(0, 1, INF)] * (vmax + 1))
+
+
+# the product of an empty layer: no slot
+_NOTHING = (b"", 1, 0, 0, 1, 0, [])
+
+
+def _digits(stop, lo, g, n):
+    """How many of a slot's n digits lie below exponent stop."""
+    return max(0, min(n, (stop - lo - 1) // g + 1))
+
+
+def slot_series(products) -> dict:
+    """{v: T_v} of a packed layer product, read in one ``read_digits``."""
+    buf, nbytes, dmax, lo, g, v0, slots = products
+    reads = read_digits(buf, nbytes, [(start, start + n, lo)
+                                      for start, n, _ in slots], g)
+    return {v: QSeries._of(coeffs, prec) for v, coeffs, (_, _, prec)
+            in zip(range(v0, v0 + len(slots)), reads, slots)}
+
+
 def layer_product(layer, vmax, gap, wp):
-    """{v: T_v} for every v from min(layer) to vmax (module docstring), T_v
-    known below its precision best_v <= wp, which it holds as its prec.
-    Nothing here depends on an own factor, and T_v reads L_u for u <= v
-    only; a layer's u above vmax are not read."""
+    """The packed T_v for every v from min(layer) to vmax (module
+    docstring), T_v known below its precision best_v <= wp.  Nothing here
+    depends on an own factor, and T_v reads L_u for u <= v only; a layer's
+    u above vmax are not read."""
     den_step, b = gap
     b = b or 0
     us = [u for u in sorted(layer) if layer[u].coeffs]   # packed slots
@@ -324,40 +379,62 @@ def layer_product(layer, vmax, gap, wp):
     # is packed.  T_v has no term below best_v when best_v <= lo, or when no
     # nonzero L_u has u <= v; then nothing is read.
     v0 = min(layer)
-    precs = []
+    slots = []
     best = INF
     for v in range(v0, vmax + 1):
         s = layer.get(v)
         if s is not None:
             best = min(best, wp, min(s.prec, wp + _val(s)) - b * v)
-        precs.append(best)
-    reads = [(v, p) for v, p in enumerate(precs, v0)
+        slots.append((0, 0, best))
+    reads = [(v, p) for v, (_, _, p) in enumerate(slots, v0)
              if us and v >= us[0] and p > lo]
-    slots = {}
-    if reads:
-        slots = dict(zip((v for v, _ in reads),
-                         _convolve(layer, us, lo, reads, den_step, b, wp)))
-    return {v: QSeries._of(slots.get(v, {}), p)
-            for v, p in enumerate(precs, v0)}
+    if not reads:
+        return (b"", 1, 0, lo, 1, v0, slots)
+    buf, nbytes, dmax, g, starts = _convolve(layer, us, lo, reads, den_step,
+                                             b, wp)
+    # the read run of each slot, joined into one buffer
+    w = word_bytes(nbytes)
+    buf = memoryview(buf)
+    runs, at = [], 0
+    for (v, p), start in zip(reads, starts):
+        n = -((lo - p) // g)
+        runs.append(buf[start * w:(start + n) * w])
+        slots[v - v0] = (at, n, p)
+        at += n
+    return (b"".join(runs), nbytes, dmax, lo, g, v0, slots)
 
 
 def _own_pass(products, own_row, wp):
-    """own_row[v] * T_v truncated at wp for each {v: T_v} of products,
+    """own_row[v] * T_v truncated at wp for each packed T_v of products,
     without the entries that are zero at precision wp; own_row as in
-    ``multisum``."""
-    nxt = {}
-    for v, t in products.items():
+    ``multisum``.  Slot v is read only below the exponent where its own
+    factor's terms reach wp, in one ``read_digits`` call."""
+    buf, nbytes, dmax, lo, g, v0, slots = products
+    spans, heads = [], []
+    for v, (start, n, p) in enumerate(slots, v0):
         o = own_row[v]
         if o is None:
             continue
         if isinstance(o, int):
-            # an exact shift: only the terms of T_v below wp - o reach wp
-            s = _shifted(t, o, wp)
+            # an exact shift, folded into the read's base exponent: only
+            # the terms of T_v below wp - o reach wp
+            stop, prec = (p, p + o) if p + o < wp else (wp - o, wp)
+            k = _digits(stop, lo, g, n)
+            if not k and prec == wp:
+                continue        # nothing below wp: dropped unread
+            spans.append((start, start + k, lo + o))
         else:
             # T_v is read below wp - val(t^o * extra) only: no more can
             # reach wp
-            o, x = o
-            s = _shifted(x * t.truncate(wp - o - _val(x)), o, wp)
+            stop = prec = min(p, wp - o[0] - _val(o[1]))
+            spans.append((start, start + _digits(stop, lo, g, n), lo))
+        heads.append((v, o, prec))
+    nxt = {}
+    for (v, o, prec), coeffs in zip(heads,
+                                    read_digits(buf, nbytes, spans, g)):
+        s = QSeries._of(coeffs, prec)
+        if not isinstance(o, int):
+            s = _shifted(o[1] * s, o[0], wp)
         # a zero series below wp still bounds what is known; keep it
         if s.coeffs or s.prec < wp:
             nxt[v] = s
@@ -365,85 +442,125 @@ def _own_pass(products, own_row, wp):
 
 
 def _own_sum(products, own_row, wp):
-    """The sum over v of own_row[v] * T_v for {v: T_v} of products,
+    """The sum over v of own_row[v] * T_v for the packed T_v of products,
     truncated at wp: the outermost own pass and the final sum in one step
     (module docstring), with the coefficients and precision of the sum of
     ``_own_pass``'s series."""
-    # The precision of each term as _own_pass gives it, and the terms of
-    # the series own factors, t^o * x against T_v read below cut.
+    buf, nbytes, dmax, lo, g, v0, slots = products
+    w = word_bytes(nbytes)
+    lifts = (1 << (8 * nbytes - 1)).to_bytes(w, "little")
+    from_bytes = int.from_bytes
+
+    # The precision of each term as _own_pass gives it: t^o * x * T_v is
+    # known below min(prec(x) + o + val(T_v), prec(T_v) + o + val(x)), with
+    # T_v read below wp - o - val(x).
     prec = wp
-    pairs = []
-    for v, t in products.items():
+    terms = []
+    for v, (start, n, p) in enumerate(slots, v0):
         o = own_row[v]
         if o is None:
             continue
         if isinstance(o, int):
-            prec = min(prec, t.prec + o)
-        else:
-            o, x = o
-            vo = _val(x) + o
-            cut = min(t.prec, wp - vo)
-            vt = min(_val(t), cut)
-            prec = min(prec, x.prec + o + vt, cut + vo)
-            pairs.append((o, x, t, vo + vt))
-
-    acc = {}
-    for v, t in products.items():
-        o = own_row[v]
-        if isinstance(o, int):
-            stop = prec - o
-            for e, c in t.coeffs.items():
-                if e < stop:
-                    acc[e + o] = acc.get(e + o, 0) + c
-
-    # One big integer in base X = 2^(8*nbytes) for the series own factors:
-    # x packed from its valuation vx and T_v from vt, the product shifted
-    # to its lowest exponent vx + o + vt.  Only what lands below prec is
-    # packed, and a digit of the sum is at most the sum over the terms of
-    # min(max|x| * sum|T_v|, sum|x| * max|T_v|), as in _convolve.
-    terms, bound = [], 0
-    for o, x, t, low in pairs:
-        if low >= prec:
+            prec = min(prec, p + o)
+            terms.append((start, n, o, None))
             continue
-        vx = min(x.coeffs)
-        vt = low - o - vx
-        xstop, tstop = prec - o - vt, prec - o - vx
-        xs = [abs(c) for e, c in x.coeffs.items() if e < xstop]
-        ts = [abs(c) for e, c in t.coeffs.items() if e < tstop]
-        bound += min(max(xs) * sum(ts), sum(xs) * max(ts))
-        terms.append((x, vx, xstop, t, vt, tstop, low))
-    if terms:
-        nbytes = digit_bytes(bound)
-        base = min(low for *_, low in terms)
-        h = 0
-        for x, vx, xstop, t, vt, tstop, low in terms:
-            h += (kron_pack_one(x.coeffs, vx, xstop, nbytes)
-                  * kron_pack_one(t.coeffs, vt, tstop, nbytes)
-                  << 8 * nbytes * (low - base))
-        for e, c in kron_unpack((h,), nbytes, [(0, prec - base, base)])[0] \
-                .items():
-            acc[e] = acc.get(e, 0) + c
-    return QSeries._of({e: c for e, c in acc.items() if c}, prec)
+        o, x = o
+        vo = _val(x) + o
+        cut = min(p, wp - vo)
+        prec = min(prec, cut + vo)
+        if x.prec is not INF:
+            # val(T_v), at most cut, from the lowest set bit of the slot
+            # read below cut
+            k = _digits(cut, lo, g, n)
+            t = (from_bytes(buf[start * w:(start + k) * w], "little")
+                 - from_bytes(lifts * k, "little"))
+            vt = min(lo + g * (((t & -t).bit_length() - 1) // (8 * w)),
+                     cut) if t else cut
+            prec = min(prec, x.prec + o + vt)
+        if x.coeffs:
+            terms.append((start, n, o, x))
+
+    # What lands below prec: of T_v its k digits below prec - o (- val(x)),
+    # of x its terms below prec - o - lo.  A digit of the sum is at most
+    # the sum over the terms of dmax (bare) or dmax * min(max|x| * k,
+    # sum|x|), so the slots keep their words until that exceeds them; it
+    # also holds every term of x packed, as dmax >= 1 when a digit is not
+    # 0.  The sum lies on the grid lo + g2*Z, g2 the gcd of g, the offsets
+    # of the terms' lowest exponents and the exponents of each x less its
+    # valuation.
+    picked, bound, g2 = [], 0, g
+    for start, n, o, x in terms:
+        low = lo + o
+        if x is not None:
+            vx = min(x.coeffs)
+            low += vx
+        k = _digits(prec, low, g, n)
+        if not k or not dmax:
+            continue
+        if x is None:
+            bound += dmax
+        else:
+            stop = prec - o - lo
+            xs = [(e, abs(c)) for e, c in x.coeffs.items() if e < stop]
+            sizes = [c for _, c in xs]
+            bound += dmax * min(max(sizes) * k, sum(sizes))
+            if g2 > 1:
+                g2 = gcd(g2, *[e - vx for e, _ in xs])
+            x = (x, vx, stop)
+        if picked and g2 > 1:
+            g2 = gcd(g2, low - picked[0][3])
+        picked.append((start, k, x, low))
+    if not picked:
+        return QSeries._of({}, prec)
+
+    # Each slot as one integer straight from the bytes: the words of w
+    # bytes, widened to the sum's digit width and spread r = g/g2 digits
+    # apart by strided byte copies when either differs.
+    width = max(w, digit_bytes(bound))
+    stride = g // g2 * width
+    pad = lifts + bytes(stride - w)
+    base = min(low for *_, low in picked)
+    h = 0
+    for start, k, x, low in picked:
+        run = buf[start * w:(start + k) * w]
+        if stride != w:
+            wide = bytearray(k * stride)
+            for i in range(w):
+                wide[i::stride] = run[i::w]
+            run = wide
+        t = from_bytes(run, "little") - from_bytes(pad * k, "little")
+        if x is not None:
+            x, vx, stop = x
+            t *= kron_pack_one(x.coeffs, vx, stop, width, g2)
+        h += t << 8 * width * ((low - base) // g2)
+    return QSeries._of(
+        kron_unpack((h,), width, [(0, _digits(prec, base, g2, INF), base)],
+                    g2)[0], prec)
 
 
 def _convolve(layer, us, lo, reads, den_step, b, wp):
-    """The coefficient dicts of T_v below each (v, stop) in reads, from one
-    packed product per branch, taken at one point or two (module
-    docstring) and read back once for both branches."""
+    """T_v below each (v, stop) in reads from one packed product per
+    branch, taken at one point or two (module docstring): the biased digit
+    words of both branches (``series.kron_digits``) up to the last digit
+    read, their width nbytes, the bound dmax on every |digit| read that set
+    it, the grid step g and the digit where each read slot starts."""
     u0 = us[0]
     top = reads[-1][0] - u0     # highest slot read, relative to u0
     us = [u for u in us if u - u0 <= top]
 
     # A digit of slot v sums products of slot u and slot v - u for u <= v:
     # |digit| <= sum_u min(max|L_u| * sum|ip_{v-u}|, sum|L_u| * max|ip_{v-u}|),
-    # twice that with the binomial branch.
-    a_norms = [(u, max(map(abs, layer[u].coeffs.values())),
-                sum(map(abs, layer[u].coeffs.values()))) for u in us]
+    # twice that with the binomial branch.  The coefficients of ip_m, the
+    # partitions into parts of at most m, grow with m, so the bound is
+    # largest at the highest slot read, where every u enters.
     b_norms = _ip_norms(den_step, top, wp)
-    bound = max(sum(min(amax * b_norms[v - u][1], asum * b_norms[v - u][0])
-                    for u, amax, asum in a_norms if u <= v)
-                for v, _ in reads)
-    nbytes = digit_bytes(bound * (2 if b else 1))
+    bound = 0
+    for u in us:
+        size = [abs(c) for c in layer[u].coeffs.values()]
+        bmax, bsum = b_norms[top + u0 - u]
+        bound += min(max(size) * bsum, sum(size) * bmax)
+    dmax = bound * (2 if b else 1)
+    nbytes = digit_bytes(dmax)
 
     # Every packed exponent lies on lo + g*Z (module docstring); b is in the
     # gcd, so e - lo stands for e - b*u - lo.
@@ -469,9 +586,9 @@ def _convolve(layer, us, lo, reads, den_step, b, wp):
     if b:
         h = [x + y for x, y in zip(h, branch(b))]
     # slot v is read below stop: ceil((stop - lo) / g) digits
-    return kron_unpack(h, nbytes, [((v - u0) * Wg, (v - u0) * Wg
-                                    - (lo - stop) // g, lo)
-                                   for v, stop in reads], g)
+    v, stop = reads[-1]
+    buf = kron_digits(h, nbytes, (v - u0) * Wg - (lo - stop) // g)
+    return buf, nbytes, dmax, g, [(v - u0) * Wg for v, _ in reads]
 
 
 def _ips(den_step, top, wp):

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import marshal
 import os
 import random
 import signal
@@ -13,11 +14,12 @@ from itertools import combinations
 import pytest
 
 from qident import identities as I
-from qident import sumeval
+from qident import series, sumeval
 from qident.errors import (CatalogRangeError, InvalidParameters,
                            PrecisionExceeded)
-from qident.qfunctions import (Q, SignedMonomial as SM, inv_poch_infinite,
-                               poch_infinite, triple_product)
+from qident.qfunctions import (Q, SignedMonomial as SM, inv_poch_finite,
+                               inv_poch_infinite, poch_finite, poch_infinite,
+                               triple_product)
 from qident.series import QSeries, monomial, one, zero
 
 from catalog_helpers import rhs_series
@@ -215,6 +217,74 @@ def test_a_row_starts_from_an_inner_layer_of_an_earlier_row(monkeypatch):
                                 {"k": 3, "r": 0, "j": 1, "T": T}, 20)
         assert rep.equal and len(calls) == layers, T
         assert (memo.hits, memo.misses, len(memo)) == (hits, misses, misses)
+
+
+@pytest.mark.parametrize("name, first, second", [
+    # bare own monomials, and the head (-1; q)_(s_1) of new_slater2, each
+    # packed and multiplied by its slot
+    ("bressoud_33", {"k": 3, "j": 1}, {"k": 3, "j": 0}),
+    ("new_slater2", {"k": 2, "r": 1, "j": 1}, {"k": 2, "r": 1, "j": 0}),
+])
+def test_a_recalled_outer_product_is_read_once(monkeypatch, name, first,
+                                               second):
+    # the rows differ only in s_1, and the second sums to a vmax no larger,
+    # so it recalls the outer product that the first stored: it builds no
+    # layer and decodes no T_v, and the
+    # only digits its outer step reads are those of its final read-back
+    calls = _count_layers(monkeypatch)
+    _clear_memos()
+    spec = I.CATALOG[name]
+    I.eval_sum(spec.lhs(first), 20)
+    reads = []
+    for module in (series, sumeval):
+        real = module.read_digits
+        monkeypatch.setattr(module, "read_digits", lambda *args, real=real: (
+            reads.append(args) or real(*args)))
+    calls.clear()
+    hits = sumeval._CONVOLUTIONS.hits
+    got = I.eval_sum(spec.lhs(second), 20)
+    assert calls == [] and sumeval._CONVOLUTIONS.hits == hits + 1
+    assert len(reads) == 1
+    _clear_memos()
+    assert (got.coeffs, got.prec) == (I.eval_sum(spec.lhs(second), 20).coeffs,
+                                      got.prec)
+
+
+@pytest.mark.parametrize("qprec", [10, 60, 100])
+def test_slater2_tail_equals_the_long_division(qprec):
+    # the tail 1/(-q^(1/2); q)_v is a product with the cached reciprocal;
+    # it was the long division by the polynomial (-q^(1/2); q)_v
+    tp = I.tgrid(qprec)
+    I._last_factor.cache_clear()
+    for v in range(17):
+        got = I._last_factor(2, "slater2", v, tp)
+        want = inv_poch_finite(SM(1, 2), 2, v, tp).divide(
+            poch_finite(SM(-1, 1), 2, v), tp)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec), v
+
+
+def _holds_a_dict(value):
+    if isinstance(value, dict):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_a_dict(item) for item in value)
+    return False
+
+
+def test_stored_layer_products_hold_digits_not_series():
+    # every stored layer product is its packed digits and their layout:
+    # bytes and ints, no coefficient dict
+    _clear_memos()
+    for name, params in I.catalog_rows(2):
+        I.verify_identity(name, params, 20)
+    memo = sumeval._CONVOLUTIONS
+    assert memo
+    for stored in memo.values():
+        (vmax, products), series_ = marshal.loads(stored)
+        assert series_ == [] and not _holds_a_dict(products)
+        buf, nbytes, dmax, lo, g, v0, slots = products
+        assert isinstance(buf, bytes)
+        assert len(slots) == vmax - v0 + 1
 
 
 def test_a_row_with_an_earlier_rows_sides_builds_no_layer(monkeypatch):

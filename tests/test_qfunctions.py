@@ -14,7 +14,7 @@ from qident.bailey import (_kernel_shape, _packed_kernel,
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
 from qident.identities import (_packed_prefactor, _packed_theta,
-                               _prefactor)
+                               _prefactor, _theta_norms)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                _binomials, inv_poch_finite,
                                inv_poch_infinite, poch_finite, poch_infinite,
@@ -263,7 +263,8 @@ def test_caches_are_bounded(monkeypatch):
     for f in (poch_finite, poch_infinite, inv_poch_finite,
               inv_poch_infinite, triple_product, _relation_kernel,
               _kernel_shape, _packed_kernel, _star_factor, _ip_norms,
-              _packed_ips, _prefactor, _packed_prefactor, _packed_theta):
+              _packed_ips, _prefactor, _packed_prefactor, _packed_theta,
+              _theta_norms, sumeval._bound):
         assert isinstance(f.cache_info().maxsize, int), f.__name__
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does

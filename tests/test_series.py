@@ -10,7 +10,8 @@ from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
-                           kron_pack, kron_unpack, pack, unpack)
+                           kron_digits, kron_pack, kron_unpack, pack,
+                           read_digits, unpack, word_bytes)
 from qident import series, sumeval
 from qident.sumeval import _ip_norms, _own_pass, _packed_ips, layer_product
 
@@ -439,6 +440,11 @@ def _check_kron_round_trip(data, nbytes, step):
     assert kron_unpack((_poly(X, h),), nbytes, spans, step) == want
     assert kron_unpack((_poly(Y, h), _poly(-Y, h)), nbytes, spans,
                        step) == want
+    # kron_unpack is read_digits of the word buffer of kron_digits
+    for values in ((_poly(X, h),), (_poly(Y, h), _poly(-Y, h))):
+        buf = kron_digits(values, nbytes, stop)
+        assert len(buf) == stop * word_bytes(nbytes)
+        assert read_digits(buf, nbytes, spans, step) == want
 
 
 @pytest.mark.parametrize("den_step", [2, 4])

@@ -1,5 +1,6 @@
 """The multisum engine against a brute-force nested loop, and var_bound."""
 
+import marshal
 from unittest import mock
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident.qfunctions import NEG_ONE, SM, inv_poch_finite, poch_finite
 from qident import sumeval
-from qident.series import INF, Memo, QSeries, monomial, zero
-from qident.sumeval import multisum, quad_min, summation_bound, var_bound
+from qident import series
+from qident.series import (INF, Memo, QSeries, digit_bytes, monomial,
+                           word_bytes, zero)
+from qident.sumeval import (_own_pass, _own_sum, layer_product, multisum,
+                            quad_min, slot_series, summation_bound, var_bound)
 
 from series_oracle import coeff
 
@@ -217,6 +221,95 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
         {v: (s.coeffs, s.prec) for v, s in want.items()}
 
 
+def as_slots(products, g=1, nbytes=None):
+    """{v: T_v} for v = v0.. as a packed layer product (sumeval's layout):
+    one digit per g exponents from the lowest exponent of any T_v (every
+    exponent on that grid), each slot padded with zero digits up to its
+    precision as ``layer_product`` leaves it, at the digit width nbytes or
+    the least that holds the coefficients, with the largest |coefficient|
+    as its digit bound."""
+    lo = min((e for t in products.values() for e in t.coeffs), default=0)
+    size = max((abs(c) for t in products.values()
+                for c in t.coeffs.values()), default=0)
+    nbytes = nbytes or digit_bytes(size)
+    w, lift = word_bytes(nbytes), 1 << (8 * nbytes - 1)
+    buf, slots = b"", []
+    for t in products.values():
+        top = max(t.coeffs, default=lo - g) + g
+        n = max(0, -((lo - (top if t.prec is INF else t.prec)) // g))
+        digits = [t.coeffs.get(lo + g * j, 0) for j in range(n)]
+        assert sum(1 for c in digits if c) == len(t.coeffs)
+        slots.append((len(buf) // w, n, t.prec))
+        buf += b"".join((c + lift).to_bytes(w, "little") for c in digits)
+    return (buf, nbytes, size, lo, g, min(products, default=0), slots)
+
+
+def dict_own_pass(products, own_row, wp):
+    """The reference for sumeval._own_pass: the own pass on {v: T_v} as
+    multisum took it before its layer products stayed packed, each T_v
+    shifted by _shifted, or multiplied by its extra after a cut at wp -
+    val(t^o * extra)."""
+    def shifted(s, o):
+        return QSeries._of({e + o: c for e, c in s.coeffs.items()
+                            if e < wp - o}, min(s.prec + o, wp))
+
+    nxt = {}
+    for v, t in products.items():
+        o = own_row[v]
+        if o is None:
+            continue
+        if isinstance(o, int):
+            s = shifted(t, o)
+        else:
+            o, x = o
+            low = min(x.coeffs) if x.coeffs else x.prec
+            s = shifted(x * t.truncate(wp - o - low), o)
+        if s.coeffs or s.prec < wp:
+            nxt[v] = s
+    return nxt
+
+
+@st.composite
+def own_rows(draw):
+    """An own row of 7 entries of every kind: bare offsets of either sign,
+    None, and (offset, series) pairs with Laurent, exact and truncated
+    series, one with no terms that only bounds the precision."""
+    entry = (st.integers(-8, 30)
+             | st.none()
+             | st.tuples(st.integers(-8, 30),
+                         st.builds(QSeries,
+                                   st.dictionaries(st.integers(-3, 12),
+                                                   st.integers(1, 9)
+                                                   | st.integers(-9, -1),
+                                                   min_size=1, max_size=5),
+                                   st.integers(0, 40) | st.just(INF)))
+             | st.tuples(st.integers(-4, 8),
+                         st.builds(zero, st.integers(1, 30))))
+    return draw(st.lists(entry, min_size=7, max_size=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_layers(), st.sampled_from([1, 2, 4]),
+       st.sampled_from([None, 1, 2]), st.sampled_from([0, INF]),
+       own_rows() | st.sampled_from(_OWN_ROWS))
+# a layer of negative lo (t^(-4) at u = 0, and t^(-b*u) lowers it to -6)
+# under offsets of both signs and a shift past wp
+@example((10, {0: QSeries({-4: 3, 2: -1}), 1: QSeries({0: 5}, 9)}), 2, 2,
+         INF, [-3, 5, (-2, QSeries({1: 1, 3: 2})), 40, None, 0, 1])
+def test_own_pass_on_slots_matches_the_dict_own_pass(case, den_step, b,
+                                                      two_point_bytes,
+                                                      own_row):
+    # the own pass reads each packed slot below where its factor reaches
+    # wp; the dict path reads the whole T_v and then cuts
+    wp, layer = case
+    with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
+        products = layer_product(layer, 6, (den_step, b), wp)
+    got = _own_pass(products, own_row, wp)
+    want = dict_own_pass(slot_series(products), own_row, wp)
+    assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
+        {v: (s.coeffs, s.prec) for v, s in want.items()}
+
+
 @given(st.integers(1, 50), st.integers(-2000, 50))
 def test_quad_min_is_the_integer_minimum(quad, lin):
     assert quad_min(quad, lin) == min(quad * v * v + lin * v
@@ -268,8 +361,8 @@ def memo_layers(draw):
 @example({0: zero(7), 3: QSeries({-2: -(2 ** 65), 4: 1}, 9)})
 @example({1: QSeries({3: 2 ** 64, 4: -1}), 2: zero(12)})
 def test_packed_layers_round_trip(layer):
-    # stored and read back as multisum stores the products T_v of a layer in
-    # _CONVOLUTIONS, one series per v (here with the v themselves as data)
+    # stored and read back as the memos store series, one per v (here with
+    # the v themselves as data)
     memo = Memo()
     memo.store("key", list(layer), layer.values())
     back = dict(zip(*memo.recall("key")))
@@ -392,16 +485,21 @@ _BIG = st.integers(-2 ** 64, 2 ** 64) | st.sampled_from([2 ** 64, -2 ** 64])
 
 @st.composite
 def outer_steps(draw):
-    """(products, own_row, wp) as the outermost variable sees them: T_v
-    known below wp or less, own entries of every kind (bare exponents,
-    (exponent, series) pairs with Laurent, exact and truncated series, and
-    None), coefficients of either sign up to 2^64."""
+    """(products, own_row, wp, g, nbytes) as the outermost variable sees
+    them: T_v known below wp or less, packed on the grid g (1, or 2 with
+    even exponents, which odd offsets and odd exponents of the extras
+    leave) at a digit width of nbytes (None for the least that holds
+    them), own entries of every kind (bare exponents, (exponent, series)
+    pairs with Laurent, exact and truncated series, and None),
+    coefficients of either sign up to 2^64."""
     wp = draw(st.integers(1, 40))
+    g = draw(st.sampled_from([1, 2]))
     products, own_row = {}, []
     for v in range(draw(st.integers(1, 7))):
         terms = draw(st.dictionaries(st.integers(-4, wp + 4), _BIG,
                                      max_size=12))
-        products[v] = QSeries(terms, wp - draw(st.integers(0, 6)))
+        products[v] = QSeries({g * (e // g): c for e, c in terms.items()},
+                              wp - draw(st.integers(0, 6)))
         kind = draw(st.sampled_from(["int", "pair", "none"]))
         o = draw(st.integers(-6, 20))
         if kind == "int":
@@ -413,7 +511,10 @@ def outer_steps(draw):
             own_row.append((o, x) if x.coeffs or x.prec is not INF else None)
         else:
             own_row.append(None)
-    return products, own_row, wp
+    return products, own_row, wp, g, draw(st.sampled_from([None, 9, 16]))
+
+
+_TOP = 2 ** 63 - 1          # the largest digit of a word of 8 bytes
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,13 +523,29 @@ def outer_steps(draw):
 # sum reach its bound, and a bound without the own factor's sizes is short
 @example(({v: QSeries({e: 2 ** 64 for e in range(8)}, 10) for v in range(3)},
           [(0, QSeries({e: 2 ** 64 for e in range(6)})),
-           (1, QSeries({e: 2 ** 64 for e in range(-2, 4)}, 12)), 2], 12))
+           (1, QSeries({e: 2 ** 64 for e in range(-2, 4)}, 12)), 2], 12,
+          1, None))
 # heads that add no term below wp: one that starts at wp - 1, and an empty
 # one known to t^3, which still bounds the precision of the sum
 @example(({0: QSeries({0: 1}, 9), 1: QSeries({3: -5}, 7)},
-          [(9, QSeries({0: 1})), (2, QSeries({}, 3))], 10))
+          [(9, QSeries({0: 1})), (2, QSeries({}, 3))], 10, 1, None))
+# digits at the full width of their word: the sum of two bare shifts, and
+# of one slot times an extra, needs wider digits than the slots hold
+@example(({0: QSeries({e: _TOP for e in range(8)}, 12),
+           1: QSeries({e: -_TOP for e in range(-2, 8)}, 12)}, [0, 1], 12, 1,
+          None))
+@example(({0: QSeries({e: _TOP for e in range(0, 10, 2)}, 12)},
+          [(0, QSeries({0: 2, 2: 1}))], 12, 2, None))
+@example(({0: QSeries({0: 127, 1: 127}, 6), 1: QSeries({0: 127}, 6)},
+          [0, 1], 6, 1, None))
+# a product on the grid 2: odd offsets, and an extra with an odd exponent,
+# put the sum on the grid 1
+@example(({0: QSeries({0: 3, 2: -1}, 12), 1: QSeries({-2: 1, 4: 5}, 11)},
+          [0, 1], 12, 2, None))
+@example(({0: QSeries({0: 3, 2: -1}, 12), 1: QSeries({-2: 1, 4: 5}, 11)},
+          [(0, QSeries({0: 1, 1: 1})), (2, QSeries({0: 1}))], 12, 2, None))
 def test_outer_step_matches_the_own_pass_and_ring_sum(case):
-    products, own_row, wp = case
-    got = sumeval._own_sum(products, own_row, wp)
+    products, own_row, wp, g, nbytes = case
+    got = _own_sum(as_slots(products, g, nbytes), own_row, wp)
     want = own_pass_then_sum(products, own_row, wp)
     assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
