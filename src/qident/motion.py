@@ -6,23 +6,22 @@ A multipartition is a tuple of weakly decreasing lists of non-negative
 integers.  The insertion map ``lambda_map`` turns a k-multipartition (with
 its frame sequence) into a frequency sequence whose adjacent sums are at
 most k, by running particle motions; ``gamma_map`` inverts it with reverse
-motions.  Each map runs all its motions on one zero-padded working list,
-through the in-place closed forms ``_pm`` and ``_rpm``, and makes a tuple
-only for its result and, when traced, for each state of the trace.  One
-loop, ``_frame``, builds the frame pairs and the motion sequence that
-``lambda_map``, ``frame_of`` and ``flatten_parts`` read.  ``_rpm`` returns
-``(h, steps)``, h the largest adjacent sum it found (0 once nothing is
-left), so ``gamma_map`` takes k from its first call and stops on h = 0.
-``pm_explicit`` and ``rpm_explicit`` are the same closed forms on tuples.
-The step-by-step simulations that the tests replay every traced motion
-against live with the tests, in ``tests/motion_replay.py``.
+motions.  Each map keeps only the part that still moves, with its pair sums.
+m motions of the frame pair (h, 0) insert a pair [a, b], a + b = h, into
+the tail T right of it: ``_pm`` scans T's running slacks for the place and
+splices three entries into T's sums.  A reverse motion removes the leftmost
+maximal pair from the remainder R right of the frame rebuilt so far:
+``_rpm`` returns (h, steps) and splices one junction sum, below h, into R's
+sums, so h never rises and ``gamma_map`` takes k from the first h and stops
+on h = 0.  ``pm_explicit`` and ``rpm_explicit`` run the same kernels on
+tuples.  The step-by-step simulations that the tests replay every traced
+motion against live with the tests, in ``tests/motion_replay.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, count
+from itertools import count
 from operator import add, lt, mul
 from typing import Optional
 
@@ -43,9 +42,13 @@ def weight(f) -> int:
     return sum(map(mul, count(), f))
 
 
+def _sums(f: list) -> list:
+    """The adjacent sums f_i + f_(i+1) for i < len(f), with f_len = 0."""
+    return list(map(add, f, f[1:] + [0]))
+
+
 def max_adjacent_sum(f) -> int:
-    f = list(f)
-    return max(map(add, f, f[1:] + [0]), default=0)
+    return max(_sums(list(f)), default=0)
 
 
 def in_A(f, k: int) -> bool:
@@ -82,7 +85,8 @@ def mp_size(parts) -> int:
 def frame_of(parts) -> tuple:
     """Frame sequence: s_k pairs (k,0), then s_{k-1}-s_k pairs (k-1,0), ...
     down to s_1-s_2 pairs (1,0), where s_i - s_{i+1} = len(lambda^(i))."""
-    return canonical(_frame(check_multipartition(parts))[0])
+    hs = _frame(check_multipartition(parts))[0]
+    return canonical(x for h in hs for x in (h, 0))
 
 
 def flatten_parts(parts):
@@ -92,79 +96,62 @@ def flatten_parts(parts):
 
 
 def _frame(parts):
-    """The frame pairs (h, 0) as a list, which ends in a zero as the kernels
-    need, and the motion sequence, seq[i] = lambda_i, that moves the pair at
-    2i; one loop from the largest partition index inwards builds both."""
-    pairs, seq = [], []
+    """The frame heights, hs[i] = h for the pair (h, 0) at 2i, and the motion
+    sequence, seq[i] = lambda_i, that moves that pair; one loop from the
+    largest partition index inwards builds both."""
+    hs, seq = [], []
     for h, lam in zip(range(len(parts), 0, -1), reversed(parts)):
-        pairs += [h, 0] * len(lam)
+        hs += [h] * len(lam)
         seq += lam[::-1]
-    return pairs, seq
+    return hs, seq
 
 
 # -- particle motion -------------------------------------------------------------
 #
-# The kernels _pm and _rpm work in place on a list that ends in a zero and
-# may carry more trailing zeros; the callers trim it with canonical.
+# The kernels work in place: _pm on a tail T that ends in a zero and its sums
+# P_i = T_(i-1) + T_i (T_(-1) = 0), _rpm on a remainder R and S = _sums(R).
 
 
-def _pm(f: list, u: int, m: int) -> int:
-    """m particle motions from the frame pair (f_u, f_{u+1}) = (h, 0), in
-    place; returns the position where the moved pair now sits."""
-    h = f[u]
-    if f[u + 1] != 0 or h < 1:
-        raise PreconditionViolated("starting pair must be (h, 0) with h >= 1")
-    sums = list(map(add, f[u:], f[u + 1:]))
-    if max(sums) > h:
-        i = next(i for i, s in enumerate(sums) if s > h)
-        raise PreconditionViolated(f"adjacent sum above {h} at position {u + i}")
-    if m == 0:
-        return u
-    if m < 0:   # the closed form would set f_(u+1) = m
-        raise PreconditionViolated("frequency entries must be non-negative")
-    # v = min { t >= u+2 : sum_{i=u+2..t} (h - f_{i-1} - f_i) >= m }; the
-    # slacks are non-negative, so their running sums are sorted
-    acc = list(accumulate(map(h.__sub__, sums[1:])))
-    last = acc[-1] if acc else 0
-    if last < m:
-        # the pair lands in the zeros past f, where each place adds h
-        n = -((last - m) // h)
-        f.extend([0] * n)
-        acc.extend(range(last + h, last + n * h + 1, h))
-    j = bisect_left(acc, m)
-    v = u + 2 + j
-    f[u:v - 2] = f[u + 2:v]
-    f[v - 2] = f[v] + acc[j] - m
-    f[v - 1] += m - (acc[j - 1] if j else 0)
-    return v - 2
+def _pm(T: list, P: list, h: int, m: int) -> int:
+    """m particle motions of the pair (h, 0) into the tail T right of it:
+    the insertion of a pair [a, b], a + b = h, into T at the position p
+    that it returns.  P's entries must be at most h, and m non-negative."""
+    # p is the first index where the running sum of the slacks h - P_i
+    # reaches m; past the end of T each zero adds h
+    acc = 0
+    for p, s in enumerate(P):
+        acc += h - s
+        if acc >= m:
+            break
+    else:
+        n = -((acc - m) // h)
+        acc += n * h
+        p += n
+        T += [0] * (p + 1 - len(T))
+        P += [0] * (p + 1 - len(P))
+    d = acc - m
+    a = d + T[p]
+    T[p:p] = a, h - a
+    P[p:p + 1] = P[p] + d, h, h - d
+    return p
 
 
-def _rpm(f: list, u: int) -> tuple:
-    """Reverse particle motions ending at u, in place: the leftmost maximal
-    adjacent pair at or right of u goes back to (u, u+1) in the frame form
-    (h, 0), and the pairs between shift right by two.  Returns (h, steps),
-    h the largest adjacent sum at or right of u; (0, 0) when nothing is
-    left there."""
-    if u > 0 and f[u - 1] != 0:
-        raise PreconditionViolated(f"entry before position {u} must be zero")
-    sums = list(map(add, f[u:], f[u + 1:]))
-    h = max(sums, default=0)
+def _rpm(R: list, S: list) -> tuple:
+    """Reverse particle motions of the leftmost maximal adjacent pair of the
+    remainder R back to the frame form (h, 0) left of R: the removal of that
+    pair from R.  Returns (h, steps), h the largest adjacent sum of R; (0, 0)
+    when nothing is left."""
+    h = max(S) if S else 0
     if h == 0:
         return 0, 0
-    p = sums.index(h)
-    steps = h - f[u] + h * p - sum(sums[:p])
-    f[u + 2:u + 2 + p] = f[u:u + p]
-    f[u] = h
-    f[u + 1] = 0
+    p = S.index(h)
+    steps = h - R[0] + h * p - sum(S[:p])
+    if p:   # the junction R_(p-1) + R_(p+2)
+        S[p - 1:p + 2] = [R[p - 1] + sum(R[p + 2:p + 3])]
+    else:
+        del S[:2]
+    del R[p:p + 2]
     return h, steps
-
-
-def _working(f, u: int) -> list:
-    """The canonical entries of f as a list ending in a zero, long enough to
-    index u + 1."""
-    f = list(canonical(f))
-    f.extend([0] * max(1, u + 2 - len(f)))
-    return f
 
 
 def pm_explicit(f, u: int, m: int):
@@ -174,9 +161,21 @@ def pm_explicit(f, u: int, m: int):
     Requires h >= 1 and all adjacent sums from u on at most h; closed form
     of the step-by-step simulation.
     """
-    f = _working(f, u)
-    v = _pm(f, u, m)
-    return canonical(f), v
+    f = list(canonical(f))
+    f += [0] * (u + 2 - len(f))
+    h = f[u]
+    if f[u + 1] != 0 or h < 1:
+        raise PreconditionViolated("starting pair must be (h, 0) with h >= 1")
+    T = f[u + 2:] + [0]
+    P = list(map(add, [0] + T, T))
+    if max(P) > h:
+        i = next(i for i, s in enumerate(P) if s > h)
+        raise PreconditionViolated(
+            f"adjacent sum above {h} at position {u + 1 + i}")
+    if m < 0:   # the closed form would set f_(u+1) = m
+        raise PreconditionViolated("frequency entries must be non-negative")
+    v = u + _pm(T, P, h, m)
+    return canonical(f[:u] + T), v
 
 
 def rpm_explicit(f, u: int):
@@ -186,8 +185,13 @@ def rpm_explicit(f, u: int):
     The leftmost maximal adjacent pair at or right of u is moved back to
     (u, u+1), ending in the frame form (h, 0).
     """
-    f = _working(f, u)
-    steps = _rpm(f, u)[1]
+    f = list(canonical(f))
+    if 0 < u <= len(f) and f[u - 1] != 0:
+        raise PreconditionViolated(f"entry before position {u} must be zero")
+    R = f[u:]
+    h, steps = _rpm(R, _sums(R))
+    if h:
+        f[u:] = [h, 0] + R
     return canonical(f), steps
 
 
@@ -221,63 +225,63 @@ def lambda_map(parts, trace: bool = False):
     particle-motion step counts from the innermost frame pair outwards.
     With ``trace``, returns (sequence, MotionTrace)."""
     parts = check_multipartition(parts)
-    cur, seq = _frame(parts)
-    tr = MotionTrace(canonical(cur)) if trace else None
-    for i in range(len(seq) - 1, -1, -1):
-        _pm(cur, 2 * i, seq[i])
-        if tr is not None:
-            tr.ops.append(("pm", 2 * i, seq[i], canonical(cur)))
-    if parts and not in_A(cur, len(parts)):
+    hs, seq = _frame(parts)
+    T, P = [0], [0]
+    tr = MotionTrace(frame_of(parts)) if trace else None
+    for i in reversed(range(len(seq))):
+        _pm(T, P, hs[i], seq[i])
+        if tr is not None:   # the frame pairs left of 2i, then the tail
+            tr.ops.append(("pm", 2 * i, seq[i],
+                           canonical(tr.start[:2 * i] + tuple(T))))
+    if max(P) > len(parts):
         raise PreconditionViolated("insertion left the bounded family")
-    out = canonical(cur)
+    out = canonical(T)
     return (out, tr) if trace else out
 
 
 def gamma_map(f, k: Optional[int] = None, trace: bool = False):
     """Inverse insertion: frequency sequence -> multipartition.
 
-    k defaults to the maximum adjacent sum of the input; an explicit k must
-    be at least 1 (else ParameterOutOfRange) and is validated against
-    membership.  Repeatedly reverse-moves the leftmost maximal pair back
-    onto the frame positions 0, 2, 4, ... and records the step counts,
-    which become the parts.  With ``trace``, returns (multipartition,
-    MotionTrace).
+    Entries and an explicit k must be integers (bools refused).  k defaults
+    to the maximum adjacent sum of the input; an explicit k must be at least
+    1 (else ParameterOutOfRange) and is validated against membership.
+    Repeatedly reverse-moves the leftmost maximal pair back onto the frame
+    positions 0, 2, 4, ... and records the step counts, which become the
+    parts.  With ``trace``, returns (multipartition, MotionTrace).
     """
+    f = tuple(f)
+    if not {int}.issuperset(map(type, f)):
+        raise PreconditionViolated("frequency entries must be integers")
     f = canonical(f)
-    cur = list(f) + [0]
+    if not (k is None or type(k) is int):
+        raise ParameterOutOfRange("k must be an integer")
+    R = list(f)
+    S = _sums(R)
     # the first reverse motion reports the largest adjacent sum of f
-    h, steps = _rpm(cur, 0)
+    h, steps = _rpm(R, S)
     if k is None:
         k = h
     elif k < 1:
         raise ParameterOutOfRange("k must be at least 1")
     elif h > k:
         raise PreconditionViolated(f"sequence has adjacent sum {h} > k = {k}")
-    mus = []
-    tr = MotionTrace(f) if trace else None
-    u = 0
-    while h:
-        mus.append(steps)
-        if tr is not None:
-            tr.ops.append(("rpm", u, steps, canonical(cur)))
-        u += 2
-        h, steps = _rpm(cur, u)
-    # cur is now a frame sequence; group the recorded steps by frame value
     parts = [[] for _ in range(k)]
-    for h, m in zip(cur[::2], mus):
-        if h < 1 or h > k:
-            raise PreconditionViolated("inverse insertion produced a bad frame")
-        parts[h - 1].append(m)
+    tr = MotionTrace(f) if trace else None
+    frame = []
+    while h:   # h never rises, so 1 <= h <= k
+        parts[h - 1].append(steps)
+        if tr is not None:
+            frame += h, 0
+            tr.ops.append(("rpm", len(frame) - 2, steps,
+                           canonical(frame + R)))
+        h, steps = _rpm(R, S)
     out = []
     for lam in parts:
         lam = lam[::-1]  # recorded inner-to-outer; parts are decreasing outwards
         if any(map(lt, lam, lam[1:])):
             raise PreconditionViolated("inverse insertion parts not sorted")
         out.append(tuple(lam))
-    result = tuple(out)
-    if trace:
-        return result, tr
-    return result
+    return (tuple(out), tr) if trace else tuple(out)
 
 
 # -- JSON helpers ------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The step-by-step particle motions, the frame-weight formula, and the
-replay of traced insertion motions against the step-by-step motions.
+"""The step-by-step particle motions, the frame-weight formula, the
+insertion map run one particle at a time, and the replay of traced
+insertion motions against the step-by-step motions.
 
 The simulations move one particle at a time and never call the closed forms
 of ``qident.motion``, so they are an independent reference for them.
@@ -99,6 +100,16 @@ def rpm_stepwise(f, u: int, trace=None):
             if v < u:
                 raise PreconditionViolated("reverse focus passed the target")
     return M.canonical(f), steps
+
+
+def insert_stepwise(parts):
+    """The insertion map by simulation: the frame of parts, then each motion
+    lambda_i of the pair at 2i by pm_stepwise, innermost first."""
+    f = M.frame_of(parts)
+    seq = M.flatten_parts(parts)
+    for i in reversed(range(len(seq))):
+        f = pm_stepwise(f, 2 * i, seq[i])[0]
+    return f
 
 
 def states(tr):

@@ -8,16 +8,16 @@ from operator import add, lt
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qident import motion as M
 from qident import sets as S
 from qident.errors import ParameterOutOfRange, PreconditionViolated
 
+from motion_maps import EXAMPLE_MP, digest
 from motion_replay import (frame_weight, pm_stepwise, replays, rpm_stepwise,
                            states)
 
-EXAMPLE_MP = ((3, 1), (), (6, 6, 5, 3), (19, 0))
 EXAMPLE_OUT = (4, 0, 0, 3, 0, 1, 2, 1, 1, 2, 1, 2, 0, 3, 1, 0, 0, 1)
 
 
@@ -251,6 +251,43 @@ def _gamma_refusal(f, k):
        st.sampled_from((None, -1, 0, 1, 2, 3, 4)))
 def test_gamma_k_validation_order(f, k):
     why = _gamma_refusal(f, k)
+    if why is None:
+        assert M.lambda_map(M.gamma_map(f, k)) == M.canonical(f)
+        return
+    with pytest.raises((PreconditionViolated, ParameterOutOfRange)) as exc:
+        M.gamma_map(f, k)
+    assert (type(exc.value), str(exc.value)) == why
+
+
+def _gamma_type_refusal(f, k):
+    """(type, message) that gamma_map refuses f with at the given k, or None,
+    for entries and k of any type: entries that are not ints (bools
+    included), negative entries, a k that is not an int, then as
+    _gamma_refusal."""
+    if not all(type(x) is int for x in f):
+        return PreconditionViolated, "frequency entries must be integers"
+    if any(x < 0 for x in f):
+        return PreconditionViolated, "frequency entries must be non-negative"
+    if k is not None and type(k) is not int:
+        return ParameterOutOfRange, "k must be an integer"
+    return _gamma_refusal(f, k)
+
+
+frequency_entries = st.one_of(st.integers(-1, 4), st.booleans(),
+                              st.floats(-1, 4, allow_nan=False), st.just("1"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(frequency_entries, max_size=6),
+       st.one_of(st.none(), st.integers(-1, 4), st.booleans(),
+                 st.floats(-1, 4, allow_nan=False)))
+# floats raised a bare TypeError, and bools were taken as 1
+@example((1, 0, 1), 2.5)
+@example((1, 0, 1), True)
+@example((1.5, 0), None)
+@example((True, 1), None)
+def test_gamma_refuses_non_integer_entries_and_k(f, k):
+    why = _gamma_type_refusal(f, k)
     if why is None:
         assert M.lambda_map(M.gamma_map(f, k)) == M.canonical(f)
         return
@@ -499,3 +536,67 @@ def test_canonical_reads_any_iterable(xs):
     assert type(got) is tuple and (not got or got[-1] != 0)
     assert M.canonical(tuple(xs)) == got == M.canonical(x for x in xs)
     assert list(got) + [0] * (len(xs) - len(got)) == xs
+
+
+def test_maps_match_the_committed_digest():
+    # every map result and traced state up to the sizes of motion_maps.py
+    path = Path(__file__).parent / "motion-maps.sha256"
+    assert digest() == path.read_text().strip()
+
+
+def _tail_sums(T):
+    """P_i = T_(i-1) + T_i for every i < len(T), with T_(-1) = 0."""
+    return [a + b for a, b in zip([0] + T, T)]
+
+
+def _pair_sums(R):
+    """S_i = R_i + R_(i+1) for every i < len(R), with R_len = 0."""
+    return [a + b for a, b in zip(R, R[1:] + [0])]
+
+
+wide_multipartitions = st.integers(1, 7).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 40), max_size=3).map(
+        lambda lam: tuple(sorted(lam, reverse=True))),
+    min_size=k, max_size=k).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_multipartitions)
+def test_each_insertion_keeps_the_tail_sums(mp):
+    # beyond the exhaustive bound: k <= 7 and parts up to 40
+    hs, seq = M._frame(mp)
+    T, P = [0], [0]
+    for i in reversed(range(len(seq))):
+        before = list(T)
+        p = M._pm(T, P, hs[i], seq[i])
+        assert P == _tail_sums(T) and T[-1] == 0
+        assert T[p] + T[p + 1] == hs[i]
+        assert T[:p] + T[p + 2:] == before + [0] * (len(T) - 2 - len(before))
+    f, tr = M.lambda_map(mp, trace=True)
+    assert f == M.lambda_map(mp) == M.canonical(T)
+    assert replays(tr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.lists(st.integers(0, 7), max_size=40))
+def test_each_removal_keeps_the_remainder_sums(k, xs):
+    f = _bounded(k, xs)
+    R = list(f)
+    sums = _pair_sums(R)
+    top = k
+    while True:
+        before = list(R)
+        h, _ = M._rpm(R, sums)
+        assert sums == _pair_sums(R)
+        if not h:
+            break
+        # the leftmost maximal pair is removed, and h never rises
+        p = _pair_sums(before).index(h)
+        assert h == max(_pair_sums(before)) <= top
+        assert R == before[:p] + before[p + 2:]
+        top = h
+    assert not any(R)
+    for given_k in (k, None):
+        mp, tr = M.gamma_map(f, given_k, trace=True)
+        assert M.gamma_map(f, given_k) == mp
+        assert replays(tr)

@@ -20,7 +20,7 @@ from qident.series import QSeries
 
 import bailey_oracle as naive
 from gf_oracle import ring_product_side, theta_sum
-from motion_replay import pm_stepwise, replays, rpm_stepwise
+from motion_replay import insert_stepwise, pm_stepwise, replays, rpm_stepwise
 from test_sumeval import _head, brute_multisum
 
 MODULES = (series, qfunctions, sumeval, identities, B, M, sets)
@@ -50,12 +50,16 @@ def _beta_sum_row():
 
 
 def _motion_row():
-    # one motion each way, and the replay of a traced insertion
-    _, trace = M.lambda_map(((3, 1), (), (6, 6, 5, 3), (19, 0)), trace=True)
+    # one motion each way, both maps untraced, and the replay of a traced
+    # insertion; the maps reach the closed forms only through the kernels
+    mp = ((3, 1), (), (6, 6, 5, 3), (19, 0))
+    out, trace = M.lambda_map(mp, trace=True)
     return (lambda: (pm_stepwise((2, 0, 1), 0, 3),
-                     rpm_stepwise((0, 1, 2, 0, 1), 1), replays(trace)),
+                     rpm_stepwise((0, 1, 2, 0, 1), 1), insert_stepwise(mp),
+                     mp, replays(trace)),
             lambda: (M.pm_explicit((2, 0, 1), 0, 3),
-                     M.rpm_explicit((0, 1, 2, 0, 1), 1), True),
+                     M.rpm_explicit((0, 1, 2, 0, 1), 1), M.lambda_map(mp),
+                     M.gamma_map(out, 4), True),
             [(M, "_pm"), (M, "_rpm")])
 
 
@@ -97,18 +101,41 @@ def _plain(x):
     return x
 
 
-@pytest.mark.parametrize("oracle", ROWS)
-def test_oracles_enter_none_of_the_code_they_check(monkeypatch, oracle):
-    run, checked, forbidden = ROWS[oracle]()
-    want = checked()
+def _spy_on(monkeypatch, who, forbidden):
+    """Replace each forbidden function, in every module that holds it, by a
+    spy that fails the call."""
     for owner, name in forbidden:
         real = getattr(owner, name)
 
         def spy(*args, name=name, **kwargs):
-            raise AssertionError(f"{oracle} entered {name}")
+            raise AssertionError(f"{who} entered {name}")
         for module in MODULES:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("oracle", ROWS)
+def test_oracles_enter_none_of_the_code_they_check(monkeypatch, oracle):
+    run, checked, forbidden = ROWS[oracle]()
+    want = checked()
+    _spy_on(monkeypatch, oracle, forbidden)
     assert _plain(run()) == _plain(want)
     with pytest.raises(AssertionError, match="entered"):
         checked()
+
+
+# the motion row's checked call is refused at its first part; each motion
+# entry point on its own reaches its kernel
+MOTION_ENTRIES = {
+    "pm_explicit": ("_pm", lambda: M.pm_explicit((2, 0, 1), 0, 3)),
+    "rpm_explicit": ("_rpm", lambda: M.rpm_explicit((0, 1, 2, 0, 1), 1)),
+    "lambda_map": ("_pm", lambda: M.lambda_map(((1,), (2,)))),
+    "gamma_map": ("_rpm", lambda: M.gamma_map((1, 1), 2))}
+
+
+@pytest.mark.parametrize("entry", MOTION_ENTRIES)
+def test_each_motion_entry_point_runs_its_kernel(monkeypatch, entry):
+    kernel, call = MOTION_ENTRIES[entry]
+    _spy_on(monkeypatch, entry, [(M, kernel)])
+    with pytest.raises(AssertionError, match=f"{entry} entered {kernel}"):
+        call()
