@@ -20,12 +20,13 @@ big-int product, two for the star step, here built on every call and not
 stored.  ``verify`` is the oracle for those sums, so it goes through none
 of that: for each n it builds sum_l alpha_l * 1/((q)_{n-l} (aq)_{n+l}) as
 one signed big integer at one point, from the alphas packed once per call
-and the kernels packed once per digit width (cached by value), and reads it
-back once.  It shares only the Kronecker codec (``series.kron_pack``, one
-row at a time through ``kron_pack_one``, and ``kron_unpack``), whose own
-oracle is plain int arithmetic, and makes no ring product; the kernels are
-cached 1/(aq)_M divided by the polynomial (q)_m.  Its sums have the
-coefficients and precision of the ring sums of the products, term by term.
+and the kernels, cached ``series.Operand``s, packed once per digit width
+(``series.packed``), and reads it back once.  It shares only the Kronecker
+codec (``series.kron_pack`` and ``kron_unpack``), whose own oracle is plain
+int arithmetic, with a width rule of its own, and makes no ring product;
+the kernels are cached 1/(aq)_M divided by the polynomial (q)_m.  Its sums
+have the coefficients and precision of the ring sums of the products, term
+by term.
 
 Memoised across chains.  The star chains BL^(r+1), KEY1, BL^(k-r-j),
 STAR1^j on one seed share most of their prefixes, so ``run_chain`` stores
@@ -79,8 +80,8 @@ from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
-from .series import (INF, Memo, QSeries, digit_bytes, kron_pack_one,
-                     kron_unpack, monomial, one, pack, zero)
+from .series import (INF, Memo, Operand, QSeries, digit_bytes, kron_unpack,
+                     monomial, one, pack, packed, zero)
 from .sumeval import layer_product, multisum, slot_series, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
@@ -234,30 +235,14 @@ def _agree(x: QSeries, y: QSeries, tp: int):
 
 
 @lru_cache(maxsize=1024)
-def _relation_kernel(aq: SM, m: int, M: int, tp: int) -> QSeries:
+def _relation_kernel(aq: SM, m: int, M: int, tp: int) -> Operand:
     """1/((q)_m (aq)_M) truncated at tp, the factor of alpha_l in the
     defining relation for beta_n (m = n - l, M = n + l): the cached
     1/(aq)_M divided by the polynomial (q)_m, so no ring product is made.
     Both are units, so it has the precision and coefficients of
     1/(q)_m * 1/(aq)_M, each truncated at tp."""
-    return inv_poch_finite(aq, 2, M, tp).divide(poch_finite(Q, 2, m), tp)
-
-
-@lru_cache(maxsize=1024)
-def _kernel_shape(aq: SM, m: int, M: int, tp: int) -> tuple:
-    """(valuation, precision, max |c|) of ``_relation_kernel``; an empty
-    kernel has valuation equal to its precision and max |c| 0."""
-    k = _relation_kernel(aq, m, M, tp)
-    return (min(k.coeffs, default=k.prec), k.prec,
-            max(map(abs, k.coeffs.values()), default=0))
-
-
-@lru_cache(maxsize=1024)
-def _packed_kernel(aq: SM, m: int, M: int, tp: int, nbytes: int) -> int:
-    """``_relation_kernel`` at X = 2^(8*nbytes), digit 0 at its valuation
-    (``series.kron_pack_one``)."""
-    k = _relation_kernel(aq, m, M, tp)
-    return kron_pack_one(k.coeffs, min(k.coeffs, default=0), k.prec, nbytes)
+    return Operand(inv_poch_finite(aq, 2, M, tp).divide(poch_finite(Q, 2, m),
+                                                        tp))
 
 
 def _relation_sums(p: BaileyPair, tp: int):
@@ -267,38 +252,34 @@ def _relation_sums(p: BaileyPair, tp: int):
 
     Each sum is one signed big integer in base X = 2^(8*nbytes): the sum over
     l of A_l * K_l shifted to its exponent, with A_l packed once per call and
-    K_l once per width (``series.kron_pack_one``), read back once
+    K_l once per width (``series.packed``), read back once
     (``kron_unpack``).  One width serves the call: every digit of every sum,
-    read or not, is at most sum_l sum |alpha_l| * max |K_l| in size.  The
-    n-th sum is known below p_n = min(tp, prec(alpha_l) + val(K_l),
-    prec(K_l) + val(alpha_l)) over l, the precision of the ring sum, where
-    an empty series has valuation equal to its precision; a term whose
-    lowest exponent val(alpha_l) + val(K_l) reaches p_n adds nothing below
-    it and is skipped."""
+    read or not, is at most sum_l sum |alpha_l| * max |K_l| in size, not
+    the sum engine's ``series.product_bound``.  The n-th sum is known below
+    p_n = min(tp, prec(alpha_l) + val(K_l), prec(K_l) + val(alpha_l)) over
+    l, the precision of the ring sum, where an empty series has valuation
+    equal to its precision; a term whose lowest exponent val(alpha_l) +
+    val(K_l) reaches p_n adds nothing below it and is skipped."""
     aq = p.a.times_qpow(1)
-    vals = [min(a.coeffs, default=a.prec) for a in p.alpha]
-    norms = [sum(map(abs, a.coeffs.values())) for a in p.alpha]
-    shapes = [[_kernel_shape(aq, n - l, n + l, tp) for l in range(n + 1)]
-              for n in range(p.n_max + 1)]
-    bound = max(sum(norms[l] * top for l, (_, _, top) in enumerate(row))
-                for row in shapes)
-    nbytes = digit_bytes(bound)
-    packed = [kron_pack_one(a.coeffs, v, a.prec, nbytes)
-              for a, v in zip(p.alpha, vals)]
+    alphas = [Operand(a) for a in p.alpha]
+    rows = [[_relation_kernel(aq, n - l, n + l, tp) for l in range(n + 1)]
+            for n in range(p.n_max + 1)]
+    nbytes = digit_bytes(max(sum(a.norms[1] * k.norms[0]
+                                 for a, k in zip(alphas, row))
+                             for row in rows))
+    packs = [a.pack(nbytes) for a in alphas]
     digit = 8 * nbytes
-    for n, row in enumerate(shapes):
+    for row in rows:
         pn = tp
-        for l, (vk, pk, _) in enumerate(row):
-            pn = min(pn, p.alpha[l].prec + vk, pk + vals[l])
-        terms = [(l, vals[l] + vk) for l, (vk, _, _) in enumerate(row)
-                 if vals[l] + vk < pn]
+        for a, k in zip(alphas, row):
+            pn = min(pn, a.stop + k.low, k.stop + a.low)
+        terms = [(l, alphas[l].low + k.low) for l, k in enumerate(row)
+                 if alphas[l].low + k.low < pn]
         base = min((e for _, e in terms), default=pn)
         h = 0
         for l, e in terms:
-            h += (packed[l] * _packed_kernel(aq, n - l, n + l, tp, nbytes)
-                  << digit * (e - base))
-        yield QSeries._of(kron_unpack((h,), nbytes, [(0, pn - base, base)])[0],
-                          pn)
+            h += packs[l] * packed(row[l], nbytes) << digit * (e - base)
+        yield QSeries._of(kron_unpack(h, nbytes, pn - base, base), pn)
 
 
 def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
@@ -308,7 +289,8 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     of their layer product: each sum comes from ``_relation_sums``, one
     packed big integer per n, which shares only the Kronecker codec
     (``series.kron_pack`` and ``kron_unpack`` at one point, whose own oracle
-    is plain int arithmetic, with ``kron_pack_one`` and ``digit_bytes``).
+    is plain int arithmetic, with ``Operand``, ``packed`` and
+    ``digit_bytes``).
     The sums have the coefficients and precision of the ring sums of alpha_l
     times the cached 1/((q)_{n-l} (aq)_{n+l}).  The result carries the
     lowest order ``_agree`` used."""

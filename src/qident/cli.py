@@ -2,8 +2,9 @@
 
 Subcommands: verify, sweep, bailey, trace-lambda, trace-gamma, enumerate,
 interpret.  Exit code 0 when everything checked equal/passed, 1 on any
-mismatch, 2 on usage errors.  ``--prec`` is always in whole q-powers; the
-half-power grid is internal.  JSON mode emits one object per line.
+mismatch, 2 on usage errors and inputs too deep or large to check.
+``--prec`` is always in whole q-powers; the half-power grid is internal.
+JSON mode emits one object per line.
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidParameters, QidentError, ValueError, KeyError,
-            argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            argparse.ArgumentTypeError, RecursionError, MemoryError) as exc:
+        # the last two: an input too deep or large; MemoryError has no text
+        print(f"error: {str(exc) or repr(exc)}", file=sys.stderr)
         return 2
 
 

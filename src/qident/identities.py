@@ -16,8 +16,8 @@ A product side is one big-integer multiply and one read-back
 (``eval_product``): the weighted, shifted triple products added as packed
 integers, times the prefactor F of its Pochhammer quotients.  The sides of
 the catalog use a handful of factor sets, so F is built once per factor set
-and order (``_prefactor``), and F and each triple product are packed once
-per digit width.
+and order (``_prefactor``), and F and each triple product (``_triple``) are
+``series.Operand``s, packed once per digit width.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite,
                          inv_poch_infinite, poch_finite, poch_infinite,
                          triple_product)
-from .series import Memo, QSeries, digit_bytes, kron_pack_one, kron_unpack, one
+from .series import (Memo, Operand, QSeries, digit_bytes, kron_unpack,
+                     one, packed, product_bound)
 from .sumeval import multisum, summation_bound
 
 
@@ -129,13 +130,14 @@ _PRODUCTS = Memo()
 
 
 # The catalog's product sides share a few factor sets and theta terms, so
-# each prefactor is built once per order and each packed integer once per
-# width; the caches are bounded like the Pochhammer caches they read.
+# each prefactor and triple product is built once per order as an operand,
+# packed once per width by ``series.packed``; the caches are bounded like
+# the Pochhammer caches they read.
 @lru_cache(maxsize=1024)
-def _prefactor(num_inf, den_inf, den_units, tp):
-    """(F, max |c|, sum |c|) of F = prod num_inf / prod den_inf / prod
-    den_units truncated at tp: a unit of valuation 0 known below tp, or the
-    exact zero when num_inf holds a (1; .)_inf."""
+def _prefactor(num_inf, den_inf, den_units, tp) -> Operand:
+    """F = prod num_inf / prod den_inf / prod den_units truncated at tp: a
+    unit of valuation 0 known below tp, or the exact zero when num_inf
+    holds a (1; .)_inf."""
     f = one(tp)
     for sm, base in num_inf:
         f = f * poch_infinite(sm, base, tp)
@@ -143,28 +145,13 @@ def _prefactor(num_inf, den_inf, den_units, tp):
         f = f * inv_poch_infinite(sm, base, tp)
     for poly in den_units:
         f = f.divide(QSeries(list(poly)), tp)
-    size = [abs(c) for c in f.coeffs.values()]
-    return f, max(size, default=0), sum(size)
+    return Operand(f)
 
 
 @lru_cache(maxsize=1024)
-def _packed_prefactor(num_inf, den_inf, den_units, tp, nbytes):
-    """``_prefactor``'s F at X = 2^(8*nbytes), t^0 at digit 0."""
-    f = _prefactor(num_inf, den_inf, den_units, tp)[0]
-    return kron_pack_one(f.coeffs, 0, tp, nbytes)
-
-
-@lru_cache(maxsize=1024)
-def _theta_norms(M, A, tp):
-    """(max |c|, sum |c|) of triple_product(M, A, tp)."""
-    size = [abs(c) for c in triple_product(M, A, tp).coeffs.values()]
-    return max(size, default=0), sum(size)
-
-
-@lru_cache(maxsize=1024)
-def _packed_theta(M, A, tp, nbytes):
-    """triple_product(M, A, tp) at X = 2^(8*nbytes), t^0 at digit 0."""
-    return kron_pack_one(triple_product(M, A, tp).coeffs, 0, tp, nbytes)
+def _triple(M, A, tp) -> Operand:
+    """triple_product(M, A, tp), of valuation 0."""
+    return Operand(triple_product(M, A, tp))
 
 
 def eval_product(side: ProductSide, qprec: int) -> QSeries:
@@ -174,12 +161,13 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     known below prec(acc) = tp + min(0, lowest shift), and F the cached
     prefactor (``_prefactor``).  Both are packed at one digit width and
     multiplied once, acc as the sum of the packed triple products, each
-    shifted by its t-shift less the lowest.  The product is read back once,
-    below the ring product's precision min(prec(acc), tp + val(acc)), which
-    is prec(acc) as val(acc) is at least the lowest shift, or below tp when
-    F is the exact zero.  A digit of the product is at most the sum over
-    the terms of |weight| * min(max|theta| * sum|F|, sum|theta| * max|F|),
-    which also bounds the digits of acc, as max|F| >= 1; the width holds
+    shifted by its t-shift less the lowest; theta and F are packed from
+    t^0, their valuation.  The product is read back once, below the ring
+    product's precision min(prec(acc), tp + val(acc)), which is prec(acc)
+    as val(acc) is at least the lowest shift, or below tp when F is the
+    exact zero.  A digit of the product is at most the sum over
+    the terms of |weight| * ``series.product_bound`` of theta and F, which
+    also bounds the digits of acc, as max|F| >= 1; the width holds
     max|F| too, for F is packed whole even when every term vanishes or
     weighs 0.  Without theta terms the side is F itself."""
     memo_key = (side, qprec)
@@ -188,34 +176,30 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
         return hit[1][0]
     tp = tgrid(qprec)
     M = side.modulus
-    thetas = []             # (weight, shift, A) that do not vanish
+    thetas = []             # (weight, shift, theta) that do not vanish
     for weight, shift, A in side.terms:
         if A % M == 0:
             continue  # vanishing theta: contributes 0
         if not 0 < A < M:
             raise CatalogRangeError(
                 f"theta exponent {A} outside (0, {M})")
-        thetas.append((weight, shift, A))
-    factors = (side.num_inf, side.den_inf, side.den_units, tp)
-    f, fmax, fsum = _prefactor(*factors)
+        thetas.append((weight, shift, _triple(M, A, tp)))
+    f = _prefactor(side.num_inf, side.den_inf, side.den_units, tp)
     if side.terms:
         bound = 0
-        for weight, _, A in thetas:
-            tmax, tsum = _theta_norms(M, A, tp)
-            bound += abs(weight) * min(tmax * fsum, tsum * fmax)
-        nbytes = digit_bytes(max(bound, fmax))    # F is packed whole
+        for weight, _, theta in thetas:
+            bound += abs(weight) * product_bound(theta.norms, f.norms)
+        nbytes = digit_bytes(max(bound, f.norms[0]))    # F is packed whole
         width = 8 * nbytes
         low = min((shift for _, shift, _ in thetas), default=0)
         acc = 0
-        for weight, shift, A in thetas:
-            acc += weight * _packed_theta(M, A, tp, nbytes) << width * (
-                shift - low)
-        p = tp + min(low, 0) if f.coeffs else tp
-        out = QSeries._of(kron_unpack(
-            (acc * _packed_prefactor(*factors, nbytes),), nbytes,
-            [(0, max(p - low, 0), low)])[0], p)
+        for weight, shift, theta in thetas:
+            acc += weight * packed(theta, nbytes) << width * (shift - low)
+        p = tp + min(low, 0) if f.series.coeffs else tp
+        out = QSeries._of(kron_unpack(acc * packed(f, nbytes), nbytes,
+                                      max(p - low, 0), low), p)
     else:
-        out = f.truncate(tp)
+        out = f.series.truncate(tp)
     _PRODUCTS.store(memo_key, None, [out])
     return out
 

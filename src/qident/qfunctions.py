@@ -122,7 +122,7 @@ def _binomials(progressions, prec) -> QSeries:
         h = (h - s * (h << width * e)) & mask
     if not h:
         return QSeries._of({}, INF)
-    return QSeries._of(kron_unpack((h,), nbytes, [(0, digits, 0)])[0], prec)
+    return QSeries._of(kron_unpack(h, nbytes, digits, 0), prec)
 
 
 @lru_cache(maxsize=1024)
@@ -157,9 +157,9 @@ def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
         prec)
 
 
-@lru_cache(maxsize=1024)
 def triple_product(M: int, A: int, prec) -> QSeries:
-    """(q^(A/2), q^((M-A)/2), q^(M/2); q^(M/2))_inf, truncated at prec.
+    """(q^(A/2), q^((M-A)/2), q^(M/2); q^(M/2))_inf, truncated at prec;
+    its caller caches it as an operand (``identities._triple``).
 
     Requires 0 < A < M on the t-grid.  A = 0 (mod M) makes a (1; .)_inf factor
     vanish; that case is flagged rather than silently returned.

@@ -30,9 +30,11 @@ steps.  ``kron_digits`` turns the product's values at its points into one
 buffer of digit words, each digit stored with a bias of half a digit so
 that the word is unsigned, in the native word that holds nbytes bytes;
 ``read_digits`` reads spans of that buffer into coefficient dicts.
-``kron_unpack`` is the two in one call.  A caller that reads only part of
-a product, or reads it later, keeps the buffer: the sum engine's layer
-products are such buffers (``sumeval``).
+``kron_unpack`` is the two in one call, for one value and one span.  A
+caller that reads only part of a product, or reads it later, keeps the
+buffer, read only through this module: the sum engine's layer products
+(``sumeval``).  A factor of many products is an ``Operand``, packed once
+per width (``packed``); ``product_bound`` is the one width rule.
 
 The per-process memos of the sum engine, the product sides and the Bailey
 chains are each a ``Memo``: at most ``Memo.MAX`` entries, the least recently
@@ -53,6 +55,7 @@ import math
 import struct
 import sys
 from collections import OrderedDict
+from functools import lru_cache
 
 from .errors import EmptySeries, NotAUnit, PrecisionExceeded
 
@@ -356,10 +359,10 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1,
     return even + odd, even - odd
 
 
-def digit_bytes(bound: int) -> int:
+def digit_bytes(bound: int, nbytes: int = 1) -> int:
     """The digit width, in bytes, that holds every signed digit of absolute
-    value at most ``bound`` (kron_pack)."""
-    return bound.bit_length() // 8 + 1
+    value at most ``bound`` (kron_pack), and at least word_bytes(nbytes)."""
+    return max(bound.bit_length() // 8 + 1, word_bytes(nbytes))
 
 
 def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int,
@@ -379,6 +382,36 @@ def word_bytes(nbytes: int) -> int:
     """The width, in bytes, of the word that holds one digit of nbytes in
     a buffer of ``kron_digits``: the next native word up to 8 bytes."""
     return _WORD.get(nbytes, nbytes)
+
+
+class Operand:
+    """A series, packed from its valuation ``low`` as ``QSeries.__mul__``
+    counts it up to its precision ``stop``, and its ``norms`` (max |c|,
+    sum |c|); hashed by identity, as a key of ``packed``."""
+
+    __slots__ = ("series", "low", "stop", "norms")
+
+    def __init__(self, s: QSeries):
+        self.series, self.stop = s, s.prec
+        self.low = min(s.coeffs) if s.coeffs else s.prec
+        size = [abs(c) for c in s.coeffs.values()]
+        self.norms = (max(size, default=0), sum(size))
+
+    def pack(self, nbytes: int) -> int:
+        """The terms at X = 2^(8*nbytes), t^(low + j) at digit j."""
+        return kron_pack_one(self.series.coeffs, self.low, self.stop, nbytes)
+
+
+@lru_cache(maxsize=1024)
+def packed(op: Operand, nbytes: int) -> int:
+    """``op.pack(nbytes)``, kept per cached operand and digit width."""
+    return op.pack(nbytes)
+
+
+def product_bound(a, b) -> int:
+    """The bound min(max|a| * sum|b|, sum|a| * max|b|) on every coefficient
+    of a product, from the norms (max |c|, sum |c|) of its two factors."""
+    return min(a[0] * b[1], a[1] * b[0])
 
 
 def kron_digits(values, nbytes: int, ndigits: int):
@@ -430,15 +463,44 @@ def read_digits(buf, nbytes: int, spans, step: int = 1) -> list:
             for start, stop, base in spans]
 
 
-def kron_unpack(values, nbytes: int, spans, step: int = 1) -> list:
-    """Signed digits of h in base X = 2^(8*nbytes), the inverse of
-    kron_pack: ``read_digits`` of spans of ``kron_digits`` up to the
-    largest stop.  Digits at or above it are never read, so they may be
-    arbitrary."""
-    return read_digits(
-        kron_digits(values, nbytes,
-                    max((stop for _, stop, _ in spans), default=0)),
-        nbytes, spans, step)
+def kron_unpack(value: int, nbytes: int, ndigits: int, base: int,
+                step: int = 1) -> dict:
+    """The inverse of kron_pack at one point: the nonzero signed digits
+    0..ndigits-1 of value in base X = 2^(8*nbytes), digit i at exponent
+    base + step*i.  Digits at or above ndigits are never read, so they may
+    be arbitrary."""
+    return read_digits(kron_digits((value,), nbytes, ndigits), nbytes,
+                       [(0, ndigits, base)], step)[0]
+
+
+def join_runs(buf, nbytes: int, runs) -> bytes:
+    """The (start, stop) digit runs of a ``kron_digits`` buffer, joined."""
+    w = word_bytes(nbytes)
+    buf = memoryview(buf)
+    return b"".join([buf[start * w:stop * w] for start, stop in runs])
+
+
+def read_runs(buf, nbytes: int, runs, width: int = 0,
+              spread: int = 1) -> list:
+    """The signed digits of each (start, stop) run of a ``kron_digits``
+    buffer as one integer, digit start + i times X^(spread*i), X =
+    2^(8*width), width at least the buffer's word width (the default), by
+    the strided copies of ``_gather`` where it or spread widens the run."""
+    w = word_bytes(nbytes)
+    stride = spread * (width or w)
+    pad = (1 << (8 * nbytes - 1)).to_bytes(w, "little") + bytes(stride - w)
+    return [int.from_bytes(buf[a * w:b * w] if stride == w else
+                           _gather([buf[a * w:b * w]], stride, w, b - a),
+                           "little") - int.from_bytes(pad * (b - a), "little")
+            for a, b in runs]
+
+
+def lowest_digit(buf, nbytes: int, start: int, stop: int):
+    """The index from start of the lowest nonzero digit of start..stop-1 of
+    a ``kron_digits`` buffer, or None when all are zero."""
+    t, = read_runs(buf, nbytes, [(start, stop)])
+    if t:
+        return ((t & -t).bit_length() - 1) // (8 * word_bytes(nbytes))
 
 
 def _deal(buf, w, nbytes, ndigits, parts):
@@ -485,7 +547,7 @@ def _mul_packed(da: dict, db: dict, cap):
     nbytes = digit_bytes(amax * bmax * min(len(da), len(db)))
     h = (kron_pack_one(da, ma, ma + width, nbytes)
          * kron_pack_one(db, mb, mb + width, nbytes))
-    return kron_unpack((h,), nbytes, [(0, width, ma + mb)])[0]
+    return kron_unpack(h, nbytes, width, ma + mb)
 
 
 def _mul_any(da: dict, db: dict, cap) -> dict:

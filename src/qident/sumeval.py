@@ -67,8 +67,8 @@ smaller layer is taken at the one point X.
 
 The Pochhammer side depends only on (d, the highest slot read, wp, the
 slot width, the digit width, the branch, the grid step, the points), so
-each such table is packed once per key and cached; only the layer side is
-packed per call.
+each such table is packed once per key and cached, from the cached
+operands 1/(t^d; t^d)_m (``_ip``); only the layer side is packed per call.
 
 A layer product stays packed.  ``layer_product`` returns the digits of T_v
 for every v <= vmax, each slot below its own precision best_v, as the
@@ -96,14 +96,15 @@ The outer step.  The outermost variable's own pass and the sum over its
 values are one step (``_own_sum``), with the coefficients and precision of
 the ring sum of the own pass's series: one packed sum for both kinds of own
 factor.  Each slot's digits below the precision of the sum are taken as one
-integer straight from the bytes, multiplied by its extra packed at one
+integer (``series.read_runs``), multiplied by its extra packed at one
 point (``series.kron_pack_one``) or by 1, shifted to its lowest exponent
 lo + o_v (+ val(extra)), added, and the sum is read back once
 (``kron_unpack``).  With D the digit bound of the layer product, which the
-layout keeps, a digit of the sum is at most the sum over v of D for a bare
-monomial, and D * min(max|extra| * n_v, sum|extra|) for n_v digits of T_v
-taken.  While that fits the slots' words, the sum is taken at their width;
-beyond it each slot is widened by strided byte copies.  Scanning the digits
+layout keeps, T_v has norms at most (D, D * n_v) for n_v digits taken, so
+a digit of the sum is at most the sum over v of D for a bare monomial, and
+``series.product_bound`` of T_v and the extra otherwise.  While that fits
+the slots' words, the sum is taken at their width; beyond it each slot is
+widened by strided byte copies.  Scanning the digits
 taken for their largest |digit| costs more than the widening it saves: the
 p30-p70 band of rows of a cold k <= 4, q-order 60 pass took 48.6-49.6 ms
 with the scan against 43.2-45.3 ms without (in-process, best of 8 passes a
@@ -171,9 +172,9 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import (INF, Memo, QSeries, digit_bytes, kron_digits,
-                     kron_pack, kron_pack_one, kron_unpack, read_digits,
-                     word_bytes)
+from .series import (INF, Memo, Operand, QSeries, digit_bytes, join_runs,
+                     kron_digits, kron_pack, kron_pack_one, kron_unpack,
+                     lowest_digit, product_bound, read_digits, read_runs)
 from .qfunctions import SM, inv_poch_finite
 
 # A product whose layer packs to fewer bytes is taken at one point, where
@@ -342,10 +343,11 @@ def _shifted(s, o, wp):
 
 def _ones(vmax):
     """T_v = 1 for every v <= vmax, exact: one digit that every slot reads."""
-    return (b"\x81", 1, 1, 0, 1, 0, [(0, 1, INF)] * (vmax + 1))
+    return (_ONE, 1, 1, 0, 1, 0, [(0, 1, INF)] * (vmax + 1))
 
 
-# the product of an empty layer: no slot
+# the digit 1 as a buffer, and the product of an empty layer: no slot
+_ONE = kron_digits((1,), 1, 1)
 _NOTHING = (b"", 1, 0, 0, 1, 0, [])
 
 
@@ -365,9 +367,9 @@ def slot_series(products) -> dict:
 
 def layer_product(layer, vmax, gap, wp):
     """The packed T_v for every v from min(layer) to vmax (module
-    docstring), T_v known below its precision best_v <= wp.  Nothing here
-    depends on an own factor, and T_v reads L_u for u <= v only; a layer's
-    u above vmax are not read."""
+    docstring), T_v known below its precision best_v <= wp, one packed
+    product per branch.  Nothing here depends on an own factor, and T_v
+    reads L_u for u <= v only; a layer's u above vmax are not read."""
     den_step, b = gap
     b = b or 0
     us = [u for u in sorted(layer) if layer[u].coeffs]   # packed slots
@@ -390,18 +392,56 @@ def layer_product(layer, vmax, gap, wp):
              if us and v >= us[0] and p > lo]
     if not reads:
         return (b"", 1, 0, lo, 1, v0, slots)
-    buf, nbytes, dmax, g, starts = _convolve(layer, us, lo, reads, den_step,
-                                             b, wp)
-    # the read run of each slot, joined into one buffer
-    w = word_bytes(nbytes)
-    buf = memoryview(buf)
+    u0 = us[0]
+    top = reads[-1][0] - u0     # highest slot read, relative to u0
+    us = [u for u in us if u - u0 <= top]
+
+    # A digit of slot v sums products of slot u and slot v - u for u <= v,
+    # each at most ``series.product_bound`` of L_u and ip_{v-u}; twice that
+    # with the binomial branch.  The coefficients of ip_m, the partitions
+    # into parts of at most m, grow with m, so the bound is largest at the
+    # highest slot read, where every u enters.
+    dmax = 0
+    for u in us:
+        size = [abs(c) for c in layer[u].coeffs.values()]
+        dmax += product_bound((max(size), sum(size)),
+                              _ip(den_step, top + u0 - u, wp).norms)
+    dmax *= 2 if b else 1
+    nbytes = digit_bytes(dmax)
+
+    # Every packed exponent lies on lo + g*Z (module docstring); b is in the
+    # gcd, so e - lo stands for e - b*u - lo.
+    g = gcd(den_step, b, *[e - lo for u in us for e in layer[u].coeffs])
+    # A slot product spans at most W - 1 exponents, W = 2*wp - 1 - lo here
+    # rounded up to a multiple of g, so a slot holds W/g digits and the
+    # exponent lo + g*j of slot v sits at digit j of it.
+    W = -(-(2 * wp - 1 - lo) // g) * g
+    Wg = W // g
+
+    nd = (us[-1] - u0 + 1) * Wg
+    points = 2 if nd * nbytes >= _TWO_POINT_BYTES else 1
+
+    def branch(shift):
+        # L_u * t^(shift*u) against 1/(t^d; t^d)_m * t^(max(shift, 0)*m)
+        lay = kron_pack([((u - u0) * W + shift * u - lo, layer[u].coeffs,
+                          wp - shift * u) for u in us], nd, nbytes, g, points)
+        tab = _packed_ips(den_step, top, wp, W, nbytes, max(shift, 0), g,
+                          points)
+        return [x * y for x, y in zip(lay, tab)]
+
+    h = branch(-b)
+    if b:
+        h = [x + y for x, y in zip(h, branch(b))]
+    # slot v is read below p: ceil((p - lo) / g) digits from (v - u0) * Wg,
+    # each read run kept and the runs joined
     runs, at = [], 0
-    for (v, p), start in zip(reads, starts):
+    for v, p in reads:
         n = -((lo - p) // g)
-        runs.append(buf[start * w:(start + n) * w])
+        runs.append(((v - u0) * Wg, (v - u0) * Wg + n))
         slots[v - v0] = (at, n, p)
         at += n
-    return (b"".join(runs), nbytes, dmax, lo, g, v0, slots)
+    buf = kron_digits(h, nbytes, runs[-1][1])
+    return (join_runs(buf, nbytes, runs), nbytes, dmax, lo, g, v0, slots)
 
 
 def _own_pass(products, own_row, wp):
@@ -447,9 +487,6 @@ def _own_sum(products, own_row, wp):
     (module docstring), with the coefficients and precision of the sum of
     ``_own_pass``'s series."""
     buf, nbytes, dmax, lo, g, v0, slots = products
-    w = word_bytes(nbytes)
-    lifts = (1 << (8 * nbytes - 1)).to_bytes(w, "little")
-    from_bytes = int.from_bytes
 
     # The precision of each term as _own_pass gives it: t^o * x * T_v is
     # known below min(prec(x) + o + val(T_v), prec(T_v) + o + val(x)), with
@@ -469,25 +506,22 @@ def _own_sum(products, own_row, wp):
         cut = min(p, wp - vo)
         prec = min(prec, cut + vo)
         if x.prec is not INF:
-            # val(T_v), at most cut, from the lowest set bit of the slot
-            # read below cut
-            k = _digits(cut, lo, g, n)
-            t = (from_bytes(buf[start * w:(start + k) * w], "little")
-                 - from_bytes(lifts * k, "little"))
-            vt = min(lo + g * (((t & -t).bit_length() - 1) // (8 * w)),
-                     cut) if t else cut
+            # val(T_v), at most cut: its lowest digit read below cut
+            j = lowest_digit(buf, nbytes, start,
+                             start + _digits(cut, lo, g, n))
+            vt = cut if j is None else min(lo + g * j, cut)
             prec = min(prec, x.prec + o + vt)
         if x.coeffs:
             terms.append((start, n, o, x))
 
     # What lands below prec: of T_v its k digits below prec - o (- val(x)),
-    # of x its terms below prec - o - lo.  A digit of the sum is at most
-    # the sum over the terms of dmax (bare) or dmax * min(max|x| * k,
-    # sum|x|), so the slots keep their words until that exceeds them; it
-    # also holds every term of x packed, as dmax >= 1 when a digit is not
-    # 0.  The sum lies on the grid lo + g2*Z, g2 the gcd of g, the offsets
-    # of the terms' lowest exponents and the exponents of each x less its
-    # valuation.
+    # of x its terms below prec - o - lo.  T_v has norms at most (dmax,
+    # dmax * k), so a digit of the sum is at most the sum over the terms of
+    # dmax (bare) or ``series.product_bound`` of T_v and x, and the slots
+    # keep their words until that exceeds them; it also holds every term of
+    # x packed, as dmax >= 1 when a digit is not 0.  The sum lies on the
+    # grid lo + g2*Z, g2 the gcd of g, the offsets of the terms' lowest
+    # exponents and the exponents of each x less its valuation.
     picked, bound, g2 = [], 0, g
     for start, n, o, x in terms:
         low = lo + o
@@ -503,109 +537,40 @@ def _own_sum(products, own_row, wp):
             stop = prec - o - lo
             xs = [(e, abs(c)) for e, c in x.coeffs.items() if e < stop]
             sizes = [c for _, c in xs]
-            bound += dmax * min(max(sizes) * k, sum(sizes))
+            bound += product_bound((dmax, dmax * k), (max(sizes), sum(sizes)))
             if g2 > 1:
                 g2 = gcd(g2, *[e - vx for e, _ in xs])
             x = (x, vx, stop)
         if picked and g2 > 1:
-            g2 = gcd(g2, low - picked[0][3])
-        picked.append((start, k, x, low))
+            g2 = gcd(g2, low - picked[0][2])
+        picked.append(((start, start + k), x, low))
     if not picked:
         return QSeries._of({}, prec)
 
-    # Each slot as one integer straight from the bytes: the words of w
-    # bytes, widened to the sum's digit width and spread r = g/g2 digits
-    # apart by strided byte copies when either differs.
-    width = max(w, digit_bytes(bound))
-    stride = g // g2 * width
-    pad = lifts + bytes(stride - w)
+    # Each slot as one integer, widened to the sum's digit width and spread
+    # g/g2 digits apart when either differs from the slots' words.
+    width = digit_bytes(bound, nbytes)
     base = min(low for *_, low in picked)
     h = 0
-    for start, k, x, low in picked:
-        run = buf[start * w:(start + k) * w]
-        if stride != w:
-            wide = bytearray(k * stride)
-            for i in range(w):
-                wide[i::stride] = run[i::w]
-            run = wide
-        t = from_bytes(run, "little") - from_bytes(pad * k, "little")
+    runs = read_runs(buf, nbytes, [run for run, _, _ in picked], width,
+                     g // g2)
+    for (_, x, low), t in zip(picked, runs):
         if x is not None:
             x, vx, stop = x
             t *= kron_pack_one(x.coeffs, vx, stop, width, g2)
         h += t << 8 * width * ((low - base) // g2)
-    return QSeries._of(
-        kron_unpack((h,), width, [(0, _digits(prec, base, g2, INF), base)],
-                    g2)[0], prec)
-
-
-def _convolve(layer, us, lo, reads, den_step, b, wp):
-    """T_v below each (v, stop) in reads from one packed product per
-    branch, taken at one point or two (module docstring): the biased digit
-    words of both branches (``series.kron_digits``) up to the last digit
-    read, their width nbytes, the bound dmax on every |digit| read that set
-    it, the grid step g and the digit where each read slot starts."""
-    u0 = us[0]
-    top = reads[-1][0] - u0     # highest slot read, relative to u0
-    us = [u for u in us if u - u0 <= top]
-
-    # A digit of slot v sums products of slot u and slot v - u for u <= v:
-    # |digit| <= sum_u min(max|L_u| * sum|ip_{v-u}|, sum|L_u| * max|ip_{v-u}|),
-    # twice that with the binomial branch.  The coefficients of ip_m, the
-    # partitions into parts of at most m, grow with m, so the bound is
-    # largest at the highest slot read, where every u enters.
-    b_norms = _ip_norms(den_step, top, wp)
-    bound = 0
-    for u in us:
-        size = [abs(c) for c in layer[u].coeffs.values()]
-        bmax, bsum = b_norms[top + u0 - u]
-        bound += min(max(size) * bsum, sum(size) * bmax)
-    dmax = bound * (2 if b else 1)
-    nbytes = digit_bytes(dmax)
-
-    # Every packed exponent lies on lo + g*Z (module docstring); b is in the
-    # gcd, so e - lo stands for e - b*u - lo.
-    g = gcd(den_step, b, *[e - lo for u in us for e in layer[u].coeffs])
-    # A slot product spans at most W - 1 exponents, W = 2*wp - 1 - lo here
-    # rounded up to a multiple of g, so a slot holds W/g digits and the
-    # exponent lo + g*j of slot v sits at digit j of it.
-    W = -(-(2 * wp - 1 - lo) // g) * g
-    Wg = W // g
-
-    nd = (us[-1] - u0 + 1) * Wg
-    points = 2 if nd * nbytes >= _TWO_POINT_BYTES else 1
-
-    def branch(shift):
-        # L_u * t^(shift*u) against 1/(t^d; t^d)_m * t^(max(shift, 0)*m)
-        lay = kron_pack([((u - u0) * W + shift * u - lo, layer[u].coeffs,
-                          wp - shift * u) for u in us], nd, nbytes, g, points)
-        tab = _packed_ips(den_step, top, wp, W, nbytes, max(shift, 0), g,
-                          points)
-        return [x * y for x, y in zip(lay, tab)]
-
-    h = branch(-b)
-    if b:
-        h = [x + y for x, y in zip(h, branch(b))]
-    # slot v is read below stop: ceil((stop - lo) / g) digits
-    v, stop = reads[-1]
-    buf = kron_digits(h, nbytes, (v - u0) * Wg - (lo - stop) // g)
-    return buf, nbytes, dmax, g, [(v - u0) * Wg for v, _ in reads]
-
-
-def _ips(den_step, top, wp):
-    return [inv_poch_finite(SM(1, den_step), den_step, m, wp)
-            for m in range(top + 1)]
+    return QSeries._of(kron_unpack(h, width, _digits(prec, base, g2, INF),
+                                   base, g2), prec)
 
 
 # The Pochhammer side of a layer product depends on the layer only through
-# its key, so each is packed once.  Both caches are bounded like the
-# Pochhammer caches they read: their keys include wp.
-@lru_cache(maxsize=128)
-def _ip_norms(den_step, top, wp):
-    """(max |c|, sum |c|) of 1/(t^d; t^d)_m at wp, d = den_step, for each
-    m <= top."""
-    return tuple((max(map(abs, ip.coeffs.values())),
-                  sum(map(abs, ip.coeffs.values())))
-                 for ip in _ips(den_step, top, wp))
+# its key, so each is packed once, and each 1/(t^d; t^d)_m is an operand
+# once.  Both caches are bounded like the Pochhammer caches they read:
+# their keys include wp.
+@lru_cache(maxsize=1024)
+def _ip(den_step, m, wp) -> Operand:
+    """1/(t^d; t^d)_m at wp, d = den_step."""
+    return Operand(inv_poch_finite(SM(1, den_step), den_step, m, wp))
 
 
 @lru_cache(maxsize=128)
@@ -613,6 +578,6 @@ def _packed_ips(den_step, top, wp, W, nbytes, shift, step, points):
     """1/(t^d; t^d)_m * t^(shift*m) packed into slot m of width W, for each
     m <= top, read below wp, one digit per ``step`` exponents (step divides
     d, shift and W), at 1 or 2 points (``series.kron_pack``)."""
-    return kron_pack([(m * W + shift * m, ip.coeffs, wp - shift * m)
-                      for m, ip in enumerate(_ips(den_step, top, wp))],
+    return kron_pack([(m * W + shift * m, _ip(den_step, m, wp).series.coeffs,
+                       wp - shift * m) for m in range(top + 1)],
                      (top + 1) * W // step, nbytes, step, points)

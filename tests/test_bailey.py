@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident import bailey as B
+from qident import identities as I
 from qident import series, sumeval
 from qident.errors import (DegenerateDivision, InsufficientDepth,
                            NotStabilized, ParameterOutOfRange,
@@ -678,7 +679,7 @@ def _sums(sums):
 
 
 def _clear_kernel_caches():
-    for f in (B._relation_kernel, B._kernel_shape, B._packed_kernel):
+    for f in (B._relation_kernel, series.packed):
         f.cache_clear()
 
 
@@ -719,9 +720,10 @@ def test_relation_sums_take_every_width_from_one_to_nine(monkeypatch):
 def test_verify_shares_only_the_codec_with_apply(monkeypatch):
     """verify is the oracle for the beta-side sums of ``apply``: on a chained
     pair it enters neither their layer product, its packed tables and their
-    norms, nor the two-point path, nor the packed ring product.  It shares
-    only the Kronecker codec at one point (``series.kron_pack`` and
-    ``kron_unpack``), whose own oracle is plain int arithmetic
+    operands, nor their width rule, nor the two-point path, nor the packed
+    ring product.  It shares only the Kronecker codec at one point
+    (``series.kron_pack`` and ``kron_unpack``, with ``series.Operand`` and
+    ``series.packed``), whose own oracle is plain int arithmetic
     (``test_series.py::test_kron_pack_and_unpack_match_int_arithmetic``)."""
     p, log = B.run_chain(B.pair_dprime4(Q, 10, 101),
                          ["BL_INF", "KEY1", "BL_INF", "STAR1"])
@@ -734,8 +736,10 @@ def test_verify_shares_only_the_codec_with_apply(monkeypatch):
         return spy
 
     for module, name in ((sumeval, "layer_product"), (B, "layer_product"),
-                         (sumeval, "_convolve"), (sumeval, "_packed_ips"),
-                         (sumeval, "_ip_norms"), (series, "_mul_packed")):
+                         (sumeval, "_packed_ips"), (sumeval, "_ip"),
+                         (series, "product_bound"),
+                         (sumeval, "product_bound"),
+                         (I, "product_bound"), (series, "_mul_packed")):
         monkeypatch.setattr(module, name, refuse(name))
     # kron_pack is looked up in series (kron_pack_one) and in sumeval
     points = []

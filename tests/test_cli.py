@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qident
 from qident import bailey as B
 from qident import identities as I
 from qident import sets as S
@@ -564,3 +569,43 @@ def test_exit_codes_over_near_valid_input(case):
     elif argv[-1] == "json":
         for line in out.splitlines():
             json.loads(line)
+
+
+_DEEP = "[" * 2000 + "]" * 2000        # beyond json's recursion limit
+_TOO_LARGE = {
+    "trace-lambda, deep": (["trace-lambda", "--input", _DEEP], None, None),
+    "trace-gamma, deep": (["trace-gamma", "--input", _DEEP], None, None),
+    "bailey, deep": (["bailey"], _DEEP, None),
+    # the frequency sequences of weight 1500 recurse once per part
+    "enumerate, heavy": (["enumerate", "--family", "A", "--k", "1",
+                          "--max-weight", "1500"], None, None),
+    # k lists, and one tail entry per place a part passes
+    "trace-gamma, large k": (["trace-gamma", "--input", "[1]", "--k",
+                              "100000000"], None, 400 * 2 ** 20),
+    "trace-lambda, large part": (["trace-lambda", "--input",
+                                  "[[1000000000]]"], None, 400 * 2 ** 20),
+}
+
+
+def _limit_address_space(limit):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return cap
+
+
+@pytest.mark.parametrize("case", _TOO_LARGE)
+def test_inputs_beyond_the_process_limits_exit_2(case):
+    # a RecursionError or MemoryError is an input too large to check: exit
+    # 2 with one error line, in a child process, whose address space the
+    # memory cases cap
+    argv, stdin, limit = _TOO_LARGE[case]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qident.__file__).parents[1]), os.environ.get("PYTHONPATH",
+                                                                "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qident.cli", *argv], input=stdin or "",
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=limit and _limit_address_space(limit))
+    assert done.returncode == 2, done
+    assert done.stderr.startswith("error:"), done
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr

@@ -175,7 +175,7 @@ def _clear_memos():
     sumeval._SUMS.clear()
     I._PRODUCTS.clear()
     I._last_factor.cache_clear()
-    triple_product.cache_clear()
+    I._triple.cache_clear()
 
 
 def _count_layers(monkeypatch):
@@ -382,7 +382,7 @@ _DEN_INF = list(dict.fromkeys(d for side in SIDES for d in side.den_inf))
 
 def _cold_product_sides():
     I._PRODUCTS.clear()
-    for f in (I._prefactor, I._packed_prefactor, I._packed_theta):
+    for f in (I._prefactor, I._triple, series.packed):
         f.cache_clear()
 
 

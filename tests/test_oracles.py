@@ -35,7 +35,7 @@ def _multisum_row():
     return (lambda: brute_multisum(pervar, gaps, tprec, extras, pervar),
             lambda: sumeval.multisum(engine, gaps, tprec, vmax),
             [(sumeval, "multisum"), (sumeval, "layer_product"),
-             (sumeval, "_convolve")])
+             (sumeval, "_ip"), (series, "product_bound")])
 
 
 def _beta_sum_row():
@@ -46,7 +46,8 @@ def _beta_sum_row():
         return B._a_pow(p.a, l).shift(2 * l * l)
     return (lambda: naive.beta_sum(p, lift, True),
             lambda: B._beta_sum(p, lift, True),
-            [(sumeval, "layer_product"), (sumeval, "_convolve")])
+            [(sumeval, "layer_product"), (sumeval, "_ip"),
+             (series, "product_bound")])
 
 
 def _motion_row():
@@ -81,8 +82,8 @@ def _product_side_row():
         return identities.eval_product(side, 30)
     return (lambda: ring_product_side(side, 30), checked,
             [(qfunctions, "_binomials"), (identities, "_prefactor"),
-             (identities, "_packed_prefactor"),
-             (identities, "_packed_theta")])
+             (identities, "_triple"), (series, "packed"),
+             (series, "product_bound")])
 
 
 ROWS = {"brute_multisum": _multisum_row,

@@ -1,26 +1,26 @@
 """Pochhammer symbols, Gaussian binomials, and the triple product."""
 
+import importlib
+import pkgutil
 from functools import reduce
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qident
 from qident import bailey as B
 from qident import identities as I
 from qident import sumeval
-from qident.bailey import (_kernel_shape, _packed_kernel,
-                           _relation_kernel, _star_factor)
+from qident.bailey import _relation_kernel
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
                            NegativeIndex, NotAUnit, OutOfRange)
-from qident.identities import (_packed_prefactor, _packed_theta,
-                               _prefactor, _theta_norms)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                _binomials, inv_poch_finite,
                                inv_poch_infinite, poch_finite, poch_infinite,
                                triple_product)
-from qident.series import INF, Memo, QSeries, one, unpack
-from qident.sumeval import _ip_norms, _packed_ips, multisum, summation_bound
+from qident.series import INF, Memo, QSeries, one, packed, unpack
+from qident.sumeval import _packed_ips, multisum, summation_bound
 
 from gf_oracle import euler_inverse, qbinom, ring_poch_infinite, theta_sum
 from series_oracle import coeff, newton_invert, qcoeff
@@ -258,14 +258,30 @@ def test_theta_sum_direct_coefficients():
     assert got.equal_up_to(triple_product(6, 2, 201), 201) == (True, None)
 
 
+# the caches whose work one cached series.Operand per factor and
+# series.packed now do, and the step that layer_product took in
+_DELETED = {"identities": ("_theta_norms", "_packed_theta",
+                           "_packed_prefactor"),
+            "bailey": ("_kernel_shape", "_packed_kernel"),
+            "sumeval": ("_ip_norms", "_ips", "_convolve")}
+
+
 def test_caches_are_bounded(monkeypatch):
-    # the keys include prec, so an unbounded cache grows with every order
-    for f in (poch_finite, poch_infinite, inv_poch_finite,
-              inv_poch_infinite, triple_product, _relation_kernel,
-              _kernel_shape, _packed_kernel, _star_factor, _ip_norms,
-              _packed_ips, _prefactor, _packed_prefactor, _packed_theta,
-              _theta_norms, sumeval._bound):
-        assert isinstance(f.cache_info().maxsize, int), f.__name__
+    # the keys include prec, so an unbounded cache grows with every order;
+    # every cache of every qident module is found, none is listed by hand
+    modules = {info.name: importlib.import_module(f"qident.{info.name}")
+               for info in pkgutil.iter_modules(qident.__path__)}
+    caches = {f for module in modules.values() for f in vars(module).values()
+              if hasattr(f, "cache_info")}
+    assert {_relation_kernel, packed, I._last_factor, I._triple,
+            sumeval._ip} <= caches
+    for f in caches:
+        assert isinstance(f.cache_info().maxsize, int), f.__qualname__
+    for name, gone in _DELETED.items():
+        for attr in gone:
+            assert not hasattr(modules[name], attr), (name, attr)
+    # identities._triple caches the only caller's triple products
+    assert triple_product not in caches
     # the memos of whole sums and product sides drop their least recently
     # used entries past the bound, as the layer memo does
     monkeypatch.setattr(Memo, "MAX", 2)
@@ -303,18 +319,18 @@ def test_caches_are_bounded(monkeypatch):
             _packed_ips(4, 1, 5, W, 1, 0, step, 2)
     assert _packed_ips.cache_info().currsize == maxsize
     _packed_ips.cache_clear()
-    # a packed relation kernel is keyed by its width and its shape is not:
-    # one kernel at three widths is three packed entries and one shape
-    _kernel_shape.cache_clear()
-    _packed_kernel.cache_clear()
+    # an operand is packed per width and built once: one relation kernel
+    # at three widths is three packed entries and one operand, and the
+    # packed cache stays at its bound
+    _relation_kernel.cache_clear()
+    packed.cache_clear()
     for nbytes in (1, 2, 3):
-        _kernel_shape(Q, 2, 4, 11)
-        _packed_kernel(Q, 2, 4, 11, nbytes)
-    assert _kernel_shape.cache_info().currsize == 1
-    assert _packed_kernel.cache_info().currsize == 3
-    maxsize = _packed_kernel.cache_info().maxsize
+        packed(_relation_kernel(Q, 2, 4, 11), nbytes)
+    assert _relation_kernel.cache_info().currsize == 1
+    assert packed.cache_info().currsize == 3
+    maxsize = packed.cache_info().maxsize
     for nbytes in range(1, maxsize + 3):
-        _packed_kernel(Q, 0, 0, 3, nbytes)
-    assert _packed_kernel.cache_info().currsize == maxsize
-    _kernel_shape.cache_clear()
-    _packed_kernel.cache_clear()
+        packed(_relation_kernel(Q, 0, 0, 3), nbytes)
+    assert packed.cache_info().currsize == maxsize
+    _relation_kernel.cache_clear()
+    packed.cache_clear()

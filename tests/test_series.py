@@ -12,8 +12,9 @@ from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
                            kron_digits, kron_pack, kron_unpack, pack,
                            read_digits, unpack, word_bytes)
+from qident import identities as I
 from qident import series, sumeval
-from qident.sumeval import _ip_norms, _own_pass, _packed_ips, layer_product
+from qident.sumeval import _ip, _own_pass, _packed_ips, layer_product
 
 from series_oracle import (coeff, double_loop_mul, from_json, min_exp,
                            newton_invert, qcoeff, scale_exponents,
@@ -369,7 +370,7 @@ def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(case,
     own_row = [0] * 6
     cold = []
     for layer in layers:
-        _ip_norms.cache_clear()
+        _ip.cache_clear()
         _packed_ips.cache_clear()
         cold.append(_one_layer(layer, own_row, (den_step, b), wp))
     for order in (1, -1):       # the second pass finds every table cached
@@ -437,14 +438,15 @@ def _check_kron_round_trip(data, nbytes, step):
     want = [{base + step * (i - start): digits[i]
              for i in range(start, stop) if digits[i]}
             for start, stop, base in spans]
-    assert kron_unpack((_poly(X, h),), nbytes, spans, step) == want
-    assert kron_unpack((_poly(Y, h), _poly(-Y, h)), nbytes, spans,
-                       step) == want
-    # kron_unpack is read_digits of the word buffer of kron_digits
+    # several spans are read_digits of the word buffer of kron_digits, at
+    # either point count; kron_unpack reads one span from digit 0 at one
     for values in ((_poly(X, h),), (_poly(Y, h), _poly(-Y, h))):
         buf = kron_digits(values, nbytes, stop)
         assert len(buf) == stop * word_bytes(nbytes)
         assert read_digits(buf, nbytes, spans, step) == want
+    base = data.draw(st.integers(-9, 9))
+    assert kron_unpack(_poly(X, h), nbytes, stop, base, step) == {
+        base + step * i: digits[i] for i in range(stop) if digits[i]}
 
 
 @pytest.mark.parametrize("den_step", [2, 4])
@@ -545,6 +547,54 @@ def test_packed_mul_matches_dict_mul():
         packed = _mul_packed(da, db, cap)
         assert packed is not None
         assert packed == _mul_dict(da, db, cap)
+
+
+# Operands: coefficients of mixed signs up to 2^70, with one term, several
+# or none, truncated or exact; and the exact-zero prefactor F of a product
+# side holding (1; q)_inf.
+_operands = st.one_of(
+    st.builds(lambda coeffs, prec: QSeries(coeffs, INF if prec is None
+                                           else prec),
+              st.dictionaries(st.integers(-6, 30),
+                              st.integers(-2 ** 70, 2 ** 70), max_size=8),
+              st.none() | st.integers(-4, 40)),
+    st.builds(lambda e, c: QSeries({e: c}), st.integers(-6, 30),
+              st.integers(-2 ** 70, 2 ** 70).filter(bool)),
+    st.just(I._prefactor(((SM(1, 0), 2),), (), (), 21).series))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands, _operands)
+@example(QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: 1}))
+@example(QSeries({0: 2 ** 70, 1: -(2 ** 70)}),
+         QSeries({0: -(2 ** 70), 3: 2 ** 70}))
+def test_operand_and_product_bound_match_int_arithmetic(a, b):
+    # an operand's lowest exponent, stop and norms, and the bound of
+    # series.product_bound on every coefficient of the product, against
+    # plain int loops; at the width of that bound the product of the
+    # packed operands reads back as the product
+    x, y = series.Operand(a), series.Operand(b)
+    for op, s in ((x, a), (y, b)):
+        assert (op.series, op.stop) == (s, s.prec)
+        assert op.low == (min(s.coeffs) if s.coeffs else s.prec)
+        assert op.norms == (max(map(abs, s.coeffs.values()), default=0),
+                            sum(map(abs, s.coeffs.values())))
+    want = {}
+    for e, c in a.coeffs.items():
+        for f, d in b.coeffs.items():
+            want[e + f] = want.get(e + f, 0) + c * d
+    bound = series.product_bound(x.norms, y.norms)
+    assert all(abs(c) <= bound for c in want.values())
+    if a.coeffs and b.coeffs:
+        nbytes = series.digit_bytes(bound)
+        h = series.packed(x, nbytes) * y.pack(nbytes)
+        assert h == x.pack(nbytes) * series.packed(y, nbytes)
+        low = x.low + y.low
+        assert kron_unpack(h, nbytes, max(want) - low + 1, low) == {
+            e: c for e, c in want.items() if c}
+    else:       # an empty operand packs to 0
+        assert bound == 0 and 0 in (x.pack(1) if not a.coeffs else None,
+                                    y.pack(1) if not b.coeffs else None)
 
 
 def test_pow():

@@ -100,7 +100,7 @@ def _shapes(quad, lin, tail_neg):
 shapes = _shapes(st.integers(1, 3), st.integers(-6, 4), [None, 0, 1, 3])
 # Even quad, lin and tail shift, no lower than above (the oracle's slack
 # holds): every layer of the pass lies on an even grid, so its product packs
-# on the grid step 2 or 4 (sumeval._convolve).
+# on the grid step 2 or 4 (sumeval.layer_product).
 even_shapes = _shapes(st.sampled_from([2, 4, 6]),
                       st.sampled_from(range(-6, 5, 2)), [None, 0, 2])
 
@@ -158,7 +158,7 @@ def test_multisum_matches_brute_force(shape):
 @st.composite
 def bound_layers(draw):
     """(wp, layer) with every coefficient of one size M: all positive, so
-    that the product digits reach the digit bound of sumeval._convolve, or
+    that the product digits reach the digit bound of sumeval.layer_product, or
     of mixed signs; exponents on the grid 1 or 2, Laurent ones included."""
     wp = draw(st.integers(1, 40))
     size = draw(st.sampled_from([1, 2 ** 7 - 1, 2 ** 31 - 1, 2 ** 62,
