@@ -40,9 +40,6 @@ class SignedMonomial:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
-    def __mul__(self, other: "SignedMonomial") -> "SignedMonomial":
-        return SignedMonomial(self.sign * other.sign, self.e + other.e)
-
     def __pow__(self, n: int) -> "SignedMonomial":
         return SignedMonomial(self.sign if n % 2 else 1, self.e * n)
 

@@ -15,7 +15,10 @@ Every series is stored in canonical form: ``coeffs`` maps int exponents below
 ``prec`` to nonzero ints, and ``prec`` is an int or the ``INF`` object itself
 (code tests ``prec is INF``).  The public ``QSeries(coeffs, prec)`` cleans
 outside input into that form: pairs with a repeated exponent add up, and
-zeros and terms at or above ``prec`` drop out.  The ring operations build
+zeros and terms at or above ``prec`` drop out.  It refuses, with a
+ValueError, an exponent or coefficient that is not an int and a precision
+that is neither an int nor INF, as ``truncate``, ``divide`` and
+``equal_up_to`` refuse such a precision: nothing is rounded.  The ring operations build
 results that are canonical by construction and hand them to the private
 ``QSeries._of``, which trusts them and copies nothing.
 
@@ -79,6 +82,8 @@ _WORD = ({n: min(w for w in _NATIVE if w >= n) for n in range(1, 9)}
 def _as_prec(p):
     if p is INF or p == INF:
         return INF
+    if not isinstance(p, int):
+        raise ValueError(f"a precision is an int or INF, got {p!r}")
     return int(p)
 
 
@@ -93,6 +98,9 @@ class QSeries:
         if coeffs:
             # pair iterables accumulate duplicate exponents (dicts cannot)
             for e, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+                if not (isinstance(e, int) and isinstance(c, int)):
+                    raise ValueError(f"a term is an int exponent and an int "
+                                     f"coefficient, got {e!r}: {c!r}")
                 if e >= prec:
                     continue
                 s = clean.get(e, 0) + int(c)

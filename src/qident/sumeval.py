@@ -81,31 +81,36 @@ depends on the outer variable's own factor, and no coefficient dict is
 made: each consumer reads a slot only as far as its own factor needs.  That
 factor is kept by its offset: o_v = quad*v^2 + lin*v for a bare monomial
 t^(o_v), or the pair (o_v, extra(v)) for t^(o_v) times the extra as the
-caller made it, so an own row copies no series.  The own pass
-(``_own_pass``) reads slot v below wp - o_v for a bare monomial, with the
-shift folded into the read's base exponent lo + o_v, and below wp - o_v -
-val(extra) for a series factor, which it then multiplies by the extra and
-shifts; one ``read_digits`` call reads every slot, and a bare slot that has
-nothing below wp is not read.  The other user of ``layer_product`` is the
-Bailey engine: the beta-side sum of the Bailey lemmas
-(``bailey._beta_sum``) is one bare layer product, with L_l = lift(l) *
-beta_l, d = 2 and binomial step 2 for the star step, and no own factor,
-read whole (``slot_series``, one ``read_digits`` call).
+caller made it, so an own row copies no series.  Both users of an own
+factor take each slot from one walk (``_own_terms``): slot v is read below
+its cut min(best_v, wp - o_v - val(extra)), val 0 for a bare monomial, and
+t^(o_v) * extra * T_v is known below min(prec(extra) + o_v + val(T_v),
+cut + o_v + val(extra)), which is at most wp; val(T_v), the lowest digit
+below the cut (``series.lowest_digit``), is read only for a truncated
+extra, and a bare slot with nothing below wp is left out.  The own pass
+(``_own_pass``) reads every slot in one ``read_digits`` call, the shift
+o_v folded into the read's base exponent lo + o_v, and multiplies a series
+factor by its extra below that precision.  The other user of
+``layer_product`` is the Bailey engine: the beta-side sum of the Bailey
+lemmas (``bailey._beta_sum``) is one bare layer product, with L_l =
+lift(l) * beta_l, d = 2 and binomial step 2 for the star step, and no own
+factor, read whole (``slot_series``, one ``read_digits`` call).
 
 The outer step.  The outermost variable's own pass and the sum over its
 values are one step (``_own_sum``), with the coefficients and precision of
 the ring sum of the own pass's series: one packed sum for both kinds of own
-factor.  Each slot's digits below the precision of the sum are taken as one
-integer (``series.read_runs``), multiplied by its extra packed at one
-point (``series.kron_pack_one``) or by 1, shifted to its lowest exponent
-lo + o_v (+ val(extra)), added, and the sum is read back once
-(``kron_unpack``).  With D the digit bound of the layer product, which the
-layout keeps, T_v has norms at most (D, D * n_v) for n_v digits taken, so
-a digit of the sum is at most the sum over v of D for a bare monomial, and
+factor, at the least precision of the walk's slots.  Each slot's digits of
+its walk run that lie below that precision are taken as one integer
+(``series.read_runs``), multiplied by its extra packed at one point
+(``series.kron_pack_one``) or by 1, shifted to its lowest exponent lo +
+o_v (+ val(extra)), added, and the sum is read back once (``kron_unpack``).
+With D the digit bound of the layer product, which the layout keeps, T_v
+has norms at most (D, D * n_v) for n_v digits taken, so a digit of the sum
+is at most the sum over v of D for a bare monomial, and
 ``series.product_bound`` of T_v and the extra otherwise.  While that fits
 the slots' words, the sum is taken at their width; beyond it each slot is
-widened by strided byte copies.  Scanning the digits
-taken for their largest |digit| costs more than the widening it saves: the
+widened by strided byte copies.  Scanning the digits taken for their
+largest |digit| costs more than the widening it saves: the
 p30-p70 band of rows of a cold k <= 4, q-order 60 pass took 48.6-49.6 ms
 with the scan against 43.2-45.3 ms without (in-process, best of 8 passes a
 row).  The sum lies on the lattice lo + g2*Z, g2 the gcd of g, the
@@ -174,7 +179,8 @@ from math import gcd
 from .errors import PrecisionExceeded
 from .series import (INF, Memo, Operand, QSeries, digit_bytes, join_runs,
                      kron_digits, kron_pack, kron_pack_one, kron_unpack,
-                     lowest_digit, product_bound, read_digits, read_runs)
+                     lowest_digit, product_bound, read_digits, read_runs,
+                     _mul_any)
 from .qfunctions import SM, inv_poch_finite
 
 # A product whose layer packs to fewer bytes is taken at one point, where
@@ -329,12 +335,6 @@ def _val(s: QSeries):
     return min(s.coeffs) if s.coeffs else s.prec
 
 
-def _shifted(s, o, wp):
-    """t^o * s truncated at wp, shifting only the terms that stay below."""
-    return QSeries._of({e + o: c for e, c in s.coeffs.items() if e < wp - o},
-                       min(s.prec + o, wp))
-
-
 # A layer product, packed (module docstring): (buf, nbytes, dmax, lo, g,
 # v0, slots), slots[i] = (start, n, prec) for v = v0 + i, so that T_v is
 # sum_{j < n} digit(start + j) * t^(lo + g*j), known below prec, with
@@ -353,7 +353,8 @@ _NOTHING = (b"", 1, 0, 0, 1, 0, [])
 
 def _digits(stop, lo, g, n):
     """How many of a slot's n digits lie below exponent stop."""
-    return max(0, min(n, (stop - lo - 1) // g + 1))
+    k = (stop - lo - 1) // g + 1
+    return n if k > n else k if k > 0 else 0
 
 
 def slot_series(products) -> dict:
@@ -444,40 +445,52 @@ def layer_product(layer, vmax, gap, wp):
     return (join_runs(buf, nbytes, runs), nbytes, dmax, lo, g, v0, slots)
 
 
-def _own_pass(products, own_row, wp):
-    """own_row[v] * T_v truncated at wp for each packed T_v of products,
-    without the entries that are zero at precision wp; own_row as in
-    ``multisum``.  Slot v is read only below the exponent where its own
-    factor's terms reach wp, in one ``read_digits`` call."""
+def _own_terms(products, own_row, wp):
+    """(v, run, o, x, prec) per slot v of products whose own factor t^o * x
+    (x None for a bare monomial) is not an exact zero: run the digits of
+    T_v below its read cut, prec the precision of t^o * x * T_v truncated
+    at wp (module docstring).  A bare slot with nothing below wp is left
+    out.  The one rule of ``_own_pass`` and ``_own_sum``."""
     buf, nbytes, dmax, lo, g, v0, slots = products
-    spans, heads = [], []
+    terms = []
     for v, (start, n, p) in enumerate(slots, v0):
         o = own_row[v]
         if o is None:
             continue
         if isinstance(o, int):
-            # an exact shift, folded into the read's base exponent: only
-            # the terms of T_v below wp - o reach wp
-            stop, prec = (p, p + o) if p + o < wp else (wp - o, wp)
-            k = _digits(stop, lo, g, n)
-            if not k and prec == wp:
-                continue        # nothing below wp: dropped unread
-            spans.append((start, start + k, lo + o))
+            x, vx = None, 0
         else:
-            # T_v is read below wp - val(t^o * extra) only: no more can
-            # reach wp
-            stop = prec = min(p, wp - o[0] - _val(o[1]))
-            spans.append((start, start + _digits(stop, lo, g, n), lo))
-        heads.append((v, o, prec))
+            o, x = o
+            vx = _val(x)
+        cut = min(p, wp - o - vx)
+        stop = start + _digits(cut, lo, g, n)
+        prec = cut + o + vx         # at most wp
+        if x is None:
+            if stop == start and prec == wp:
+                continue        # nothing below wp
+        elif x.prec is not INF:
+            j = lowest_digit(buf, nbytes, start, stop)
+            prec = min(prec, x.prec + o + (cut if j is None else lo + g * j))
+        terms.append((v, (start, stop), o, x, prec))
+    return terms
+
+
+def _own_pass(products, own_row, wp):
+    """own_row[v] * T_v truncated at wp for each packed T_v of products,
+    without the entries that are zero at precision wp; own_row as in
+    ``multisum``.  Each slot is read below its cut (``_own_terms``), in
+    one ``read_digits`` call, shifted by o in the read's base exponent."""
+    buf, nbytes, dmax, lo, g, v0, slots = products
+    terms = _own_terms(products, own_row, wp)
+    reads = read_digits(buf, nbytes, [(*run, lo + o)
+                                      for _, run, o, _, _ in terms], g)
     nxt = {}
-    for (v, o, prec), coeffs in zip(heads,
-                                    read_digits(buf, nbytes, spans, g)):
-        s = QSeries._of(coeffs, prec)
-        if not isinstance(o, int):
-            s = _shifted(o[1] * s, o[0], wp)
+    for (v, _, _, x, prec), coeffs in zip(terms, reads):
+        if x is not None:
+            coeffs = _mul_any(x.coeffs, coeffs, prec)
         # a zero series below wp still bounds what is known; keep it
-        if s.coeffs or s.prec < wp:
-            nxt[v] = s
+        if coeffs or prec < wp:
+            nxt[v] = QSeries._of(coeffs, prec)
     return nxt
 
 
@@ -487,32 +500,8 @@ def _own_sum(products, own_row, wp):
     (module docstring), with the coefficients and precision of the sum of
     ``_own_pass``'s series."""
     buf, nbytes, dmax, lo, g, v0, slots = products
-
-    # The precision of each term as _own_pass gives it: t^o * x * T_v is
-    # known below min(prec(x) + o + val(T_v), prec(T_v) + o + val(x)), with
-    # T_v read below wp - o - val(x).
-    prec = wp
-    terms = []
-    for v, (start, n, p) in enumerate(slots, v0):
-        o = own_row[v]
-        if o is None:
-            continue
-        if isinstance(o, int):
-            prec = min(prec, p + o)
-            terms.append((start, n, o, None))
-            continue
-        o, x = o
-        vo = _val(x) + o
-        cut = min(p, wp - vo)
-        prec = min(prec, cut + vo)
-        if x.prec is not INF:
-            # val(T_v), at most cut: its lowest digit read below cut
-            j = lowest_digit(buf, nbytes, start,
-                             start + _digits(cut, lo, g, n))
-            vt = cut if j is None else min(lo + g * j, cut)
-            prec = min(prec, x.prec + o + vt)
-        if x.coeffs:
-            terms.append((start, n, o, x))
+    terms = _own_terms(products, own_row, wp)
+    prec = min((p for *_, p in terms), default=wp)
 
     # What lands below prec: of T_v its k digits below prec - o (- val(x)),
     # of x its terms below prec - o - lo.  T_v has norms at most (dmax,
@@ -523,12 +512,14 @@ def _own_sum(products, own_row, wp):
     # grid lo + g2*Z, g2 the gcd of g, the offsets of the terms' lowest
     # exponents and the exponents of each x less its valuation.
     picked, bound, g2 = [], 0, g
-    for start, n, o, x in terms:
+    for _, (start, end), o, x, _ in terms:
         low = lo + o
         if x is not None:
+            if not x.coeffs:
+                continue
             vx = min(x.coeffs)
             low += vx
-        k = _digits(prec, low, g, n)
+        k = _digits(prec, low, g, end - start)
         if not k or not dmax:
             continue
         if x is None:

@@ -96,6 +96,20 @@ def test_degenerate_transforms(unit_1):
             B.apply(tag, unit_1)
     with pytest.raises(DegenerateDivision):
         B.apply("STAR1", B.unit_pair(Q, 4, TP))  # STAR1 needs a = 1
+    # at a = q^(1/2) and rho = q^(5/2), (aq/rho; q)_2 = (q^(-1); q)_2 has
+    # the factor 1 - 1
+    with pytest.raises(DegenerateDivision,
+                       match=re.escape("(aq/rho)_n is not a unit "
+                                       "(leading term 0)")):
+        B.apply(B.TransformStep("BL_RHO", rho=SM(1, 5)),
+                B.unit_pair(SM(1, 1), 4, TP))
+
+
+def test_pairs_and_steps_refuse_malformed_fields(unit_q):
+    with pytest.raises(ValueError, match="n_max"):
+        B.BaileyPair(Q, 4, unit_q.alpha, unit_q.beta, TP)
+    with pytest.raises(ValueError, match="unknown transform tag 'NOPE'"):
+        B.TransformStep("NOPE")
 
 
 def test_star_equals_sum_of_routes(unit_q):
@@ -403,6 +417,8 @@ def test_common2_default_and_subsets(unit_q):
     assert B.check_common2(unit_q, 3, 0, 2, TP, subset=(2, 3)) == (True, None)
     with pytest.raises(ParameterOutOfRange):
         B.check_common2(unit_q, 3, 1, 1, TP, subset=(3,))  # 3 > k - r
+    with pytest.raises(ParameterOutOfRange, match="relative q"):
+        B.check_common2(B.unit_pair(SM(1, 1), 3, TP), 2, 1, 1, TP)
 
 
 def test_lattice_checks_reject_a_corrupted_pair():
@@ -435,6 +451,9 @@ def test_closed_alpha_domain():
             B.closed_alpha_star_chain(seed, k, r, j, n, 41)
     for n in (0, 4):    # both ends of the prefix are in range
         B.closed_alpha_star_chain(seed, 2, 0, 0, n, 41)
+    with pytest.raises(ParameterOutOfRange, match="relative to q"):
+        B.closed_alpha_star_chain(B.unit_pair(SM(1, 1), 4, 41), 2, 0, 0, 1,
+                                  41)
 
 
 def test_star_chain_closed_alpha():

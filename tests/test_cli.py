@@ -222,6 +222,14 @@ def test_bailey_steps_must_be_a_list(capsys, tmp_path):
     assert err.startswith("error:") and "steps" in err
 
 
+def test_bailey_recipe_must_be_an_object(capsys, tmp_path):
+    path = tmp_path / "recipe.json"
+    path.write_text("[]")
+    rc, out, err = run(capsys, "bailey", "--input", str(path))
+    assert (rc, out) == (2, "")
+    assert err == 'error: a recipe is a JSON object with a "seed" object\n'
+
+
 def test_bailey_field_of_the_wrong_type(capsys, tmp_path):
     path = tmp_path / "recipe.json"
     path.write_text(json.dumps({"seed": {"kind": "unit"}, "prec": [3]}))

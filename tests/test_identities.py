@@ -83,6 +83,7 @@ def test_validation_errors():
         ("bressoud_33", {"k": 0, "j": 0}),
         ("stanton_32", {"k": 0, "r": 0, "j": 0}),
         ("andrews_gordon", {"k": 2, "r": 3}),                     # r = k + 1
+        ("andrews_gordon", {"k": "2", "r": 0}),                   # a str
         ("stanton_32", {"k": 1, "r": 1, "j": 1}),                 # r + j > k
         ("new_slater2", {"k": 2, "r": 0, "j": 1}),                # r = 0
         ("stanton_31", {"k": 2, "r": 0, "j": 1, "T": (1, 1)}),    # repeat

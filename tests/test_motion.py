@@ -91,6 +91,8 @@ def test_pm_examples():
         pm_stepwise((1, 0, 2), 0, 1)
     with pytest.raises(PreconditionViolated):
         M.pm_explicit((1, 0, 2), 0, 1)
+    with pytest.raises(PreconditionViolated, match="non-negative"):
+        M.pm_explicit(f, 0, -1)
 
 
 def test_pm_weight_bookkeeping():

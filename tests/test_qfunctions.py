@@ -50,6 +50,8 @@ def test_monomial_parse_and_text():
     for text in ("2q", "q^(1/3)", "q^(-1/3)", "q^--1", "q^(--1/2)"):
         with pytest.raises(ValueError):
             SM.parse(text)
+    with pytest.raises(ValueError, match="sign"):
+        SM(2, 1)
 
 
 def test_poch_finite_examples():
@@ -99,6 +101,8 @@ def test_poch_infinite_edge_cases():
         poch_infinite(Q, 0, 30)
     with pytest.raises(Divergent):
         poch_infinite(Q, 2, float("inf"))
+    with pytest.raises(Divergent, match="non-negative"):
+        poch_infinite(SM(1, -2), 2, 30)
 
 
 def _progressions(draw, prec):
@@ -208,6 +212,8 @@ def test_triple_product_symmetry_and_errors():
         triple_product(6, 0, 40)
     with pytest.raises(OutOfRange):
         triple_product(6, 7, 40)
+    with pytest.raises(OutOfRange, match="modulus"):
+        triple_product(0, 1, 40)
 
 
 def test_triple_product_partition_oracle():

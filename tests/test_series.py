@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,9 @@ from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
-                           kron_digits, kron_pack, kron_unpack, pack,
-                           read_digits, unpack, word_bytes)
+                           join_runs, kron_digits, kron_pack, kron_unpack,
+                           lowest_digit, pack, read_digits, read_runs, unpack,
+                           word_bytes)
 from qident import identities as I
 from qident import series, sumeval
 from qident.sumeval import _ip, _own_pass, _packed_ips, layer_product
@@ -45,15 +47,34 @@ def test_basic_ring_examples():
     assert (s + (-s)).is_zero()
     sq = QSeries({0: 1, 2: 1}) * QSeries({0: 1, 2: 1})
     assert sq.coeffs == {0: 1, 2: 2, 4: 1}         # (1+q)^2
+    with pytest.raises(ValueError, match="invert"):
+        QSeries({0: 1, 2: 1}) ** -1
 
 
 def test_pair_list_constructor_accumulates():
     assert QSeries([(0, 1), (0, 1)]).coeffs == {0: 2}
     assert QSeries([(3, 1), (3, -1)]).is_zero()
-    # outside input is cleaned: zeros, terms at or above prec, a float prec
-    s = QSeries([(0, 1), (2, 0), (4, 3), (4, -3), (6, 5), (9, 1)], 8.0)
+    # outside input is cleaned: zeros and terms at or above prec; a float
+    # prec is refused, even a whole one, and a float infinity is INF
+    s = QSeries([(0, 1), (2, 0), (4, 3), (4, -3), (6, 5), (9, 1)], 8)
     assert (s.coeffs, s.prec) == ({0: 1, 6: 5}, 8) and type(s.prec) is int
+    with pytest.raises(ValueError, match="precision"):
+        QSeries([(0, 1)], 8.0)
     assert QSeries({0: 1}, float("inf")).prec is INF
+
+
+def test_constructor_refuses_what_is_not_an_int():
+    # each of these was once rounded toward zero, or lost a term, in silence
+    for coeffs, prec in [({1.5: 1}, INF), ({2: 2.7}, INF),
+                         ({0: Fraction(1, 2)}, INF), ([(0, 1), (0.5, 1)], INF),
+                         ({0: 1}, 5.5), ({0: 1}, "5"), ({0: 1}, -INF)]:
+        with pytest.raises(ValueError):
+            QSeries(coeffs, prec)
+    s = QSeries({0: 1, 2: 1})
+    for use in (lambda: s.truncate(5.5), lambda: s.divide(s, 5.5),
+                lambda: s.equal_up_to(s, 0.5)):
+        with pytest.raises(ValueError, match="precision"):
+            use()
 
 
 def test_invert_examples():
@@ -447,6 +468,49 @@ def _check_kron_round_trip(data, nbytes, step):
     base = data.draw(st.integers(-9, 9))
     assert kron_unpack(_poly(X, h), nbytes, stop, base, step) == {
         base + step * i: digits[i] for i in range(stop) if digits[i]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_runs_of_a_digit_buffer_match_int_arithmetic(data):
+    # join_runs, read_runs and lowest_digit on kron_digits buffers at one and
+    # two points, at every digit width from 1 to 10 bytes: native words,
+    # widened words and the byte-wise path
+    for nbytes in range(1, 11):
+        _check_runs(data, nbytes)
+
+
+def _check_runs(data, nbytes):
+    top = (1 << (8 * nbytes - 1)) - 1
+    digit = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
+    # a run of zeros at the front, so that some runs are all zero and some
+    # start with zeros
+    lead = data.draw(st.integers(0, 4))
+    digits = [0] * lead + data.draw(st.lists(digit, min_size=1, max_size=30))
+    nd = len(digits)
+    X, Y = 1 << (8 * nbytes), 1 << (4 * nbytes)
+    w = word_bytes(nbytes)
+    # sorted cuts: adjacent runs, and an empty run at each repeated cut
+    cuts = sorted(data.draw(st.lists(st.integers(0, nd), min_size=2,
+                                     max_size=6)) + [lead])
+    runs = list(zip(cuts, cuts[1:]))
+    # a width of 0 (the word), the word, or wider; digits 1, 2 or 4 apart
+    width = data.draw(st.sampled_from([0, w]) | st.integers(w + 1, w + 9))
+    spread = data.draw(st.sampled_from([1, 2, 4]))
+    Z = 1 << (8 * (width or w) * spread)
+    for values in ((_poly(X, digits),), (_poly(Y, digits), _poly(-Y, digits))):
+        buf = kron_digits(values, nbytes, nd)
+        joined = [d for a, b in runs for d in digits[a:b]]
+        assert read_digits(join_runs(buf, nbytes, runs), nbytes,
+                           [(0, len(joined), 0)]) == [
+            {i: d for i, d in enumerate(joined) if d}]
+        assert read_runs(buf, nbytes, runs, width, spread) == [
+            _poly(Z, digits[a:b]) for a, b in runs]
+        assert read_runs(buf, nbytes, runs) == [
+            _poly(1 << (8 * w), digits[a:b]) for a, b in runs]
+        for a, b in runs + [(0, lead), (0, nd)]:
+            assert lowest_digit(buf, nbytes, a, b) == next(
+                (i - a for i in range(a, b) if digits[i]), None)
 
 
 @pytest.mark.parametrize("den_step", [2, 4])

@@ -155,6 +155,27 @@ def test_multisum_matches_brute_force(shape):
         assert got.coeffs == want.coeffs
 
 
+@settings(max_examples=60, deadline=None)
+@given(shapes, st.sets(st.integers(0, 6), min_size=1),
+       st.sampled_from([0, -1]))
+# the outer and the inner variable of three, zero at their first values
+@example(([(1, 0), (1, -2), (2, 0)], [(2, 2), (2, None)], 30, False, None),
+         {0, 1}, 0)
+@example(([(1, 0), (1, -2), (2, 0)], [(2, 2), (2, None)], 30, False, None),
+         {0, 2}, -1)
+def test_an_extra_that_is_exactly_zero_adds_nothing(shape, zeros, at):
+    # an own factor that is the exact zero at some values (multisum keeps
+    # no entry for them) against the brute-force sum, which multiplies it in
+    pervar, gaps, tprec, _, _ = shape
+    extras = [None] * len(pervar)
+    extras[at] = lambda v: zero() if v in zeros else _head(v)
+    engine_pervar = [(q, l, extras[i]) for i, (q, l) in enumerate(pervar)]
+    want = brute_multisum(pervar, gaps, tprec, extras, pervar)
+    got = multisum(engine_pervar, gaps, tprec,
+                   vmax=summation_bound(engine_pervar, gaps, tprec))
+    assert (got.coeffs, got.prec) == (want.coeffs, tprec)
+
+
 @st.composite
 def bound_layers(draw):
     """(wp, layer) with every coefficient of one size M: all positive, so
@@ -247,8 +268,8 @@ def as_slots(products, g=1, nbytes=None):
 def dict_own_pass(products, own_row, wp):
     """The reference for sumeval._own_pass: the own pass on {v: T_v} as
     multisum took it before its layer products stayed packed, each T_v
-    shifted by _shifted, or multiplied by its extra after a cut at wp -
-    val(t^o * extra)."""
+    shifted and cut at wp, or multiplied by its extra after a cut at wp -
+    val(t^o * extra) and then shifted."""
     def shifted(s, o):
         return QSeries._of({e + o: c for e, c in s.coeffs.items()
                             if e < wp - o}, min(s.prec + o, wp))
@@ -314,6 +335,11 @@ def test_own_pass_on_slots_matches_the_dict_own_pass(case, den_step, b,
 def test_quad_min_is_the_integer_minimum(quad, lin):
     assert quad_min(quad, lin) == min(quad * v * v + lin * v
                                       for v in range(0, 2100))
+
+
+def test_quad_min_refuses_an_unbounded_quadratic():
+    with pytest.raises(ValueError, match="unbounded below"):
+        quad_min(0, -1)
 
 
 def test_var_bound_sees_minima_beyond_64():
