@@ -279,7 +279,7 @@ def _relation_sums(p: BaileyPair, tp: int):
         h = 0
         for l, e in terms:
             h += packs[l] * packed(row[l], nbytes) << digit * (e - base)
-        yield QSeries._of(kron_unpack(h, nbytes, pn - base, base), pn)
+        yield QSeries._of(kron_unpack(h, nbytes, base, pn), pn)
 
 
 def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
@@ -289,8 +289,8 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     of their layer product: each sum comes from ``_relation_sums``, one
     packed big integer per n, which shares only the Kronecker codec
     (``series.kron_pack`` and ``kron_unpack`` at one point, whose own oracle
-    is plain int arithmetic, with ``Operand``, ``packed`` and
-    ``digit_bytes``).
+    is plain int arithmetic, with ``Operand``, ``packed``, ``digit_bytes``
+    and the digit count ``digit_count``).
     The sums have the coefficients and precision of the ring sums of alpha_l
     times the cached 1/((q)_{n-l} (aq)_{n+l}).  The result carries the
     lowest order ``_agree`` used."""

@@ -79,15 +79,17 @@ class ProductSide:
 
 
 @lru_cache(maxsize=1024)
-def _last_factor(last_step: int, tail: Optional[str], v: int, tp: int):
+def _last_factor(last_step: int, tail: Optional[str], head, v: int, tp: int):
     """The factors on s_k = v of a sum side, truncated at tp: the final
-    1/(.)_{s_k} and the tail's.  Rows of a sweep share them, so each is
-    built once."""
+    1/(.)_{s_k}, the tail's and, at k = 1, the head.  Rows of a sweep share
+    them, so each is built once."""
     out = inv_poch_finite(SM(1, last_step), last_step, v, tp)
     if tail == "bgg":
         out = out * poch_infinite(SM(-1, 2 + 4 * v), 4, tp)
     elif tail == "slater2":
         out = out * inv_poch_finite(SM(-1, 1), 2, v, tp)
+    if head is not None:
+        out = poch_finite(*head, v) * out
     return out
 
 
@@ -96,17 +98,12 @@ def eval_sum(side: SumSide, qprec: int) -> QSeries:
     tp = tgrid(qprec)
     k, head, b = side.k, side.head, side.binom_step
 
-    def last(v):
-        out = _last_factor(side.last_step, side.tail, v, tp)
-        # at k = 1 the last variable is s_1, which carries the head too
-        return out if k > 1 or head is None else poch_finite(*head, v) * out
-
     # extras[i] and its description key[i], for multisum's layer memo
     extras, key = [None] * k, [None] * k
     if head is not None:
         extras[0], key[0] = (lambda v: poch_finite(*head, v)), head
-    extras[-1] = last
-    key[-1] = (side.last_step, side.tail, head if k == 1 else None)
+    key[-1] = last = (side.last_step, side.tail, head if k == 1 else None)
+    extras[-1] = lambda v: _last_factor(*last, v, tp)
     pervar = [(quad, lin, extra)
               for (quad, lin), extra in zip(side.pervar, extras)]
     if 1 in side.subset:        # element 1 of T: the plain factor t^(-b s_1)
@@ -197,7 +194,7 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
             acc += weight * packed(theta, nbytes) << width * (shift - low)
         p = tp + min(low, 0) if f.series.coeffs else tp
         out = QSeries._of(kron_unpack(acc * packed(f, nbytes), nbytes,
-                                      max(p - low, 0), low), p)
+                                      low, p), p)
     else:
         out = f.series.truncate(tp)
     _PRODUCTS.store(memo_key, None, [out])

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateTheta, Divergent, NegativeIndex, OutOfRange
-from .series import INF, ONE, QSeries, digit_bytes, kron_unpack, monomial
+from .series import (INF, ONE, QSeries, _as_prec, digit_bytes, digit_count,
+                     kron_unpack, monomial)
 
 _MONO_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?:(?P<one>1)|q(?:\^(?:\(\s*(?P<num>-?\d+)\s*/\s*2\s*\)"
@@ -37,8 +38,10 @@ class SignedMonomial:
     e: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        if not (isinstance(self.sign, int) and self.sign in (1, -1)
+                and isinstance(self.e, int)):
+            raise ValueError("a sign is +1 or -1 and an exponent an int, "
+                             f"got {self.sign!r}, {self.e!r}")
 
     def __pow__(self, n: int) -> "SignedMonomial":
         return SignedMonomial(self.sign if n % 2 else 1, self.e * n)
@@ -107,19 +110,18 @@ def _binomials(progressions, prec) -> QSeries:
     is 1 - 1."""
     if prec == INF:
         raise Divergent("infinite product needs a finite truncation order")
-    prec = int(prec)
-    digits = max(prec, 0)
+    prec = _as_prec(prec)
     factors = [(s, e) for s, e0, step in progressions
                for e in range(e0, prec, step)]
     nbytes = digit_bytes(2 ** len(factors))
     width = 8 * nbytes
-    mask = (1 << width * digits) - 1
+    mask = (1 << width * digit_count(0, prec)) - 1
     h = 1
     for s, e in factors:
         h = (h - s * (h << width * e)) & mask
     if not h:
         return QSeries._of({}, INF)
-    return QSeries._of(kron_unpack(h, nbytes, digits, 0), prec)
+    return QSeries._of(kron_unpack(h, nbytes, 0, prec), prec)
 
 
 @lru_cache(maxsize=1024)

@@ -18,9 +18,10 @@ outside input into that form: pairs with a repeated exponent add up, and
 zeros and terms at or above ``prec`` drop out.  It refuses, with a
 ValueError, an exponent or coefficient that is not an int and a precision
 that is neither an int nor INF, as ``truncate``, ``divide`` and
-``equal_up_to`` refuse such a precision: nothing is rounded.  The ring operations build
-results that are canonical by construction and hand them to the private
-``QSeries._of``, which trusts them and copies nothing.
+``equal_up_to`` refuse such a precision and ``shift`` such a shift:
+nothing is rounded.  The ring operations build results that are canonical
+by construction and hand them to the private ``QSeries._of``, which trusts
+them and copies nothing.
 
 Division is long division (``divide``); every divisor in scope is a product
 of binomials whose lowest coefficient is +-1, or +-2 where the two terms of
@@ -33,7 +34,8 @@ steps.  ``kron_digits`` turns the product's values at its points into one
 buffer of digit words, each digit stored with a bias of half a digit so
 that the word is unsigned, in the native word that holds nbytes bytes;
 ``read_digits`` reads spans of that buffer into coefficient dicts.
-``kron_unpack`` is the two in one call, for one value and one span.  A
+``kron_unpack`` is the two in one call, for one value read below a stop
+exponent; every read-back counts its digits by ``digit_count``.  A
 caller that reads only part of a product, or reads it later, keeps the
 buffer, read only through this module: the sum engine's layer products
 (``sumeval``).  A factor of many products is an ``Operand``, packed once
@@ -209,7 +211,9 @@ class QSeries:
         return out
 
     def shift(self, delta: int) -> "QSeries":
-        """Multiply by t^delta."""
+        """Multiply by t^delta; a delta that is not an int is refused."""
+        if not isinstance(delta, int):
+            raise ValueError(f"a shift is an int, got {delta!r}")
         p = self.prec if self.prec is INF else self.prec + delta
         return QSeries._of({e + delta: c for e, c in self.coeffs.items()}, p)
 
@@ -373,6 +377,13 @@ def digit_bytes(bound: int, nbytes: int = 1) -> int:
     return max(bound.bit_length() // 8 + 1, word_bytes(nbytes))
 
 
+def digit_count(base: int, stop, step: int = 1, n=INF) -> int:
+    """How many of the exponents base + step*i, i >= 0, lie below the int
+    stop, at most n: the one digit count of the codec."""
+    k = (stop - base - 1) // step + 1
+    return n if k > n else k if k > 0 else 0
+
+
 def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int,
                   step: int = 1) -> int:
     """The terms c*t^e of coeffs with e < stop as one integer at
@@ -382,8 +393,8 @@ def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int,
     if not coeffs:
         return 0
     return kron_pack([(-low, coeffs, stop)],
-                     -((low - min(stop, max(coeffs) + 1)) // step), nbytes,
-                     step)[0]
+                     digit_count(low, min(stop, max(coeffs) + 1), step),
+                     nbytes, step)[0]
 
 
 def word_bytes(nbytes: int) -> int:
@@ -471,14 +482,15 @@ def read_digits(buf, nbytes: int, spans, step: int = 1) -> list:
             for start, stop, base in spans]
 
 
-def kron_unpack(value: int, nbytes: int, ndigits: int, base: int,
+def kron_unpack(value: int, nbytes: int, base: int, stop,
                 step: int = 1) -> dict:
-    """The inverse of kron_pack at one point: the nonzero signed digits
-    0..ndigits-1 of value in base X = 2^(8*nbytes), digit i at exponent
-    base + step*i.  Digits at or above ndigits are never read, so they may
-    be arbitrary."""
-    return read_digits(kron_digits((value,), nbytes, ndigits), nbytes,
-                       [(0, ndigits, base)], step)[0]
+    """The inverse of kron_pack at one point, read below exponent stop: the
+    nonzero signed digits 0..n-1 of value in base X = 2^(8*nbytes), digit i
+    at exponent base + step*i, n = digit_count(base, stop, step).  Digits
+    at or above n are never read, so they may be arbitrary."""
+    n = digit_count(base, stop, step)
+    return read_digits(kron_digits((value,), nbytes, n), nbytes,
+                       [(0, n, base)], step)[0]
 
 
 def join_runs(buf, nbytes: int, runs) -> bytes:
@@ -555,7 +567,7 @@ def _mul_packed(da: dict, db: dict, cap):
     nbytes = digit_bytes(amax * bmax * min(len(da), len(db)))
     h = (kron_pack_one(da, ma, ma + width, nbytes)
          * kron_pack_one(db, mb, mb + width, nbytes))
-    return kron_unpack(h, nbytes, width, ma + mb)
+    return kron_unpack(h, nbytes, ma + mb, cap)
 
 
 def _mul_any(da: dict, db: dict, cap) -> dict:

@@ -19,9 +19,10 @@ the innermost own factor (a packed product whose slots all read one digit
 1), or from the outermost stored product (below).  For each variable but
 the outermost, the own pass (``_own_pass``) applies its own factor to each
 T_v, and ``layer_product`` convolves the result through the gap outside
-it.  The outermost variable's own pass and the sum
-over its values are one step, ``_own_sum`` (below).  A single variable
-takes no step of the loop: its own row is summed against T_v = 1.
+it, to no slot if the own pass leaves nothing.  The outermost variable's
+own pass and the sum over its values are one step, ``_own_sum`` (below).
+A single variable takes no step of the loop: its own row is summed
+against T_v = 1.
 
 A layer product maps the layer L_u (u = 0..vmax), the inner T_u after their
 own factors, to
@@ -79,9 +80,9 @@ set it, and per slot the start of its run, its digit count and best_v.
 Digit j of slot v is the coefficient of t^(lo + g*j) in T_v.  Nothing in it
 depends on the outer variable's own factor, and no coefficient dict is
 made: each consumer reads a slot only as far as its own factor needs.  That
-factor is kept by its offset: o_v = quad*v^2 + lin*v for a bare monomial
-t^(o_v), or the pair (o_v, extra(v)) for t^(o_v) times the extra as the
-caller made it, so an own row copies no series.  Both users of an own
+factor is the pair (o_v, extra(v)), o_v = quad*v^2 + lin*v, for t^(o_v)
+times the extra as the caller made it, the extra None for a bare monomial,
+so an own row copies no series; an exact zero is None.  Both users of an own
 factor take each slot from one walk (``_own_terms``): slot v is read below
 its cut min(best_v, wp - o_v - val(extra)), val 0 for a bare monomial, and
 t^(o_v) * extra * T_v is known below min(prec(extra) + o_v + val(T_v),
@@ -177,10 +178,10 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionExceeded
-from .series import (INF, Memo, Operand, QSeries, digit_bytes, join_runs,
-                     kron_digits, kron_pack, kron_pack_one, kron_unpack,
-                     lowest_digit, product_bound, read_digits, read_runs,
-                     _mul_any)
+from .series import (INF, Memo, Operand, QSeries, digit_bytes, digit_count,
+                     join_runs, kron_digits, kron_pack, kron_pack_one,
+                     kron_unpack, lowest_digit, product_bound, read_digits,
+                     read_runs, _mul_any)
 from .qfunctions import SM, inv_poch_finite
 
 # A product whose layer packs to fewer bytes is taken at one point, where
@@ -262,14 +263,14 @@ def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
         if hit is not None:
             return hit[1][0]
 
-    # own[i][v]: the exponent o of a bare monomial t^o, a pair (o, extra)
-    # for t^o times the unshifted extra, or None (an exact zero); variable i
-    # is paired with the binomial step inside it
+    # own[i][v]: the pair (o, extra) for t^o times the unshifted extra, the
+    # extra None for a bare monomial t^o, or None (an exact zero); variable
+    # i is paired with the binomial step inside it
     own = []
     R = 0
     for (quad, lin, extra), b in zip(pervar, steps + [0]):
         if extra is None:
-            row = [quad * v * v + lin * v for v in range(vmax + 1)]
+            row = [(quad * v * v + lin * v, None) for v in range(vmax + 1)]
             low = quad_min(quad, lin - b)
         else:
             row, low = [], 0
@@ -307,9 +308,8 @@ def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
                 products = (*head, v0, slots[:max(vmax - v0 + 1, 0)])
                 break
     for i in range(start, 0, -1):
-        layer = _own_pass(products, own[i], wp)
-        products = (layer_product(layer, vmax, gaps[i - 1], wp) if layer
-                    else _NOTHING)
+        products = layer_product(_own_pass(products, own[i], wp), vmax,
+                                 gaps[i - 1], wp)
         if names[i - 1] is not None:
             _CONVOLUTIONS.store(names[i - 1], (vmax, products), ())
 
@@ -346,15 +346,8 @@ def _ones(vmax):
     return (_ONE, 1, 1, 0, 1, 0, [(0, 1, INF)] * (vmax + 1))
 
 
-# the digit 1 as a buffer, and the product of an empty layer: no slot
+# the digit 1 as a buffer
 _ONE = kron_digits((1,), 1, 1)
-_NOTHING = (b"", 1, 0, 0, 1, 0, [])
-
-
-def _digits(stop, lo, g, n):
-    """How many of a slot's n digits lie below exponent stop."""
-    k = (stop - lo - 1) // g + 1
-    return n if k > n else k if k > 0 else 0
 
 
 def slot_series(products) -> dict:
@@ -367,10 +360,10 @@ def slot_series(products) -> dict:
 
 
 def layer_product(layer, vmax, gap, wp):
-    """The packed T_v for every v from min(layer) to vmax (module
-    docstring), T_v known below its precision best_v <= wp, one packed
-    product per branch.  Nothing here depends on an own factor, and T_v
-    reads L_u for u <= v only; a layer's u above vmax are not read."""
+    """The packed T_v for every v from min(layer) to vmax, none for an
+    empty layer (module docstring), T_v known below best_v <= wp, one
+    packed product per branch.  Nothing here depends on an own factor, and
+    T_v reads L_u for u <= v only; a layer's u above vmax are not read."""
     den_step, b = gap
     b = b or 0
     us = [u for u in sorted(layer) if layer[u].coeffs]   # packed slots
@@ -381,7 +374,7 @@ def layer_product(layer, vmax, gap, wp):
     # at most wp: no term of L_u * t^(-b*u) or L_u * t^(b*u) at or above wp
     # is packed.  T_v has no term below best_v when best_v <= lo, or when no
     # nonzero L_u has u <= v; then nothing is read.
-    v0 = min(layer)
+    v0 = min(layer, default=vmax + 1)
     slots = []
     best = INF
     for v in range(v0, vmax + 1):
@@ -433,11 +426,11 @@ def layer_product(layer, vmax, gap, wp):
     h = branch(-b)
     if b:
         h = [x + y for x, y in zip(h, branch(b))]
-    # slot v is read below p: ceil((p - lo) / g) digits from (v - u0) * Wg,
-    # each read run kept and the runs joined
+    # slot v is read below p: its digits from (v - u0) * Wg, each read run
+    # kept and the runs joined
     runs, at = [], 0
     for v, p in reads:
-        n = -((lo - p) // g)
+        n = digit_count(lo, p, g)
         runs.append(((v - u0) * Wg, (v - u0) * Wg + n))
         slots[v - v0] = (at, n, p)
         at += n
@@ -446,24 +439,20 @@ def layer_product(layer, vmax, gap, wp):
 
 
 def _own_terms(products, own_row, wp):
-    """(v, run, o, x, prec) per slot v of products whose own factor t^o * x
-    (x None for a bare monomial) is not an exact zero: run the digits of
+    """(v, run, o, x, prec) per slot v of products whose own factor (o, x),
+    t^o * x with x None for a bare monomial, is not None: run the digits of
     T_v below its read cut, prec the precision of t^o * x * T_v truncated
     at wp (module docstring).  A bare slot with nothing below wp is left
     out.  The one rule of ``_own_pass`` and ``_own_sum``."""
     buf, nbytes, dmax, lo, g, v0, slots = products
     terms = []
     for v, (start, n, p) in enumerate(slots, v0):
-        o = own_row[v]
-        if o is None:
+        if own_row[v] is None:
             continue
-        if isinstance(o, int):
-            x, vx = None, 0
-        else:
-            o, x = o
-            vx = _val(x)
+        o, x = own_row[v]
+        vx = 0 if x is None else _val(x)
         cut = min(p, wp - o - vx)
-        stop = start + _digits(cut, lo, g, n)
+        stop = start + digit_count(lo, cut, g, n)
         prec = cut + o + vx         # at most wp
         if x is None:
             if stop == start and prec == wp:
@@ -519,7 +508,7 @@ def _own_sum(products, own_row, wp):
                 continue
             vx = min(x.coeffs)
             low += vx
-        k = _digits(prec, low, g, end - start)
+        k = digit_count(low, prec, g, end - start)
         if not k or not dmax:
             continue
         if x is None:
@@ -550,8 +539,7 @@ def _own_sum(products, own_row, wp):
             x, vx, stop = x
             t *= kron_pack_one(x.coeffs, vx, stop, width, g2)
         h += t << 8 * width * ((low - base) // g2)
-    return QSeries._of(kron_unpack(h, width, _digits(prec, base, g2, INF),
-                                   base, g2), prec)
+    return QSeries._of(kron_unpack(h, width, base, prec, g2), prec)
 
 
 # The Pochhammer side of a layer product depends on the layer only through

@@ -741,9 +741,12 @@ def test_verify_shares_only_the_codec_with_apply(monkeypatch):
     pair it enters neither their layer product, its packed tables and their
     operands, nor their width rule, nor the two-point path, nor the packed
     ring product.  It shares only the Kronecker codec at one point
-    (``series.kron_pack`` and ``kron_unpack``, with ``series.Operand`` and
-    ``series.packed``), whose own oracle is plain int arithmetic
-    (``test_series.py::test_kron_pack_and_unpack_match_int_arithmetic``)."""
+    (``series.kron_pack`` and ``kron_unpack``, with ``series.Operand``,
+    ``series.packed`` and the codec's one digit count
+    ``series.digit_count``), whose own oracles are plain int arithmetic
+    (``test_series.py::test_kron_pack_and_unpack_match_int_arithmetic``)
+    and the length of a range
+    (``test_series.py::test_digit_count_is_the_grid_below_stop``)."""
     p, log = B.run_chain(B.pair_dprime4(Q, 10, 101),
                          ["BL_INF", "KEY1", "BL_INF", "STAR1"])
     assert all(res.ok for _, _, res in log)
@@ -768,8 +771,14 @@ def test_verify_shares_only_the_codec_with_apply(monkeypatch):
             points.append(args[4] if len(args) > 4
                           else kwargs.get("points", 1))
             or real(*args, **kwargs)))
+    # the digit count of every read-back and packing is series' one rule
+    counts = []
+    real_count = series.digit_count
+    monkeypatch.setattr(series, "digit_count", lambda *args: (
+        counts.append(args) or real_count(*args)))
     assert B.verify(p) == B.VerifyResult(True, None, 101)
     assert points and set(points) == {1}
+    assert counts
 
 
 def test_run_chain_stops_at_the_first_failing_step(monkeypatch, unit_q):

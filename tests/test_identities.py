@@ -258,10 +258,46 @@ def test_slater2_tail_equals_the_long_division(qprec):
     tp = I.tgrid(qprec)
     I._last_factor.cache_clear()
     for v in range(17):
-        got = I._last_factor(2, "slater2", v, tp)
+        got = I._last_factor(2, "slater2", None, v, tp)
         want = inv_poch_finite(SM(1, 2), 2, v, tp).divide(
             poch_finite(SM(-1, 1), 2, v), tp)
         assert (got.coeffs, got.prec) == (want.coeffs, want.prec), v
+
+
+def _k1_heads():
+    """The sum sides of one variable with a head: gollnitz_gordon and the
+    k = 1 rows of new_slater and new_slater2."""
+    return [I.CATALOG[name].lhs(params)
+            for name in ("gollnitz_gordon", "new_slater", "new_slater2")
+            for params in I.CATALOG[name].grid(1)]
+
+
+def test_the_last_factor_carries_the_head_at_k_1(monkeypatch):
+    # at k = 1, s_k is s_1: the last factor with the head is the ring
+    # product of (x; .)_v and the last factor without it
+    tp = 61
+    sides = _k1_heads()
+    assert len(sides) == 6 and all(s.k == 1 and s.head for s in sides)
+    I._last_factor.cache_clear()
+    for side in sides:
+        for v in range(13):
+            got = I._last_factor(side.last_step, side.tail, side.head, v, tp)
+            want = poch_finite(*side.head, v) * I._last_factor(
+                side.last_step, side.tail, None, v, tp)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec), v
+    # eval_sum hands the head to the last factor, whose arguments are the
+    # last variable's memo description
+    _clear_memos()
+    calls = []
+    real = I._last_factor
+    monkeypatch.setattr(I, "_last_factor",
+                        lambda *args: calls.append(args) or real(*args))
+    for variant in (1, 2):
+        calls.clear()
+        side = I.CATALOG["gollnitz_gordon"].lhs({"variant": variant})
+        I.eval_sum(side, 20)
+        assert calls and {args[:3] for args in calls} == {
+            (4, None, (SM(-1, 2), 4))}
 
 
 def _holds_a_dict(value):

@@ -105,6 +105,21 @@ def test_poch_infinite_edge_cases():
         poch_infinite(SM(1, -2), 2, 30)
 
 
+def test_orders_and_exponents_that_are_not_ints_are_refused():
+    # poch_infinite and triple_product rounded the order 9.5 to 9 in
+    # silence, while inv_poch_infinite refused it; a monomial took any
+    # exponent and sign
+    for use in (lambda: poch_infinite(Q, 2, 9.5),
+                lambda: poch_infinite(Q, 2, 9.0),
+                lambda: inv_poch_infinite(Q, 2, 9.5),
+                lambda: triple_product(5, 2, 9.5)):
+        with pytest.raises(ValueError, match="precision"):
+            use()
+    for sign, e in ((1, 0.5), (1, 2.0), (1, "2"), (1.0, 2), (-1.0, 2)):
+        with pytest.raises(ValueError):
+            SM(sign, e)
+
+
 def _progressions(draw, prec):
     # a progression (sign, e0, step) with step >= prec has the one factor
     # 1 - sign*t^e0 when e0 < prec, so single factors repeat freely

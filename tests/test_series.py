@@ -75,6 +75,10 @@ def test_constructor_refuses_what_is_not_an_int():
                 lambda: s.equal_up_to(s, 0.5)):
         with pytest.raises(ValueError, match="precision"):
             use()
+    # a shift by half a step gave exponents 1.5 and 4.5 and precision 10.5
+    for delta in (0.5, 2.0, Fraction(1, 2), "1"):
+        with pytest.raises(ValueError, match="shift"):
+            QSeries({1: 3, 4: -2}, 10).shift(delta)
 
 
 def test_invert_examples():
@@ -348,7 +352,7 @@ def test_convolve_layer_results_are_canonical(data, wp, den_step, b):
     layer = data.draw(st.dictionaries(st.integers(0, n - 1), _layer_series(wp),
                                       min_size=1))
     own_row = data.draw(st.lists(
-        st.none() | st.integers(-6, 30)
+        st.none() | st.tuples(st.integers(-6, 30), st.none())
         | st.tuples(st.integers(-6, 30), _series_st(True)),
         min_size=n, max_size=n))
     for s in _one_layer(layer, own_row, (den_step, b), wp).values():
@@ -359,9 +363,10 @@ def test_convolve_layer_claims_no_order_above_wp():
     # an exact L_0 = t + t^3 at wp = 3 under the shift t^-2: T_0 is packed
     # below wp only, so the result is t^-1 + O(t), not t^-1 + O(t^2) with
     # the t^1 term missing; with L_0 = t alone at wp = 1 nothing is read
-    assert _one_layer({0: QSeries({1: 1, 3: 1})}, [-2], (1, None), 3) \
+    assert _one_layer({0: QSeries({1: 1, 3: 1})}, [(-2, None)], (1, None),
+                      3) \
         == {0: QSeries({-1: 1}, 1)}
-    assert _one_layer({0: QSeries({1: 1})}, [-1], (1, None), 1) \
+    assert _one_layer({0: QSeries({1: 1})}, [(-1, None)], (1, None), 1) \
         == {0: zero(0)}
 
 
@@ -388,7 +393,7 @@ def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(case,
     # one layer must serve every other layer with that key unchanged, and
     # only those
     wp, layers = case
-    own_row = [0] * 6
+    own_row = [(0, None)] * 6
     cold = []
     for layer in layers:
         _ip.cache_clear()
@@ -420,6 +425,22 @@ def test_kron_pack_and_unpack_match_int_arithmetic(data, step):
     # either parity, so either half may hold the last digit read at two.
     for nbytes in range(1, 10):
         _check_kron_round_trip(data, nbytes, step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 80), st.integers(1, 9),
+       st.integers(0, 40) | st.just(INF))
+# a stop on the grid, one off it, and one below the base with a cap
+@example(0, 4, 2, INF)
+@example(3, 8, 2, INF)
+@example(5, 2, 1, 3)
+def test_digit_count_is_the_grid_below_stop(base, stop, step, n):
+    # the one digit count of the codec: the exponents base + step*i below
+    # stop, at most n, for stops at or below base and off the grid
+    want = len(range(base, stop, step))
+    assert series.digit_count(base, stop, step, n) == min(n, want)
+    if n is INF:
+        assert series.digit_count(base, stop, step) == want
 
 
 def _poly(x, coeffs):
@@ -460,13 +481,16 @@ def _check_kron_round_trip(data, nbytes, step):
              for i in range(start, stop) if digits[i]}
             for start, stop, base in spans]
     # several spans are read_digits of the word buffer of kron_digits, at
-    # either point count; kron_unpack reads one span from digit 0 at one
+    # either point count; kron_unpack reads one span from digit 0 at one,
+    # below a stop exponent on the grid or off it: the stops in
+    # (base + step*(stop - 1), base + step*stop] all take stop digits
     for values in ((_poly(X, h),), (_poly(Y, h), _poly(-Y, h))):
         buf = kron_digits(values, nbytes, stop)
         assert len(buf) == stop * word_bytes(nbytes)
         assert read_digits(buf, nbytes, spans, step) == want
     base = data.draw(st.integers(-9, 9))
-    assert kron_unpack(_poly(X, h), nbytes, stop, base, step) == {
+    end = base + step * (stop - 1) + data.draw(st.integers(1, step))
+    assert kron_unpack(_poly(X, h), nbytes, base, end, step) == {
         base + step * i: digits[i] for i in range(stop) if digits[i]}
 
 
@@ -534,7 +558,7 @@ def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
     monkeypatch.setattr(series, "_deal", spy)
     monkeypatch.setattr(sumeval, "_TWO_POINT_BYTES", 0)
     _packed_ips.cache_clear()
-    _one_layer(layer, [0] * 4, (den_step, None), wp)
+    _one_layer(layer, [(0, None)] * 4, (den_step, None), wp)
     _packed_ips.cache_clear()
     slot = -(-(2 * wp - 1) // den_step)
     # layer slots 0..1, tables 0..3
@@ -654,7 +678,7 @@ def test_operand_and_product_bound_match_int_arithmetic(a, b):
         h = series.packed(x, nbytes) * y.pack(nbytes)
         assert h == x.pack(nbytes) * series.packed(y, nbytes)
         low = x.low + y.low
-        assert kron_unpack(h, nbytes, max(want) - low + 1, low) == {
+        assert kron_unpack(h, nbytes, low, max(want) + 1) == {
             e: c for e, c in want.items() if c}
     else:       # an empty operand packs to 0
         assert bound == 0 and 0 in (x.pack(1) if not a.coeffs else None,

@@ -163,10 +163,15 @@ def test_multisum_matches_brute_force(shape):
          {0, 1}, 0)
 @example(([(1, 0), (1, -2), (2, 0)], [(2, 2), (2, None)], 30, False, None),
          {0, 2}, -1)
+# the middle variable of three, zero at every value: its own pass leaves an
+# empty layer, whose product has no slot
+@example(([(1, 0), (1, -2), (2, 0)], [(2, 2), (2, None)], 30, False, None),
+         set(range(31)), 1)
 def test_an_extra_that_is_exactly_zero_adds_nothing(shape, zeros, at):
     # an own factor that is the exact zero at some values (multisum keeps
     # no entry for them) against the brute-force sum, which multiplies it in
     pervar, gaps, tprec, _, _ = shape
+    assert layer_product({}, 6, (2, 2), tprec)[-1] == []
     extras = [None] * len(pervar)
     extras[at] = lambda v: zero() if v in zeros else _head(v)
     engine_pervar = [(q, l, extras[i]) for i, (q, l) in enumerate(pervar)]
@@ -195,11 +200,12 @@ def bound_layers(draw):
     return wp, layer
 
 
-# own rows of multisum: all 0, and one with every kind of entry, (offset,
+# own rows of multisum: all t^0, and one with every kind of entry, (offset,
 # series) pairs of finite and infinite precision among them
-_OWN_ROWS = ([0] * 7,
-             [3, None, (0, QSeries({0: 2, 2: -1})), -2,
-              (4, QSeries({-2: 5}, 9)), 0, (-1, QSeries({1: -(2 ** 70)}))])
+_OWN_ROWS = ([(0, None)] * 7,
+             [(3, None), None, (0, QSeries({0: 2, 2: -1})), (-2, None),
+              (4, QSeries({-2: 5}, 9)), (0, None),
+              (-1, QSeries({1: -(2 ** 70)}))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,9 +236,8 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
                 if b:
                     term = term * QSeries([(b * v, 1), (-b * u, 1)])
                 t = t + term
-        o = own_row[v]
-        t = (t.shift(o) if isinstance(o, int)
-             else o[1].shift(o[0]) * t).truncate(wp)
+        o, x = own_row[v]
+        t = (t.shift(o) if x is None else x.shift(o) * t).truncate(wp)
         if t.coeffs or t.prec < wp:
             want[v] = t
     with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
@@ -276,13 +281,12 @@ def dict_own_pass(products, own_row, wp):
 
     nxt = {}
     for v, t in products.items():
-        o = own_row[v]
-        if o is None:
+        if own_row[v] is None:
             continue
-        if isinstance(o, int):
+        o, x = own_row[v]
+        if x is None:
             s = shifted(t, o)
         else:
-            o, x = o
             low = min(x.coeffs) if x.coeffs else x.prec
             s = shifted(x * t.truncate(wp - o - low), o)
         if s.coeffs or s.prec < wp:
@@ -292,10 +296,10 @@ def dict_own_pass(products, own_row, wp):
 
 @st.composite
 def own_rows(draw):
-    """An own row of 7 entries of every kind: bare offsets of either sign,
-    None, and (offset, series) pairs with Laurent, exact and truncated
-    series, one with no terms that only bounds the precision."""
-    entry = (st.integers(-8, 30)
+    """An own row of 7 entries of every kind: bare offsets of either sign
+    (offset, None), None, and (offset, series) pairs with Laurent, exact and
+    truncated series, one with no terms that only bounds the precision."""
+    entry = (st.tuples(st.integers(-8, 30), st.none())
              | st.none()
              | st.tuples(st.integers(-8, 30),
                          st.builds(QSeries,
@@ -316,7 +320,8 @@ def own_rows(draw):
 # a layer of negative lo (t^(-4) at u = 0, and t^(-b*u) lowers it to -6)
 # under offsets of both signs and a shift past wp
 @example((10, {0: QSeries({-4: 3, 2: -1}), 1: QSeries({0: 5}, 9)}), 2, 2,
-         INF, [-3, 5, (-2, QSeries({1: 1, 3: 2})), 40, None, 0, 1])
+         INF, [(-3, None), (5, None), (-2, QSeries({1: 1, 3: 2})),
+               (40, None), None, (0, None), (1, None)])
 def test_own_pass_on_slots_matches_the_dict_own_pass(case, den_step, b,
                                                       two_point_bytes,
                                                       own_row):
@@ -488,14 +493,14 @@ def own_pass_then_sum(products, own_row, wp):
     exponent in full, and then the ring sum of its series."""
     layer = {}
     for v, t in products.items():
-        o = own_row[v]
-        if o is None:
+        if own_row[v] is None:
             continue
-        if isinstance(o, int):
+        o, x = own_row[v]
+        if x is None:
             s = QSeries({e + o: c for e, c in t.coeffs.items()
                          if e < wp - o}, min(t.prec + o, wp))
         else:
-            x = o[1].shift(o[0])
+            x = x.shift(o)
             low = min(x.coeffs) if x.coeffs else x.prec
             s = (x * t.truncate(wp - low)).truncate(wp)
         if s.coeffs or s.prec < wp:
@@ -515,8 +520,9 @@ def outer_steps(draw):
     them: T_v known below wp or less, packed on the grid g (1, or 2 with
     even exponents, which odd offsets and odd exponents of the extras
     leave) at a digit width of nbytes (None for the least that holds
-    them), own entries of every kind (bare exponents, (exponent, series)
-    pairs with Laurent, exact and truncated series, and None),
+    them), own entries of every kind ((exponent, None) for a bare one,
+    (exponent, series) pairs with Laurent, exact and truncated series, and
+    None),
     coefficients of either sign up to 2^64."""
     wp = draw(st.integers(1, 40))
     g = draw(st.sampled_from([1, 2]))
@@ -526,10 +532,10 @@ def outer_steps(draw):
                                      max_size=12))
         products[v] = QSeries({g * (e // g): c for e, c in terms.items()},
                               wp - draw(st.integers(0, 6)))
-        kind = draw(st.sampled_from(["int", "pair", "none"]))
+        kind = draw(st.sampled_from(["bare", "pair", "none"]))
         o = draw(st.integers(-6, 20))
-        if kind == "int":
-            own_row.append(o)
+        if kind == "bare":
+            own_row.append((o, None))
         elif kind == "pair":
             x = QSeries(draw(st.dictionaries(st.integers(-4, 30), _BIG,
                                              max_size=12)),
@@ -549,7 +555,8 @@ _TOP = 2 ** 63 - 1          # the largest digit of a word of 8 bytes
 # sum reach its bound, and a bound without the own factor's sizes is short
 @example(({v: QSeries({e: 2 ** 64 for e in range(8)}, 10) for v in range(3)},
           [(0, QSeries({e: 2 ** 64 for e in range(6)})),
-           (1, QSeries({e: 2 ** 64 for e in range(-2, 4)}, 12)), 2], 12,
+           (1, QSeries({e: 2 ** 64 for e in range(-2, 4)}, 12)), (2, None)],
+          12,
           1, None))
 # heads that add no term below wp: one that starts at wp - 1, and an empty
 # one known to t^3, which still bounds the precision of the sum
@@ -558,16 +565,17 @@ _TOP = 2 ** 63 - 1          # the largest digit of a word of 8 bytes
 # digits at the full width of their word: the sum of two bare shifts, and
 # of one slot times an extra, needs wider digits than the slots hold
 @example(({0: QSeries({e: _TOP for e in range(8)}, 12),
-           1: QSeries({e: -_TOP for e in range(-2, 8)}, 12)}, [0, 1], 12, 1,
-          None))
+           1: QSeries({e: -_TOP for e in range(-2, 8)}, 12)},
+          [(0, None), (1, None)], 12, 1, None))
 @example(({0: QSeries({e: _TOP for e in range(0, 10, 2)}, 12)},
           [(0, QSeries({0: 2, 2: 1}))], 12, 2, None))
 @example(({0: QSeries({0: 127, 1: 127}, 6), 1: QSeries({0: 127}, 6)},
-          [0, 1], 6, 1, None))
+          [(0, None), (1, None)], 6, 1, None))
 # a product on the grid 2: odd offsets, and an extra with an odd exponent,
 # put the sum on the grid 1
 @example(({0: QSeries({0: 3, 2: -1}, 12), 1: QSeries({-2: 1, 4: 5}, 11)},
-          [0, 1], 12, 2, None))
+          [(0, None), (1, None)], 12, 2,
+          None))
 @example(({0: QSeries({0: 3, 2: -1}, 12), 1: QSeries({-2: 1, 4: 5}, 11)},
           [(0, QSeries({0: 1, 1: 1})), (2, QSeries({0: 1}))], 12, 2, None))
 def test_outer_step_matches_the_own_pass_and_ring_sum(case):
