@@ -72,7 +72,7 @@ both series know, at most that order, returning the order it used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -80,8 +80,8 @@ from .errors import (DegenerateDivision, InsufficientDepth, NotStabilized,
                      ParameterOutOfRange, PoleAtParameter, UnsupportedBoundary)
 from .qfunctions import (ONE_M, Q, SM, inv_poch_finite, poch_finite,
                          poch_infinite)
-from .series import (INF, Memo, Operand, QSeries, digit_bytes, kron_unpack,
-                     monomial, one, pack, packed, zero)
+from .series import (INF, Memo, Operand, QSeries, _as_prec, digit_bytes,
+                     kron_unpack, monomial, one, pack, packed, zero)
 from .sumeval import layer_product, multisum, slot_series, summation_bound
 
 # Boundary marker for check_coro3 parameters sent to infinity.
@@ -113,51 +113,48 @@ def _geom(m: SM, count: int) -> QSeries:
     return out
 
 
-@dataclass(frozen=True)
-class BaileyPair:
+class BaileyPair(namedtuple("BaileyPair", "a n_max alpha beta prec")):
     """Finite prefix (0..n_max) of a Bailey pair relative to ``a``.
 
     ``seed`` is the seed function that made the pair, so that a check can
     ask it for the same prefix to a higher order; None for a derived pair.
+    It is kept beside the five fields, out of equality, hash and repr.
     """
 
-    a: SM
-    n_max: int
-    alpha: tuple
-    beta: tuple
-    prec: int
-    seed: Optional[Callable] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.alpha) != self.n_max + 1 or len(self.beta) != self.n_max + 1:
+    def __new__(cls, a, n_max, alpha, beta, prec, seed=None):
+        if len(alpha) != n_max + 1 or len(beta) != n_max + 1:
             raise ValueError("alpha/beta must have length n_max + 1")
+        self = super().__new__(cls, a, n_max, alpha, beta, prec)
+        self._seed = seed
+        return self
+
+    _seed = None         # a pair made by _make or _replace is a derived one
+
+    @property
+    def seed(self) -> Optional[Callable]:
+        return self._seed
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(namedtuple("TransformStep", "tag rho b",
+                               defaults=(None, None))):
     """One application of a named lemma; rho/b only for the parametrized ones."""
 
-    tag: str
-    rho: Optional[SM] = None
-    b: Optional[SM] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in _TRANSFORMS:
-            raise ValueError(f"unknown transform tag {self.tag!r}")
-        for field, owner in (("rho", "BL_RHO"), ("b", "LOVEJOY")):
-            given = getattr(self, field) is not None
-            if given != (self.tag == owner):
-                raise ValueError(f"{self.tag} takes no {field}" if given
-                                 else f"{owner} needs {field}")
+    def __new__(cls, tag, rho=None, b=None):
+        if tag not in _TRANSFORMS:
+            raise ValueError(f"unknown transform tag {tag!r}")
+        for name, value, owner in (("rho", rho, "BL_RHO"), ("b", b, "LOVEJOY")):
+            given = value is not None
+            if given != (tag == owner):
+                raise ValueError(f"{tag} takes no {name}" if given
+                                 else f"{owner} needs {name}")
+        return super().__new__(cls, tag, rho, b)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    """ok, the first n that fails (None when all hold), and the lowest
-    t-order below which an n was compared."""
-    ok: bool
-    first_bad_n: Optional[int]
-    prec: int
+# ok, the first n that fails (None when all hold), and the lowest t-order
+# below which an n was compared
+VerifyResult = namedtuple("VerifyResult", "ok first_bad_n prec")
 
 
 # -- seed pairs ---------------------------------------------------------------
@@ -223,8 +220,9 @@ SEEDS = {"unit": unit_pair, "dprime4": pair_dprime4, "dprime1": pair_dprime1}
 
 
 def _order(p: BaileyPair, prec: Optional[int]) -> int:
-    """The t-order a check on p works to: prec, capped at what p knows."""
-    return p.prec if prec is None else min(prec, p.prec)
+    """The t-order a check on p works to: prec, capped at what p knows; an
+    int, so the caches and the chain memo keyed by it see no float."""
+    return _as_prec(p.prec if prec is None else min(_as_prec(prec), p.prec))
 
 
 def _agree(x: QSeries, y: QSeries, tp: int):
@@ -605,6 +603,8 @@ def _lattice_vars(p: BaileyPair, k: int, r: int, j: int) -> list:
 
 def _check_krj(k: int, r: int, j: int):
     """The (k, r, j) domain of the star chains and their consequences."""
+    if not {int}.issuperset(map(type, (k, r, j))):
+        raise ParameterOutOfRange(f"k, r and j are integers; got {k=} {r=} {j=}")
     if k < 1 or r < 0 or j < 0 or r + j > k:
         raise ParameterOutOfRange(f"need k>=1, r,j>=0, r+j<=k; got {k=} {r=} {j=}")
 
@@ -812,7 +812,7 @@ def closed_alpha_star_chain(seed: BaileyPair, k: int, r: int, j: int,
     if seed.a != Q:
         raise ParameterOutOfRange("closed form is for seeds relative to q")
     _check_krj(k, r, j)
-    if not 0 <= n <= seed.n_max:
+    if type(n) is not int or not 0 <= n <= seed.n_max:
         raise ParameterOutOfRange(
             f"need 0 <= n <= n_max = {seed.n_max}, got {n=}")
     tp = _order(seed, prec)

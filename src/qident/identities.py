@@ -24,24 +24,24 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import CatalogRangeError, InvalidParameters
 from .qfunctions import (NEG_ONE, Q, SM, inv_poch_finite,
                          inv_poch_infinite, poch_finite, poch_infinite,
                          triple_product)
-from .series import (Memo, Operand, QSeries, digit_bytes, kron_unpack,
-                     one, packed, product_bound)
+from .series import (Memo, Operand, QSeries, _as_prec, digit_bytes,
+                     kron_unpack, one, packed, product_bound)
 from .sumeval import multisum, summation_bound
 
 
 def tgrid(qprec: int) -> int:
     """t-exponent truncation order covering all q-exponents <= qprec."""
-    return 2 * qprec + 1
+    return 2 * _as_prec(qprec) + 1
 
 
 def qorder(tprec: int) -> int:
@@ -51,31 +51,27 @@ def qorder(tprec: int) -> int:
 
 # -- declarative sides ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumSide:
-    """Shape of one nested sum over s_1 >= ... >= s_k >= 0 (t-units)."""
+# Shape of one nested sum over s_1 >= ... >= s_k >= 0 (t-units):
+#   pervar      (quad, lin) per variable
+#   den_step    t-step of (.)_{s_i - s_{i+1}}
+#   last_step   t-step of the final (.)_{s_k}
+#   subset      T: 1 is t^(-b s_1), g > 1 a binomial
+#   binom_step  b, the t-step of those factors
+#   head        None, or (SM, base_t): (x; .)_{s_1} multiplied
+#   tail        None, or "bgg" | "slater2", factors on s_k
+#   prefactor   exact poly as pair-tuple, () for 1
+SumSide = namedtuple("SumSide", "k pervar den_step last_step subset "
+                     "binom_step head tail prefactor",
+                     defaults=(frozenset(), 0, None, None, ()))
 
-    k: int
-    pervar: tuple                      # (quad, lin) per variable
-    den_step: int                      # t-step of (.)_{s_i - s_{i+1}}
-    last_step: int                     # t-step of the final (.)_{s_k}
-    subset: frozenset = frozenset()    # T: 1 is t^(-b s_1), g > 1 a binomial
-    binom_step: int = 0                # b, the t-step of those factors
-    head: Optional[tuple] = None       # (SM, base_t): (x; .)_{s_1} multiplied
-    tail: Optional[str] = None         # "bgg" | "slater2", factors on s_k
-    prefactor: tuple = ()              # exact poly as pair-tuple, () for 1
-
-
-@dataclass(frozen=True)
-class ProductSide:
-    """Sum of weighted triple products times a Pochhammer prefactor."""
-
-    modulus: int = 0                   # t-units
-    terms: tuple = ()                  # (weight, t_shift, A_t)
-    num_inf: tuple = ()                # ((SM, base_t), ...) multiplied
-    den_inf: tuple = ()                # ((SM, base_t), ...) divided
-    den_units: tuple = ()              # exact polys, constant term +-1, divided,
-                                       # as pair-tuples
+# Sum of weighted triple products times a Pochhammer prefactor:
+#   modulus     t-units
+#   terms       (weight, t_shift, A_t)
+#   num_inf     ((SM, base_t), ...) multiplied
+#   den_inf     ((SM, base_t), ...) divided
+#   den_units   exact polys, constant term +-1, divided, as pair-tuples
+ProductSide = namedtuple("ProductSide", "modulus terms num_inf den_inf "
+                         "den_units", defaults=(0, (), (), (), ()))
 
 
 @lru_cache(maxsize=1024)
@@ -167,11 +163,11 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     also bounds the digits of acc, as max|F| >= 1; the width holds
     max|F| too, for F is packed whole even when every term vanishes or
     weighs 0.  Without theta terms the side is F itself."""
+    tp = tgrid(qprec)       # checks qprec before the memo is asked
     memo_key = (side, qprec)
     hit = _PRODUCTS.recall(memo_key)
     if hit is not None:
         return hit[1][0]
-    tp = tgrid(qprec)
     M = side.modulus
     thetas = []             # (weight, shift, theta) that do not vanish
     for weight, shift, A in side.terms:
@@ -230,12 +226,10 @@ def _krjT(k):
             for T in combinations(_subset_universe(k, p["r"]), p["j"]))
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    name: str
-    grid: Callable                     # k -> the valid param dicts for that k
-    lhs: Callable
-    rhs: Callable
+class IdentitySpec(namedtuple("IdentitySpec", "name grid lhs rhs")):
+    """A catalog row: grid is k -> the valid param dicts for that k."""
+
+    __slots__ = ()
 
     @property
     def param_names(self) -> tuple:
@@ -491,14 +485,9 @@ assert set(CATALOG_ORDER) == set(CATALOG)
 
 # -- verification ----------------------------------------------------------------
 
-@dataclass
-class Report:
-    name: str
-    params: dict
-    prec: int
-    equal: bool
-    first_mismatch: Optional[int]
-    elapsed_ms: float = 0.0
+class Report(namedtuple("Report", "name params prec equal first_mismatch "
+                           "elapsed_ms", defaults=(0.0,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         params = {k: (list(v) if isinstance(v, tuple) else v)

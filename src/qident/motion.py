@@ -20,7 +20,7 @@ motion against live with the tests, in ``tests/motion_replay.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import count
 from operator import add, lt, mul
 from typing import Optional
@@ -198,13 +198,12 @@ def rpm_explicit(f, u: int):
 # -- the insertion map and its inverse --------------------------------------------
 
 
-@dataclass
-class MotionTrace:
+class MotionTrace(namedtuple("MotionTrace", "start ops")):
     """States and annotations collected while applying the insertion map or
-    its inverse: the start sequence, then the state after each operation."""
+    its inverse: the start sequence, then the state after each operation,
+    a list of (op, position, amount, state)."""
 
-    start: tuple
-    ops: list = field(default_factory=list)   # (op, position, amount, state)
+    __slots__ = ()
 
     def text(self) -> str:
         lines = [str(list(self.start))]
@@ -227,7 +226,7 @@ def lambda_map(parts, trace: bool = False):
     parts = check_multipartition(parts)
     hs, seq = _frame(parts)
     T, P = [0], [0]
-    tr = MotionTrace(frame_of(parts)) if trace else None
+    tr = MotionTrace(frame_of(parts), []) if trace else None
     for i in reversed(range(len(seq))):
         _pm(T, P, hs[i], seq[i])
         if tr is not None:   # the frame pairs left of 2i, then the tail
@@ -266,7 +265,7 @@ def gamma_map(f, k: Optional[int] = None, trace: bool = False):
     elif h > k:
         raise PreconditionViolated(f"sequence has adjacent sum {h} > k = {k}")
     parts = [[] for _ in range(k)]
-    tr = MotionTrace(f) if trace else None
+    tr = MotionTrace(f, []) if trace else None
     frame = []
     while h:   # h never rises, so 1 <= h <= k
         parts[h - 1].append(steps)

@@ -18,7 +18,7 @@ largest coefficient, so n binomials need ``digit_bytes(2**n)``, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DegenerateTheta, Divergent, NegativeIndex, OutOfRange
@@ -30,18 +30,17 @@ _MONO_RE = re.compile(
     r"|(?P<int>-?\d+)))?)\s*$")
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
+class SignedMonomial(namedtuple("SignedMonomial", "sign e")):
     """The monomial sign * q^(e/2) with sign in {+1, -1}; e is the t-exponent."""
 
-    sign: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.sign, int) and self.sign in (1, -1)
-                and isinstance(self.e, int)):
+    def __new__(cls, sign: int, e: int):
+        if not (isinstance(sign, int) and sign in (1, -1)
+                and isinstance(e, int)):
             raise ValueError("a sign is +1 or -1 and an exponent an int, "
-                             f"got {self.sign!r}, {self.e!r}")
+                             f"got {sign!r}, {e!r}")
+        return tuple.__new__(cls, (sign, e))
 
     def __pow__(self, n: int) -> "SignedMonomial":
         return SignedMonomial(self.sign if n % 2 else 1, self.e * n)
@@ -90,11 +89,22 @@ ONE_M = SM(1, 0)
 NEG_ONE = SM(-1, 0)
 
 
+def _check(x, *ints):
+    """Refuse x if not a SignedMonomial, a base or count if not an int."""
+    if type(x) is not SignedMonomial:
+        raise ValueError(f"a Pochhammer argument is a SignedMonomial, got {x!r}")
+    if not {int}.issuperset(map(type, ints)):
+        raise ValueError(f"a base and a count are ints, got {ints}")
+
+
 # The caches below are bounded: most are keyed on prec, and a long session
 # that sweeps many orders would otherwise keep every product it ever built.
-@lru_cache(maxsize=1024)
+# They are typed, so 9.0 never finds the entry of 9, nor the tuple (1, 2)
+# that of SM(1, 2): an argument of another type always reaches the checks.
+@lru_cache(maxsize=1024, typed=True)
 def poch_finite(x: SM, base: int, n: int) -> QSeries:
     """(x; q^(base/2))_n = prod_{i<n} (1 - sign * t^(e + i*base)), exact."""
+    _check(x, base, n)
     if n < 0:
         raise NegativeIndex("negative Pochhammer index is out of scope")
     out = ONE
@@ -124,9 +134,10 @@ def _binomials(progressions, prec) -> QSeries:
     return QSeries._of(kron_unpack(h, nbytes, 0, prec), prec)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def poch_infinite(x: SM, base: int, prec) -> QSeries:
     """(x; q^(base/2))_inf truncated at prec; factors beyond prec are 1."""
+    _check(x, base)
     if base <= 0:
         raise Divergent("infinite product needs a positive base step")
     if x.e < 0:
@@ -134,7 +145,7 @@ def poch_infinite(x: SM, base: int, prec) -> QSeries:
     return _binomials(((x.sign, x.e, base),), prec)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def inv_poch_infinite(x: SM, base: int, prec) -> QSeries:
     """1 / (x; q^(base/2))_inf truncated at prec, a unit for x of positive
     valuation: the reciprocal of the cached ``poch_infinite``, exact below
@@ -143,10 +154,12 @@ def inv_poch_infinite(x: SM, base: int, prec) -> QSeries:
     return poch_infinite(x, base, prec).invert(prec)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def inv_poch_finite(x: SM, base: int, n: int, prec) -> QSeries:
     """1 / (x; q^(base/2))_n truncated at prec (a unit product): the cached
     n - 1 value divided by the last factor, kept at prec if that rises."""
+    _check(x, base, n)
+    _as_prec(prec)
     if n <= 0:
         return poch_finite(x, base, n).truncate(prec)   # 1, or NegativeIndex
     if n > 256:   # cache n - 256 first, so the recursion below stays shallow

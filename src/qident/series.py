@@ -84,9 +84,9 @@ _WORD = ({n: min(w for w in _NATIVE if w >= n) for n in range(1, 9)}
 def _as_prec(p):
     if p is INF or p == INF:
         return INF
-    if not isinstance(p, int):
+    if type(p) is not int:    # a bool is not an order either
         raise ValueError(f"a precision is an int or INF, got {p!r}")
-    return int(p)
+    return p
 
 
 class QSeries:

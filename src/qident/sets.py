@@ -14,9 +14,9 @@ Weights and orders here are whole q-powers, put on the t-grid by ``tgrid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import InvalidParameters, KindMismatch, NotAMember
 from .identities import _kr, _krj, lhs_series, tgrid
@@ -112,12 +112,10 @@ def _single_head(p, f0, f1):
     return f0 == p.s
 
 
-@dataclass(frozen=True)
-class Family:
-    kind: str                        # _FREQ or _MP
-    domain: Callable                 # k -> the valid param dicts for that k
-    head: Optional[Callable] = None  # (pred, f_0, f_1) -> bool on A_k
-    parity: Optional[int] = None     # None, or the target's shift (tilde: 1)
+# A family's kind (_FREQ or _MP), its domain (k -> the valid param dicts for
+# that k), its head rule (None, or (pred, f_0, f_1) -> bool on A_k) and its
+# parity (None, or the target's shift: 1 on the tilde rows)
+Family = namedtuple("Family", "kind domain head parity", defaults=(None, None))
 
 
 _FREQ, _MP = "frequency sequence", "multipartition"
@@ -140,22 +138,20 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class SetPredicate:
+class SetPredicate(namedtuple("SetPredicate", "tag k r j s",
+                              defaults=(0, 0, 0))):
     """A row of ``FAMILIES`` at its parameters; those the family does not
     take stay 0.  ``predicate`` builds one inside the family's domain."""
 
-    tag: str
-    k: int
-    r: int = 0
-    j: int = 0
-    s: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        taken = next(iter(_family(self.tag).domain(1)))
+    def __new__(cls, tag: str, k: int, r: int = 0, j: int = 0, s: int = 0):
+        self = super().__new__(cls, tag, k, r, j, s)
+        taken = next(iter(_family(tag).domain(1)))
         if any(getattr(self, n) for n in ("r", "j", "s") if n not in taken):
-            raise InvalidParameters(f"family {self.tag} takes parameters "
+            raise InvalidParameters(f"family {tag} takes parameters "
                                     f"{list(taken)}; got {self}")
+        return self
 
     def member(self, obj) -> bool:
         return membership(self, obj)
@@ -383,11 +379,8 @@ def mp_total_size(mp) -> int:
 # -- theorem-level checks -------------------------------------------------------------------
 
 
-@dataclass
-class SetReport:
-    equal: bool
-    first_mismatch: Optional[int]
-    detail: str = ""
+SetReport = namedtuple("SetReport", "equal first_mismatch detail",
+                       defaults=("",))
 
 
 _INTERP = {

@@ -181,7 +181,7 @@ from .errors import PrecisionExceeded
 from .series import (INF, Memo, Operand, QSeries, digit_bytes, digit_count,
                      join_runs, kron_digits, kron_pack, kron_pack_one,
                      kron_unpack, lowest_digit, product_bound, read_digits,
-                     read_runs, _mul_any)
+                     read_runs, _as_prec, _mul_any)
 from .qfunctions import SM, inv_poch_finite
 
 # A product whose layer packs to fewer bytes is taken at one point, where
@@ -222,6 +222,7 @@ def summation_bound(pervar, gaps, tprec) -> int:
     """var_bound of multisum's (quad, lin) pairs, each lin less the binomial
     step of the gap outside it; blind to extras, so only for valuation >= 0.
     Every sum side pays it before its memo lookup, so it is cached."""
+    tprec = _as_prec(tprec)
     drops = [0] + [b or 0 for _, b in gaps]
     return _bound(tuple((quad, lin - drop) for (quad, lin, _), drop
                         in zip(pervar, drops)), tprec)
@@ -250,6 +251,9 @@ def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
     Raises PrecisionExceeded when an extra is not known far enough for the
     result to reach tprec.
     """
+    tprec = _as_prec(tprec)     # before the memo: 9.0 would find 9's sum
+    if type(vmax) is not int:
+        raise ValueError(f"vmax is an int, got {vmax!r}")
     K = len(pervar)
     assert len(gaps) == K - 1
     steps = [b or 0 for _, b in gaps]

@@ -112,6 +112,15 @@ def test_pairs_and_steps_refuse_malformed_fields(unit_q):
         B.TransformStep("NOPE")
 
 
+def test_the_seed_is_kept_out_of_equality_and_repr(unit_q):
+    # a check asks the seed for a deeper prefix; the pair is its five fields
+    derived = B.BaileyPair(*unit_q)
+    assert unit_q.seed is B.unit_pair and derived.seed is None
+    assert derived == unit_q and hash(derived) == hash(unit_q)
+    assert repr(derived) == repr(unit_q)
+    assert "seed" not in repr(unit_q) and "unit_pair" not in repr(unit_q)
+
+
 def test_star_equals_sum_of_routes(unit_q):
     pA = B.apply("LOVEJOY_B0", B.apply("BL_INF", B.apply("KEY1", unit_q)))
     pB = B.apply("LOVEJOY_B0", B.apply("KEY2", B.apply("BL_INF", unit_q)))
@@ -534,24 +543,6 @@ def test_seed_quotient_of_a_reordered_dividend_is_equal():
         assert (q.coeffs, q.prec) == (want.coeffs, want.prec)
 
 
-def test_the_oracle_reads_nothing_run_chain_writes(monkeypatch):
-    class Unreadable:
-        def _refuse(self, *args):
-            raise AssertionError("the chain memo was read")
-        __getattr__ = __getitem__ = __contains__ = _refuse
-        __iter__ = __len__ = __bool__ = _refuse
-
-    monkeypatch.setattr(B, "_CHAINS", Unreadable())
-    seed = _ORACLE_SEEDS["dprime4"]
-    with pytest.raises(AssertionError, match="chain memo"):
-        B.run_chain(seed, B.star_chain(1, 0, 0))
-    for k, r, j in _star_chain_krj(2):
-        for n in range(seed.n_max + 1):
-            assert _same_series(
-                B.closed_alpha_star_chain(seed, k, r, j, n),
-                naive.closed_alpha_star_chain(seed, k, r, j, n))
-
-
 def test_double_lattice_chain_at_q2():
     tp = 101
     seed = B.unit_pair(SM(1, 4), 10, tp)
@@ -702,6 +693,16 @@ def _clear_kernel_caches():
         f.cache_clear()
 
 
+# What the beta-side sums of ``apply`` run and ``verify`` must not: their
+# layer product, its packed tables and their operands, their width rule
+# and the packed ring product.  ``layer_product`` is looked up in both
+# modules, and ``product_bound`` in three.
+APPLY_ONLY = ((sumeval, "layer_product"), (B, "layer_product"),
+              (sumeval, "_packed_ips"), (sumeval, "_ip"),
+              (series, "product_bound"), (sumeval, "product_bound"),
+              (I, "product_bound"), (series, "_mul_packed"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_relation_cases(), st.integers(1, 8))
 def test_relation_sums_match_the_ring_double_loop(p, wider):
@@ -757,11 +758,7 @@ def test_verify_shares_only_the_codec_with_apply(monkeypatch):
             raise AssertionError(f"verify entered {name}")
         return spy
 
-    for module, name in ((sumeval, "layer_product"), (B, "layer_product"),
-                         (sumeval, "_packed_ips"), (sumeval, "_ip"),
-                         (series, "product_bound"),
-                         (sumeval, "product_bound"),
-                         (I, "product_bound"), (series, "_mul_packed")):
+    for module, name in APPLY_ONLY:
         monkeypatch.setattr(module, name, refuse(name))
     # kron_pack is looked up in series (kron_pack_one) and in sumeval
     points = []

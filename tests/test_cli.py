@@ -15,9 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 import qident
 from qident import bailey as B
 from qident import identities as I
+from qident import motion as M
 from qident import sets as S
 from qident.cli import _parse_recipe, main
 from qident.errors import InvalidParameters
+from qident.qfunctions import Q
 from qident.series import monomial
 
 import bailey_oracle as naive
@@ -601,18 +603,54 @@ def _limit_address_space(limit):
     return cap
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qident.__file__).parents[1]), os.environ.get("PYTHONPATH",
+                                                                "")]))
+
+
+def test_the_cli_starts_without_dataclasses():
+    # every command starts a fresh interpreter; the records are namedtuples,
+    # so the import of dataclasses (with inspect, ast, dis and tokenize)
+    # stays out of its start-up
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qident.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert done.returncode == 0, done
+    assert done.stdout == "[]\n", done
+
+
+def _records():
+    """One value of each record type of the package, built as a caller
+    would meet it."""
+    spec = I.CATALOG["andrews_gordon"]
+    pair = B.unit_pair(Q, 2, 9)
+    return [Q, spec.lhs({"k": 2, "r": 1}), spec.rhs({"k": 2, "r": 1}), spec,
+            I.verify_identity("andrews_gordon", {"k": 2, "r": 1}, 5), pair,
+            B.TransformStep("BL_INF"), B.verify(pair), S.FAMILIES["A"],
+            S.predicate("A", k=2), S.check_ztilde_relation(2, 1, 0, 3),
+            M.lambda_map(((1,),), trace=True)[1]]
+
+
+def test_no_field_of_a_record_can_be_assigned():
+    records = _records()
+    assert len({type(rec) for rec in records}) == 12
+    for rec in records:
+        for name in rec._fields + (("seed",) if hasattr(rec, "seed") else ()):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+
 @pytest.mark.parametrize("case", _TOO_LARGE)
 def test_inputs_beyond_the_process_limits_exit_2(case):
     # a RecursionError or MemoryError is an input too large to check: exit
     # 2 with one error line, in a child process, whose address space the
     # memory cases cap
     argv, stdin, limit = _TOO_LARGE[case]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(qident.__file__).parents[1]), os.environ.get("PYTHONPATH",
-                                                                "")]))
     done = subprocess.run(
         [sys.executable, "-m", "qident.cli", *argv], input=stdin or "",
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_child_env(), timeout=300,
         preexec_fn=limit and _limit_address_space(limit))
     assert done.returncode == 2, done
     assert done.stderr.startswith("error:"), done

@@ -1,7 +1,6 @@
 """Catalog rows, evaluators, parameter validation, and reduction relations."""
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import marshal
@@ -386,7 +385,7 @@ def test_the_prefactor_stays_outside_the_sum_memo():
     # the same multisum with and without the prefactor 1 + q: the memo
     # serves the sum, and each side multiplies in its own prefactor
     with_pre = I.CATALOG["kursungoz_0"].lhs({"k": 2, "r": 1})
-    bare = dataclasses.replace(with_pre, prefactor=())
+    bare = with_pre._replace(prefactor=())
     _clear_memos()
     for first, second in ((with_pre, bare), (bare, with_pre)):
         a, b = I.eval_sum(first, 20), I.eval_sum(second, 20)
@@ -509,8 +508,7 @@ def test_reciprocal_product_side_matches_long_division(qprec):
     # and every product side is its numerator divided by its den_inf, one
     # factor after the other, and by its den_units
     for side in SIDES:
-        want = I.eval_product(dataclasses.replace(side, den_inf=(),
-                                                  den_units=()), qprec)
+        want = I.eval_product(side._replace(den_inf=(), den_units=()), qprec)
         for sm, base in side.den_inf:
             want = want.divide(poch_infinite(sm, base, tp), tp)
         for poly in side.den_units:

@@ -8,7 +8,7 @@ it, so a call through any import is caught.  Under the spies the oracle
 runs and matches the checked result, and the checked call itself is
 refused, which shows that the spies sit where the checked code looks its
 functions up.  ``test_bailey.py::test_verify_shares_only_the_codec_with_apply``
-states the same for ``bailey.verify``, with the codec it shares.
+states, for ``bailey.verify``, the codec it shares.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from qident.series import QSeries
 import bailey_oracle as naive
 from gf_oracle import ring_product_side, theta_sum
 from motion_replay import insert_stepwise, pm_stepwise, replays, rpm_stepwise
+from test_bailey import APPLY_ONLY, _clear_kernel_caches, _star_chain_krj
 from test_sumeval import _head, brute_multisum
 
 MODULES = (series, qfunctions, sumeval, identities, B, M, sets)
@@ -86,11 +87,50 @@ def _product_side_row():
              (series, "product_bound")])
 
 
+def _closed_alpha_row():
+    # the closed form of every alpha of the star chains with k <= 2 reads
+    # nothing the chain memo holds; each side is cut where both are known
+    seed = B.pair_dprime4(Q, 6, 41)
+    chains = [B.star_chain(*krj) for krj in _star_chain_krj(2)]
+    finals = [B.run_chain(seed, steps)[0].alpha for steps in chains]
+    closed = [[B.closed_alpha_star_chain(seed, *krj, n) for n in range(7)]
+              for krj in _star_chain_krj(2)]
+    cuts = [[min(a.prec, c.prec) for a, c in zip(*pair)]
+            for pair in zip(finals, closed)]
+
+    def run():
+        B._QUOTIENTS.clear()
+        return [[B.closed_alpha_star_chain(seed, *krj, n).truncate(cut)
+                 for n, cut in enumerate(row)]
+                for krj, row in zip(_star_chain_krj(2), cuts)]
+
+    def checked():
+        return [[a.truncate(cut) for a, cut in
+                 zip(B.run_chain(seed, steps)[0].alpha, row)]
+                for steps, row in zip(chains, cuts)]
+    return (run, checked, [(B._CHAINS, "recall"), (B._CHAINS, "store")])
+
+
+def _verify_row():
+    # the relation check accepts the pair the star step made, without the
+    # step's sums; its kernels are built under the spies too
+    p, _ = B.run_chain(B.pair_dprime4(Q, 10, 101),
+                       ["BL_INF", "KEY1", "BL_INF"])
+    star = B.apply("STAR1", p)
+
+    def run():
+        _clear_kernel_caches()
+        return B.verify(star)
+    return run, lambda: B.verify(B.apply("STAR1", p)), APPLY_ONLY
+
+
 ROWS = {"brute_multisum": _multisum_row,
         "bailey_oracle.beta_sum": _beta_sum_row,
         "motion_replay": _motion_row,
         "gf_oracle.theta_sum": _theta_row,
-        "gf_oracle.ring_product_side": _product_side_row}
+        "gf_oracle.ring_product_side": _product_side_row,
+        "bailey.closed_alpha_star_chain": _closed_alpha_row,
+        "bailey.verify": _verify_row}
 
 
 def _plain(x):
@@ -104,15 +144,16 @@ def _plain(x):
 
 def _spy_on(monkeypatch, who, forbidden):
     """Replace each forbidden function, in every module that holds it, by a
-    spy that fails the call."""
+    spy that fails the call; a method of an object (a memo's ``recall``) is
+    replaced on that object."""
     for owner, name in forbidden:
         real = getattr(owner, name)
 
         def spy(*args, name=name, **kwargs):
             raise AssertionError(f"{who} entered {name}")
-        for module in MODULES:
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, spy)
+        holders = [m for m in MODULES if getattr(m, name, None) is real]
+        for holder in holders or [owner]:
+            monkeypatch.setattr(holder, name, spy)
 
 
 @pytest.mark.parametrize("oracle", ROWS)

@@ -14,7 +14,8 @@ from qident import identities as I
 from qident import sumeval
 from qident.bailey import _relation_kernel
 from qident.errors import (DegenerateTheta, Divergent, EmptySeries,
-                           NegativeIndex, NotAUnit, OutOfRange)
+                           NegativeIndex, NotAUnit, OutOfRange,
+                           ParameterOutOfRange)
 from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                _binomials, inv_poch_finite,
                                inv_poch_infinite, poch_finite, poch_infinite,
@@ -118,6 +119,77 @@ def test_orders_and_exponents_that_are_not_ints_are_refused():
     for sign, e in ((1, 0.5), (1, 2.0), (1, "2"), (1.0, 2), (-1.0, 2)):
         with pytest.raises(ValueError):
             SM(sign, e)
+
+
+_AG = I.CATALOG["andrews_gordon"]
+_SUM, _PRODUCT = _AG.lhs({"k": 2, "r": 1}), _AG.rhs({"k": 2, "r": 1})
+_BOUNDED = [(2, 0, None), (2, 0, None)], [(2, None)]
+_SEED = B.pair_dprime4(Q, 4, 21)
+
+# Every public entry point whose result a cache or memo keeps under the
+# caller's arguments: (call of one argument, the value that warms it, the
+# values equal to it that it refuses, the refusal).  A bool is no count or
+# order, and the tuple (1, 2) no monomial, though each equals one.
+CACHED = {
+    "poch_finite x": (lambda x: poch_finite(x, 2, 3), Q, [(1, 2)],
+                      ValueError),
+    "poch_finite base": (lambda b: poch_finite(Q, b, 3), 2, [2.0],
+                         ValueError),
+    "poch_finite n": (lambda n: poch_finite(Q, 2, n), 1, [1.0, True],
+                      ValueError),
+    "inv_poch_finite x": (lambda x: inv_poch_finite(x, 2, 3, 9), Q,
+                          [(1, 2)], ValueError),
+    "inv_poch_finite n": (lambda n: inv_poch_finite(Q, 2, n, 9), 1,
+                          [1.0, True], ValueError),
+    "inv_poch_finite prec": (lambda p: inv_poch_finite(Q, 2, 3, p), 1,
+                             [1.0, True], ValueError),
+    "poch_infinite x": (lambda x: poch_infinite(x, 2, 9), Q, [(1, 2)],
+                        ValueError),
+    "poch_infinite base": (lambda b: poch_infinite(Q, b, 9), 2, [2.0],
+                           ValueError),
+    "poch_infinite prec": (lambda p: poch_infinite(Q, 2, p), 1,
+                           [1.0, True], ValueError),
+    "inv_poch_infinite x": (lambda x: inv_poch_infinite(x, 2, 9), Q,
+                            [(1, 2)], ValueError),
+    "inv_poch_infinite prec": (lambda p: inv_poch_infinite(Q, 2, p), 1,
+                               [1.0, True], ValueError),
+    "summation_bound tprec": (lambda p: summation_bound(*_BOUNDED, p), 1,
+                              [1.0, True], ValueError),
+    "multisum tprec": (lambda p: multisum(*_BOUNDED, p, 3, key=[0, 0]), 1,
+                       [1.0, True], ValueError),
+    "multisum vmax": (lambda v: multisum(*_BOUNDED, 9, v, key=[0, 0]), 1,
+                      [1.0, True], ValueError),
+    "eval_sum qprec": (lambda p: I.eval_sum(_SUM, p), 1, [1.0, True],
+                       ValueError),
+    "eval_product qprec": (lambda p: I.eval_product(_PRODUCT, p), 1,
+                           [1.0, True], ValueError),
+    "verify_identity qprec": (lambda p: I.verify_identity(
+        "andrews_gordon", {"k": 2, "r": 1}, p), 1, [1.0, True], ValueError),
+    "bailey.verify prec": (lambda p: B.verify(_SEED, p), 1, [1.0, True],
+                           ValueError),
+    "bailey.verify pair prec": (lambda p: B.verify(B.BaileyPair(
+        *_SEED[:4], p)), 21, [21.0], ValueError),
+    "run_chain prec": (lambda p: B.run_chain(_SEED, ["BL_INF"], p), 1,
+                       [1.0, True], ValueError),
+    "closed_alpha_star_chain prec": (lambda p: B.closed_alpha_star_chain(
+        _SEED, 2, 1, 1, 2, p), 1, [1.0, True], ValueError),
+    "closed_alpha_star_chain n": (lambda n: B.closed_alpha_star_chain(
+        _SEED, 2, 1, 1, n, 9), 1, [1.0, True], ParameterOutOfRange),
+    "closed_alpha_star_chain j": (lambda j: B.closed_alpha_star_chain(
+        _SEED, 2, 1, j, 2, 9), 1, [1.0, True], ParameterOutOfRange),
+}
+
+
+@pytest.mark.parametrize("entry", CACHED)
+def test_cached_entry_points_refuse_what_they_have_cached_an_equal_of(entry):
+    # the cache is warmed first, so a lookup before the check would serve
+    # the refused argument the cached result
+    call, good, bad, refusal = CACHED[entry]
+    call(good)
+    for value in bad:
+        assert value == good
+        with pytest.raises(refusal):
+            call(value)
 
 
 def _progressions(draw, prec):

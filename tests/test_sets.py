@@ -140,6 +140,14 @@ def test_transfer_matrix_gf_matches_enumeration(tag):
                 assert S.gf_family(pred, W) == want, (W, point)
 
 
+def test_a_parameter_the_family_does_not_take_is_named_in_the_record():
+    # the refusal prints the record, in the Name(field=value, ...) form
+    with pytest.raises(InvalidParameters) as refused:
+        S.SetPredicate("A", 2, r=1)
+    assert str(refused.value) == ("family A takes parameters ['k']; got "
+                                  "SetPredicate(tag='A', k=2, r=1, j=0, s=0)")
+
+
 def test_predicate_rejects_an_unknown_tag():
     with pytest.raises(InvalidParameters, match="'W'"):
         S.predicate("W", k=1)
