@@ -15,11 +15,10 @@ Bailey lemma at a/q, and STAR1 is the star step at a = 1.
 
 Every Bailey lemma shares one beta-side sum (``_beta_sum``), which is a
 bare layer product of the multisum kernel (``sumeval.layer_product``, the
-convolution that ``multisum`` memoises, with no own factor): one packed
-big-int product, two for the star step, here built on every call and not
-stored.  ``verify`` is the oracle for those sums, so it goes through none
+convolution that ``multisum`` memoises, with no own factor): one sum of
+one-slot big-int products per n, here built on every call and not stored.  ``verify`` is the oracle for those sums, so it goes through none
 of that: for each n it builds sum_l alpha_l * 1/((q)_{n-l} (aq)_{n+l}) as
-one signed big integer at one point, from the alphas packed once per call
+one signed big integer, from the alphas packed once per call
 and the kernels, cached ``series.Operand``s, packed once per digit width
 (``series.packed``), and reads it back once.  It shares only the Kronecker
 codec (``series.kron_pack`` and ``kron_unpack``), whose own oracle is plain
@@ -128,6 +127,10 @@ class BaileyPair(namedtuple("BaileyPair", "a n_max alpha beta prec")):
         self._seed = seed
         return self
 
+    @classmethod
+    def _make(cls, fields):     # for _replace too: namedtuple's skips __new__
+        return cls(*fields)
+
     _seed = None         # a pair made by _make or _replace is a derived one
 
     @property
@@ -150,6 +153,10 @@ class TransformStep(namedtuple("TransformStep", "tag rho b",
                 raise ValueError(f"{tag} takes no {name}" if given
                                  else f"{owner} needs {name}")
         return super().__new__(cls, tag, rho, b)
+
+    @classmethod
+    def _make(cls, fields):     # for _replace too: namedtuple's skips __new__
+        return cls(*fields)
 
 
 # ok, the first n that fails (None when all hold), and the lowest t-order
@@ -286,9 +293,9 @@ def verify(p: BaileyPair, prec: Optional[int] = None) -> VerifyResult:
     This is the oracle for the beta-side sums of ``apply``, so it shares none
     of their layer product: each sum comes from ``_relation_sums``, one
     packed big integer per n, which shares only the Kronecker codec
-    (``series.kron_pack`` and ``kron_unpack`` at one point, whose own oracle
-    is plain int arithmetic, with ``Operand``, ``packed``, ``digit_bytes``
-    and the digit count ``digit_count``).
+    (``series.kron_pack`` and ``kron_unpack``, whose own oracle is plain
+    int arithmetic, with ``Operand``, ``packed``, ``digit_bytes`` and the
+    digit count ``digit_count``).
     The sums have the coefficients and precision of the ring sums of alpha_l
     times the cached 1/((q)_{n-l} (aq)_{n+l}).  The result carries the
     lowest order ``_agree`` used."""
@@ -311,8 +318,9 @@ def _beta_sum(p: BaileyPair, lift, star: bool = False) -> list:
 
     This is one multisum layer product (``sumeval.layer_product``), read
     whole (``sumeval.slot_series``), with L_l = lift(l) beta_l, d = 2 and
-    no own factor, at working precision p.prec: one packed product, two
-    with the bracket.  The layer product packs only the terms of L_l below
+    no own factor, at working precision p.prec: one sum of one-slot
+    products per n, the bracket's second branch a shifted copy of each
+    product.  The layer product packs only the terms of L_l below
     tp + b*l (b = 2 with the bracket, 0 without), so beta_l is cut at
     tp + b*l - val(lift(l)) before the lift; every beta'_n keeps the
     precision the uncut layer gives it.  An exact-zero lift stays an exact

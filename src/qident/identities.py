@@ -92,6 +92,11 @@ def _last_factor(last_step: int, tail: Optional[str], head, v: int, tp: int):
 def eval_sum(side: SumSide, qprec: int) -> QSeries:
     """Exact truncation of the sum side to q-order qprec."""
     tp = tgrid(qprec)
+    # before multisum's memo, whose keys hold them: 2.0 would find 2's sum
+    for name in ("k", "den_step", "last_step", "binom_step"):
+        x = getattr(side, name)
+        if type(x) is not int:      # a bool is not a step either
+            raise ValueError(f"a sum side's {name} is an int, got {x!r}")
     k, head, b = side.k, side.head, side.binom_step
 
     # extras[i] and its description key[i], for multisum's layer memo

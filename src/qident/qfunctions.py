@@ -42,6 +42,10 @@ class SignedMonomial(namedtuple("SignedMonomial", "sign e")):
                              f"got {sign!r}, {e!r}")
         return tuple.__new__(cls, (sign, e))
 
+    @classmethod
+    def _make(cls, fields):     # for _replace too: namedtuple's skips __new__
+        return cls(*fields)
+
     def __pow__(self, n: int) -> "SignedMonomial":
         return SignedMonomial(self.sign if n % 2 else 1, self.e * n)
 

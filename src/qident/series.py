@@ -30,8 +30,8 @@ a b - aq^l factor coincide.  ``invert`` divides one.
 Kronecker substitution packs a polynomial into one integer, one digit of
 nbytes bytes per exponent (``kron_pack``), so that a product of
 polynomials is one big-integer product.  Reading a product back is two
-steps.  ``kron_digits`` turns the product's values at its points into one
-buffer of digit words, each digit stored with a bias of half a digit so
+steps.  ``kron_digits`` turns the low digits of one or more products into
+one buffer of digit words, each digit stored with a bias of half a digit so
 that the word is unsigned, in the native word that holds nbytes bytes;
 ``read_digits`` reads spans of that buffer into coefficient dicts.
 ``kron_unpack`` is the two in one call, for one value read below a stop
@@ -39,7 +39,8 @@ exponent; every read-back counts its digits by ``digit_count``.  A
 caller that reads only part of a product, or reads it later, keeps the
 buffer, read only through this module: the sum engine's layer products
 (``sumeval``).  A factor of many products is an ``Operand``, packed once
-per width (``packed``); ``product_bound`` is the one width rule.
+per width and grid step (``packed``); ``product_bound`` is the one width
+rule.
 
 The per-process memos of the sum engine, the product sides and the Bailey
 chains are each a ``Memo``: at most ``Memo.MAX`` entries, the least recently
@@ -317,31 +318,27 @@ def _mul_dict(da: dict, db: dict, cap) -> dict:
     return out
 
 
-def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1,
-              points: int = 1) -> tuple:
+def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
     """Kronecker substitution: the polynomial f(x), the sum of
     c * x^((offset + e) / step) over the rows (offset, coeffs, limit) and
-    the terms c*t^e of each coeffs dict with e < limit, at ``points``
-    points: (f(X),), X = 2^(8*nbytes), or (f(Y), f(-Y)), Y^2 = X, Harvey's
-    two-point form (KS2).  With F_e and F_o its even- and odd-index digits
-    packed at X, f(+-Y) = F_e +- Y*F_o, half as long as f(X) at the same
-    digit width.  Every offset + e must be a multiple of ``step``, so a row
-    whose exponents lie on a lattice r + step*Z packs one digit per lattice
-    point, not one per exponent.  Digit indices must be distinct and lie in
-    [0, ndigits).
+    the terms c*t^e of each coeffs dict with e < limit, at X =
+    2^(8*nbytes).  Every offset + e must be a multiple of ``step``, so a
+    row whose exponents lie on a lattice r + step*Z packs one digit per
+    lattice point, not one per exponent.  Digit indices must be distinct
+    and lie in [0, ndigits).
 
     Coefficients may be negative.  Each is stored with a bias of half a
     digit, and the bias pattern is subtracted at the end, so every |c| must
     be below 2^(8*nbytes - 1).  For products of packed integers the same
-    must hold for every digit of the result: ``digit_bytes(bound)`` bytes
-    are enough when ``bound`` bounds every |digit|.
+    must hold for every digit of the result that is read:
+    ``digit_bytes(bound)`` bytes are enough when ``bound`` bounds every
+    such |digit|.
 
     Digits of up to 8 bytes are written as native unsigned machine words
     (1, 2, 4 or 8 bytes on a little-endian host) through a ``memoryview``
     cast, one item per digit; a 3-, 5-, 6- or 7-byte digit is written into
-    the next wider word.  Wider digits write each digit's bytes.  The
-    buffer is then narrowed, and at two points dealt out by parity, by
-    strided byte copies (``_deal``).
+    the next wider word, and the buffer narrowed by strided byte copies
+    (``_narrow``).  Wider digits write each digit's bytes.
     """
     lift = 1 << (8 * nbytes - 1)
     w = _WORD.get(nbytes)
@@ -352,23 +349,17 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1,
             for e, c in coeffs.items():
                 if e < limit:
                     words[(offset + e) // step] = c + lift
+        buf = _narrow(buf, w, nbytes, ndigits)
     else:
-        w = nbytes
         buf = bytearray(lift.to_bytes(nbytes, "little") * ndigits)
         for offset, coeffs, limit in rows:
             for e, c in coeffs.items():
                 if e < limit:
                     k = (offset + e) // step * nbytes
                     buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
-    lifts = lift.to_bytes(nbytes, "little")
-    values = tuple(int.from_bytes(part, "little")
-                   - int.from_bytes(lifts * (len(part) // nbytes), "little")
-                   for part in _deal(buf, w, nbytes, ndigits, points))
-    if points == 1:
-        return values
-    even, odd = values
-    odd <<= 4 * nbytes
-    return even + odd, even - odd
+    return (int.from_bytes(buf, "little")
+            - int.from_bytes(lift.to_bytes(nbytes, "little") * ndigits,
+                             "little"))
 
 
 def digit_bytes(bound: int, nbytes: int = 1) -> int:
@@ -387,14 +378,14 @@ def digit_count(base: int, stop, step: int = 1, n=INF) -> int:
 def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int,
                   step: int = 1) -> int:
     """The terms c*t^e of coeffs with e < stop as one integer at
-    X = 2^(8*nbytes), t^(low + step*j) at digit j (kron_pack of one row at
-    one point); 0 when there are none.  No exponent may lie below low, and
-    every e - low must be a multiple of step."""
+    X = 2^(8*nbytes), t^(low + step*j) at digit j (kron_pack of one row);
+    0 when there are none.  No exponent may lie below low, and every
+    e - low must be a multiple of step."""
     if not coeffs:
         return 0
     return kron_pack([(-low, coeffs, stop)],
                      digit_count(low, min(stop, max(coeffs) + 1), step),
-                     nbytes, step)[0]
+                     nbytes, step)
 
 
 def word_bytes(nbytes: int) -> int:
@@ -416,15 +407,18 @@ class Operand:
         size = [abs(c) for c in s.coeffs.values()]
         self.norms = (max(size, default=0), sum(size))
 
-    def pack(self, nbytes: int) -> int:
-        """The terms at X = 2^(8*nbytes), t^(low + j) at digit j."""
-        return kron_pack_one(self.series.coeffs, self.low, self.stop, nbytes)
+    def pack(self, nbytes: int, step: int = 1) -> int:
+        """The terms at X = 2^(8*nbytes), t^(low + step*j) at digit j;
+        every exponent less low must be a multiple of step."""
+        return kron_pack_one(self.series.coeffs, self.low, self.stop, nbytes,
+                             step)
 
 
 @lru_cache(maxsize=1024)
-def packed(op: Operand, nbytes: int) -> int:
-    """``op.pack(nbytes)``, kept per cached operand and digit width."""
-    return op.pack(nbytes)
+def packed(op: Operand, nbytes: int, step: int = 1) -> int:
+    """``op.pack(nbytes, step)``, kept per cached operand, digit width and
+    grid step."""
+    return op.pack(nbytes, step)
 
 
 def product_bound(a, b) -> int:
@@ -433,33 +427,26 @@ def product_bound(a, b) -> int:
     return min(a[0] * b[1], a[1] * b[0])
 
 
-def kron_digits(values, nbytes: int, ndigits: int):
-    """The digits 0..ndigits-1 of h in base X = 2^(8*nbytes) from h's
-    values at its points, as kron_pack gives them: (h(X),), or (h(Y),
-    h(-Y)), whose half sum and difference over 2Y are exactly h's even- and
-    odd-index digits at X, taken apart and interleaved.
-
-    The result is a buffer of ndigits little-endian words of
-    ``word_bytes(nbytes)`` bytes, word i holding digit i plus the bias
+def kron_digits(runs, nbytes: int):
+    """The digits 0..n-1 of each (value, n) of runs in base X =
+    2^(8*nbytes), the runs joined, as one buffer of little-endian words of
+    ``word_bytes(nbytes)`` bytes, each word holding its digit plus the bias
     2^(8*nbytes - 1), so every word is unsigned; ``read_digits`` reads
-    spans of it.  Digits at or above ndigits are never taken, so they may
-    be arbitrary.  A 3-, 5-, 6- or 7-byte digit is widened to the next
-    native word by strided byte copies (``_gather``, which also interleaves
-    the two points' halves)."""
-    if len(values) == 2:
-        hp, hm = values
-        values = [(hp + hm) >> 1, (hp - hm) >> (4 * nbytes + 1)]
+    spans of it.  Digits of a value at or above its n are never taken, so
+    they may be arbitrary.  A 3-, 5-, 6- or 7-byte digit is widened to the
+    next native word by strided byte copies (``_widen``)."""
     lifts = (1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
-    parts = []
-    for p, n in enumerate(values):
-        nd = len(range(p, ndigits, len(values)))
-        nbits = 8 * nbytes * nd
-        # Adding the bias turns every digit below nd into c + lift, which
+    parts, total, masks = [], 0, {}
+    for value, n in runs:
+        # Adding the bias turns every digit below n into c + lift, which
         # lies in [0, 2^(8*nbytes)), so the low digits read back unsigned.
-        bias = int.from_bytes(lifts * nd, "little")
-        parts.append(((n + bias) & ((1 << nbits) - 1))
-                     .to_bytes(nbits // 8, "little"))
-    return _gather(parts, word_bytes(nbytes), nbytes, ndigits)
+        if n not in masks:      # the runs of a layer product share their n
+            masks[n] = (int.from_bytes(lifts * n, "little"),
+                        (1 << 8 * nbytes * n) - 1)
+        bias, mask = masks[n]
+        parts.append(((value + bias) & mask).to_bytes(nbytes * n, "little"))
+        total += n
+    return _widen(b"".join(parts), word_bytes(nbytes), nbytes, total)
 
 
 def read_digits(buf, nbytes: int, spans, step: int = 1) -> list:
@@ -484,20 +471,13 @@ def read_digits(buf, nbytes: int, spans, step: int = 1) -> list:
 
 def kron_unpack(value: int, nbytes: int, base: int, stop,
                 step: int = 1) -> dict:
-    """The inverse of kron_pack at one point, read below exponent stop: the
-    nonzero signed digits 0..n-1 of value in base X = 2^(8*nbytes), digit i
-    at exponent base + step*i, n = digit_count(base, stop, step).  Digits
-    at or above n are never read, so they may be arbitrary."""
+    """The inverse of kron_pack, read below exponent stop: the nonzero
+    signed digits 0..n-1 of value in base X = 2^(8*nbytes), digit i at
+    exponent base + step*i, n = digit_count(base, stop, step).  Digits at
+    or above n are never read, so they may be arbitrary."""
     n = digit_count(base, stop, step)
-    return read_digits(kron_digits((value,), nbytes, n), nbytes,
+    return read_digits(kron_digits([(value, n)], nbytes), nbytes,
                        [(0, n, base)], step)[0]
-
-
-def join_runs(buf, nbytes: int, runs) -> bytes:
-    """The (start, stop) digit runs of a ``kron_digits`` buffer, joined."""
-    w = word_bytes(nbytes)
-    buf = memoryview(buf)
-    return b"".join([buf[start * w:stop * w] for start, stop in runs])
 
 
 def read_runs(buf, nbytes: int, runs, width: int = 0,
@@ -505,12 +485,12 @@ def read_runs(buf, nbytes: int, runs, width: int = 0,
     """The signed digits of each (start, stop) run of a ``kron_digits``
     buffer as one integer, digit start + i times X^(spread*i), X =
     2^(8*width), width at least the buffer's word width (the default), by
-    the strided copies of ``_gather`` where it or spread widens the run."""
+    the strided copies of ``_widen`` where it or spread widens the run."""
     w = word_bytes(nbytes)
     stride = spread * (width or w)
     pad = (1 << (8 * nbytes - 1)).to_bytes(w, "little") + bytes(stride - w)
     return [int.from_bytes(buf[a * w:b * w] if stride == w else
-                           _gather([buf[a * w:b * w]], stride, w, b - a),
+                           _widen(buf[a * w:b * w], stride, w, b - a),
                            "little") - int.from_bytes(pad * (b - a), "little")
             for a, b in runs]
 
@@ -523,30 +503,26 @@ def lowest_digit(buf, nbytes: int, start: int, stop: int):
         return ((t & -t).bit_length() - 1) // (8 * word_bytes(nbytes))
 
 
-def _deal(buf, w, nbytes, ndigits, parts):
-    """ndigits words of w bytes holding an nbytes digit each, dealt out as
-    nbytes digits, word i to buffer i % parts, by strided byte copies."""
-    if parts == 1 and w == nbytes:
-        return [buf]
-    out = []
-    for p in range(parts):
-        part = bytearray(len(range(p, ndigits, parts)) * nbytes)
-        for i in range(nbytes):
-            part[i::nbytes] = buf[p * w + i::parts * w]
-        out.append(part)
+def _narrow(buf, w, nbytes, ndigits):
+    """ndigits words of w bytes holding an nbytes digit each, as nbytes
+    digits, by strided byte copies."""
+    if w == nbytes:
+        return buf
+    out = bytearray(ndigits * nbytes)
+    for i in range(nbytes):
+        out[i::nbytes] = buf[i::w]
     return out
 
 
-def _gather(parts, w, nbytes, ndigits):
-    """The inverse of _deal: ndigits words of w bytes, word i from digit
-    i // len(parts) of parts[i % len(parts)]."""
-    if len(parts) == 1 and w == nbytes:
-        return parts[0]
-    buf = bytearray(ndigits * w)
-    for p, part in enumerate(parts):
-        for i in range(nbytes):
-            buf[p * w + i::len(parts) * w] = part[i::nbytes]
-    return buf
+def _widen(buf, w, nbytes, ndigits):
+    """The inverse of _narrow: ndigits digits of nbytes as words of w
+    bytes."""
+    if w == nbytes:
+        return buf
+    out = bytearray(ndigits * w)
+    for i in range(nbytes):
+        out[i::w] = buf[i::nbytes]
+    return out
 
 
 def _mul_packed(da: dict, db: dict, cap):

@@ -153,6 +153,10 @@ class SetPredicate(namedtuple("SetPredicate", "tag k r j s",
                                     f"{list(taken)}; got {self}")
         return self
 
+    @classmethod
+    def _make(cls, fields):     # for _replace too: namedtuple's skips __new__
+        return cls(*fields)
+
     def member(self, obj) -> bool:
         return membership(self, obj)
 

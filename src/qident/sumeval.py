@@ -29,52 +29,50 @@ own factors, to
 
     T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u}   [* (t^(b*v) + t^(-b*u))],
 
-a convolution in u of series-valued sequences.  It is done as one big-int
-product per branch (bivariate Kronecker substitution, see
-``series.kron_pack``): L_u goes into slot u and 1/(t^d; t^d)_m into slot m
-of two packed integers, with slots wide enough that no product of two slots
-reaches the next one.  The binomial factor gives two branches:
-L_u * t^(-b*u) against the plain Pochhammers, and L_u * t^(b*u) against
-1/(t^d; t^d)_m * t^(b*m), which puts t^(b*v) on slot v.  Slot v of the sum
-is T_v, with the precision that the per-pair series products and sums would
-have given it.
+a convolution in u of series-valued sequences.  Each slot v that is read
+is its own sum of one-slot products, T_v = sum_{u <= v} A_u * B_{v-u}, by
+Kronecker substitution in t alone (``series.kron_pack``).  T_v is known
+below best_v, the least over u <= v of prec(L_u * 1/(t^d; t^d)_{v-u}) -
+b*u and at most wp, which never rises with v.  A_u is L_u * t^(-b*u)
+below best_u, packed from its own lowest exponent.  B_m is
+1/(t^d; t^d)_m packed from t^0, an operand (``_ip``) packed once per (d,
+m, wp, digit width, grid step) by ``series.packed``, of which a product
+uses only the digits that slot v reads.  Each product is shifted to the
+layer's lowest exponent lo, the lowest of any L_u * t^(-b*u).  The
+binomial factor's other branch, L_u * 1/(t^d; t^d)_{v-u} * t^(b*v), is
+the same product shifted up by t^(b*(u+v)): one multiply per pair (u, v),
+not one per branch.  Slot v holds T_v with the precision that the
+per-pair series products and sums would have given it.
 
-Inside a slot the term t^e sits at digit e - lo, with lo the lowest exponent
-of any L_u * t^(-b*u).  Every exponent that enters the product lies on the
-lattice lo + g*Z, where g is the gcd of d, b and every e - b*u - lo of the
-layer: the Pochhammer exponents are multiples of d, the branch shifts
-multiples of b, and a sum of lattice offsets is a lattice offset.  So both
-integers pack one digit per g exponents, with the slot width rounded up to
-a multiple of g; the product is the same polynomial with X = 2^(8*nbytes)
+Inside a slot the term t^e sits at a digit counted from lo.  Every
+exponent that enters a slot lies on the lattice lo + g*Z, where g is the
+gcd of d, b and every e - b*u - lo of the layer: the Pochhammer exponents
+are multiples of d, the branch shifts multiples of b, and a sum of lattice
+offsets is a lattice offset.  So every operand packs one digit per g
+exponents; a product is the same polynomial with X = 2^(8*nbytes)
 standing for t^g instead of t, and exponent lo + g*j of a slot comes back
 from its digit j.  This is exact: the digits it leaves out are the ones
 that are always zero.  In t = q^(1/2) units, a layer of whole q-powers with
 d = 2 has g = 2, as do almost all layers of the catalog's sum sides and of
 the Bailey beta-side sums, so their packed integers have half the digits.
 
-A product whose packed layer has at least _TWO_POINT_BYTES bytes is taken
-at two points (Harvey's two-point Kronecker substitution, ``series.kron_pack``
-at points=2): every packed polynomial in X is evaluated at Y and at -Y,
-Y^2 = X, its even- and odd-index digits packed apart, so one product of
-n-digit integers becomes two of about n/2 digits.  Half the sum of the two
-products holds the even digits of the product, and the difference over 2Y
-the odd ones, exactly.  The digit width, its bound and the slot layout are
-those of the one-point product, since each half holds true digits of it
-only.  On CPython 3.11 the two products, sum and shifts included, take
-about 0.77 of the time of the one; with packing and reading back, a layer
-product takes 0.82-0.92 of the one-point time at 2-16 kB of layer, but
-1.04-1.08 below 0.7 kB, as in the interpretation checks' sum sides, so a
-smaller layer is taken at the one point X.
-
-The Pochhammer side depends only on (d, the highest slot read, wp, the
-slot width, the digit width, the branch, the grid step, the points), so
-each such table is packed once per key and cached, from the cached
-operands 1/(t^d; t^d)_m (``_ip``); only the layer side is packed per call.
+The digits read are exact at the width of the digit bound dmax
+(``layer_product``), for three reasons.  Every digit of T_v below best_v
+is a coefficient of T_v, a sum over u <= v of coefficients of
+L_u * 1/(t^d; t^d)_{v-u} (twice that with the binomial factor), so it is
+bounded by dmax.  Every term that the truncations drop (of A_u at or above
+best_u, of B_m past the digits read) or that this form adds (the
+products' digits past those read) lands at or above best_v, as every
+factor has valuation >= 0 after the shift to lo and best_v <= best_u for
+u <= v.  And a carry out of a digit that is not read moves only upward,
+inside the slot's own integer: each slot's read run is taken as biased
+words, (acc + bias) & mask, which no digit above it reaches.  So a slot
+needs no guard digits, however far its unread digits outgrow the width.
 
 A layer product stays packed.  ``layer_product`` returns the digits of T_v
 for every v <= vmax, each slot below its own precision best_v, as the
-buffer of biased digit words that ``series.kron_digits`` reads out of the
-product, with only each slot's read run kept and the runs joined: the
+buffer of biased digit words that ``series.kron_digits`` makes of the
+slots' integers in one read-back, each slot's read run joined: the
 layer's lo, grid step g, digit width and the bound on every |digit| that
 set it, and per slot the start of its run, its digit count and best_v.
 Digit j of slot v is the coefficient of t^(lo + g*j) in T_v.  Nothing in it
@@ -102,7 +100,7 @@ values are one step (``_own_sum``), with the coefficients and precision of
 the ring sum of the own pass's series: one packed sum for both kinds of own
 factor, at the least precision of the walk's slots.  Each slot's digits of
 its walk run that lie below that precision are taken as one integer
-(``series.read_runs``), multiplied by its extra packed at one point
+(``series.read_runs``), multiplied by its extra packed
 (``series.kron_pack_one``) or by 1, shifted to its lowest exponent lo +
 o_v (+ val(extra)), added, and the sum is read back once (``kron_unpack``).
 With D the digit bound of the layer product, which the layout keeps, T_v
@@ -179,14 +177,10 @@ from math import gcd
 
 from .errors import PrecisionExceeded
 from .series import (INF, Memo, Operand, QSeries, digit_bytes, digit_count,
-                     join_runs, kron_digits, kron_pack, kron_pack_one,
-                     kron_unpack, lowest_digit, product_bound, read_digits,
-                     read_runs, _as_prec, _mul_any)
+                     kron_digits, kron_pack_one, kron_unpack, lowest_digit,
+                     packed, product_bound, read_digits, read_runs, _as_prec,
+                     _mul_any)
 from .qfunctions import SM, inv_poch_finite
-
-# A product whose layer packs to fewer bytes is taken at one point, where
-# two half-length products cost more than one (module docstring).
-_TWO_POINT_BYTES = 1024
 
 # There is no pad any more: the working precision is exact (module
 # docstring).  perfbench/tracing.py reads this name to count pad retries,
@@ -222,10 +216,20 @@ def summation_bound(pervar, gaps, tprec) -> int:
     """var_bound of multisum's (quad, lin) pairs, each lin less the binomial
     step of the gap outside it; blind to extras, so only for valuation >= 0.
     Every sum side pays it before its memo lookup, so it is cached."""
-    tprec = _as_prec(tprec)
+    tprec = _order(tprec)
     drops = [0] + [b or 0 for _, b in gaps]
     return _bound(tuple((quad, lin - drop) for (quad, lin, _), drop
                         in zip(pervar, drops)), tprec)
+
+
+def _order(tprec) -> int:
+    """tprec as the order of a sum: an int.  INF is refused, as no finite
+    vmax reaches it: var_bound would count forever, and a sum cut at any
+    vmax is not exact."""
+    tprec = _as_prec(tprec)
+    if tprec is INF:
+        raise ValueError("a sum is taken to an int order, got INF")
+    return tprec
 
 
 @lru_cache(maxsize=1024)
@@ -251,7 +255,7 @@ def multisum(pervar, gaps, tprec, vmax, key=None) -> QSeries:
     Raises PrecisionExceeded when an extra is not known far enough for the
     result to reach tprec.
     """
-    tprec = _as_prec(tprec)     # before the memo: 9.0 would find 9's sum
+    tprec = _order(tprec)       # before the memo: 9.0 would find 9's sum
     if type(vmax) is not int:
         raise ValueError(f"vmax is an int, got {vmax!r}")
     K = len(pervar)
@@ -351,7 +355,7 @@ def _ones(vmax):
 
 
 # the digit 1 as a buffer
-_ONE = kron_digits((1,), 1, 1)
+_ONE = kron_digits([(1, 1)], 1)
 
 
 def slot_series(products) -> dict:
@@ -365,81 +369,89 @@ def slot_series(products) -> dict:
 
 def layer_product(layer, vmax, gap, wp):
     """The packed T_v for every v from min(layer) to vmax, none for an
-    empty layer (module docstring), T_v known below best_v <= wp, one
-    packed product per branch.  Nothing here depends on an own factor, and
-    T_v reads L_u for u <= v only; a layer's u above vmax are not read."""
+    empty layer (module docstring), T_v known below best_v <= wp, each read
+    slot its own sum of one-slot products.  Nothing here depends on an own
+    factor, and T_v reads L_u for u <= v only; a layer's u above vmax are
+    not read."""
     den_step, b = gap
     b = b or 0
-    us = [u for u in sorted(layer) if layer[u].coeffs]   # packed slots
-    lo = min((min(layer[u].coeffs) - b * u for u in us), default=0)
+    # the packed operands, by their lowest exponents
+    lows = {u: min(s.coeffs) for u, s in layer.items() if s.coeffs}
+    us = sorted(lows)
+    lo = min((lows[u] - b * u for u in us), default=0)
 
     # best_v: min over u <= v of prec(L_u * ip_{v-u}) - b*u, with
     # prec(L_u * ip) = min(prec(L_u), wp + val(L_u)) since val(ip) = 0, and
-    # at most wp: no term of L_u * t^(-b*u) or L_u * t^(b*u) at or above wp
-    # is packed.  T_v has no term below best_v when best_v <= lo, or when no
-    # nonzero L_u has u <= v; then nothing is read.
+    # at most wp.  T_v has no term below best_v when best_v <= lo, or when
+    # no nonzero L_u has u <= v; then nothing is read.
     v0 = min(layer, default=vmax + 1)
     slots = []
     best = INF
     for v in range(v0, vmax + 1):
         s = layer.get(v)
         if s is not None:
-            best = min(best, wp, min(s.prec, wp + _val(s)) - b * v)
+            best = min(best, wp,
+                       min(s.prec, wp + lows.get(v, s.prec)) - b * v)
         slots.append((0, 0, best))
     reads = [(v, p) for v, (_, _, p) in enumerate(slots, v0)
              if us and v >= us[0] and p > lo]
     if not reads:
         return (b"", 1, 0, lo, 1, v0, slots)
-    u0 = us[0]
-    top = reads[-1][0] - u0     # highest slot read, relative to u0
-    us = [u for u in us if u - u0 <= top]
+    top = reads[-1][0]          # highest slot read
+    us = [u for u in us if u <= top]
+    inv = [_ip(den_step, m, wp) for m in range(top - us[0] + 1)]
 
-    # A digit of slot v sums products of slot u and slot v - u for u <= v,
-    # each at most ``series.product_bound`` of L_u and ip_{v-u}; twice that
+    # A digit of slot v below best_v sums products of L_u and ip_{v-u} for
+    # u <= v, each at most ``series.product_bound`` of the two; twice that
     # with the binomial branch.  The coefficients of ip_m, the partitions
     # into parts of at most m, grow with m, so the bound is largest at the
     # highest slot read, where every u enters.
     dmax = 0
     for u in us:
         size = [abs(c) for c in layer[u].coeffs.values()]
-        dmax += product_bound((max(size), sum(size)),
-                              _ip(den_step, top + u0 - u, wp).norms)
+        dmax += product_bound((max(size), sum(size)), inv[top - u].norms)
     dmax *= 2 if b else 1
     nbytes = digit_bytes(dmax)
+    bits = 8 * nbytes
 
-    # Every packed exponent lies on lo + g*Z (module docstring); b is in the
-    # gcd, so e - lo stands for e - b*u - lo.
+    # Every exponent lies on lo + g*Z (module docstring); b is in the gcd,
+    # so e - lo stands for e - b*u - lo.
     g = gcd(den_step, b, *[e - lo for u in us for e in layer[u].coeffs])
-    # A slot product spans at most W - 1 exponents, W = 2*wp - 1 - lo here
-    # rounded up to a multiple of g, so a slot holds W/g digits and the
-    # exponent lo + g*j of slot v sits at digit j of it.
-    W = -(-(2 * wp - 1 - lo) // g) * g
-    Wg = W // g
 
-    nd = (us[-1] - u0 + 1) * Wg
-    points = 2 if nd * nbytes >= _TWO_POINT_BYTES else 1
-
-    def branch(shift):
-        # L_u * t^(shift*u) against 1/(t^d; t^d)_m * t^(max(shift, 0)*m)
-        lay = kron_pack([((u - u0) * W + shift * u - lo, layer[u].coeffs,
-                          wp - shift * u) for u in us], nd, nbytes, g, points)
-        tab = _packed_ips(den_step, top, wp, W, nbytes, max(shift, 0), g,
-                          points)
-        return [x * y for x, y in zip(lay, tab)]
-
-    h = branch(-b)
-    if b:
-        h = [x + y for x, y in zip(h, branch(b))]
-    # slot v is read below p: its digits from (v - u0) * Wg, each read run
-    # kept and the runs joined
+    # A_u: L_u * t^(-b*u) below best_u, packed from its lowest exponent,
+    # which sits at bit ``shift`` of a slot
+    ops = []
+    for u in us:
+        low = lows[u]
+        a = kron_pack_one(layer[u].coeffs, low, slots[u - v0][2] + b * u,
+                          nbytes, g)
+        if a:
+            ops.append((u, a, bits * ((low - b * u - lo) // g)))
+    # B_m: 1/(t^d; t^d)_m packed once per (d, m, wp, nbytes, g)
+    ips = [packed(op, nbytes, g) for op in inv]
     runs, at = [], 0
     for v, p in reads:
         n = digit_count(lo, p, g)
-        runs.append(((v - u0) * Wg, (v - u0) * Wg + n))
+        acc = 0
+        for u, a, shift in ops:
+            if u > v:
+                break
+            keep = bits * n - shift     # the bits of the product read
+            if keep <= 0:
+                continue
+            ip = ips[v - u]
+            if ip.bit_length() > keep:
+                ip &= (1 << keep) - 1
+            h = a * ip
+            acc += h << shift
+            if b:       # the branch t^(b*v): the same product, t^(b*(u+v)) up
+                up = shift + bits * (b * (u + v) // g)
+                if up < bits * n:
+                    acc += h << up
+        runs.append((acc, n))
         slots[v - v0] = (at, n, p)
         at += n
-    buf = kron_digits(h, nbytes, runs[-1][1])
-    return (join_runs(buf, nbytes, runs), nbytes, dmax, lo, g, v0, slots)
+    return (kron_digits(runs, nbytes), nbytes, dmax, lo, g, v0, slots)
 
 
 def _own_terms(products, own_row, wp):
@@ -546,21 +558,9 @@ def _own_sum(products, own_row, wp):
     return QSeries._of(kron_unpack(h, width, base, prec, g2), prec)
 
 
-# The Pochhammer side of a layer product depends on the layer only through
-# its key, so each is packed once, and each 1/(t^d; t^d)_m is an operand
-# once.  Both caches are bounded like the Pochhammer caches they read:
-# their keys include wp.
+# Each 1/(t^d; t^d)_m is an operand once, bounded like the Pochhammer
+# cache it reads: its key includes wp.
 @lru_cache(maxsize=1024)
 def _ip(den_step, m, wp) -> Operand:
     """1/(t^d; t^d)_m at wp, d = den_step."""
     return Operand(inv_poch_finite(SM(1, den_step), den_step, m, wp))
-
-
-@lru_cache(maxsize=128)
-def _packed_ips(den_step, top, wp, W, nbytes, shift, step, points):
-    """1/(t^d; t^d)_m * t^(shift*m) packed into slot m of width W, for each
-    m <= top, read below wp, one digit per ``step`` exponents (step divides
-    d, shift and W), at 1 or 2 points (``series.kron_pack``)."""
-    return kron_pack([(m * W + shift * m, _ip(den_step, m, wp).series.coeffs,
-                       wp - shift * m) for m in range(top + 1)],
-                     (top + 1) * W // step, nbytes, step, points)

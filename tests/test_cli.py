@@ -642,6 +642,27 @@ def test_no_field_of_a_record_can_be_assigned():
                 setattr(rec, name, None)
 
 
+def test_make_and_replace_run_a_records_checks():
+    # namedtuple's _make and _replace build the tuple without __new__; each
+    # record that checks its fields there checks them on both paths too
+    pair = B.unit_pair(Q, 2, 9)
+    cases = [(Q, {"e": 4}, {"e": 2.0}, (2, 1), ValueError),
+             (pair, {"prec": 7}, {"n_max": 3},
+              (Q, 3, pair.alpha, pair.beta, 9), ValueError),
+             (B.TransformStep("BL_INF"), {"tag": "KEY1"}, {"rho": Q},
+              ("BL_NONE", None, None), ValueError),
+             (S.predicate("A", k=2), {"k": 3}, {"r": 1}, ("A", 2, 1, 0, 0),
+              InvalidParameters)]
+    for rec, good, bad, fields, refusal in cases:
+        new = rec._replace(**good)
+        assert type(new) is type(rec)
+        assert type(rec)._make(new) == new
+        with pytest.raises(refusal):
+            rec._replace(**bad)
+        with pytest.raises(refusal):
+            type(rec)._make(fields)
+
+
 @pytest.mark.parametrize("case", _TOO_LARGE)
 def test_inputs_beyond_the_process_limits_exit_2(case):
     # a RecursionError or MemoryError is an input too large to check: exit

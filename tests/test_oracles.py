@@ -36,7 +36,7 @@ def _multisum_row():
     return (lambda: brute_multisum(pervar, gaps, tprec, extras, pervar),
             lambda: sumeval.multisum(engine, gaps, tprec, vmax),
             [(sumeval, "multisum"), (sumeval, "layer_product"),
-             (sumeval, "_ip"), (series, "product_bound")])
+             (sumeval, "_ip"), (series, "packed"), (series, "product_bound")])
 
 
 def _beta_sum_row():
@@ -48,7 +48,7 @@ def _beta_sum_row():
     return (lambda: naive.beta_sum(p, lift, True),
             lambda: B._beta_sum(p, lift, True),
             [(sumeval, "layer_product"), (sumeval, "_ip"),
-             (series, "product_bound")])
+             (series, "packed"), (series, "product_bound")])
 
 
 def _motion_row():

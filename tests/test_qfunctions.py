@@ -21,7 +21,7 @@ from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                inv_poch_infinite, poch_finite, poch_infinite,
                                triple_product)
 from qident.series import INF, Memo, QSeries, one, packed, unpack
-from qident.sumeval import _packed_ips, multisum, summation_bound
+from qident.sumeval import _ip, multisum, summation_bound
 
 from gf_oracle import euler_inverse, qbinom, ring_poch_infinite, theta_sum
 from series_oracle import coeff, newton_invert, qcoeff
@@ -153,6 +153,9 @@ CACHED = {
                             [(1, 2)], ValueError),
     "inv_poch_infinite prec": (lambda p: inv_poch_infinite(Q, 2, p), 1,
                                [1.0, True], ValueError),
+    # namedtuple's _replace skips __new__; a record's own _make does not
+    "poch_infinite x by _replace": (lambda e: poch_infinite(
+        SM(1, 2)._replace(e=e), 2, 9), 2, [2.0], ValueError),
     "summation_bound tprec": (lambda p: summation_bound(*_BOUNDED, p), 1,
                               [1.0, True], ValueError),
     "multisum tprec": (lambda p: multisum(*_BOUNDED, p, 3, key=[0, 0]), 1,
@@ -161,6 +164,15 @@ CACHED = {
                       [1.0, True], ValueError),
     "eval_sum qprec": (lambda p: I.eval_sum(_SUM, p), 1, [1.0, True],
                        ValueError),
+    # a sum side's k and steps are in multisum's memo keys
+    "eval_sum k": (lambda k: I.eval_sum(_SUM._replace(k=k), 4), 2, [2.0],
+                   ValueError),
+    "eval_sum den_step": (lambda d: I.eval_sum(_SUM._replace(den_step=d),
+                                               4), 2, [2.0], ValueError),
+    "eval_sum last_step": (lambda d: I.eval_sum(
+        _SUM._replace(last_step=d), 4), 2, [2.0], ValueError),
+    "eval_sum binom_step": (lambda b: I.eval_sum(
+        _SUM._replace(binom_step=b), 4), 0, [0.0, False], ValueError),
     "eval_product qprec": (lambda p: I.eval_product(_PRODUCT, p), 1,
                            [1.0, True], ValueError),
     "verify_identity qprec": (lambda p: I.verify_identity(
@@ -400,18 +412,21 @@ def test_caches_are_bounded(monkeypatch):
         B.closed_alpha_star_chain(seed, 1, 0, 0, n)
     assert [unpack(k)[0] for k in B._QUOTIENTS] == [(14, 11), (10, 11)]
     B._QUOTIENTS.clear()
-    # a packed table is keyed by its grid step too: one table at steps 1, 2
-    # and 4 is three entries and three pairs of values, and the cache stays
-    # at its bound however many keys it sees
-    _packed_ips.cache_clear()
-    tables = {_packed_ips(4, 1, 5, 8, 1, 0, step, 2) for step in (1, 2, 4)}
-    assert len(tables) == _packed_ips.cache_info().currsize == 3
-    maxsize = _packed_ips.cache_info().maxsize
-    for W in range(8, 8 * (maxsize + 2), 8):
+    # a layer product's operand 1/(t^d; t^d)_m is packed per grid step
+    # too: one operand at steps 1, 2 and 4 is three entries and three
+    # values, and the packed cache stays at its bound however many keys
+    # it sees
+    _ip.cache_clear()
+    packed.cache_clear()
+    values = {packed(_ip(4, 3, 15), 1, step) for step in (1, 2, 4)}
+    assert len(values) == packed.cache_info().currsize == 3
+    assert _ip.cache_info().currsize == 1
+    maxsize = packed.cache_info().maxsize
+    for nbytes in range(1, maxsize // 3 + 3):
         for step in (1, 2, 4):
-            _packed_ips(4, 1, 5, W, 1, 0, step, 2)
-    assert _packed_ips.cache_info().currsize == maxsize
-    _packed_ips.cache_clear()
+            packed(_ip(4, 3, 15), nbytes, step)
+    assert packed.cache_info().currsize == maxsize
+    _ip.cache_clear()
     # an operand is packed per width and built once: one relation kernel
     # at three widths is three packed entries and one operand, and the
     # packed cache stays at its bound

@@ -11,12 +11,12 @@ from qident.errors import EmptySeries, NotAUnit, PrecisionExceeded
 from qident.qfunctions import SignedMonomial as SM, poch_infinite
 from qident.series import INF, QSeries, monomial, one, zero
 from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
-                           join_runs, kron_digits, kron_pack, kron_unpack,
+                           kron_digits, kron_pack, kron_unpack,
                            lowest_digit, pack, read_digits, read_runs, unpack,
                            word_bytes)
 from qident import identities as I
-from qident import series, sumeval
-from qident.sumeval import _ip, _own_pass, _packed_ips, layer_product
+from qident import series
+from qident.sumeval import _ip, _own_pass, layer_product
 
 from series_oracle import (coeff, double_loop_mul, from_json, min_exp,
                            newton_invert, qcoeff, scale_exponents,
@@ -389,22 +389,22 @@ def _grid_layers(wp):
          2, None)
 def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(case,
                                                               den_step, b):
-    # the packed Pochhammer tables are cached per key; a table packed for
-    # one layer must serve every other layer with that key unchanged, and
-    # only those
+    # each operand 1/(t^d; t^d)_m is packed once per (d, m, wp, digit
+    # width, grid step); one packed for one layer must serve every other
+    # layer with that key unchanged, and only those
     wp, layers = case
     own_row = [(0, None)] * 6
     cold = []
     for layer in layers:
         _ip.cache_clear()
-        _packed_ips.cache_clear()
+        series.packed.cache_clear()
         cold.append(_one_layer(layer, own_row, (den_step, b), wp))
-    for order in (1, -1):       # the second pass finds every table cached
-        misses = _packed_ips.cache_info().misses
+    for order in (1, -1):       # the second pass finds every operand packed
+        misses = series.packed.cache_info().misses
         warm = [_one_layer(layer, own_row, (den_step, b), wp)
                 for layer in layers[::order]][::order]
         assert warm == cold
-    assert _packed_ips.cache_info().misses == misses
+    assert series.packed.cache_info().misses == misses
 
 
 @pytest.mark.skipif(sys.byteorder != "little", reason="big-endian host")
@@ -420,9 +420,7 @@ def test_kron_pack_and_unpack_match_int_arithmetic(data, step):
     # every example checks every width: 1, 2, 4 and 8 read and write native
     # words, 3, 5, 6 and 7 the next wider word, 9 one digit at a time; the
     # extreme digits +-(2^(8n-1) - 1) are drawn often.  Exponents lie on a
-    # lattice of the drawn step, one digit per lattice point.  Both point
-    # counts are checked on the same draw: digit counts and span starts of
-    # either parity, so either half may hold the last digit read at two.
+    # lattice of the drawn step, one digit per lattice point.
     for nbytes in range(1, 10):
         _check_kron_round_trip(data, nbytes, step)
 
@@ -453,7 +451,6 @@ def _check_kron_round_trip(data, nbytes, step):
     digits = data.draw(st.lists(digit, min_size=1, max_size=40))
     nd = len(digits)
     X = 1 << (8 * nbytes)
-    Y = 1 << (4 * nbytes)           # Y^2 = X: the two points are +-Y
 
     # rows at shifted exponents (digit i at exponent step*i - offset), each
     # with a term at its limit that is left out
@@ -465,9 +462,7 @@ def _check_kron_round_trip(data, nbytes, step):
                   if digits[i]}
         coeffs[step * hi - offset] = 1
         rows.append((offset, coeffs, step * hi - offset))
-    assert kron_pack(rows, nd, nbytes, step) == (_poly(X, digits),)
-    assert kron_pack(rows, nd, nbytes, step, 2) == (_poly(Y, digits),
-                                                    _poly(-Y, digits))
+    assert kron_pack(rows, nd, nbytes, step) == _poly(X, digits)
 
     # spans may skip digits, overlap and come in any order; the coefficients
     # at or above the last digit read are arbitrary
@@ -480,14 +475,13 @@ def _check_kron_round_trip(data, nbytes, step):
     want = [{base + step * (i - start): digits[i]
              for i in range(start, stop) if digits[i]}
             for start, stop, base in spans]
-    # several spans are read_digits of the word buffer of kron_digits, at
-    # either point count; kron_unpack reads one span from digit 0 at one,
-    # below a stop exponent on the grid or off it: the stops in
-    # (base + step*(stop - 1), base + step*stop] all take stop digits
-    for values in ((_poly(X, h),), (_poly(Y, h), _poly(-Y, h))):
-        buf = kron_digits(values, nbytes, stop)
-        assert len(buf) == stop * word_bytes(nbytes)
-        assert read_digits(buf, nbytes, spans, step) == want
+    # several spans are read_digits of the word buffer of kron_digits;
+    # kron_unpack reads one span from digit 0, below a stop exponent on the
+    # grid or off it: the stops in (base + step*(stop - 1), base +
+    # step*stop] all take stop digits
+    buf = kron_digits([(_poly(X, h), stop)], nbytes)
+    assert len(buf) == stop * word_bytes(nbytes)
+    assert read_digits(buf, nbytes, spans, step) == want
     base = data.draw(st.integers(-9, 9))
     end = base + step * (stop - 1) + data.draw(st.integers(1, step))
     assert kron_unpack(_poly(X, h), nbytes, base, end, step) == {
@@ -497,8 +491,8 @@ def _check_kron_round_trip(data, nbytes, step):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_runs_of_a_digit_buffer_match_int_arithmetic(data):
-    # join_runs, read_runs and lowest_digit on kron_digits buffers at one and
-    # two points, at every digit width from 1 to 10 bytes: native words,
+    # kron_digits of several runs, read_runs and lowest_digit on its
+    # buffers, at every digit width from 1 to 10 bytes: native words,
     # widened words and the byte-wise path
     for nbytes in range(1, 11):
         _check_runs(data, nbytes)
@@ -512,7 +506,7 @@ def _check_runs(data, nbytes):
     lead = data.draw(st.integers(0, 4))
     digits = [0] * lead + data.draw(st.lists(digit, min_size=1, max_size=30))
     nd = len(digits)
-    X, Y = 1 << (8 * nbytes), 1 << (4 * nbytes)
+    X = 1 << (8 * nbytes)
     w = word_bytes(nbytes)
     # sorted cuts: adjacent runs, and an empty run at each repeated cut
     cuts = sorted(data.draw(st.lists(st.integers(0, nd), min_size=2,
@@ -522,47 +516,52 @@ def _check_runs(data, nbytes):
     width = data.draw(st.sampled_from([0, w]) | st.integers(w + 1, w + 9))
     spread = data.draw(st.sampled_from([1, 2, 4]))
     Z = 1 << (8 * (width or w) * spread)
-    for values in ((_poly(X, digits),), (_poly(Y, digits), _poly(-Y, digits))):
-        buf = kron_digits(values, nbytes, nd)
-        joined = [d for a, b in runs for d in digits[a:b]]
-        assert read_digits(join_runs(buf, nbytes, runs), nbytes,
-                           [(0, len(joined), 0)]) == [
-            {i: d for i, d in enumerate(joined) if d}]
-        assert read_runs(buf, nbytes, runs, width, spread) == [
-            _poly(Z, digits[a:b]) for a, b in runs]
-        assert read_runs(buf, nbytes, runs) == [
-            _poly(1 << (8 * w), digits[a:b]) for a, b in runs]
-        for a, b in runs + [(0, lead), (0, nd)]:
-            assert lowest_digit(buf, nbytes, a, b) == next(
-                (i - a for i in range(a, b) if digits[i]), None)
+    # each run taken from its own integer, whose digits from its end on
+    # are arbitrary, and the runs joined
+    joined = [d for a, b in runs for d in digits[a:b]]
+    tails = data.draw(st.lists(st.integers(-X ** 3, X ** 3),
+                               min_size=len(runs), max_size=len(runs)))
+    assert read_digits(kron_digits([(_poly(X, digits[a:b])
+                                      + tail * X ** (b - a), b - a)
+                                     for (a, b), tail in zip(runs, tails)],
+                                    nbytes), nbytes,
+                       [(0, len(joined), 0)]) == [
+        {i: d for i, d in enumerate(joined) if d}]
+    buf = kron_digits([(_poly(X, digits), nd)], nbytes)
+    assert read_runs(buf, nbytes, runs, width, spread) == [
+        _poly(Z, digits[a:b]) for a, b in runs]
+    assert read_runs(buf, nbytes, runs) == [
+        _poly(1 << (8 * w), digits[a:b]) for a, b in runs]
+    for a, b in runs + [(0, lead), (0, nd)]:
+        assert lowest_digit(buf, nbytes, a, b) == next(
+            (i - a for i in range(a, b) if digits[i]), None)
 
 
 @pytest.mark.parametrize("den_step", [2, 4])
-def test_packed_ips_pack_one_digit_per_grid_point(monkeypatch, den_step):
-    # a layer on the grid den_step*Z: both packed operands hold one digit
-    # per grid point, ceil(W/den_step) per slot of W = 2*wp - 1 - lo
-    # exponents (lo = 0 here), not W, counted over the two halves that
-    # the two-point packing deals the digits into (taken here at every
-    # size, though a layer this small is packed at one point)
+def test_layer_operands_pack_one_digit_per_grid_point(monkeypatch,
+                                                      den_step):
+    # a layer on the grid den_step*Z: every packed operand holds one digit
+    # per grid point, each L_u from its lowest exponent below best_u = wp
+    # and each 1/(t^d; t^d)_m from t^0 below wp, ceil(wp/den_step) digits
+    # for m >= 1, not wp
     wp = 21
     layer = {0: QSeries({0: 1, den_step: 3}, wp),
              1: QSeries({den_step: -1, 2 * den_step: 5}, wp)}
     calls = []
-    deal = series._deal
+    real = series.kron_pack
 
-    def spy(buf, w, nbytes, ndigits, parts):
-        halves = deal(buf, w, nbytes, ndigits, parts)
-        calls.append((parts, sum(map(len, halves)) // nbytes))
-        return halves
+    def spy(rows, ndigits, nbytes, step=1):
+        calls.append((ndigits, step))
+        return real(rows, ndigits, nbytes, step)
 
-    monkeypatch.setattr(series, "_deal", spy)
-    monkeypatch.setattr(sumeval, "_TWO_POINT_BYTES", 0)
-    _packed_ips.cache_clear()
+    monkeypatch.setattr(series, "kron_pack", spy)
+    series.packed.cache_clear()
     _one_layer(layer, [(0, None)] * 4, (den_step, None), wp)
-    _packed_ips.cache_clear()
-    slot = -(-(2 * wp - 1) // den_step)
-    # layer slots 0..1, tables 0..3
-    assert calls == [(2, 2 * slot), (2, 4 * slot)]
+    series.packed.cache_clear()
+    slot = -(-wp // den_step)
+    # L_0 and L_1, then 1/(t^d; t^d)_m for m = 0..3
+    assert calls == [(2, den_step)] * 2 + [(1, den_step)] + \
+        [(slot, den_step)] * 3
 
 
 # What the memos store: plain data and series with coefficients of either

@@ -1,7 +1,7 @@
 """The multisum engine against a brute-force nested loop, and var_bound."""
 
 import marshal
-from unittest import mock
+import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,6 +155,76 @@ def test_multisum_matches_brute_force(shape):
         assert got.coeffs == want.coeffs
 
 
+def sized_coeffs(draw):
+    """The coefficients of one adversarial draw: every |c| one size, near
+    the word boundaries the digit widths step at, all positive (so that
+    the slot digits reach the digit bound of sumeval.layer_product) or of
+    mixed signs (so that they cancel within a slot)."""
+    size = draw(st.sampled_from([1, 2 ** 7 - 1, 2 ** 31 - 1, 2 ** 62,
+                                 2 ** 63 - 1, 2 ** 70]))
+    return st.sampled_from([size, -size]) if draw(st.booleans()) \
+        else st.just(size)
+
+
+@st.composite
+def adversarial_extras(draw):
+    """(P, neg) for the extra v -> P * t^(-neg*v): P exact with coefficients
+    of one size (``sized_coeffs``), and neg giving the extra a negative
+    valuation, so lo < 0, as Bailey beta values have."""
+    terms = draw(st.dictionaries(st.integers(0, 8), sized_coeffs(draw),
+                                 min_size=1, max_size=6))
+    return QSeries(terms), draw(st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes | even_shapes, adversarial_extras(), st.integers(0, 2))
+# an inner variable of mixed-sign 2^70 coefficients under a binomial gap,
+# with a negative valuation below it
+@example(([(1, -2), (1, 0)], [(2, 2)], 30, False, None),
+         (QSeries({0: 2 ** 70, 1: -(2 ** 70), 3: 2 ** 70}), 2), 1)
+def test_multisum_matches_brute_force_on_adversarial_extras(shape, extra, at):
+    # every layer product of the pass sums slot products of large
+    # coefficients of either sign, and the extra's negative valuation puts
+    # the layer's lowest exponent below 0
+    pervar, gaps, tprec, _, _ = shape
+    at = min(at, len(pervar) - 1)
+    P, neg = extra
+    extras = [None] * len(pervar)
+    extras[at] = lambda v: P.shift(-neg * v)
+    bound_pervar = list(pervar)
+    q, l = pervar[at]
+    bound_pervar[at] = (q, l - neg)
+    engine_pervar = [(q, l, extras[i]) for i, (q, l) in enumerate(pervar)]
+    vmax = oracle_top(bound_pervar, gaps, tprec)
+    want = brute_multisum(pervar, gaps, tprec, extras, bound_pervar)
+    got = multisum(engine_pervar, gaps, tprec, vmax=vmax)
+    assert (got.coeffs, got.prec) == (want.coeffs, tprec)
+
+
+def test_unread_digits_that_overflow_the_width_stay_in_their_slot(
+        monkeypatch):
+    # L_0 = 1 + 119 t^7 and L_1 = -1 at wp = 8, d = 1: every digit read
+    # below t^8 fits one byte (t^7 of T_3 is 8 + 119 - 4 = 123), but the
+    # unread ones above it do not: t^7 times t^7 of 1/(t; t)_m puts 119 * 4
+    # at t^14 of slot 2 and 119 * 8 at t^14 of slot 3.  At one byte they
+    # overflow and carry; as each slot is its own integer read below its
+    # own run, no carry reaches the next slot.  The digit width is forced
+    # down to one byte, as a tighter width rule would set it.
+    wp = 8
+    layer = {0: QSeries({0: 1, 7: 119}, wp), 1: QSeries({0: -1}, wp)}
+    ips = [inv_poch_finite(SM(1, 1), 1, m, wp) for m in range(4)]
+    assert 119 * coeff(ips[2], 7) > 127
+    monkeypatch.setattr(sumeval, "digit_bytes", lambda bound, nbytes=1: 1)
+    products = layer_product(layer, 3, (1, None), wp)
+    assert products[1] == 1
+    want = {v: sum((s * ips[v - u] for u, s in layer.items() if u <= v),
+                   zero(wp)) for v in range(4)}
+    assert max(abs(c) for s in want.values() for c in s.coeffs.values()) \
+        <= 127
+    assert {v: (s.coeffs, s.prec) for v, s in slot_series(products).items()} \
+        == {v: (s.coeffs, s.prec) for v, s in want.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(shapes, st.sets(st.integers(0, 6), min_size=1),
        st.sampled_from([0, -1]))
@@ -183,14 +253,10 @@ def test_an_extra_that_is_exactly_zero_adds_nothing(shape, zeros, at):
 
 @st.composite
 def bound_layers(draw):
-    """(wp, layer) with every coefficient of one size M: all positive, so
-    that the product digits reach the digit bound of sumeval.layer_product, or
-    of mixed signs; exponents on the grid 1 or 2, Laurent ones included."""
+    """(wp, layer) with coefficients of one size (``sized_coeffs``);
+    exponents on the grid 1 or 2, Laurent ones included."""
     wp = draw(st.integers(1, 40))
-    size = draw(st.sampled_from([1, 2 ** 7 - 1, 2 ** 31 - 1, 2 ** 62,
-                                 2 ** 63 - 1, 2 ** 70]))
-    coeff = st.sampled_from([size, -size]) if draw(st.booleans()) \
-        else st.just(size)
+    coeff = sized_coeffs(draw)
     grid = draw(st.sampled_from([1, 2]))
     layer = {}
     for u in sorted(draw(st.sets(st.integers(0, 5), min_size=1))):
@@ -210,18 +276,15 @@ _OWN_ROWS = ([(0, None)] * 7,
 
 @settings(max_examples=150, deadline=None)
 @given(bound_layers(), st.sampled_from([1, 2, 4]),
-       st.sampled_from([None, 1, 2]), st.sampled_from([0, INF]),
-       st.sampled_from(_OWN_ROWS))
+       st.sampled_from([None, 1, 2]), st.sampled_from(_OWN_ROWS))
 @example((12, {0: QSeries({e: 2 ** 70 for e in range(0, 12, 2)}),
                1: QSeries({e: -2 ** 70 for e in range(-2, 14, 2)}, 11)}),
-         2, 2, 0, _OWN_ROWS[0])
+         2, 2, _OWN_ROWS[0])
 def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
-                                                      two_point_bytes,
                                                       own_row):
     # layer_product, then the own pass, against own_row[v] * T_v with
     # T_v = sum_{u <= v} L_u * 1/(t^d; t^d)_{v-u} [* (t^(b*v) + t^(-b*u))]
-    # as plain series products and sums, both binomial branches included,
-    # with every product taken at two points or every one at one point
+    # as plain series products and sums, both binomial branches included
     wp, layer = case
     n = 7
     want = {}
@@ -240,9 +303,8 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
         t = (t.shift(o) if x is None else x.shift(o) * t).truncate(wp)
         if t.coeffs or t.prec < wp:
             want[v] = t
-    with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
-        got = sumeval._own_pass(sumeval.layer_product(
-            layer, n - 1, (den_step, b), wp), own_row, wp)
+    got = sumeval._own_pass(sumeval.layer_product(
+        layer, n - 1, (den_step, b), wp), own_row, wp)
     assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
         {v: (s.coeffs, s.prec) for v, s in want.items()}
 
@@ -315,21 +377,18 @@ def own_rows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(bound_layers(), st.sampled_from([1, 2, 4]),
-       st.sampled_from([None, 1, 2]), st.sampled_from([0, INF]),
-       own_rows() | st.sampled_from(_OWN_ROWS))
+       st.sampled_from([None, 1, 2]), own_rows() | st.sampled_from(_OWN_ROWS))
 # a layer of negative lo (t^(-4) at u = 0, and t^(-b*u) lowers it to -6)
 # under offsets of both signs and a shift past wp
 @example((10, {0: QSeries({-4: 3, 2: -1}), 1: QSeries({0: 5}, 9)}), 2, 2,
-         INF, [(-3, None), (5, None), (-2, QSeries({1: 1, 3: 2})),
-               (40, None), None, (0, None), (1, None)])
+         [(-3, None), (5, None), (-2, QSeries({1: 1, 3: 2})),
+          (40, None), None, (0, None), (1, None)])
 def test_own_pass_on_slots_matches_the_dict_own_pass(case, den_step, b,
-                                                      two_point_bytes,
                                                       own_row):
     # the own pass reads each packed slot below where its factor reaches
     # wp; the dict path reads the whole T_v and then cuts
     wp, layer = case
-    with mock.patch.object(sumeval, "_TWO_POINT_BYTES", two_point_bytes):
-        products = layer_product(layer, 6, (den_step, b), wp)
+    products = layer_product(layer, 6, (den_step, b), wp)
     got = _own_pass(products, own_row, wp)
     want = dict_own_pass(slot_series(products), own_row, wp)
     assert {v: (s.coeffs, s.prec) for v, s in got.items()} == \
@@ -351,6 +410,25 @@ def test_var_bound_sees_minima_beyond_64():
     # 8v^2 - 1100v is smallest at v = 69 (-37812); a search over v < 64
     # stops at -37548 and returns 194.
     assert var_bound([(8, -1100), (1, 0)], 10) == 195
+
+
+def test_a_sum_to_order_inf_is_refused():
+    # var_bound never reaches INF, so summation_bound counted forever (here
+    # cut by an alarm), and multisum cut at vmax = 3 called 1 + t^2 + t^8 +
+    # t^18 an exact 0; both refuse INF, as an int or as a float
+    def hang(*_):
+        raise TimeoutError("summation_bound is still counting")
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for order in (INF, float("inf")):
+            with pytest.raises(ValueError, match="INF"):
+                summation_bound([(2, 0, None)], [], order)
+            with pytest.raises(ValueError, match="INF"):
+                multisum([(2, 0, None)], [], order, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_default_vmax_refuses_an_extra_of_negative_valuation():
