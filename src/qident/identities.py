@@ -26,7 +26,7 @@ import os
 import time
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Optional
 
@@ -89,14 +89,22 @@ def _last_factor(last_step: int, tail: Optional[str], head, v: int, tp: int):
     return out
 
 
+def _refuse_non_ints(side, fields):
+    """Refuse a side unless each of its int fields is an int and not a
+    bool: called before any memo or cache sees the side, whose keys hold
+    the fields, as 2.0 == 2 would find 2's entry."""
+    for x in fields:
+        if type(x) is not int:
+            raise ValueError(f"a {type(side).__name__}'s int fields are "
+                             f"ints, got {x!r}")
+
+
 def eval_sum(side: SumSide, qprec: int) -> QSeries:
     """Exact truncation of the sum side to q-order qprec."""
     tp = tgrid(qprec)
-    # before multisum's memo, whose keys hold them: 2.0 would find 2's sum
-    for name in ("k", "den_step", "last_step", "binom_step"):
-        x = getattr(side, name)
-        if type(x) is not int:      # a bool is not a step either
-            raise ValueError(f"a sum side's {name} is an int, got {x!r}")
+    _refuse_non_ints(side, (side.k, side.den_step, side.last_step,
+                            side.binom_step, *chain(*side.pervar),
+                            *(side.head[1:] if side.head else ())))
     k, head, b = side.k, side.head, side.binom_step
 
     # extras[i] and its description key[i], for multisum's layer memo
@@ -169,6 +177,9 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     max|F| too, for F is packed whole even when every term vanishes or
     weighs 0.  Without theta terms the side is F itself."""
     tp = tgrid(qprec)       # checks qprec before the memo is asked
+    _refuse_non_ints(side, (side.modulus, *chain(*side.terms),
+                            *(base for _, base in side.num_inf + side.den_inf),
+                            *chain(*chain(*side.den_units))))
     memo_key = (side, qprec)
     hit = _PRODUCTS.recall(memo_key)
     if hit is not None:

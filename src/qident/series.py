@@ -27,20 +27,23 @@ Division is long division (``divide``); every divisor in scope is a product
 of binomials whose lowest coefficient is +-1, or +-2 where the two terms of
 a b - aq^l factor coincide.  ``invert`` divides one.
 
-Kronecker substitution packs a polynomial into one integer, one digit of
-nbytes bytes per exponent (``kron_pack``), so that a product of
-polynomials is one big-integer product.  Reading a product back is two
-steps.  ``kron_digits`` turns the low digits of one or more products into
-one buffer of digit words, each digit stored with a bias of half a digit so
-that the word is unsigned, in the native word that holds nbytes bytes;
-``read_digits`` reads spans of that buffer into coefficient dicts.
-``kron_unpack`` is the two in one call, for one value read below a stop
-exponent; every read-back counts its digits by ``digit_count``.  A
-caller that reads only part of a product, or reads it later, keeps the
-buffer, read only through this module: the sum engine's layer products
-(``sumeval``).  A factor of many products is an ``Operand``, packed once
-per width and grid step (``packed``); ``product_bound`` is the one width
-rule.
+Kronecker substitution packs one series into one integer, one digit of
+nbytes bytes per exponent of its grid from a given lowest exponent
+(``kron_pack``, the one packer), so that a product of polynomials is one
+big-integer product.  Reading a product back is two steps.  ``kron_digits``
+turns the low digits of one or more products into one buffer of digit
+words, each digit stored with a bias of half a digit so that the word is
+unsigned, in the native word that holds nbytes bytes; ``read_digits`` reads
+spans of that buffer into coefficient dicts.  ``kron_unpack`` is the two in
+one call, for one value read below a stop exponent; every read-back counts
+its digits by ``digit_count``.  A caller that reads only part of a product,
+or reads it later, keeps the buffer, read only through this module: the sum
+engine's layer products (``sumeval``).  A factor of many products is an
+``Operand``, packed once per width and grid step (``packed``);
+``product_bound`` is the one width rule.  Digits of 3, 5, 6 or 7 bytes are
+written and read through the next wider native word; one strided byte copy
+(``_restride``) narrows the words to digits after packing and widens digits
+to words on the way back.
 
 The per-process memos of the sum engine, the product sides and the Bailey
 chains are each a ``Memo``: at most ``Memo.MAX`` entries, the least recently
@@ -318,14 +321,14 @@ def _mul_dict(da: dict, db: dict, cap) -> dict:
     return out
 
 
-def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
-    """Kronecker substitution: the polynomial f(x), the sum of
-    c * x^((offset + e) / step) over the rows (offset, coeffs, limit) and
-    the terms c*t^e of each coeffs dict with e < limit, at X =
-    2^(8*nbytes).  Every offset + e must be a multiple of ``step``, so a
-    row whose exponents lie on a lattice r + step*Z packs one digit per
-    lattice point, not one per exponent.  Digit indices must be distinct
-    and lie in [0, ndigits).
+def kron_pack(coeffs: dict, low: int, stop, nbytes: int,
+              step: int = 1) -> int:
+    """Kronecker substitution: the terms c*t^e of coeffs with e < stop as
+    one integer at X = 2^(8*nbytes), t^(low + step*j) at digit j; 0 when
+    there are none.  No exponent may lie below low, and every e - low must
+    be a multiple of ``step``, so a series on a lattice low + step*Z packs
+    one digit per lattice point, not one per exponent.  The digits are
+    counted by ``digit_count``, up to the highest term packed.
 
     Coefficients may be negative.  Each is stored with a bias of half a
     digit, and the bias pattern is subtracted at the end, so every |c| must
@@ -338,28 +341,26 @@ def kron_pack(rows, ndigits: int, nbytes: int, step: int = 1) -> int:
     (1, 2, 4 or 8 bytes on a little-endian host) through a ``memoryview``
     cast, one item per digit; a 3-, 5-, 6- or 7-byte digit is written into
     the next wider word, and the buffer narrowed by strided byte copies
-    (``_narrow``).  Wider digits write each digit's bytes.
+    (``_restride``).  Wider digits write each digit's bytes.
     """
+    if not coeffs:
+        return 0
+    n = digit_count(low, min(stop, max(coeffs) + 1), step)
     lift = 1 << (8 * nbytes - 1)
-    w = _WORD.get(nbytes)
-    if w is not None:
-        buf = bytearray(lift.to_bytes(w, "little") * ndigits)
+    w = word_bytes(nbytes)
+    buf = bytearray(lift.to_bytes(w, "little") * n)
+    if w in _NATIVE:
         words = memoryview(buf).cast(_NATIVE[w])
-        for offset, coeffs, limit in rows:
-            for e, c in coeffs.items():
-                if e < limit:
-                    words[(offset + e) // step] = c + lift
-        buf = _narrow(buf, w, nbytes, ndigits)
-    else:
-        buf = bytearray(lift.to_bytes(nbytes, "little") * ndigits)
-        for offset, coeffs, limit in rows:
-            for e, c in coeffs.items():
-                if e < limit:
-                    k = (offset + e) // step * nbytes
-                    buf[k:k + nbytes] = (c + lift).to_bytes(nbytes, "little")
-    return (int.from_bytes(buf, "little")
-            - int.from_bytes(lift.to_bytes(nbytes, "little") * ndigits,
-                             "little"))
+        for e, c in coeffs.items():
+            if e < stop:
+                words[(e - low) // step] = c + lift
+    else:       # one word is one digit
+        for e, c in coeffs.items():
+            if e < stop:
+                k = (e - low) // step * w
+                buf[k:k + w] = (c + lift).to_bytes(w, "little")
+    return (int.from_bytes(_restride(buf, w, nbytes, n), "little")
+            - int.from_bytes(lift.to_bytes(nbytes, "little") * n, "little"))
 
 
 def digit_bytes(bound: int, nbytes: int = 1) -> int:
@@ -373,19 +374,6 @@ def digit_count(base: int, stop, step: int = 1, n=INF) -> int:
     stop, at most n: the one digit count of the codec."""
     k = (stop - base - 1) // step + 1
     return n if k > n else k if k > 0 else 0
-
-
-def kron_pack_one(coeffs: dict, low: int, stop, nbytes: int,
-                  step: int = 1) -> int:
-    """The terms c*t^e of coeffs with e < stop as one integer at
-    X = 2^(8*nbytes), t^(low + step*j) at digit j (kron_pack of one row);
-    0 when there are none.  No exponent may lie below low, and every
-    e - low must be a multiple of step."""
-    if not coeffs:
-        return 0
-    return kron_pack([(-low, coeffs, stop)],
-                     digit_count(low, min(stop, max(coeffs) + 1), step),
-                     nbytes, step)
 
 
 def word_bytes(nbytes: int) -> int:
@@ -410,8 +398,8 @@ class Operand:
     def pack(self, nbytes: int, step: int = 1) -> int:
         """The terms at X = 2^(8*nbytes), t^(low + step*j) at digit j;
         every exponent less low must be a multiple of step."""
-        return kron_pack_one(self.series.coeffs, self.low, self.stop, nbytes,
-                             step)
+        return kron_pack(self.series.coeffs, self.low, self.stop, nbytes,
+                         step)
 
 
 @lru_cache(maxsize=1024)
@@ -434,7 +422,7 @@ def kron_digits(runs, nbytes: int):
     2^(8*nbytes - 1), so every word is unsigned; ``read_digits`` reads
     spans of it.  Digits of a value at or above its n are never taken, so
     they may be arbitrary.  A 3-, 5-, 6- or 7-byte digit is widened to the
-    next native word by strided byte copies (``_widen``)."""
+    next native word by strided byte copies (``_restride``)."""
     lifts = (1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
     parts, total, masks = [], 0, {}
     for value, n in runs:
@@ -446,7 +434,7 @@ def kron_digits(runs, nbytes: int):
         bias, mask = masks[n]
         parts.append(((value + bias) & mask).to_bytes(nbytes * n, "little"))
         total += n
-    return _widen(b"".join(parts), word_bytes(nbytes), nbytes, total)
+    return _restride(b"".join(parts), nbytes, word_bytes(nbytes), total)
 
 
 def read_digits(buf, nbytes: int, spans, step: int = 1) -> list:
@@ -485,12 +473,11 @@ def read_runs(buf, nbytes: int, runs, width: int = 0,
     """The signed digits of each (start, stop) run of a ``kron_digits``
     buffer as one integer, digit start + i times X^(spread*i), X =
     2^(8*width), width at least the buffer's word width (the default), by
-    the strided copies of ``_widen`` where it or spread widens the run."""
+    the strided copies of ``_restride`` where it or spread widens the run."""
     w = word_bytes(nbytes)
     stride = spread * (width or w)
     pad = (1 << (8 * nbytes - 1)).to_bytes(w, "little") + bytes(stride - w)
-    return [int.from_bytes(buf[a * w:b * w] if stride == w else
-                           _widen(buf[a * w:b * w], stride, w, b - a),
+    return [int.from_bytes(_restride(buf[a * w:b * w], w, stride, b - a),
                            "little") - int.from_bytes(pad * (b - a), "little")
             for a, b in runs]
 
@@ -503,25 +490,17 @@ def lowest_digit(buf, nbytes: int, start: int, stop: int):
         return ((t & -t).bit_length() - 1) // (8 * word_bytes(nbytes))
 
 
-def _narrow(buf, w, nbytes, ndigits):
-    """ndigits words of w bytes holding an nbytes digit each, as nbytes
-    digits, by strided byte copies."""
-    if w == nbytes:
+def _restride(buf, src, dst, ndigits):
+    """ndigits little-endian digits of src bytes each as words of dst
+    bytes, by strided byte copies: each keeps its low min(src, dst) bytes,
+    and the high bytes a wider word adds are zero.  It narrows a packed
+    buffer's words to its digits (``kron_pack``) and widens digits to
+    words (``kron_digits``, ``read_runs``)."""
+    if src == dst:
         return buf
-    out = bytearray(ndigits * nbytes)
-    for i in range(nbytes):
-        out[i::nbytes] = buf[i::w]
-    return out
-
-
-def _widen(buf, w, nbytes, ndigits):
-    """The inverse of _narrow: ndigits digits of nbytes as words of w
-    bytes."""
-    if w == nbytes:
-        return buf
-    out = bytearray(ndigits * w)
-    for i in range(nbytes):
-        out[i::w] = buf[i::nbytes]
+    out = bytearray(ndigits * dst)
+    for i in range(min(src, dst)):
+        out[i::dst] = buf[i::src]
     return out
 
 
@@ -541,8 +520,8 @@ def _mul_packed(da: dict, db: dict, cap):
     amax = max(map(abs, da.values()))
     bmax = max(map(abs, db.values()))
     nbytes = digit_bytes(amax * bmax * min(len(da), len(db)))
-    h = (kron_pack_one(da, ma, ma + width, nbytes)
-         * kron_pack_one(db, mb, mb + width, nbytes))
+    h = (kron_pack(da, ma, ma + width, nbytes)
+         * kron_pack(db, mb, mb + width, nbytes))
     return kron_unpack(h, nbytes, ma + mb, cap)
 
 

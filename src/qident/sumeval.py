@@ -101,7 +101,7 @@ the ring sum of the own pass's series: one packed sum for both kinds of own
 factor, at the least precision of the walk's slots.  Each slot's digits of
 its walk run that lie below that precision are taken as one integer
 (``series.read_runs``), multiplied by its extra packed
-(``series.kron_pack_one``) or by 1, shifted to its lowest exponent lo +
+(``series.kron_pack``) or by 1, shifted to its lowest exponent lo +
 o_v (+ val(extra)), added, and the sum is read back once (``kron_unpack``).
 With D the digit bound of the layer product, which the layout keeps, T_v
 has norms at most (D, D * n_v) for n_v digits taken, so a digit of the sum
@@ -177,7 +177,7 @@ from math import gcd
 
 from .errors import PrecisionExceeded
 from .series import (INF, Memo, Operand, QSeries, digit_bytes, digit_count,
-                     kron_digits, kron_pack_one, kron_unpack, lowest_digit,
+                     kron_digits, kron_pack, kron_unpack, lowest_digit,
                      packed, product_bound, read_digits, read_runs, _as_prec,
                      _mul_any)
 from .qfunctions import SM, inv_poch_finite
@@ -423,8 +423,8 @@ def layer_product(layer, vmax, gap, wp):
     ops = []
     for u in us:
         low = lows[u]
-        a = kron_pack_one(layer[u].coeffs, low, slots[u - v0][2] + b * u,
-                          nbytes, g)
+        a = kron_pack(layer[u].coeffs, low, slots[u - v0][2] + b * u,
+                      nbytes, g)
         if a:
             ops.append((u, a, bits * ((low - b * u - lo) // g)))
     # B_m: 1/(t^d; t^d)_m packed once per (d, m, wp, nbytes, g)
@@ -553,7 +553,7 @@ def _own_sum(products, own_row, wp):
     for (_, x, low), t in zip(picked, runs):
         if x is not None:
             x, vx, stop = x
-            t *= kron_pack_one(x.coeffs, vx, stop, width, g2)
+            t *= kron_pack(x.coeffs, vx, stop, width, g2)
         h += t << 8 * width * ((low - base) // g2)
     return QSeries._of(kron_unpack(h, width, base, prec, g2), prec)
 

@@ -731,8 +731,9 @@ def test_relation_sums_match_the_ring_double_loop(p, wider):
 def test_relation_sums_take_every_width_from_one_to_nine(monkeypatch):
     widths = []
     real = series.kron_pack
-    monkeypatch.setattr(series, "kron_pack", lambda rows, nd, nbytes, *rest:
-                        widths.append(nbytes) or real(rows, nd, nbytes, *rest))
+    monkeypatch.setattr(series, "kron_pack", lambda coeffs, low, stop, nbytes,
+                        *rest: widths.append(nbytes)
+                        or real(coeffs, low, stop, nbytes, *rest))
     base = B.unit_pair(SM(1, 1), 3, 9)
     seen = set()
     for bits in range(0, 66, 2):
@@ -767,7 +768,7 @@ def test_verify_shares_only_the_codec_with_apply(monkeypatch):
 
     for module, name in APPLY_ONLY:
         monkeypatch.setattr(module, name, refuse(name))
-    # the codec packs through kron_pack, which kron_pack_one calls
+    # the codec packs through kron_pack, its one packer
     packs = []
     real = series.kron_pack
     monkeypatch.setattr(series, "kron_pack", lambda *args: (

@@ -123,6 +123,7 @@ def test_orders_and_exponents_that_are_not_ints_are_refused():
 
 _AG = I.CATALOG["andrews_gordon"]
 _SUM, _PRODUCT = _AG.lhs({"k": 2, "r": 1}), _AG.rhs({"k": 2, "r": 1})
+_GG = I.CATALOG["gollnitz_gordon"].lhs({"variant": 1})
 _BOUNDED = [(2, 0, None), (2, 0, None)], [(2, None)]
 _SEED = B.pair_dprime4(Q, 4, 21)
 
@@ -173,8 +174,30 @@ CACHED = {
         _SUM._replace(last_step=d), 4), 2, [2.0], ValueError),
     "eval_sum binom_step": (lambda b: I.eval_sum(
         _SUM._replace(binom_step=b), 4), 0, [0.0, False], ValueError),
+    # every int field of a side is in a memo or cache key
+    "eval_sum pervar": (lambda v: I.eval_sum(_SUM._replace(pervar=v), 4),
+                        ((2, 0), (2, 2)), [((2.0, 0), (2, 2)),
+                                           ((2, False), (2, 2)),
+                                           ((2, 0), (2, 2.0))], ValueError),
+    "eval_sum head base": (lambda b: I.eval_sum(_GG._replace(
+        head=(SM(-1, 2), b)), 4), 4, [4.0], ValueError),
     "eval_product qprec": (lambda p: I.eval_product(_PRODUCT, p), 1,
                            [1.0, True], ValueError),
+    "eval_product modulus": (lambda m: I.eval_product(
+        _PRODUCT._replace(modulus=m), 4), 14, [14.0], ValueError),
+    "eval_product term": (lambda t: I.eval_product(
+        _PRODUCT._replace(terms=(t,)), 4), (1, 0, 4),
+        [(1.0, 0, 4), (True, 0, 4), (1, 0.0, 4), (1, False, 4), (1, 0, 4.0)],
+        ValueError),
+    "eval_product num_inf base": (lambda b: I.eval_product(
+        _PRODUCT._replace(num_inf=((SM(-1, 2), b),)), 4), 2, [2.0],
+        ValueError),
+    "eval_product den_inf base": (lambda b: I.eval_product(
+        _PRODUCT._replace(den_inf=((SM(1, 2), b),)), 4), 2, [2.0],
+        ValueError),
+    "eval_product den_units": (lambda c: I.eval_product(
+        _PRODUCT._replace(den_units=(((0, 1), (2, c)),)), 4), 1,
+        [1.0, True], ValueError),
     "verify_identity qprec": (lambda p: I.verify_identity(
         "andrews_gordon", {"k": 2, "r": 1}, p), 1, [1.0, True], ValueError),
     "bailey.verify prec": (lambda p: B.verify(_SEED, p), 1, [1.0, True],

@@ -15,7 +15,7 @@ from qident.series import (_NATIVE, _WORD, _mul_dict, _mul_packed,
                            lowest_digit, pack, read_digits, read_runs, unpack,
                            word_bytes)
 from qident import identities as I
-from qident import series
+from qident import series, sumeval
 from qident.sumeval import _ip, _own_pass, layer_product
 
 from series_oracle import (coeff, double_loop_mul, from_json, min_exp,
@@ -452,17 +452,20 @@ def _check_kron_round_trip(data, nbytes, step):
     nd = len(digits)
     X = 1 << (8 * nbytes)
 
-    # rows at shifted exponents (digit i at exponent step*i - offset), each
-    # with a term at its limit that is left out
-    cuts = sorted(data.draw(st.lists(st.integers(0, nd), max_size=3)))
-    rows = []
-    for lo, hi in zip([0] + cuts, cuts + [nd]):
-        offset = data.draw(st.integers(-5, 5 + step * lo))
-        coeffs = {step * i - offset: digits[i] for i in range(lo, hi)
-                  if digits[i]}
-        coeffs[step * hi - offset] = 1
-        rows.append((offset, coeffs, step * hi - offset))
-    assert kron_pack(rows, nd, nbytes, step) == _poly(X, digits)
+    # one series from a low that need not be 0 (digit i at exponent low +
+    # step*i), with a term at the grid point of digit nd that is left out:
+    # the stops in (low + step*(nd - 1), low + step*nd] all leave it out,
+    # a stop at or below low packs nothing, and without that term the
+    # highest digit is counted from the highest term
+    low = data.draw(st.integers(-9, 9))
+    coeffs = {low + step * i: d for i, d in enumerate(digits) if d}
+    coeffs[low + step * nd] = 1
+    end = low + step * (nd - 1) + data.draw(st.integers(1, step))
+    assert kron_pack(coeffs, low, end, nbytes, step) == _poly(X, digits)
+    del coeffs[low + step * nd]     # the highest term below an INF stop
+    assert kron_pack(coeffs, low, INF, nbytes, step) == _poly(X, digits)
+    assert kron_pack(coeffs, low, low - data.draw(st.integers(0, 3)),
+                     nbytes, step) == 0
 
     # spans may skip digits, overlap and come in any order; the coefficients
     # at or above the last digit read are arbitrary
@@ -550,11 +553,14 @@ def test_layer_operands_pack_one_digit_per_grid_point(monkeypatch,
     calls = []
     real = series.kron_pack
 
-    def spy(rows, ndigits, nbytes, step=1):
-        calls.append((ndigits, step))
-        return real(rows, ndigits, nbytes, step)
+    def spy(coeffs, low, stop, nbytes, step=1):
+        top = min(stop, max(coeffs) + 1) if coeffs else low
+        calls.append((len(range(low, top, step)), step))
+        return real(coeffs, low, stop, nbytes, step)
 
-    monkeypatch.setattr(series, "kron_pack", spy)
+    # L_u is packed by the sum engine, 1/(t^d; t^d)_m by Operand.pack
+    for module in (series, sumeval):
+        monkeypatch.setattr(module, "kron_pack", spy)
     series.packed.cache_clear()
     _one_layer(layer, [(0, None)] * 4, (den_step, None), wp)
     series.packed.cache_clear()
