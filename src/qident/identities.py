@@ -89,22 +89,28 @@ def _last_factor(last_step: int, tail: Optional[str], head, v: int, tp: int):
     return out
 
 
-def _refuse_non_ints(side, fields):
+def _refuse_mistyped(side, ints, monomials):
     """Refuse a side unless each of its int fields is an int and not a
-    bool: called before any memo or cache sees the side, whose keys hold
-    the fields, as 2.0 == 2 would find 2's entry."""
-    for x in fields:
+    bool, and each of its Pochhammer monomials a SignedMonomial: called
+    before any memo or cache sees the side, whose keys hold the fields, as
+    2.0 == 2 would find 2's entry and the tuple (1, 2) that of SM(1, 2)."""
+    for x in ints:
         if type(x) is not int:
             raise ValueError(f"a {type(side).__name__}'s int fields are "
                              f"ints, got {x!r}")
+    for x in monomials:
+        if type(x) is not SM:
+            raise ValueError(f"a {type(side).__name__}'s monomials are "
+                             f"SignedMonomials, got {x!r}")
 
 
 def eval_sum(side: SumSide, qprec: int) -> QSeries:
     """Exact truncation of the sum side to q-order qprec."""
     tp = tgrid(qprec)
-    _refuse_non_ints(side, (side.k, side.den_step, side.last_step,
+    _refuse_mistyped(side, (side.k, side.den_step, side.last_step,
                             side.binom_step, *chain(*side.pervar),
-                            *(side.head[1:] if side.head else ())))
+                            *(side.head[1:] if side.head else ())),
+                     side.head[:1] if side.head else ())
     k, head, b = side.k, side.head, side.binom_step
 
     # extras[i] and its description key[i], for multisum's layer memo
@@ -177,9 +183,11 @@ def eval_product(side: ProductSide, qprec: int) -> QSeries:
     max|F| too, for F is packed whole even when every term vanishes or
     weighs 0.  Without theta terms the side is F itself."""
     tp = tgrid(qprec)       # checks qprec before the memo is asked
-    _refuse_non_ints(side, (side.modulus, *chain(*side.terms),
-                            *(base for _, base in side.num_inf + side.den_inf),
-                            *chain(*chain(*side.den_units))))
+    factors = side.num_inf + side.den_inf
+    _refuse_mistyped(side, (side.modulus, *chain(*side.terms),
+                            *(base for _, base in factors),
+                            *chain(*chain(*side.den_units))),
+                     (sm for sm, _ in factors))
     memo_key = (side, qprec)
     hit = _PRODUCTS.recall(memo_key)
     if hit is not None:

@@ -39,7 +39,7 @@ one call, for one value read below a stop exponent; every read-back counts
 its digits by ``digit_count``.  A caller that reads only part of a product,
 or reads it later, keeps the buffer, read only through this module: the sum
 engine's layer products (``sumeval``).  A factor of many products is an
-``Operand``, packed once per width and grid step (``packed``);
+``Operand``, packed once per width (``packed``);
 ``product_bound`` is the one width rule.  Digits of 3, 5, 6 or 7 bytes are
 written and read through the next wider native word; one strided byte copy
 (``_restride``) narrows the words to digits after packing and widens digits
@@ -395,18 +395,15 @@ class Operand:
         size = [abs(c) for c in s.coeffs.values()]
         self.norms = (max(size, default=0), sum(size))
 
-    def pack(self, nbytes: int, step: int = 1) -> int:
-        """The terms at X = 2^(8*nbytes), t^(low + step*j) at digit j;
-        every exponent less low must be a multiple of step."""
-        return kron_pack(self.series.coeffs, self.low, self.stop, nbytes,
-                         step)
+    def pack(self, nbytes: int) -> int:
+        """The terms at X = 2^(8*nbytes), t^(low + j) at digit j."""
+        return kron_pack(self.series.coeffs, self.low, self.stop, nbytes)
 
 
 @lru_cache(maxsize=1024)
-def packed(op: Operand, nbytes: int, step: int = 1) -> int:
-    """``op.pack(nbytes, step)``, kept per cached operand, digit width and
-    grid step."""
-    return op.pack(nbytes, step)
+def packed(op: Operand, nbytes: int) -> int:
+    """``op.pack(nbytes)``, kept per cached operand and digit width."""
+    return op.pack(nbytes)
 
 
 def product_bound(a, b) -> int:

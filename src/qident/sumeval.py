@@ -33,16 +33,23 @@ a convolution in u of series-valued sequences.  Each slot v that is read
 is its own sum of one-slot products, T_v = sum_{u <= v} A_u * B_{v-u}, by
 Kronecker substitution in t alone (``series.kron_pack``).  T_v is known
 below best_v, the least over u <= v of prec(L_u * 1/(t^d; t^d)_{v-u}) -
-b*u and at most wp, which never rises with v.  A_u is L_u * t^(-b*u)
-below best_u, packed from its own lowest exponent.  B_m is
-1/(t^d; t^d)_m packed from t^0, an operand (``_ip``) packed once per (d,
-m, wp, digit width, grid step) by ``series.packed``, of which a product
-uses only the digits that slot v reads.  Each product is shifted to the
-layer's lowest exponent lo, the lowest of any L_u * t^(-b*u).  The
-binomial factor's other branch, L_u * 1/(t^d; t^d)_{v-u} * t^(b*v), is
-the same product shifted up by t^(b*(u+v)): one multiply per pair (u, v),
-not one per branch.  Slot v holds T_v with the precision that the
-per-pair series products and sums would have given it.
+b*u and at most wp, which never rises with v.  A_u is L_u * t^(-b*u) below
+best_u, packed from its own lowest exponent.  B_m = 1/(t^d; t^d)_m is
+never packed: by Euler's B_m = B_(m-1) / (1 - t^(d*m)) (Andrews, The
+Theory of Partitions, section 2.2), the product A_u * B_m of slot
+v = u + m is that of slot v - 1 divided by 1 - X^s, s = (d/g)*m on the
+packed grid (below), modulo X^N, N the digits of the product that slot v
+reads.  That division (``_over_one_minus``) is P += P << (8*nbytes*s*2^i)
+for i = 0, 1, ... while s*2^i < N, then one mask, and nothing when
+s >= N; N never rises with v, as best_v does not.  So a pair (u, v) costs
+about log2(N/s) shift-adds, linear in the bytes, and the chain of each u
+starts from P = A_u, as B_0 = 1.  Each product is shifted to the layer's
+lowest exponent lo, the lowest of any L_u * t^(-b*u).  The binomial
+factor's other branch, L_u * 1/(t^d; t^d)_{v-u} * t^(b*v), is the same
+product shifted up by t^(b*(u+v)): one product per pair (u, v), not one
+per branch.  Slot v holds T_v with the precision that the per-pair series
+products and sums would have given it.  ``_ip`` builds 1/(t^d; t^d)_m
+once per (d, m, wp) only for its norms, which set the digit width.
 
 Inside a slot the term t^e sits at a digit counted from lo.  Every
 exponent that enters a slot lies on the lattice lo + g*Z, where g is the
@@ -60,13 +67,15 @@ The digits read are exact at the width of the digit bound dmax
 (``layer_product``), for three reasons.  Every digit of T_v below best_v
 is a coefficient of T_v, a sum over u <= v of coefficients of
 L_u * 1/(t^d; t^d)_{v-u} (twice that with the binomial factor), so it is
-bounded by dmax.  Every term that the truncations drop (of A_u at or above
-best_u, of B_m past the digits read) or that this form adds (the
-products' digits past those read) lands at or above best_v, as every
-factor has valuation >= 0 after the shift to lo and best_v <= best_u for
-u <= v.  And a carry out of a digit that is not read moves only upward,
-inside the slot's own integer: each slot's read run is taken as biased
-words, (acc + bias) & mask, which no digit above it reaches.  So a slot
+bounded by dmax.  Every term that the truncation of A_u drops, at or
+above best_u, lands at or above best_v, as every factor has valuation
+>= 0 after the shift to lo and best_v <= best_u for u <= v.  And every
+step of a product is exact modulo X^N, N the digits it reads, so the sum
+acc of a slot's products and their shifts is exact modulo X^n, n the
+slot's digits read; the slot's run is taken as biased words,
+(acc + bias) & mask (``series.kron_digits``), which depends on acc mod
+X^n only.  So nothing above the digits read (a product's high digits, a
+carry out of one of them, what a mask leaves) reaches them, and a slot
 needs no guard digits, however far its unread digits outgrow the width.
 
 A layer product stays packed.  ``layer_product`` returns the digits of T_v
@@ -178,7 +187,7 @@ from math import gcd
 from .errors import PrecisionExceeded
 from .series import (INF, Memo, Operand, QSeries, digit_bytes, digit_count,
                      kron_digits, kron_pack, kron_unpack, lowest_digit,
-                     packed, product_bound, read_digits, read_runs, _as_prec,
+                     product_bound, read_digits, read_runs, _as_prec,
                      _mul_any)
 from .qfunctions import SM, inv_poch_finite
 
@@ -399,7 +408,6 @@ def layer_product(layer, vmax, gap, wp):
         return (b"", 1, 0, lo, 1, v0, slots)
     top = reads[-1][0]          # highest slot read
     us = [u for u in us if u <= top]
-    inv = [_ip(den_step, m, wp) for m in range(top - us[0] + 1)]
 
     # A digit of slot v below best_v sums products of L_u and ip_{v-u} for
     # u <= v, each at most ``series.product_bound`` of the two; twice that
@@ -409,7 +417,8 @@ def layer_product(layer, vmax, gap, wp):
     dmax = 0
     for u in us:
         size = [abs(c) for c in layer[u].coeffs.values()]
-        dmax += product_bound((max(size), sum(size)), inv[top - u].norms)
+        dmax += product_bound((max(size), sum(size)),
+                              _ip(den_step, top - u, wp).norms)
     dmax *= 2 if b else 1
     nbytes = digit_bytes(dmax)
     bits = 8 * nbytes
@@ -417,41 +426,52 @@ def layer_product(layer, vmax, gap, wp):
     # Every exponent lies on lo + g*Z (module docstring); b is in the gcd,
     # so e - lo stands for e - b*u - lo.
     g = gcd(den_step, b, *[e - lo for u in us for e in layer[u].coeffs])
+    step = den_step // g        # t^d is X^step
 
-    # A_u: L_u * t^(-b*u) below best_u, packed from its lowest exponent,
-    # which sits at bit ``shift`` of a slot
+    # [u, P_u, skip]: P_u is A_u, L_u * t^(-b*u) below best_u packed from
+    # its lowest exponent, which sits at digit ``skip`` of a slot; slot v
+    # takes it on as A_u * B_(v-u) modulo the digits it reads
     ops = []
     for u in us:
         low = lows[u]
         a = kron_pack(layer[u].coeffs, low, slots[u - v0][2] + b * u,
                       nbytes, g)
         if a:
-            ops.append((u, a, bits * ((low - b * u - lo) // g)))
-    # B_m: 1/(t^d; t^d)_m packed once per (d, m, wp, nbytes, g)
-    ips = [packed(op, nbytes, g) for op in inv]
+            ops.append([u, a, (low - b * u - lo) // g])
     runs, at = [], 0
-    for v, p in reads:
+    for v, p in reads:          # every v from us[0] to top, in order
         n = digit_count(lo, p, g)
         acc = 0
-        for u, a, shift in ops:
+        for op in ops:
+            u, h, skip = op
             if u > v:
                 break
-            keep = bits * n - shift     # the bits of the product read
+            keep = n - skip     # the digits of the product read
             if keep <= 0:
                 continue
-            ip = ips[v - u]
-            if ip.bit_length() > keep:
-                ip &= (1 << keep) - 1
-            h = a * ip
-            acc += h << shift
+            if v > u:   # B_m = B_(m-1) / (1 - t^(d*m)), m = v - u
+                h = op[1] = _over_one_minus(h, step * (v - u), keep, bits)
+            acc += h << bits * skip
             if b:       # the branch t^(b*v): the same product, t^(b*(u+v)) up
-                up = shift + bits * (b * (u + v) // g)
-                if up < bits * n:
-                    acc += h << up
+                up = skip + b * (u + v) // g
+                if up < n:
+                    acc += h << bits * up
         runs.append((acc, n))
         slots[v - v0] = (at, n, p)
         at += n
     return (kron_digits(runs, nbytes), nbytes, dmax, lo, g, v0, slots)
+
+
+def _over_one_minus(h, s, n, bits):
+    """A value equal to h / (1 - X^s) modulo X^n, X = 2^bits and s >= 1:
+    h times 1 + X^s + X^(2s) + ..., as one shift-add per doubling of the
+    stride while it is below n, then one mask; h itself when s >= n."""
+    if s >= n:
+        return h
+    while s < n:
+        h += h << bits * s
+        s *= 2
+    return h & ((1 << bits * n) - 1)
 
 
 def _own_terms(products, own_row, wp):
@@ -558,8 +578,9 @@ def _own_sum(products, own_row, wp):
     return QSeries._of(kron_unpack(h, width, base, prec, g2), prec)
 
 
-# Each 1/(t^d; t^d)_m is an operand once, bounded like the Pochhammer
-# cache it reads: its key includes wp.
+# Each 1/(t^d; t^d)_m is an operand once, for the norms that set a layer
+# product's digit width, bounded like the Pochhammer cache it reads: its
+# key includes wp.
 @lru_cache(maxsize=1024)
 def _ip(den_step, m, wp) -> Operand:
     """1/(t^d; t^d)_m at wp, d = den_step."""

@@ -42,6 +42,10 @@ _OWN_PASS = ("tests/test_sumeval.py::"
              "test_own_pass_on_slots_matches_the_dict_own_pass")
 _OUTER = ("tests/test_sumeval.py::"
           "test_outer_step_matches_the_own_pass_and_ring_sum")
+_STEP = ("tests/test_sumeval.py::"
+         "test_division_by_one_minus_a_power_matches_int_arithmetic")
+_LAYER = ("tests/test_sumeval.py::"
+          "test_convolve_layer_matches_the_per_pair_products")
 
 MUTANTS = [
     # the packer: the term at stop is left out, on either path
@@ -103,6 +107,26 @@ MUTANTS = [
            "cut = min(p, wp - o - vx)",
            "cut = min(p, wp - o)",
            [_OWN_PASS, _OUTER]),
+    # the layer product's recurrence B_m = B_(m-1) / (1 - t^(d*m)): its
+    # stride on the grid, its doubling loop, its first step and its mask
+    Mutant("the recurrence's stride ignores the grid step", _SUMEVAL,
+           "_over_one_minus(h, step * (v - u), keep, bits)",
+           "_over_one_minus(h, v - u, keep, bits)",
+           [_LAYER]),
+    Mutant("one shift-add in place of the doubling loop", _SUMEVAL,
+           "    while s < n:\n"
+           "        h += h << bits * s\n"
+           "        s *= 2\n",
+           "    h += h << bits * s\n",
+           [_STEP, _LAYER]),
+    Mutant("the recurrence starts one m late", _SUMEVAL,
+           "if v > u:   # B_m = B_(m-1) / (1 - t^(d*m)), m = v - u",
+           "if v > u + 1:   # B_m = B_(m-1) / (1 - t^(d*m)), m = v - u",
+           [_LAYER]),
+    Mutant("the recurrence's mask drops the top digit read", _SUMEVAL,
+           "return h & ((1 << bits * n) - 1)",
+           "return h & ((1 << bits * (n - 1)) - 1)",
+           [_STEP, _LAYER]),
 ]
 
 

@@ -21,7 +21,7 @@ from qident.qfunctions import (NEG_ONE, ONE_M, Q, SignedMonomial as SM,
                                inv_poch_infinite, poch_finite, poch_infinite,
                                triple_product)
 from qident.series import INF, Memo, QSeries, one, packed, unpack
-from qident.sumeval import _ip, multisum, summation_bound
+from qident.sumeval import _ip, layer_product, multisum, summation_bound
 
 from gf_oracle import euler_inverse, qbinom, ring_poch_infinite, theta_sum
 from series_oracle import coeff, newton_invert, qcoeff
@@ -181,6 +181,9 @@ CACHED = {
                                            ((2, 0), (2, 2.0))], ValueError),
     "eval_sum head base": (lambda b: I.eval_sum(_GG._replace(
         head=(SM(-1, 2), b)), 4), 4, [4.0], ValueError),
+    # and so is every Pochhammer monomial of a side
+    "eval_sum head monomial": (lambda x: I.eval_sum(_GG._replace(
+        head=(x, 4)), 4), SM(-1, 2), [(-1, 2)], ValueError),
     "eval_product qprec": (lambda p: I.eval_product(_PRODUCT, p), 1,
                            [1.0, True], ValueError),
     "eval_product modulus": (lambda m: I.eval_product(
@@ -194,6 +197,12 @@ CACHED = {
         ValueError),
     "eval_product den_inf base": (lambda b: I.eval_product(
         _PRODUCT._replace(den_inf=((SM(1, 2), b),)), 4), 2, [2.0],
+        ValueError),
+    "eval_product num_inf monomial": (lambda x: I.eval_product(
+        _PRODUCT._replace(num_inf=((x, 2),)), 4), SM(-1, 2), [(-1, 2)],
+        ValueError),
+    "eval_product den_inf monomial": (lambda x: I.eval_product(
+        _PRODUCT._replace(den_inf=((x, 2),)), 4), SM(1, 2), [(1, 2)],
         ValueError),
     "eval_product den_units": (lambda c: I.eval_product(
         _PRODUCT._replace(den_units=(((0, 1), (2, c)),)), 4), 1,
@@ -435,20 +444,17 @@ def test_caches_are_bounded(monkeypatch):
         B.closed_alpha_star_chain(seed, 1, 0, 0, n)
     assert [unpack(k)[0] for k in B._QUOTIENTS] == [(14, 11), (10, 11)]
     B._QUOTIENTS.clear()
-    # a layer product's operand 1/(t^d; t^d)_m is packed per grid step
-    # too: one operand at steps 1, 2 and 4 is three entries and three
-    # values, and the packed cache stays at its bound however many keys
-    # it sees
+    # a layer product's 1/(t^d; t^d)_m is an operand for its norms only:
+    # layers of one d and wp on the grid steps 1, 2 and 4 share the one
+    # operand of their highest slot, and none of them packs it
     _ip.cache_clear()
     packed.cache_clear()
-    values = {packed(_ip(4, 3, 15), 1, step) for step in (1, 2, 4)}
-    assert len(values) == packed.cache_info().currsize == 3
+    for step in (1, 2, 4):
+        products = layer_product({0: QSeries({0: 1, step: 1}, 15)}, 3,
+                                 (4, None), 15)
+        assert products[4] == step
     assert _ip.cache_info().currsize == 1
-    maxsize = packed.cache_info().maxsize
-    for nbytes in range(1, maxsize // 3 + 3):
-        for step in (1, 2, 4):
-            packed(_ip(4, 3, 15), nbytes, step)
-    assert packed.cache_info().currsize == maxsize
+    assert packed.cache_info().currsize == 0
     _ip.cache_clear()
     # an operand is packed per width and built once: one relation kernel
     # at three widths is three packed entries and one operand, and the

@@ -389,22 +389,21 @@ def _grid_layers(wp):
          2, None)
 def test_convolve_layer_is_the_same_on_a_cold_and_a_warm_cache(case,
                                                               den_step, b):
-    # each operand 1/(t^d; t^d)_m is packed once per (d, m, wp, digit
-    # width, grid step); one packed for one layer must serve every other
-    # layer with that key unchanged, and only those
+    # each operand 1/(t^d; t^d)_m, whose norms set the digit width, is
+    # built once per (d, m, wp) whatever the grid step; one built for one
+    # layer must serve every other layer with that key unchanged
     wp, layers = case
     own_row = [(0, None)] * 6
     cold = []
     for layer in layers:
         _ip.cache_clear()
-        series.packed.cache_clear()
         cold.append(_one_layer(layer, own_row, (den_step, b), wp))
-    for order in (1, -1):       # the second pass finds every operand packed
-        misses = series.packed.cache_info().misses
+    for order in (1, -1):       # the second pass finds every operand built
+        misses = _ip.cache_info().misses
         warm = [_one_layer(layer, own_row, (den_step, b), wp)
                 for layer in layers[::order]][::order]
         assert warm == cold
-    assert series.packed.cache_info().misses == misses
+    assert _ip.cache_info().misses == misses
 
 
 @pytest.mark.skipif(sys.byteorder != "little", reason="big-endian host")
@@ -543,10 +542,10 @@ def _check_runs(data, nbytes):
 @pytest.mark.parametrize("den_step", [2, 4])
 def test_layer_operands_pack_one_digit_per_grid_point(monkeypatch,
                                                       den_step):
-    # a layer on the grid den_step*Z: every packed operand holds one digit
-    # per grid point, each L_u from its lowest exponent below best_u = wp
-    # and each 1/(t^d; t^d)_m from t^0 below wp, ceil(wp/den_step) digits
-    # for m >= 1, not wp
+    # a layer on the grid den_step*Z: each L_u packs one digit per grid
+    # point from its lowest exponent below best_u = wp, and nothing else is
+    # packed, as each 1/(t^d; t^d)_m enters by shift-adds, not as an
+    # operand, even with the operand caches cold
     wp = 21
     layer = {0: QSeries({0: 1, den_step: 3}, wp),
              1: QSeries({den_step: -1, 2 * den_step: 5}, wp)}
@@ -558,16 +557,14 @@ def test_layer_operands_pack_one_digit_per_grid_point(monkeypatch,
         calls.append((len(range(low, top, step)), step))
         return real(coeffs, low, stop, nbytes, step)
 
-    # L_u is packed by the sum engine, 1/(t^d; t^d)_m by Operand.pack
     for module in (series, sumeval):
         monkeypatch.setattr(module, "kron_pack", spy)
+    _ip.cache_clear()
     series.packed.cache_clear()
     _one_layer(layer, [(0, None)] * 4, (den_step, None), wp)
-    series.packed.cache_clear()
-    slot = -(-wp // den_step)
-    # L_0 and L_1, then 1/(t^d; t^d)_m for m = 0..3
-    assert calls == [(2, den_step)] * 2 + [(1, den_step)] + \
-        [(slot, den_step)] * 3
+    assert series.packed.cache_info().currsize == 0
+    # L_0 and L_1, two grid points each
+    assert calls == [(2, den_step)] * 2
 
 
 # What the memos store: plain data and series with coefficients of either

@@ -309,6 +309,39 @@ def test_convolve_layer_matches_the_per_pair_products(case, den_step, b,
         {v: (s.coeffs, s.prec) for v, s in want.items()}
 
 
+@st.composite
+def geometric_steps(draw):
+    """(nbytes, d, g, m, n, digits): the step m of a layer with den_step d
+    on the grid step g (1, 2 or 4), n digits read, and the signed digits of
+    the product it divides, each of nbytes bytes (1 to 9)."""
+    nbytes = draw(st.integers(1, 9))
+    g = draw(st.sampled_from([1, 2, 4]))
+    n = draw(st.integers(1, 40))
+    top = 2 ** (8 * nbytes - 1) - 1
+    return (nbytes, g * draw(st.integers(1, 3)), g, draw(st.integers(1, 12)),
+            n, draw(st.lists(st.integers(-top, top), max_size=n + 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometric_steps())
+# the stride at, above and just below the digit count, and of one digit
+@example((8, 2, 2, 5, 5, [1] * 5))
+@example((1, 12, 4, 2, 5, [-127, 127]))
+@example((9, 1, 1, 7, 8, [-1] * 9))
+@example((2, 1, 1, 1, 40, [2 ** 15 - 1] * 40))
+def test_division_by_one_minus_a_power_matches_int_arithmetic(case):
+    # layer_product's step B_m = B_(m-1) / (1 - t^(d*m)): on the grid g,
+    # t^(d*m) is X^s with s = (d/g)*m, and modulo X^n the step is the
+    # product with the sum of X^(s*i) for s*i < n
+    nbytes, d, g, m, n, digits = case
+    X = 2 ** (8 * nbytes)
+    h = sum(c * X ** j for j, c in enumerate(digits))
+    s = d // g * m
+    geometric = sum(X ** (s * i) for i in range(-(-n // s)))
+    got = sumeval._over_one_minus(h, s, n, 8 * nbytes)
+    assert got % X ** n == h * geometric % X ** n
+
+
 def as_slots(products, g=1, nbytes=None):
     """{v: T_v} for v = v0.. as a packed layer product (sumeval's layout):
     one digit per g exponents from the lowest exponent of any T_v (every
